@@ -20,7 +20,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import SpatialBenchError
+from .errors import FormatError, SpatialBenchError
 from .evaluation import evaluate_records
 from .extraction import ExtractionConfig, extract_scene
 from .geometry import RelationKind
@@ -57,15 +57,16 @@ __all__ = ["main"]
 
 CONFIG_ENV_VAR = "SPATIALBENCH_CONFIG"
 
-_CONFIG_KEYS = (
-    "tau",
-    "min_rel_area",
-    "max_center_dist",
-    "min_score",
-    "ambiguity_policy",
-    "emit_next_when_directional",
-    "max_between_objects",
-)
+# config key -> the JSON types its value may take
+_CONFIG_TYPES = {
+    "tau": (int, float),
+    "min_rel_area": (int, float),
+    "max_center_dist": (int, float),
+    "min_score": (int, float),
+    "ambiguity_policy": (str,),
+    "emit_next_when_directional": (bool,),
+    "max_between_objects": (int,),
+}
 
 
 def _kind_count(text: str) -> tuple[RelationKind, int]:
@@ -183,9 +184,16 @@ def _extraction_config(args) -> ExtractionConfig:
             raise SpatialBenchError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        unknown = sorted(set(raw) - set(_CONFIG_TYPES))
         if unknown:
             raise SpatialBenchError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in raw.items():
+            types = _CONFIG_TYPES[key]
+            # JSON true/false are Python bools, which are also ints
+            if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+                expected = " or ".join(t.__name__ for t in types)
+                raise FormatError(f"config {config_path}: expected {expected}, "
+                                  f"got {json.dumps(value)}", field=key)
         values.update(raw)
     if args.tau is not None:
         values["tau"] = args.tau
@@ -311,11 +319,7 @@ def _cmd_bias_report(args) -> int:
     if args.format == "json":
         text = json.dumps(report.bias, sort_keys=True, indent=2) + "\n"
     else:
-        lines = [f"{'pair':<14}{'side':<10}{'accuracy':>8}"]
-        for pid, sides in sorted(report.bias.items()):
-            for side, acc in sorted(sides.items()):
-                lines.append(f"{pid:<14}{side:<10}{acc:>8.3f}")
-        text = "\n".join(lines) + "\n"
+        text = report.bias_text()
     _write_output(args, text)
     if profile is not None:
         args.emit_profile.write_text(profile_to_json(profile), encoding="utf-8")

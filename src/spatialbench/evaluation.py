@@ -11,8 +11,9 @@ the objects, so only the spatial constraint is under test.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import MissingRelation, NoSamples
 from .extraction import DEFAULT_CONFIG, ExtractionConfig, Scene
@@ -142,10 +143,61 @@ def score_record(
     ]
 
 
-def _scored(
-    records: Sequence[EvalRecord], cfg: ExtractionConfig
-) -> list[tuple[EvalRecord, list[ClauseVerdict]]]:
-    return [(r, score_record(r, cfg)) for r in records]
+class _Tally:
+    """Clause and hit counts per (kind, complex subset) from one scoring pass.
+
+    Every accuracy and the bias table are read off these counts, so each
+    record is scored exactly once.
+    """
+
+    def __init__(self, records: Sequence[EvalRecord], cfg: ExtractionConfig):
+        self.records = len(records)
+        self.full = 0
+        self.clauses: Counter = Counter()
+        self.hits: Counter = Counter()
+        for record in records:
+            verdicts = score_record(record, cfg)
+            self.full += all(v.satisfied for v in verdicts)
+            for clause, verdict in zip(record.prompt.clauses, verdicts):
+                key = (clause.kind, record.prompt.is_complex)
+                self.clauses[key] += 1
+                self.hits[key] += verdict.satisfied
+
+    def kinds(self) -> list[RelationKind]:
+        """Kinds with at least one clause, in first-seen order."""
+        return list(dict.fromkeys(kind for kind, _ in self.clauses))
+
+    def count(self, kind: RelationKind) -> int:
+        return self.clauses[kind, False] + self.clauses[kind, True]
+
+    def soft(self, kind: RelationKind) -> float:
+        total = self.count(kind)
+        if total == 0:
+            raise NoSamples(f"no {kind.value} clauses in the given records")
+        return (self.hits[kind, False] + self.hits[kind, True]) / total
+
+    def strict(self) -> float:
+        if not self.records:
+            raise NoSamples("no records")
+        return self.full / self.records
+
+    def bias(self) -> dict[str, dict[str, float]]:
+        table: dict[str, dict[str, float]] = {}
+        for pair in OPPOSITE_PAIRS:
+            sides: dict[str, float] = {}
+            for kind in pair:
+                values = [
+                    self.hits[kind, subset] / self.clauses[kind, subset]
+                    for subset in (False, True)
+                    if self.clauses[kind, subset]
+                ]
+                if values:
+                    sides[kind.value] = sum(values) / len(values)
+            if len(sides) == 2:
+                table[pair_id(pair)] = sides
+        if not table:
+            raise MissingRelation("records cover no opposite pair on both sides")
+        return table
 
 
 def soft_accuracy(
@@ -154,64 +206,14 @@ def soft_accuracy(
     cfg: ExtractionConfig = DEFAULT_CONFIG,
 ) -> float:
     """Fraction of clauses of one kind satisfied, other clauses ignored."""
-    total = 0
-    hits = 0
-    for record, verdicts in _scored(records, cfg):
-        for clause, verdict in zip(record.prompt.clauses, verdicts):
-            if clause.kind is kind:
-                total += 1
-                hits += verdict.satisfied
-    if total == 0:
-        raise NoSamples(f"no {kind.value} clauses in the given records")
-    return hits / total
+    return _Tally(records, cfg).soft(kind)
 
 
 def strict_accuracy(
     records: Sequence[EvalRecord], cfg: ExtractionConfig = DEFAULT_CONFIG
 ) -> float:
     """Fraction of records whose every clause is satisfied."""
-    if not records:
-        raise NoSamples("no records")
-    full = sum(
-        1 for _, verdicts in _scored(records, cfg) if all(v.satisfied for v in verdicts)
-    )
-    return full / len(records)
-
-
-def _subset_soft(
-    scored: Sequence[tuple[EvalRecord, list[ClauseVerdict]]],
-    kind: RelationKind,
-    complex_subset: bool,
-) -> float | None:
-    total = 0
-    hits = 0
-    for record, verdicts in scored:
-        if record.prompt.is_complex != complex_subset:
-            continue
-        for clause, verdict in zip(record.prompt.clauses, verdicts):
-            if clause.kind is kind:
-                total += 1
-                hits += verdict.satisfied
-    return hits / total if total else None
-
-
-def _bias_from_scored(
-    scored: Sequence[tuple[EvalRecord, list[ClauseVerdict]]],
-) -> dict[str, dict[str, float]]:
-    table: dict[str, dict[str, float]] = {}
-    for pair in OPPOSITE_PAIRS:
-        sides: dict[str, float] = {}
-        for kind in pair:
-            simple = _subset_soft(scored, kind, complex_subset=False)
-            complex_ = _subset_soft(scored, kind, complex_subset=True)
-            values = [v for v in (simple, complex_) if v is not None]
-            if values:
-                sides[kind.value] = sum(values) / len(values)
-        if len(sides) == 2:
-            table[pair_id(pair)] = sides
-    if not table:
-        raise MissingRelation("records cover no opposite pair on both sides")
-    return table
+    return _Tally(records, cfg).strict()
 
 
 def bias_table(
@@ -222,7 +224,7 @@ def bias_table(
     other). Pairs with clauses on only one side (or neither) are omitted;
     MissingRelation when nothing qualifies.
     """
-    return _bias_from_scored(_scored(records, cfg))
+    return _Tally(records, cfg).bias()
 
 
 @dataclass(frozen=True)
@@ -271,17 +273,17 @@ class BenchReport:
                 )
         lines.append("")
         lines.append(f"strict accuracy: {self.strict:.3f}")
-        if self.bias:
-            lines.append("")
-            lines.append(f"{'pair':<14}{'side':<10}{'accuracy':>8}")
-            for pair in OPPOSITE_PAIRS:
-                pid = pair_id(pair)
-                if pid not in self.bias:
-                    continue
+        text = "\n".join(lines) + "\n"
+        return text + "\n" + self.bias_text() if self.bias else text
+
+    def bias_text(self) -> str:
+        """The bias table as text, one row per side, pairs in OPPOSITE_PAIRS order."""
+        lines = [f"{'pair':<14}{'side':<10}{'accuracy':>8}"]
+        for pair in OPPOSITE_PAIRS:
+            pid = pair_id(pair)
+            if pid in self.bias:
                 for kind in pair:
-                    lines.append(
-                        f"{pid:<14}{kind.value:<10}{self.bias[pid][kind.value]:>8.3f}"
-                    )
+                    lines.append(f"{pid:<14}{kind.value:<10}{self.bias[pid][kind.value]:>8.3f}")
         return "\n".join(lines) + "\n"
 
 
@@ -294,19 +296,10 @@ def evaluate_records(
     """Full report: per-kind soft accuracy, strict accuracy, bias table."""
     if not records:
         raise NoSamples("no records")
-    scored = _scored(records, cfg)
-    counts: dict[str, int] = {}
-    hits: dict[str, int] = {}
-    full = 0
-    for record, verdicts in scored:
-        if all(v.satisfied for v in verdicts):
-            full += 1
-        for clause, verdict in zip(record.prompt.clauses, verdicts):
-            counts[clause.kind.value] = counts.get(clause.kind.value, 0) + 1
-            hits[clause.kind.value] = hits.get(clause.kind.value, 0) + verdict.satisfied
-    soft = {kind: hits[kind] / counts[kind] for kind in counts}
+    tally = _Tally(records, cfg)
+    kinds = tally.kinds()
     try:
-        bias = _bias_from_scored(scored)
+        bias = tally.bias()
     except MissingRelation:
         bias = {}
     config: dict[str, object] = {
@@ -318,5 +311,9 @@ def evaluate_records(
     if seed is not None:
         config["seed"] = seed
     return BenchReport(
-        soft=soft, strict=full / len(records), counts=counts, bias=bias, config=config
+        soft={kind.value: tally.soft(kind) for kind in kinds},
+        strict=tally.strict(),
+        counts={kind.value: tally.count(kind) for kind in kinds},
+        bias=bias,
+        config=config,
     )

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DimensionMismatch, NotInvertible, SceneTooLarge
 from .geometry import (
     BoundingBox,
@@ -20,10 +22,9 @@ from .geometry import (
     Locality,
     RelationKind,
     Strictness,
-    check_between,
-    check_depth_relation,
-    check_directional,
-    check_next,
+    average_depth,
+    batch_check_depth_overlap,
+    batch_check_directional,
     locality_kind,
 )
 from .textutil import normalize_phrase
@@ -194,6 +195,12 @@ def _eligible(scene: Scene, cfg: ExtractionConfig) -> list[int]:
     ]
 
 
+def _pair_grid(boxes: list[BoundingBox]) -> tuple[np.ndarray, np.ndarray]:
+    """Box rows shaped so a batch predicate gives the (n, n) matrix over ordered pairs."""
+    rows = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return rows[:, None], rows[None]
+
+
 def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[RelationInstance]:
     """All pairwise relations (directional, Next, Front/Behind) in the scene.
 
@@ -205,31 +212,35 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
     """
     s = cfg.strictness
     eligible = _eligible(scene, cfg)
-    out: list[RelationInstance] = []
-    for i in eligible:
-        for j in eligible:
-            if i == j:
-                continue
-            b1 = scene.objects[i].box
-            b2 = scene.objects[j].box
-            if not proximity_filter(b1, b2, scene.width, scene.height, cfg):
-                continue
-            hits = [loc for loc in Locality if check_directional(b1, b2, loc, s)]
-            ambiguous = any(h.is_horizontal for h in hits) and any(
-                not h.is_horizontal for h in hits
-            )
-            if ambiguous and cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR:
-                directional: list[Locality] = []
-            else:
-                directional = hits
-            for loc in directional:
-                out.append(RelationInstance(locality_kind(loc), i, (j,), scene.context))
-            if check_next(b1, b2, s) and (cfg.emit_next_when_directional or not directional):
-                out.append(RelationInstance(RelationKind.NEXT, i, (j,), scene.context))
-            if scene.depth is not None:
-                rel = check_depth_relation(b1, b2, scene.depth, s)
-                if rel is not None:
-                    out.append(RelationInstance(rel, i, (j,), scene.context))
+    boxes = [scene.objects[i].box for i in eligible]
+    near = np.array([[a != b and proximity_filter(b1, b2, scene.width, scene.height, cfg)
+                      for b, b2 in enumerate(boxes)] for a, b1 in enumerate(boxes)],
+                    dtype=bool).reshape(len(boxes), len(boxes))
+    subj, obj = _pair_grid(boxes)
+    hits = {loc: batch_check_directional(subj, obj, loc, s) for loc in Locality}
+    # Next is either horizontal direction
+    next_to = hits[Locality.RIGHT] | hits[Locality.LEFT]
+    if cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR:
+        ambiguous = next_to & (hits[Locality.TOP] | hits[Locality.BOTTOM])
+        hits = {loc: hit & ~ambiguous for loc, hit in hits.items()}
+    if not cfg.emit_next_when_directional:
+        next_to = next_to & ~np.logical_or.reduce(list(hits.values()))
+    layers = [(locality_kind(loc), hit) for loc, hit in hits.items()]
+    layers.append((RelationKind.NEXT, next_to))
+    if scene.depth is not None:
+        overlap = batch_check_depth_overlap(subj, obj, s) & near
+        # one mean per object that a gated pair compares; the comparisons are
+        # exact, so a tie decides neither side
+        means = np.zeros(len(boxes))
+        for a in np.flatnonzero(overlap.any(axis=0) | overlap.any(axis=1)):
+            means[a] = average_depth(scene.depth, boxes[a])
+        layers.append((RelationKind.FRONT, overlap & (means[:, None] > means[None])))
+        layers.append((RelationKind.BEHIND, overlap & (means[:, None] < means[None])))
+    out = [
+        RelationInstance(kind, eligible[a], (eligible[b],), scene.context)
+        for kind, hit in layers
+        for a, b in zip(*np.nonzero(hit & near))
+    ]
     out.sort(key=RelationInstance.sort_key)
     return out
 
@@ -237,8 +248,10 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
 def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[RelationInstance]:
     """All Between relations over ordered triplets of eligible objects.
 
-    The sweep is O(n^3); scenes with more than cfg.max_between_objects eligible
-    objects raise SceneTooLarge rather than silently truncating.
+    The middle object m sits between a and c when a is left of m and c right
+    of it, read off the n x n LEFT and RIGHT matrices. Scenes with more than
+    cfg.max_between_objects eligible objects raise SceneTooLarge rather than
+    silently truncating.
     """
     s = cfg.strictness
     eligible = _eligible(scene, cfg)
@@ -247,18 +260,19 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
             f"{len(eligible)} eligible objects exceed the between cap "
             f"of {cfg.max_between_objects}"
         )
+    subj, obj = _pair_grid([scene.objects[i].box for i in eligible])
+    left = batch_check_directional(subj, obj, Locality.LEFT, s)
+    right = batch_check_directional(subj, obj, Locality.RIGHT, s)
     out: list[RelationInstance] = []
-    for i in eligible:
-        for j in eligible:
-            for k in eligible:
-                if i == j or j == k or i == k:
-                    continue
-                if check_between(
-                    scene.objects[i].box, scene.objects[j].box, scene.objects[k].box, s
-                ):
-                    out.append(
-                        RelationInstance(RelationKind.BETWEEN, j, (i, k), scene.context)
-                    )
+    # each middle object pairs its left flankers with its right ones, so no
+    # n^3 array is ever built
+    for m, mid in enumerate(eligible):
+        for a in np.flatnonzero(left[:, m]):
+            for c in np.flatnonzero(right[:, m]):
+                if a != m and c != m and a != c:
+                    out.append(RelationInstance(
+                        RelationKind.BETWEEN, mid, (eligible[a], eligible[c]), scene.context
+                    ))
     out.sort(key=RelationInstance.sort_key)
     return out
 

@@ -5,10 +5,11 @@ so "top" means smaller y. Boxes are (x_min, y_min, x_max, y_max) in absolute
 pixels. All predicates are pure functions of their arguments; the strictness
 value tau scales every threshold (larger tau = tighter constraints).
 
-Scalar functions operate on BoundingBox values. The batch_* variants apply the
-same formulas to numpy arrays of shape (..., 4) and exist for exhaustive sweeps
-and large randomized suites; they must stay expression-for-expression identical
-to the scalar code so both paths agree bit for bit.
+Each predicate formula is written once, shape-generic over Python floats and
+numpy arrays. The scalar functions apply it to BoundingBox values and return
+Python bool/float; the batch_* functions apply it to box rows of shape
+(..., 4) and return arrays. Extraction runs the batch functions over the n x n
+grid of ordered box pairs.
 """
 
 from __future__ import annotations
@@ -205,22 +206,85 @@ class AxisDistances:
         return (self.x_max_dist, self.x_min_dist, self.y_max_dist, self.y_min_dist)
 
 
+# ---------------------------------------------------------------------------
+# predicate formulas
+#
+# A box enters as its four coordinates (x_min, y_min, x_max, y_max): Python
+# floats from a BoundingBox, or arrays from box rows, which broadcast by numpy
+# rules. The public scalar and batch_* functions below are adapters.
+
+
+def _pick(flag, a, b):
+    """a where flag holds, else b."""
+    if isinstance(flag, np.ndarray):
+        return np.where(flag, a, b)
+    return a if flag else b
+
+
+def _pair(p, q):
+    """Axis distances of boxes p and q, then their smaller width and height.
+
+    Each axis picks its minuend independently: the wider box for the
+    horizontal distances, the taller box for the vertical ones (ties keep
+    input order).
+    """
+    px0, py0, px1, py1 = p
+    qx0, qy0, qx1, qy1 = q
+    pw, ph, qw, qh = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
+    hswap, vswap = pw < qw, ph < qh
+    return (
+        _pick(hswap, qx1 - px1, px1 - qx1),
+        _pick(hswap, qx0 - px0, px0 - qx0),
+        _pick(vswap, qy1 - py1, py1 - qy1),
+        _pick(vswap, qy0 - py0, py0 - qy0),
+        _pick(hswap, pw, qw),
+        _pick(vswap, ph, qh),
+    )
+
+
+def _distance(p, q, loc: Locality):
+    px0, py0, px1, py1 = p
+    qx0, qy0, qx1, qy1 = q
+    if loc is Locality.RIGHT:
+        return px0 - qx1
+    if loc is Locality.LEFT:
+        return qx0 - px1
+    if loc is Locality.BOTTOM:
+        return py0 - qy1
+    if loc is Locality.TOP:
+        return qy0 - py1
+    raise ValueError(f"unknown locality {loc!r}")
+
+
+def _within(max_dist, min_dist, extent, tau: float):
+    """Both edge distances of one axis inside the +-extent/tau band."""
+    return (max_dist < extent / tau) & (min_dist > -extent / tau)
+
+
+def _directional(p, q, loc: Locality, tau: float):
+    dist = _distance(p, q, loc)
+    x_max, x_min, y_max, y_min, min_w, min_h = _pair(p, q)
+    if loc.is_horizontal:
+        return (dist > -min_w / tau) & _within(y_max, y_min, min_h, tau)
+    return (dist > -min_h / tau) & _within(x_max, x_min, min_w, tau)
+
+
+def _depth_overlap(p, q, tau: float):
+    x_max, x_min, y_max, y_min, min_w, min_h = _pair(p, q)
+    return _within(x_max, x_min, min_w, tau) & _within(y_max, y_min, min_h, tau)
+
+
+# ---------------------------------------------------------------------------
+# scalar predicates on BoundingBox values
+
+
 def axis_distances(b1: BoundingBox, b2: BoundingBox) -> AxisDistances:
     """Location-independent edge distances for a box pair.
 
-    Each axis picks its minuend independently: the wider box for the horizontal
-    distances, the taller box for the vertical ones (ties keep input order).
-    This per-axis choice is what makes the directional checks exactly symmetric
-    under argument swap.
+    The per-axis minuend choice (see _pair) is what makes the directional
+    checks exactly symmetric under argument swap.
     """
-    ha, hb = (b2, b1) if b1.width < b2.width else (b1, b2)
-    va, vb = (b2, b1) if b1.height < b2.height else (b1, b2)
-    return AxisDistances(
-        x_max_dist=ha.x_max - hb.x_max,
-        x_min_dist=ha.x_min - hb.x_min,
-        y_max_dist=va.y_max - vb.y_max,
-        y_min_dist=va.y_min - vb.y_min,
-    )
+    return AxisDistances(*_pair(b1.as_tuple(), b2.as_tuple())[:4])
 
 
 def directional_distance(b1: BoundingBox, b2: BoundingBox, loc: Locality) -> float:
@@ -230,15 +294,7 @@ def directional_distance(b1: BoundingBox, b2: BoundingBox, loc: Locality) -> flo
     the axis. Right: left edge of b1 minus right edge of b2; the other cases
     mirror it (y-down convention for top/bottom).
     """
-    if loc is Locality.RIGHT:
-        return b1.x_min - b2.x_max
-    if loc is Locality.LEFT:
-        return b2.x_min - b1.x_max
-    if loc is Locality.BOTTOM:
-        return b1.y_min - b2.y_max
-    if loc is Locality.TOP:
-        return b2.y_min - b1.y_max
-    raise ValueError(f"unknown locality {loc!r}")
+    return _distance(b1.as_tuple(), b2.as_tuple(), loc)
 
 
 def check_directional(
@@ -254,21 +310,7 @@ def check_directional(
     cross-axis distances must stay inside +-min_extent/tau (the boxes must be
     roughly aligned on the other axis). Boundary values fail.
     """
-    dist = directional_distance(b1, b2, loc)
-    ad = axis_distances(b1, b2)
-    min_w = min(b1.width, b2.width)
-    min_h = min(b1.height, b2.height)
-    if loc.is_horizontal:
-        return (
-            dist > -min_w / s.tau
-            and ad.y_max_dist < min_h / s.tau
-            and ad.y_min_dist > -min_h / s.tau
-        )
-    return (
-        dist > -min_h / s.tau
-        and ad.x_max_dist < min_w / s.tau
-        and ad.x_min_dist > -min_w / s.tau
-    )
+    return bool(_directional(b1.as_tuple(), b2.as_tuple(), loc, s.tau))
 
 
 def check_next(
@@ -304,15 +346,7 @@ def check_depth_overlap(
     All four location-independent distances must stay inside the same
     +-min_extent/tau bands used by the directional checks.
     """
-    ad = axis_distances(b1, b2)
-    min_w = min(b1.width, b2.width)
-    min_h = min(b1.height, b2.height)
-    return (
-        ad.x_max_dist < min_w / s.tau
-        and ad.x_min_dist > -min_w / s.tau
-        and ad.y_max_dist < min_h / s.tau
-        and ad.y_min_dist > -min_h / s.tau
-    )
+    return bool(_depth_overlap(b1.as_tuple(), b2.as_tuple(), s.tau))
 
 
 class DepthMap:
@@ -399,70 +433,29 @@ def check_depth_relation(
 
 
 # ---------------------------------------------------------------------------
-# batch variants
+# batch predicates on box rows
 #
 # Arrays hold boxes as rows [x_min, y_min, x_max, y_max]. Broadcasting follows
-# numpy rules, so (N, 4) against (N, 4) gives (N,) verdicts. The arithmetic
-# mirrors the scalar functions exactly (same operations, same order); keep the
-# two in lockstep when editing either.
+# numpy rules, so (N, 4) against (N, 4) gives (N,) verdicts, and (N, 1, 4)
+# against (1, N, 4) gives the (N, N) matrix over all ordered pairs.
 
 
-def _require_boxes(a: np.ndarray) -> np.ndarray:
+def _rows(a):
+    """Box rows of shape (..., 4) as their four coordinate arrays."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.shape[-1] != 4:
         raise ValueError(f"expected boxes with 4 coordinates in the last axis, got {arr.shape}")
-    return arr
+    return arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]
 
 
 def batch_axis_distances(b1, b2):
     """Vectorized axis_distances; returns four arrays in field order."""
-    b1 = _require_boxes(b1)
-    b2 = _require_boxes(b2)
-    w1 = b1[..., 2] - b1[..., 0]
-    h1 = b1[..., 3] - b1[..., 1]
-    w2 = b2[..., 2] - b2[..., 0]
-    h2 = b2[..., 3] - b2[..., 1]
-    hswap = w1 < w2
-    vswap = h1 < h2
-    x_max_dist = np.where(hswap, b2[..., 2] - b1[..., 2], b1[..., 2] - b2[..., 2])
-    x_min_dist = np.where(hswap, b2[..., 0] - b1[..., 0], b1[..., 0] - b2[..., 0])
-    y_max_dist = np.where(vswap, b2[..., 3] - b1[..., 3], b1[..., 3] - b2[..., 3])
-    y_min_dist = np.where(vswap, b2[..., 1] - b1[..., 1], b1[..., 1] - b2[..., 1])
-    return x_max_dist, x_min_dist, y_max_dist, y_min_dist
+    return _pair(_rows(b1), _rows(b2))[:4]
 
 
 def batch_check_directional(b1, b2, loc: Locality, s: Strictness = DEFAULT_STRICTNESS):
     """Vectorized check_directional; returns a boolean array."""
-    b1 = _require_boxes(b1)
-    b2 = _require_boxes(b2)
-    w1 = b1[..., 2] - b1[..., 0]
-    h1 = b1[..., 3] - b1[..., 1]
-    w2 = b2[..., 2] - b2[..., 0]
-    h2 = b2[..., 3] - b2[..., 1]
-    min_w = np.minimum(w1, w2)
-    min_h = np.minimum(h1, h2)
-    x_max_dist, x_min_dist, y_max_dist, y_min_dist = batch_axis_distances(b1, b2)
-    if loc is Locality.RIGHT:
-        dist = b1[..., 0] - b2[..., 2]
-    elif loc is Locality.LEFT:
-        dist = b2[..., 0] - b1[..., 2]
-    elif loc is Locality.BOTTOM:
-        dist = b1[..., 1] - b2[..., 3]
-    elif loc is Locality.TOP:
-        dist = b2[..., 1] - b1[..., 3]
-    else:
-        raise ValueError(f"unknown locality {loc!r}")
-    if loc.is_horizontal:
-        return (
-            (dist > -min_w / s.tau)
-            & (y_max_dist < min_h / s.tau)
-            & (y_min_dist > -min_h / s.tau)
-        )
-    return (
-        (dist > -min_h / s.tau)
-        & (x_max_dist < min_w / s.tau)
-        & (x_min_dist > -min_w / s.tau)
-    )
+    return _directional(_rows(b1), _rows(b2), loc, s.tau)
 
 
 def batch_check_next(b1, b2, s: Strictness = DEFAULT_STRICTNESS):
@@ -478,18 +471,4 @@ def batch_check_between(b_left, b_mid, b_right, s: Strictness = DEFAULT_STRICTNE
 
 
 def batch_check_depth_overlap(b1, b2, s: Strictness = DEFAULT_STRICTNESS):
-    b1 = _require_boxes(b1)
-    b2 = _require_boxes(b2)
-    w1 = b1[..., 2] - b1[..., 0]
-    h1 = b1[..., 3] - b1[..., 1]
-    w2 = b2[..., 2] - b2[..., 0]
-    h2 = b2[..., 3] - b2[..., 1]
-    min_w = np.minimum(w1, w2)
-    min_h = np.minimum(h1, h2)
-    x_max_dist, x_min_dist, y_max_dist, y_min_dist = batch_axis_distances(b1, b2)
-    return (
-        (x_max_dist < min_w / s.tau)
-        & (x_min_dist > -min_w / s.tau)
-        & (y_max_dist < min_h / s.tau)
-        & (y_min_dist > -min_h / s.tau)
-    )
+    return _depth_overlap(_rows(b1), _rows(b2), s.tau)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from spatialbench.cli import CONFIG_ENV_VAR, main
-from spatialbench.evaluation import BenchReport
+from spatialbench.evaluation import BenchReport, evaluate_records
 from spatialbench.prompts import parse_prompt
 from spatialbench.sceneio import load_eval_records, write_jsonl
 from spatialbench.tore import load_bias_profile
@@ -228,6 +228,18 @@ class TestEvaluate:
         cfg.write_text('{"speed": 11}')
         assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"tau": "3"}', "tau"),
+        ('{"emit_next_when_directional": "false"}', "emit_next_when_directional"),
+        ('{"max_between_objects": 2.5}', "max_between_objects"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, records_file, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"field {key}" in err[0]
+
     def test_deterministic(self, tmp_path, records_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [
             "evaluate", str(records_file), "--output", str(out),
@@ -267,7 +279,12 @@ class TestBiasReport:
 
     def test_text_format(self, paired_records, capsys):
         assert main(["bias-report", str(paired_records), "--format", "text"]) == 0
-        assert "top_bottom" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["top", "bottom"]
+        # the same table, rows in OPPOSITE_PAIRS order, as in evaluate's text report
+        report = evaluate_records(load_eval_records(paired_records))
+        assert out == report.bias_text()
+        assert report.to_text().endswith("\n" + out)
 
     def test_deterministic(self, tmp_path, paired_records):
         out_a, out_b = run_twice(tmp_path, lambda out: [

@@ -177,6 +177,12 @@ class TestAmbiguityPolicy:
             ("next", 1, (0,)),
         }
 
+    def test_dropped_pair_counts_as_no_directional_emission(self):
+        cfg = ExtractionConfig(tau=1.2, emit_next_when_directional=False)
+        scene = scene_of(self.BOXES, width=100, height=100)
+        got = as_triples(extract_pairwise(scene, cfg))
+        assert got == {("next", 0, (1,)), ("next", 1, (0,))}
+
     def test_no_mixed_axis_pair_survives_drop_pair(self):
         cfg = ExtractionConfig(tau=1.2)
         scene = scene_of(self.BOXES, width=100, height=100)
@@ -294,32 +300,72 @@ def _to_ref_scene(scene: Scene):
 
 
 @st.composite
-def random_scenes(draw):
-    n = draw(st.integers(1, 5))
-    boxes = [draw(_GRID_BOX) for _ in range(n)]
+def random_scenes(draw, max_objects=5):
+    n = draw(st.integers(1, max_objects))
+    boxes = []
+    for _ in range(n):
+        # about one box in four repeats an earlier one
+        if boxes and draw(st.integers(0, 3)) == 0:
+            boxes.append(draw(st.sampled_from(boxes)))
+        else:
+            boxes.append(draw(_GRID_BOX))
     scores = [draw(st.sampled_from([0.1, 0.4, 1.0])) for _ in range(n)]
     with_depth = draw(st.booleans())
     depth = None
     if with_depth:
         seed = draw(st.integers(0, 2**16))
+        levels = draw(st.sampled_from([2, 64]))  # two levels make tied means common
         rng = np.random.default_rng(seed)
-        depth = DepthMap(rng.integers(0, 64, size=(8, 8)).astype(np.float64))
+        depth = DepthMap(rng.integers(0, levels, size=(8, 8)).astype(np.float64))
     return scene_of(boxes, width=8, height=8, scores=scores, depth=depth)
 
 
-@given(random_scenes(), st.sampled_from([2.0, 3.0, 5.0, 1.2]))
-@settings(max_examples=300, deadline=None)
-def test_matches_naive_extraction_oracle(scene, tau):
-    cfg = ExtractionConfig(tau=tau, min_rel_area=0.01, min_score=0.3)
-    got = as_triples(extract_scene(scene, cfg))
+def _assert_matches_oracle(scene, cfg):
+    got = extract_scene(scene, cfg)
     want = ref.naive_extract(
         _to_ref_scene(scene),
-        tau=tau,
+        tau=cfg.tau,
         min_rel_area=cfg.min_rel_area,
         max_center_dist=cfg.max_center_dist,
         min_score=cfg.min_score,
+        drop_ambiguous=cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR,
+        emit_next_when_directional=cfg.emit_next_when_directional,
     )
-    assert got == want
+    assert len(got) == len(want)
+    assert as_triples(got) == want
+
+
+@given(
+    random_scenes(max_objects=30),
+    # below tau=1 a box can sit left and right of itself, or of one other box
+    st.sampled_from([2.0, 3.0, 5.0, 1.2, 0.7]),
+    st.sampled_from(AmbiguityPolicy),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_naive_extraction_oracle(scene, tau, policy, emit_next):
+    cfg = ExtractionConfig(tau=tau, min_rel_area=0.01, min_score=0.3, ambiguity_policy=policy,
+                           emit_next_when_directional=emit_next)
+    _assert_matches_oracle(scene, cfg)
+
+
+def test_dense_scene_with_depth_matches_oracle():
+    # 64 boxes of at least 8x8 px on a 64x64 canvas all clear the 41 px area
+    # floor; a few repeat, and a 4-level depth map ties some means exactly.
+    rng = np.random.default_rng(2024)
+    boxes = []
+    for _ in range(64):
+        if boxes and rng.random() < 0.1:
+            boxes.append(boxes[int(rng.integers(len(boxes)))])
+            continue
+        w, h = (int(v) for v in rng.integers(8, 25, size=2))
+        x, y = int(rng.integers(0, 65 - w)), int(rng.integers(0, 65 - h))
+        boxes.append((x, y, x + w, y + h))
+    depth = DepthMap(rng.integers(0, 4, size=(64, 64)).astype(np.float64))
+    scene = scene_of(boxes, width=64, height=64, depth=depth)
+    cfg = ExtractionConfig()
+    assert {r.kind for r in extract_scene(scene, cfg)} == set(RelationKind)
+    _assert_matches_oracle(scene, cfg)
 
 
 def test_exhaustive_two_object_scenes_match_oracle():
