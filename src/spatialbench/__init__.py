@@ -13,7 +13,6 @@ from .errors import (
     InsufficientPool,
     MissingRelation,
     NoSamples,
-    NotFlippable,
     NotInvertible,
     ParseError,
     SceneTooLarge,
@@ -39,13 +38,11 @@ from .extraction import (
     RelationInstance,
     Scene,
     extract_scene,
-    invert_relation,
 )
 from .geometry import (
     AxisDistances,
     BoundingBox,
     DepthMap,
-    Locality,
     RelationKind,
     Strictness,
     average_depth,
@@ -56,13 +53,13 @@ from .geometry import (
     check_directional,
     check_next,
     directional_distance,
+    invert,
 )
 from .lexicon import default_contexts, default_objects
 from .prompts import (
     PromptSpec,
     RelationQuadruple,
     augment_inversions,
-    invert_quadruple,
     parse_prompt,
     render_prompt,
     sample_prompt_set,
@@ -83,7 +80,6 @@ from .tore import (
     ToreConfig,
     builtin_profile,
     compute_bias_profile,
-    flip_clause,
     load_bias_profile,
     transform_prompt,
     transform_spec,

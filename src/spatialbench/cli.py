@@ -22,13 +22,12 @@ from pathlib import Path
 
 from .errors import FormatError, SpatialBenchError
 from .evaluation import evaluate_records
-from .extraction import ExtractionConfig, extract_scene
-from .geometry import RelationKind
+from .extraction import AmbiguityPolicy, ExtractionConfig, extract_scene
+from .geometry import RelationKind, invert
 from .lexicon import default_contexts, default_objects, load_context_list, load_object_list
 from .prompts import (
     PromptSpec,
     RelationQuadruple,
-    invert_quadruple,
     render_prompt,
     sample_prompt_set,
 )
@@ -194,6 +193,11 @@ def _extraction_config(args) -> ExtractionConfig:
                 expected = " or ".join(t.__name__ for t in types)
                 raise FormatError(f"config {config_path}: expected {expected}, "
                                   f"got {json.dumps(value)}", field=key)
+        policies = [p.value for p in AmbiguityPolicy]
+        if "ambiguity_policy" in raw and raw["ambiguity_policy"] not in policies:
+            raise FormatError(f"config {config_path}: expected one of {', '.join(policies)}, "
+                              f"got {json.dumps(raw['ambiguity_policy'])}",
+                              field="ambiguity_policy")
         values.update(raw)
     if args.tau is not None:
         values["tau"] = args.tau
@@ -260,7 +264,7 @@ def _cmd_gen_prompts(args) -> int:
     if args.invert:
         # between has no inverse form, so such prompts are kept as-is
         specs = specs + [
-            PromptSpec(tuple(invert_quadruple(c) for c in spec.clauses), spec.context)
+            PromptSpec(tuple(invert(c) for c in spec.clauses), spec.context)
             for spec in specs
             if all(c.kind.has_opposite for c in spec.clauses)
         ]

@@ -20,11 +20,7 @@ class SceneTooLarge(SpatialBenchError):
 
 
 class NotInvertible(SpatialBenchError):
-    """Relation instance cannot be inverted (ternary Between)."""
-
-
-class NotFlippable(SpatialBenchError):
-    """Clause kind has no opposite side (Next, Between)."""
+    """Relation has no opposite-side form (ternary Between)."""
 
 
 class UnknownKind(SpatialBenchError):

@@ -24,7 +24,6 @@ from .geometry import (
     check_depth_relation,
     check_directional,
     check_next,
-    kind_locality,
 )
 from .prompts import PromptSpec, RelationQuadruple
 
@@ -113,7 +112,7 @@ def score_clause(
             if i == j:
                 continue
             if kind.is_directional_2d:
-                ok = check_directional(boxes[i], boxes[j], kind_locality(kind), s)
+                ok = check_directional(boxes[i], boxes[j], kind, s)
             elif kind is RelationKind.NEXT:
                 ok = check_next(boxes[i], boxes[j], s)
             else:

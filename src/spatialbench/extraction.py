@@ -14,18 +14,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInvertible, SceneTooLarge
+from .errors import DimensionMismatch, SceneTooLarge
 from .geometry import (
     BoundingBox,
     DepthMap,
     KIND_ORDER,
-    Locality,
     RelationKind,
     Strictness,
     average_depth,
     batch_check_depth_overlap,
     batch_check_directional,
-    locality_kind,
 )
 from .textutil import normalize_phrase
 
@@ -39,7 +37,6 @@ __all__ = [
     "extract_pairwise",
     "extract_between",
     "extract_scene",
-    "invert_relation",
 ]
 
 
@@ -142,7 +139,8 @@ class ExtractionConfig:
 
     min_rel_area is a fraction of image area, max_center_dist a fraction of the
     image diagonal. Detections below min_score or min_rel_area never enter any
-    predicate. max_between_objects caps the O(n^3) triplet sweep.
+    predicate. max_between_objects bounds the Between output, which can grow
+    as n^3 in the number of eligible objects.
     """
 
     tau: float = 3.0
@@ -217,15 +215,16 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
                       for b, b2 in enumerate(boxes)] for a, b1 in enumerate(boxes)],
                     dtype=bool).reshape(len(boxes), len(boxes))
     subj, obj = _pair_grid(boxes)
-    hits = {loc: batch_check_directional(subj, obj, loc, s) for loc in Locality}
+    hits = {kind: batch_check_directional(subj, obj, kind, s)
+            for kind in RelationKind if kind.is_directional_2d}
     # Next is either horizontal direction
-    next_to = hits[Locality.RIGHT] | hits[Locality.LEFT]
+    next_to = hits[RelationKind.RIGHT] | hits[RelationKind.LEFT]
     if cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR:
-        ambiguous = next_to & (hits[Locality.TOP] | hits[Locality.BOTTOM])
-        hits = {loc: hit & ~ambiguous for loc, hit in hits.items()}
+        ambiguous = next_to & (hits[RelationKind.TOP] | hits[RelationKind.BOTTOM])
+        hits = {kind: hit & ~ambiguous for kind, hit in hits.items()}
     if not cfg.emit_next_when_directional:
         next_to = next_to & ~np.logical_or.reduce(list(hits.values()))
-    layers = [(locality_kind(loc), hit) for loc, hit in hits.items()]
+    layers = list(hits.items())
     layers.append((RelationKind.NEXT, next_to))
     if scene.depth is not None:
         overlap = batch_check_depth_overlap(subj, obj, s) & near
@@ -261,8 +260,8 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
             f"of {cfg.max_between_objects}"
         )
     subj, obj = _pair_grid([scene.objects[i].box for i in eligible])
-    left = batch_check_directional(subj, obj, Locality.LEFT, s)
-    right = batch_check_directional(subj, obj, Locality.RIGHT, s)
+    left = batch_check_directional(subj, obj, RelationKind.LEFT, s)
+    right = batch_check_directional(subj, obj, RelationKind.RIGHT, s)
     out: list[RelationInstance] = []
     # each middle object pairs its left flankers with its right ones, so no
     # n^3 array is ever built
@@ -282,13 +281,3 @@ def extract_scene(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[
     out = extract_pairwise(scene, cfg) + extract_between(scene, cfg)
     out.sort(key=RelationInstance.sort_key)
     return out
-
-
-def invert_relation(r: RelationInstance) -> RelationInstance:
-    """Swap subject and object and mirror the kind (Right<->Left etc.).
-
-    Next maps to itself; Between has no pairwise inverse and raises.
-    """
-    if r.kind is RelationKind.BETWEEN:
-        raise NotInvertible("between relations have no pairwise inverse")
-    return RelationInstance(r.kind.opposite(), r.objects[0], (r.subject,), r.context)

@@ -5,6 +5,10 @@ so "top" means smaller y. Boxes are (x_min, y_min, x_max, y_max) in absolute
 pixels. All predicates are pure functions of their arguments; the strictness
 value tau scales every threshold (larger tau = tighter constraints).
 
+RelationKind is the one relation vocabulary: its four 2D kinds select the
+case of the directional predicates, and invert() restates any relation from
+the other side of its pair ("A under B" is "B on top of A").
+
 Each predicate formula is written once, shape-generic over Python floats and
 numpy arrays. The scalar functions apply it to BoundingBox values and return
 Python bool/float; the batch_* functions apply it to box rows of shape
@@ -15,16 +19,16 @@ grid of ordered box pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TypeVar
 
 import numpy as np
 
-from .errors import EmptyRegion
+from .errors import EmptyRegion, NotInvertible
 
 __all__ = [
     "BoundingBox",
-    "Locality",
     "RelationKind",
     "Strictness",
     "AxisDistances",
@@ -32,8 +36,7 @@ __all__ = [
     "DEFAULT_STRICTNESS",
     "KIND_ORDER",
     "OPPOSITE_PAIRS",
-    "locality_kind",
-    "kind_locality",
+    "invert",
     "axis_distances",
     "directional_distance",
     "check_directional",
@@ -48,19 +51,6 @@ __all__ = [
     "batch_check_between",
     "batch_check_depth_overlap",
 ]
-
-
-class Locality(Enum):
-    """Directional case selector for the 2D constraints."""
-
-    RIGHT = "right"
-    LEFT = "left"
-    TOP = "top"
-    BOTTOM = "bottom"
-
-    @property
-    def is_horizontal(self) -> bool:
-        return self in (Locality.RIGHT, Locality.LEFT)
 
 
 class RelationKind(Enum):
@@ -120,25 +110,20 @@ OPPOSITE_PAIRS = (
     (RelationKind.FRONT, RelationKind.BEHIND),
 )
 
-_LOCALITY_KIND = {
-    Locality.RIGHT: RelationKind.RIGHT,
-    Locality.LEFT: RelationKind.LEFT,
-    Locality.TOP: RelationKind.TOP,
-    Locality.BOTTOM: RelationKind.BOTTOM,
-}
+_R = TypeVar("_R")
 
 
-def locality_kind(loc: Locality) -> RelationKind:
-    """RelationKind carried by a Locality value."""
-    return _LOCALITY_KIND[loc]
+def invert(relation: _R) -> _R:
+    """The same RelationInstance or RelationQuadruple seen from its object.
 
-
-def kind_locality(kind: RelationKind) -> Locality:
-    """Locality selecting the constraint case for a 2D directional kind."""
-    for loc, k in _LOCALITY_KIND.items():
-        if k is kind:
-            return loc
-    raise KeyError(f"{kind.value} has no locality")
+    Subject and object swap and the kind becomes its opposite ("A under B" is
+    "B on top of A"); Next stays Next and the context carries over. Between
+    has no opposite and raises NotInvertible.
+    """
+    if not relation.kind.has_opposite:
+        raise NotInvertible(f"{relation.kind.value} relations have no inverse form")
+    return replace(relation, subject=relation.objects[0], kind=relation.kind.opposite(),
+                   objects=(relation.subject,))
 
 
 @dataclass(frozen=True)
@@ -242,18 +227,18 @@ def _pair(p, q):
     )
 
 
-def _distance(p, q, loc: Locality):
+def _distance(p, q, kind: RelationKind):
     px0, py0, px1, py1 = p
     qx0, qy0, qx1, qy1 = q
-    if loc is Locality.RIGHT:
+    if kind is RelationKind.RIGHT:
         return px0 - qx1
-    if loc is Locality.LEFT:
+    if kind is RelationKind.LEFT:
         return qx0 - px1
-    if loc is Locality.BOTTOM:
+    if kind is RelationKind.BOTTOM:
         return py0 - qy1
-    if loc is Locality.TOP:
+    if kind is RelationKind.TOP:
         return qy0 - py1
-    raise ValueError(f"unknown locality {loc!r}")
+    raise ValueError(f"{kind!r} is not a 2D direction")
 
 
 def _within(max_dist, min_dist, extent, tau: float):
@@ -261,10 +246,10 @@ def _within(max_dist, min_dist, extent, tau: float):
     return (max_dist < extent / tau) & (min_dist > -extent / tau)
 
 
-def _directional(p, q, loc: Locality, tau: float):
-    dist = _distance(p, q, loc)
+def _directional(p, q, kind: RelationKind, tau: float):
+    dist = _distance(p, q, kind)
     x_max, x_min, y_max, y_min, min_w, min_h = _pair(p, q)
-    if loc.is_horizontal:
+    if kind is RelationKind.RIGHT or kind is RelationKind.LEFT:
         return (dist > -min_w / tau) & _within(y_max, y_min, min_h, tau)
     return (dist > -min_h / tau) & _within(x_max, x_min, min_w, tau)
 
@@ -287,7 +272,7 @@ def axis_distances(b1: BoundingBox, b2: BoundingBox) -> AxisDistances:
     return AxisDistances(*_pair(b1.as_tuple(), b2.as_tuple())[:4])
 
 
-def directional_distance(b1: BoundingBox, b2: BoundingBox, loc: Locality) -> float:
+def directional_distance(b1: BoundingBox, b2: BoundingBox, loc: RelationKind) -> float:
     """Signed gap between facing edges for the given direction of b1 vs b2.
 
     Positive means separation in that direction, negative means overlap along
@@ -300,10 +285,13 @@ def directional_distance(b1: BoundingBox, b2: BoundingBox, loc: Locality) -> flo
 def check_directional(
     b1: BoundingBox,
     b2: BoundingBox,
-    loc: Locality,
+    loc: RelationKind,
     s: Strictness = DEFAULT_STRICTNESS,
 ) -> bool:
     """True iff b1 is strictly in direction loc of b2.
+
+    loc is one of the four 2D kinds (RIGHT, LEFT, TOP, BOTTOM); any other kind
+    raises ValueError.
 
     Three strict inequalities must hold: the facing-edge gap may not fall below
     -min_extent/tau (limits overlap along the relation axis), and the two
@@ -317,8 +305,8 @@ def check_next(
     b1: BoundingBox, b2: BoundingBox, s: Strictness = DEFAULT_STRICTNESS
 ) -> bool:
     """True iff b1 is next to b2: either horizontal direction holds."""
-    return check_directional(b1, b2, Locality.RIGHT, s) or check_directional(
-        b1, b2, Locality.LEFT, s
+    return check_directional(b1, b2, RelationKind.RIGHT, s) or check_directional(
+        b1, b2, RelationKind.LEFT, s
     )
 
 
@@ -333,8 +321,8 @@ def check_between(
     Order-specific: b_left must be left of the middle and b_right right of it.
     Side-agnostic acceptance belongs to the evaluator, not here.
     """
-    return check_directional(b_left, b_mid, Locality.LEFT, s) and check_directional(
-        b_right, b_mid, Locality.RIGHT, s
+    return check_directional(b_left, b_mid, RelationKind.LEFT, s) and check_directional(
+        b_right, b_mid, RelationKind.RIGHT, s
     )
 
 
@@ -453,20 +441,20 @@ def batch_axis_distances(b1, b2):
     return _pair(_rows(b1), _rows(b2))[:4]
 
 
-def batch_check_directional(b1, b2, loc: Locality, s: Strictness = DEFAULT_STRICTNESS):
+def batch_check_directional(b1, b2, loc: RelationKind, s: Strictness = DEFAULT_STRICTNESS):
     """Vectorized check_directional; returns a boolean array."""
     return _directional(_rows(b1), _rows(b2), loc, s.tau)
 
 
 def batch_check_next(b1, b2, s: Strictness = DEFAULT_STRICTNESS):
-    return batch_check_directional(b1, b2, Locality.RIGHT, s) | batch_check_directional(
-        b1, b2, Locality.LEFT, s
+    return batch_check_directional(b1, b2, RelationKind.RIGHT, s) | batch_check_directional(
+        b1, b2, RelationKind.LEFT, s
     )
 
 
 def batch_check_between(b_left, b_mid, b_right, s: Strictness = DEFAULT_STRICTNESS):
-    return batch_check_directional(b_left, b_mid, Locality.LEFT, s) & batch_check_directional(
-        b_right, b_mid, Locality.RIGHT, s
+    return batch_check_directional(b_left, b_mid, RelationKind.LEFT, s) & batch_check_directional(
+        b_right, b_mid, RelationKind.RIGHT, s
     )
 
 

@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InsufficientPool, NotInvertible, ParseError
-from .geometry import KIND_ORDER, RelationKind
+from .errors import InsufficientPool, ParseError
+from .geometry import KIND_ORDER, RelationKind, invert
 from .lexicon import (
     PhraseLexicon,
     default_contexts,
@@ -91,17 +91,10 @@ class RelationQuadruple:
         return (self.subject, *self.objects)
 
 
-def invert_quadruple(q: RelationQuadruple) -> RelationQuadruple:
-    """Swap roles and flip the kind; Next stays Next, Between has no inverse."""
-    if not q.kind.has_opposite:
-        raise NotInvertible(f"{q.kind.value} relations have no inverse form")
-    return RelationQuadruple(q.objects[0], q.kind.opposite(), (q.subject,), q.context)
-
-
 def augment_inversions(quads: Sequence[RelationQuadruple]) -> list[RelationQuadruple]:
     """Append the inverse of every invertible quadruple, preserving input order."""
     out = list(quads)
-    out.extend(invert_quadruple(q) for q in quads if q.kind.has_opposite)
+    out.extend(invert(q) for q in quads if q.kind.has_opposite)
     return out
 
 

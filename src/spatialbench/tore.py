@@ -17,18 +17,17 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import FormatError, MissingRelation, NotFlippable, ParseError
+from .errors import FormatError, MissingRelation, ParseError
 from .evaluation import BenchReport, pair_id
-from .geometry import OPPOSITE_PAIRS, RelationKind
+from .geometry import OPPOSITE_PAIRS, RelationKind, invert
 from .lexicon import PhraseLexicon
-from .prompts import PromptSpec, RelationQuadruple, parse_prompt, render_prompt
+from .prompts import PromptSpec, parse_prompt, render_prompt
 
 __all__ = [
     "BiasProfile",
     "ToreConfig",
     "PAIR_IDS",
     "pair_of",
-    "flip_clause",
     "transform_spec",
     "transform_prompt",
     "compute_bias_profile",
@@ -117,13 +116,6 @@ class ToreConfig:
         object.__setattr__(self, "enabled_pairs", enabled)
 
 
-def flip_clause(q: RelationQuadruple) -> RelationQuadruple:
-    """Swap subject and object and move to the opposite side. Involutive."""
-    if not (q.kind.is_directional_2d or q.kind.is_3d):
-        raise NotFlippable(f"{q.kind.value} has no opposite-side form")
-    return RelationQuadruple(q.objects[0], q.kind.opposite(), (q.subject,), q.context)
-
-
 def _wants_flip(kind: RelationKind, cfg: ToreConfig) -> bool:
     pair = pair_of(kind)
     if pair is None or pair_id(pair) not in cfg.enabled_pairs:
@@ -137,17 +129,11 @@ def transform_spec(spec: PromptSpec, cfg: ToreConfig) -> tuple[PromptSpec, bool]
     Flipping preserves each clause's phrase set, so a complex prompt keeps
     its shared anchor and stays renderable.
     """
-    clauses = []
-    changed = False
-    for q in spec.clauses:
-        if _wants_flip(q.kind, cfg):
-            clauses.append(flip_clause(q))
-            changed = True
-        else:
-            clauses.append(q)
-    if not changed:
+    clauses = tuple(invert(q) if _wants_flip(q.kind, cfg) else q for q in spec.clauses)
+    # an inverted clause never equals its original: the kind changes side
+    if clauses == spec.clauses:
         return spec, False
-    return PromptSpec(tuple(clauses), context=spec.context), True
+    return PromptSpec(clauses, context=spec.context), True
 
 
 def transform_prompt(
@@ -219,7 +205,12 @@ def _profile_from_raw(raw: object) -> BiasProfile:
         for kind in pair:
             if kind.value not in sides:
                 raise FormatError(f"pair {key!r} lacks side {kind.value!r}", field=key)
-            acc[kind] = float(sides[kind.value])
+            value = sides[kind.value]
+            # JSON true/false are Python bools, which are also ints
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                raise FormatError(f"accuracy must be a number in [0, 1], got {json.dumps(value)}",
+                                  field=f"{key}.{kind.value}")
+            acc[kind] = float(value)
     return BiasProfile(acc)
 
 

@@ -22,7 +22,6 @@ from spatialbench.geometry import (
     OPPOSITE_PAIRS,
     BoundingBox,
     DepthMap,
-    Locality,
     RelationKind,
     Strictness,
     DEFAULT_STRICTNESS,
@@ -35,6 +34,7 @@ from spatialbench.geometry import (
     check_depth_relation,
     check_directional,
     check_next,
+    invert,
 )
 from spatialbench.extraction import DetectedObject, Scene
 from spatialbench.cli import main
@@ -52,7 +52,6 @@ from spatialbench.tore import (
     ToreConfig,
     builtin_profile,
     compute_bias_profile,
-    flip_clause,
     transform_prompt,
     transform_spec,
 )
@@ -73,6 +72,7 @@ from test_prompts import COMPLEX_RENDERS, SIMPLE_RENDERS
 
 TAUS = (2.0, 3.0, 5.0)
 FLIPPABLE = tuple(k for k in RelationKind if k.is_directional_2d or k.is_3d)
+DIRECTIONS = tuple(k for k in RelationKind if k.is_directional_2d)
 
 
 def criterion(num: int, label: str):
@@ -106,7 +106,7 @@ def test_criterion_1_oracle_equivalence():
     a, b = boxes[:, None, :], boxes[None, :, :]
     for tau in TAUS:
         s = Strictness(tau)
-        for loc in Locality:
+        for loc in DIRECTIONS:
             got = batch_check_directional(a, b, loc, s)
             want = naive_batch_directional(a, b, loc.value, tau)
             assert (got == want).all()
@@ -127,7 +127,7 @@ def test_criterion_1_oracle_equivalence():
     pa, pb, pc = (random_box_array(rng, n) for _ in range(3))
     for tau in TAUS:
         s = Strictness(tau)
-        for loc in Locality:
+        for loc in DIRECTIONS:
             assert (batch_check_directional(pa, pb, loc, s)
                     == naive_batch_directional(pa, pb, loc.value, tau)).all()
         assert (batch_check_next(pa, pb, s) == naive_batch_next(pa, pb, tau)).all()
@@ -138,15 +138,15 @@ def test_criterion_1_oracle_equivalence():
 
     # scalar entry points agree with both their batch forms and the oracle
     s3 = Strictness(3.0)
-    batch_right = batch_check_directional(pa, pb, Locality.RIGHT, s3)
+    batch_right = batch_check_directional(pa, pb, RelationKind.RIGHT, s3)
     batch_between = batch_check_between(pa, pb, pc, s3)
     for i in range(0, n, n // 300):
         b1, b2, b3 = (BoundingBox(*row) for row in (pa[i], pb[i], pc[i]))
-        for loc in Locality:
+        for loc in DIRECTIONS:
             assert check_directional(b1, b2, loc, s3) == naive_check_directional(
                 pa[i], pb[i], loc.value, 3.0
             )
-        assert check_directional(b1, b2, Locality.RIGHT, s3) == bool(batch_right[i])
+        assert check_directional(b1, b2, RelationKind.RIGHT, s3) == bool(batch_right[i])
         assert check_next(b1, b2, s3) == naive_check_next(pa[i], pb[i], 3.0)
         assert check_depth_overlap(b1, b2, s3) == naive_check_depth_overlap(
             pa[i], pb[i], 3.0
@@ -168,10 +168,10 @@ def test_criterion_2_symmetry():
     n = 120_000
     a, b = random_box_array(rng, n), random_box_array(rng, n)
     s = DEFAULT_STRICTNESS
-    assert (batch_check_directional(a, b, Locality.RIGHT, s)
-            == batch_check_directional(b, a, Locality.LEFT, s)).all()
-    assert (batch_check_directional(a, b, Locality.BOTTOM, s)
-            == batch_check_directional(b, a, Locality.TOP, s)).all()
+    assert (batch_check_directional(a, b, RelationKind.RIGHT, s)
+            == batch_check_directional(b, a, RelationKind.LEFT, s)).all()
+    assert (batch_check_directional(a, b, RelationKind.BOTTOM, s)
+            == batch_check_directional(b, a, RelationKind.TOP, s)).all()
     assert (batch_check_next(a, b, s) == batch_check_next(b, a, s)).all()
 
     depth = DepthMap(rng.uniform(0.0, 10.0, size=(64, 64)))
@@ -197,10 +197,10 @@ def test_criterion_3_worked_example():
     b1 = BoundingBox(60, 10, 100, 50)
     b2 = BoundingBox(0, 0, 40, 40)
     s = DEFAULT_STRICTNESS
-    assert check_directional(b1, b2, Locality.RIGHT, s) is True
-    assert check_directional(b1, b2, Locality.BOTTOM, s) is False
-    assert check_directional(b1, b2, Locality.LEFT, s) is False
-    assert check_directional(b1, b2, Locality.TOP, s) is False
+    assert check_directional(b1, b2, RelationKind.RIGHT, s) is True
+    assert check_directional(b1, b2, RelationKind.BOTTOM, s) is False
+    assert check_directional(b1, b2, RelationKind.LEFT, s) is False
+    assert check_directional(b1, b2, RelationKind.TOP, s) is False
     assert check_next(b1, b2, s) is True
 
 
@@ -294,7 +294,7 @@ def test_criterion_5_rewrite_semantics():
         scene = _random_labeled_scene(rng)
         clause = RelationQuadruple("a", rng.choice(FLIPPABLE), ("b",), "city")
         assert (score_clause(clause, scene).satisfied
-                == score_clause(flip_clause(clause), scene).satisfied)
+                == score_clause(invert(clause), scene).satisfied)
 
     objects, contexts = default_objects(), default_contexts()
     for _ in range(1000):

@@ -171,6 +171,17 @@ class TestTore:
         src.write_text("x\n")
         assert main(["tore", "--profile", "nosuch", str(src)]) == 1
 
+    @pytest.mark.parametrize("accuracy", ["null", '"x"', '"0.9"', "true", "1.5"])
+    def test_profile_accuracy_must_be_a_number_in_unit_range(self, tmp_path, capsys, accuracy):
+        profile = tmp_path / "prof.json"
+        profile.write_text(f'{{"top_bottom": {{"top": {accuracy}, "bottom": 0.3}}}}')
+        src = tmp_path / "p.txt"
+        src.write_text("A bus on top of a car in a city\n")
+        assert main(["tore", "--profile", str(profile), str(src)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "field top_bottom.top" in err[0]
+
     def test_deterministic(self, tmp_path, prompts_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [
             "tore", "--profile", "sdxl", str(prompts_file), "--output", str(out),
@@ -232,6 +243,7 @@ class TestEvaluate:
         ('{"tau": "3"}', "tau"),
         ('{"emit_next_when_directional": "false"}', "emit_next_when_directional"),
         ('{"max_between_objects": 2.5}', "max_between_objects"),
+        ('{"ambiguity_policy": "bogus"}', "ambiguity_policy"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, records_file, capsys, text, key):
         cfg = tmp_path / "cfg.json"

@@ -17,10 +17,9 @@ from spatialbench.extraction import (
     extract_between,
     extract_pairwise,
     extract_scene,
-    invert_relation,
     proximity_filter,
 )
-from spatialbench.geometry import BoundingBox, DepthMap, RelationKind
+from spatialbench.geometry import BoundingBox, DepthMap, RelationKind, invert
 
 import naive_reference as ref
 
@@ -245,20 +244,20 @@ class TestExtractScene:
 class TestInvertRelation:
     def test_directional_inversion(self):
         r = RelationInstance(RelationKind.RIGHT, 0, (1,), "city")
-        assert invert_relation(r) == RelationInstance(RelationKind.LEFT, 1, (0,), "city")
+        assert invert(r) == RelationInstance(RelationKind.LEFT, 1, (0,), "city")
 
     def test_next_is_self_inverse_kind(self):
         r = RelationInstance(RelationKind.NEXT, 2, (5,))
-        assert invert_relation(r) == RelationInstance(RelationKind.NEXT, 5, (2,))
+        assert invert(r) == RelationInstance(RelationKind.NEXT, 5, (2,))
 
     def test_involution(self):
         for kind in (RelationKind.RIGHT, RelationKind.TOP, RelationKind.FRONT, RelationKind.NEXT):
             r = RelationInstance(kind, 3, (4,), "street")
-            assert invert_relation(invert_relation(r)) == r
+            assert invert(invert(r)) == r
 
     def test_between_not_invertible(self):
         with pytest.raises(NotInvertible):
-            invert_relation(RelationInstance(RelationKind.BETWEEN, 1, (0, 2)))
+            invert(RelationInstance(RelationKind.BETWEEN, 1, (0, 2)))
 
 
 class TestProximityFilter:
@@ -390,7 +389,7 @@ def test_closure_under_inversion(scene):
     relations = extract_pairwise(scene)
     emitted = set(relations)
     for r in relations:
-        assert invert_relation(r) in emitted
+        assert invert(r) in emitted
 
 
 @given(random_scenes(), st.sampled_from([2.0, 3.0, 5.0]))

@@ -13,7 +13,6 @@ from spatialbench.errors import EmptyRegion
 from spatialbench.geometry import (
     BoundingBox,
     DepthMap,
-    Locality,
     RelationKind,
     Strictness,
     average_depth,
@@ -38,14 +37,7 @@ B_A1 = BoundingBox(60, 10, 100, 50)
 B_A2 = BoundingBox(0, 0, 40, 40)
 TAU3 = Strictness(3)
 
-ALL_LOCALITIES = list(Locality)
-
-_LOC_NAME = {
-    Locality.RIGHT: "right",
-    Locality.LEFT: "left",
-    Locality.TOP: "top",
-    Locality.BOTTOM: "bottom",
-}
+DIRECTIONS = [k for k in RelationKind if k.is_directional_2d]
 
 
 def gradient_map(width=100, height=100):
@@ -120,62 +112,71 @@ class TestAxisDistances:
 
 class TestDirectionalDistance:
     def test_right_worked_example(self):
-        assert directional_distance(B_A1, B_A2, Locality.RIGHT) == 20
+        assert directional_distance(B_A1, B_A2, RelationKind.RIGHT) == 20
 
     def test_bottom_worked_example(self):
         b1 = BoundingBox(0, 50, 40, 90)
         b2 = BoundingBox(0, 0, 40, 40)
-        assert directional_distance(b1, b2, Locality.BOTTOM) == 10
+        assert directional_distance(b1, b2, RelationKind.BOTTOM) == 10
 
     def test_identical_boxes_give_negative_extent(self):
-        assert directional_distance(B_A2, B_A2, Locality.RIGHT) == -40
-        assert directional_distance(B_A2, B_A2, Locality.LEFT) == -40
-        assert directional_distance(B_A2, B_A2, Locality.TOP) == -40
-        assert directional_distance(B_A2, B_A2, Locality.BOTTOM) == -40
+        assert directional_distance(B_A2, B_A2, RelationKind.RIGHT) == -40
+        assert directional_distance(B_A2, B_A2, RelationKind.LEFT) == -40
+        assert directional_distance(B_A2, B_A2, RelationKind.TOP) == -40
+        assert directional_distance(B_A2, B_A2, RelationKind.BOTTOM) == -40
 
 
 class TestCheckDirectional:
     def test_worked_example_all_localities(self):
         # thresholds at tau=3 are +-13.33; right distance 20, cross dists 10.
-        assert check_directional(B_A1, B_A2, Locality.RIGHT, TAU3) is True
-        assert check_directional(B_A1, B_A2, Locality.LEFT, TAU3) is False
-        assert check_directional(B_A1, B_A2, Locality.TOP, TAU3) is False
-        assert check_directional(B_A1, B_A2, Locality.BOTTOM, TAU3) is False
+        assert check_directional(B_A1, B_A2, RelationKind.RIGHT, TAU3) is True
+        assert check_directional(B_A1, B_A2, RelationKind.LEFT, TAU3) is False
+        assert check_directional(B_A1, B_A2, RelationKind.TOP, TAU3) is False
+        assert check_directional(B_A1, B_A2, RelationKind.BOTTOM, TAU3) is False
 
     def test_identical_boxes_fail_everywhere(self):
-        for loc in ALL_LOCALITIES:
+        for loc in DIRECTIONS:
             assert check_directional(B_A2, B_A2, loc, TAU3) is False
 
     def test_stacked_boxes_pass_bottom_only(self):
         lower = BoundingBox(0, 50, 40, 90)
         upper = BoundingBox(0, 0, 40, 40)
-        assert check_directional(lower, upper, Locality.BOTTOM, TAU3) is True
-        assert check_directional(upper, lower, Locality.TOP, TAU3) is True
-        assert check_directional(lower, upper, Locality.RIGHT, TAU3) is False
+        assert check_directional(lower, upper, RelationKind.BOTTOM, TAU3) is True
+        assert check_directional(upper, lower, RelationKind.TOP, TAU3) is True
+        assert check_directional(lower, upper, RelationKind.RIGHT, TAU3) is False
 
     def test_boundary_values_fail(self):
         # Facing-edge gap exactly at -min_w/tau must fail (strict inequality).
         b2 = BoundingBox(0, 0, 30, 30)
         b1 = BoundingBox(20, 0, 50, 30)  # gap = -10 = -30/3
-        assert check_directional(b1, b2, Locality.RIGHT, TAU3) is False
+        assert check_directional(b1, b2, RelationKind.RIGHT, TAU3) is False
         nudged = BoundingBox(20.0001, 0, 50.0001, 30)
-        assert check_directional(nudged, b2, Locality.RIGHT, TAU3) is True
+        assert check_directional(nudged, b2, RelationKind.RIGHT, TAU3) is True
+
+    @pytest.mark.parametrize("kind", [k for k in RelationKind if not k.is_directional_2d])
+    def test_non_directional_kind_rejected(self, kind):
+        with pytest.raises(ValueError):
+            check_directional(B_A1, B_A2, kind, TAU3)
+        with pytest.raises(ValueError):
+            directional_distance(B_A1, B_A2, kind)
+        with pytest.raises(ValueError):
+            batch_check_directional([B_A1.as_tuple()], [B_A2.as_tuple()], kind, TAU3)
 
     @given(boxes(), boxes(), strictness())
     def test_matches_naive_oracle(self, a, b, s):
-        for loc in ALL_LOCALITIES:
-            expected = ref.naive_check_directional(a.as_tuple(), b.as_tuple(), _LOC_NAME[loc], s.tau)
+        for loc in DIRECTIONS:
+            expected = ref.naive_check_directional(a.as_tuple(), b.as_tuple(), loc.value, s.tau)
             assert check_directional(a, b, loc, s) == expected
 
     @given(boxes(), boxes(), strictness())
     def test_pair_symmetry(self, a, b, s):
-        assert check_directional(a, b, Locality.RIGHT, s) == check_directional(b, a, Locality.LEFT, s)
-        assert check_directional(a, b, Locality.BOTTOM, s) == check_directional(b, a, Locality.TOP, s)
+        assert check_directional(a, b, RelationKind.RIGHT, s) == check_directional(b, a, RelationKind.LEFT, s)
+        assert check_directional(a, b, RelationKind.BOTTOM, s) == check_directional(b, a, RelationKind.TOP, s)
 
     @given(boxes(), boxes(), strictness(), strictness())
     def test_tau_monotonicity(self, a, b, s1, s2):
         hi, lo = (s1, s2) if s1.tau >= s2.tau else (s2, s1)
-        for loc in ALL_LOCALITIES:
+        for loc in DIRECTIONS:
             if check_directional(a, b, loc, hi):
                 assert check_directional(a, b, loc, lo)
 
@@ -185,9 +186,9 @@ class TestCheckDirectional:
         grid = [BoundingBox(x0, y0, x1, y1) for x0, x1 in spans for y0, y1 in spans]
         for a in grid:
             for b in grid:
-                for loc in ALL_LOCALITIES:
+                for loc in DIRECTIONS:
                     got = check_directional(a, b, loc, TAU3)
-                    want = ref.naive_check_directional(a.as_tuple(), b.as_tuple(), _LOC_NAME[loc], 3.0)
+                    want = ref.naive_check_directional(a.as_tuple(), b.as_tuple(), loc.value, 3.0)
                     assert got == want, (a, b, loc)
 
 
@@ -321,7 +322,7 @@ class TestBatchAgreement:
     def test_directional_next_overlap(self, pairs, s):
         a = np.array([p[0].as_tuple() for p in pairs])
         b = np.array([p[1].as_tuple() for p in pairs])
-        for loc in ALL_LOCALITIES:
+        for loc in DIRECTIONS:
             got = batch_check_directional(a, b, loc, s)
             want = [check_directional(p, q, loc, s) for p, q in pairs]
             assert got.tolist() == want

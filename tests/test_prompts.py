@@ -12,7 +12,7 @@ from spatialbench.errors import (
     ParseError,
     UnknownKind,
 )
-from spatialbench.geometry import RelationKind
+from spatialbench.geometry import RelationKind, invert
 from spatialbench.lexicon import (
     PhraseLexicon,
     default_contexts,
@@ -24,7 +24,6 @@ from spatialbench.prompts import (
     RelationQuadruple,
     article_for,
     augment_inversions,
-    invert_quadruple,
     parse_prompt,
     render_prompt,
     sample_prompt_set,
@@ -355,9 +354,9 @@ class TestAugmentInversions:
     def test_inversion_is_involutive(self, q):
         if q.kind is RelationKind.BETWEEN:
             with pytest.raises(NotInvertible):
-                invert_quadruple(q)
+                invert(q)
         else:
-            assert invert_quadruple(invert_quadruple(q)) == q
+            assert invert(invert(q)) == q
 
 
 class TestSamplePromptSet:

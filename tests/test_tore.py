@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from spatialbench.errors import (
     FormatError,
     MissingRelation,
-    NotFlippable,
+    NotInvertible,
     ParseError,
 )
 from spatialbench.evaluation import BenchReport, score_clause
@@ -20,6 +20,7 @@ from spatialbench.geometry import (
     BoundingBox,
     DepthMap,
     RelationKind,
+    invert,
 )
 from spatialbench.prompts import (
     PromptSpec,
@@ -32,7 +33,6 @@ from spatialbench.tore import (
     ToreConfig,
     builtin_profile,
     compute_bias_profile,
-    flip_clause,
     load_bias_profile,
     pair_of,
     profile_to_json,
@@ -69,18 +69,16 @@ def profile_preferring(*kinds, margin=0.1):
 class TestFlipClause:
     def test_bottom_becomes_top(self):
         q = quad("bench", "bottom", "tree", "street")
-        assert flip_clause(q) == quad("tree", "top", "bench", "street")
+        assert invert(q) == quad("tree", "top", "bench", "street")
 
     @pytest.mark.parametrize("kind", [k.value for k in _FLIPPABLE])
     def test_involution(self, kind):
         q = quad("bench", kind, "tree", "city")
-        assert flip_clause(flip_clause(q)) == q
+        assert invert(invert(q)) == q
 
     def test_next_and_between_not_flippable(self):
-        with pytest.raises(NotFlippable):
-            flip_clause(quad("a", "next", "b"))
-        with pytest.raises(NotFlippable):
-            flip_clause(quad("a", "between", ("b", "c")))
+        with pytest.raises(NotInvertible):
+            invert(quad("a", "between", ("b", "c")))
 
 
 class TestBiasProfile:
@@ -234,7 +232,7 @@ def test_transform_preserves_meaning_set(spec, profile):
     out = parse_prompt(transform_prompt(render_prompt(spec), cfg))
     assert len(out.clauses) == len(spec.clauses)
     for before, after in zip(spec.clauses, out.clauses):
-        assert after == before or after == flip_clause(before)
+        assert after == before or after == invert(before)
 
 
 @st.composite
@@ -259,7 +257,7 @@ def labeled_scenes(draw):
 def test_flip_preserves_clause_verdict(scene, kind):
     clause = quad("a", kind, "b", "city")
     original = score_clause(clause, scene).satisfied
-    flipped = score_clause(flip_clause(clause), scene).satisfied
+    flipped = score_clause(invert(clause), scene).satisfied
     assert original == flipped
 
 
