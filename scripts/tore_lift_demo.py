@@ -21,7 +21,6 @@ from spatialbench import (
     default_contexts,
     default_objects,
     evaluate_records,
-    soft_accuracy,
     stub_generate,
     transform_spec,
 )
@@ -86,9 +85,9 @@ def main() -> int:
     after, _ = stub_generate(transformed, stub)
     source = preferred.opposite()
     print(f"{source.value} prompts, soft accuracy before rewrite: "
-          f"{soft_accuracy(before, source):.3f}")
+          f"{evaluate_records(before).soft[source.value]:.3f}")
     print(f"same prompts rewritten to {preferred.value}: "
-          f"{soft_accuracy(after, preferred):.3f}")
+          f"{evaluate_records(after).soft[preferred.value]:.3f}")
     return 0
 
 

@@ -23,12 +23,9 @@ from .evaluation import (
     BenchReport,
     ClauseVerdict,
     EvalRecord,
-    bias_table,
     evaluate_records,
     score_clause,
     score_record,
-    soft_accuracy,
-    strict_accuracy,
 )
 from .extraction import (
     DEFAULT_CONFIG,

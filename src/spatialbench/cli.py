@@ -257,6 +257,8 @@ def _cmd_gen_prompts(args) -> int:
     objects, contexts = _load_lexicon(args)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
     largest = max([*simple.values(), *complex_counts.values()])
+    if args.pool_size is not None and args.pool_size < 1:
+        raise SpatialBenchError(f"--pool-size must be at least 1, got {args.pool_size}")
     pool_size = args.pool_size or max(1000, 4 * largest)
     pool = _candidate_pool(kinds, objects, pool_size, args.seed)
     specs = sample_prompt_set(pool, simple, complex_counts or None,

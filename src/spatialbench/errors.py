@@ -49,7 +49,7 @@ class MissingRelation(SpatialBenchError):
 
 
 class NoSamples(SpatialBenchError):
-    """An accuracy was requested over zero matching clauses or records."""
+    """A report was requested over zero records."""
 
 
 class FormatError(SpatialBenchError):

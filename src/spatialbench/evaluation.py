@@ -6,6 +6,10 @@ predicate at the configured tau. Duplicate detections are therefore harmless:
 one passing assignment suffices. Clause scoring ignores the extractor's
 proximity, score and area filters on purpose; the prompt already commits to
 the objects, so only the spatial constraint is under test.
+
+evaluate_records is the one aggregator: it scores each record once, and the
+report's soft and strict accuracies and its opposite-pair bias table are all
+read off the clause and hit counts of that pass.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import MissingRelation, NoSamples
+from .errors import NoSamples
 from .extraction import DEFAULT_CONFIG, ExtractionConfig, Scene
 from .geometry import (
     OPPOSITE_PAIRS,
@@ -33,9 +37,6 @@ __all__ = [
     "BenchReport",
     "score_clause",
     "score_record",
-    "soft_accuracy",
-    "strict_accuracy",
-    "bias_table",
     "evaluate_records",
     "pair_id",
 ]
@@ -142,90 +143,6 @@ def score_record(
     ]
 
 
-class _Tally:
-    """Clause and hit counts per (kind, complex subset) from one scoring pass.
-
-    Every accuracy and the bias table are read off these counts, so each
-    record is scored exactly once.
-    """
-
-    def __init__(self, records: Sequence[EvalRecord], cfg: ExtractionConfig):
-        self.records = len(records)
-        self.full = 0
-        self.clauses: Counter = Counter()
-        self.hits: Counter = Counter()
-        for record in records:
-            verdicts = score_record(record, cfg)
-            self.full += all(v.satisfied for v in verdicts)
-            for clause, verdict in zip(record.prompt.clauses, verdicts):
-                key = (clause.kind, record.prompt.is_complex)
-                self.clauses[key] += 1
-                self.hits[key] += verdict.satisfied
-
-    def kinds(self) -> list[RelationKind]:
-        """Kinds with at least one clause, in first-seen order."""
-        return list(dict.fromkeys(kind for kind, _ in self.clauses))
-
-    def count(self, kind: RelationKind) -> int:
-        return self.clauses[kind, False] + self.clauses[kind, True]
-
-    def soft(self, kind: RelationKind) -> float:
-        total = self.count(kind)
-        if total == 0:
-            raise NoSamples(f"no {kind.value} clauses in the given records")
-        return (self.hits[kind, False] + self.hits[kind, True]) / total
-
-    def strict(self) -> float:
-        if not self.records:
-            raise NoSamples("no records")
-        return self.full / self.records
-
-    def bias(self) -> dict[str, dict[str, float]]:
-        table: dict[str, dict[str, float]] = {}
-        for pair in OPPOSITE_PAIRS:
-            sides: dict[str, float] = {}
-            for kind in pair:
-                values = [
-                    self.hits[kind, subset] / self.clauses[kind, subset]
-                    for subset in (False, True)
-                    if self.clauses[kind, subset]
-                ]
-                if values:
-                    sides[kind.value] = sum(values) / len(values)
-            if len(sides) == 2:
-                table[pair_id(pair)] = sides
-        if not table:
-            raise MissingRelation("records cover no opposite pair on both sides")
-        return table
-
-
-def soft_accuracy(
-    records: Sequence[EvalRecord],
-    kind: RelationKind,
-    cfg: ExtractionConfig = DEFAULT_CONFIG,
-) -> float:
-    """Fraction of clauses of one kind satisfied, other clauses ignored."""
-    return _Tally(records, cfg).soft(kind)
-
-
-def strict_accuracy(
-    records: Sequence[EvalRecord], cfg: ExtractionConfig = DEFAULT_CONFIG
-) -> float:
-    """Fraction of records whose every clause is satisfied."""
-    return _Tally(records, cfg).strict()
-
-
-def bias_table(
-    records: Sequence[EvalRecord], cfg: ExtractionConfig = DEFAULT_CONFIG
-) -> dict[str, dict[str, float]]:
-    """Per opposite pair, each side's accuracy averaged over the simple and
-    complex prompt subsets (equal weight; a missing subset falls back to the
-    other). Pairs with clauses on only one side (or neither) are omitted;
-    MissingRelation when nothing qualifies.
-    """
-    return _Tally(records, cfg).bias()
-
-
 @dataclass(frozen=True)
 class BenchReport:
     """Aggregated benchmark numbers plus the configuration that produced them."""
@@ -292,15 +209,48 @@ def evaluate_records(
     *,
     seed: int | None = None,
 ) -> BenchReport:
-    """Full report: per-kind soft accuracy, strict accuracy, bias table."""
+    """Score every record once and aggregate the report.
+
+    Clauses and hits are counted per (kind, simple/complex subset). Soft
+    accuracy is a kind's hits over its clauses, other clauses ignored; strict
+    accuracy is the fraction of records whose every clause is satisfied. The
+    bias table gives, per opposite pair, each side's accuracy averaged over
+    the simple and complex subsets (equal weight; a missing subset falls back
+    to the other). Pairs with clauses on only one side, or neither, are
+    omitted, so the table is empty when no pair is covered. NoSamples for
+    zero records.
+    """
     if not records:
         raise NoSamples("no records")
-    tally = _Tally(records, cfg)
-    kinds = tally.kinds()
-    try:
-        bias = tally.bias()
-    except MissingRelation:
-        bias = {}
+    full = 0
+    clauses: Counter = Counter()
+    hits: Counter = Counter()
+    for record in records:
+        verdicts = score_record(record, cfg)
+        full += all(v.satisfied for v in verdicts)
+        for clause, verdict in zip(record.prompt.clauses, verdicts):
+            key = (clause.kind, record.prompt.is_complex)
+            clauses[key] += 1
+            hits[key] += verdict.satisfied
+
+    soft: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for kind in dict.fromkeys(kind for kind, _ in clauses):  # first-seen order
+        counts[kind.value] = clauses[kind, False] + clauses[kind, True]
+        soft[kind.value] = (hits[kind, False] + hits[kind, True]) / counts[kind.value]
+    bias: dict[str, dict[str, float]] = {}
+    for pair in OPPOSITE_PAIRS:
+        sides: dict[str, float] = {}
+        for kind in pair:
+            values = [
+                hits[kind, subset] / clauses[kind, subset]
+                for subset in (False, True)
+                if clauses[kind, subset]
+            ]
+            if values:
+                sides[kind.value] = sum(values) / len(values)
+        if len(sides) == 2:
+            bias[pair_id(pair)] = sides
     config: dict[str, object] = {
         "tau": cfg.tau,
         "min_rel_area": cfg.min_rel_area,
@@ -309,10 +259,5 @@ def evaluate_records(
     }
     if seed is not None:
         config["seed"] = seed
-    return BenchReport(
-        soft={kind.value: tally.soft(kind) for kind in kinds},
-        strict=tally.strict(),
-        counts={kind.value: tally.count(kind) for kind in kinds},
-        bias=bias,
-        config=config,
-    )
+    return BenchReport(soft=soft, strict=full / len(records), counts=counts,
+                       bias=bias, config=config)

@@ -345,14 +345,21 @@ class DepthMap:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
+        # infer the dtype first, so bools, strings and objects are rejected
+        # instead of coerced; a bool mixed among ints is upcast and accepted
+        try:
+            arr = np.asarray(values)
+        except TypeError:
+            raise ValueError("depth values must be numbers") from None
+        if arr.dtype.kind not in "iuf":
+            raise ValueError("depth values must be numbers")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"depth values must form a non-empty 2D grid, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("depth values must be finite")
         if (arr < 0).any():
             raise ValueError("depth values must be >= 0")
-        arr = arr.copy()
+        arr = arr.astype(np.float64)  # a copy, so the caller's array is never frozen
         arr.setflags(write=False)
         self._values = arr
 

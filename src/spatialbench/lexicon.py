@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import FormatError, UnknownKind
@@ -98,6 +99,10 @@ class PhraseLexicon:
                 seen[phrase] = kind
             clean[kind] = normalized
         object.__setattr__(self, "entries", clean)
+        # parse_prompt reads both on every call, so they are built once here
+        index = {tuple(phrase.split()): kind for phrase, kind in seen.items()}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_longest", max(map(len, index), default=0))
 
     def kinds(self) -> tuple[RelationKind, ...]:
         return tuple(self.entries)
@@ -114,16 +119,12 @@ class PhraseLexicon:
         except KeyError:
             raise UnknownKind(f"lexicon has no phrases for kind {kind.value!r}") from None
 
-    def token_index(self) -> dict[tuple[str, ...], RelationKind]:
+    def token_index(self) -> Mapping[tuple[str, ...], RelationKind]:
         """All accepted phrases as token tuples, for longest-match scanning."""
-        index: dict[tuple[str, ...], RelationKind] = {}
-        for kind, phrases in self.entries.items():
-            for phrase in phrases:
-                index[tuple(phrase.split())] = kind
-        return index
+        return MappingProxyType(self._index)
 
     def max_phrase_tokens(self) -> int:
-        return max(len(key) for key in self.token_index())
+        return self._longest
 
 
 def _data_path(name: str):

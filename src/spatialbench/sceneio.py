@@ -428,9 +428,15 @@ def load_eval_records(path: str | Path) -> list[EvalRecord]:
 # JSONL plumbing
 
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+    # lines end at b"\n" as JSON Lines specifies; decoding line by line lets a
+    # bad byte be reported with its line number
+    with open(path, "rb") as fh:
+        for line_no, data in enumerate(fh, start=1):
+            try:
+                raw = data.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x} at byte "
+                                  f"offset {exc.start}", line=line_no) from None
             if not raw:
                 continue
             try:

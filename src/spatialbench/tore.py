@@ -162,30 +162,21 @@ def transform_prompt(
 
 
 def compute_bias_profile(report: BenchReport) -> BiasProfile:
-    """Derive a profile from a benchmark report.
+    """Read a profile off a benchmark report's bias table.
 
-    Uses the report's bias table where present (it already balances simple
-    and complex subsets) and falls back to plain soft accuracies. A pair with
+    The table already balances the simple and complex subsets. A pair with
     neither side measured is skipped; a pair with exactly one side is an
     error, since no preference can be derived for it.
     """
-    acc: dict[RelationKind, float] = {}
     for pair in OPPOSITE_PAIRS:
         have = [k for k in pair if k.value in report.soft]
-        if not have:
-            continue
         if len(have) == 1:
             raise MissingRelation(
                 f"report covers {have[0].value} but not its opposite"
             )
-        sides = report.bias.get(pair_id(pair))
-        if sides is None:
-            sides = {k.value: report.soft[k.value] for k in pair}
-        for kind in pair:
-            acc[kind] = float(sides[kind.value])
-    if not acc:
+    if not report.bias:
         raise MissingRelation("report covers no opposite pair")
-    return BiasProfile(acc)
+    return _profile_from_raw(report.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +208,12 @@ def _profile_from_raw(raw: object) -> BiasProfile:
 def load_bias_profile(path: str | Path) -> BiasProfile:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bias profile is not valid JSON: {exc}") from exc
-    return _profile_from_raw(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"bias profile {path} is not valid JSON: {exc}") from exc
+    try:
+        return _profile_from_raw(raw)
+    except FormatError as exc:
+        raise FormatError(f"bias profile {path}: {exc.reason}", exc.line, exc.field) from None
 
 
 def builtin_profile(name: str) -> BiasProfile:

@@ -15,8 +15,6 @@ import numpy as np
 from spatialbench.evaluation import (
     evaluate_records,
     score_clause,
-    soft_accuracy,
-    strict_accuracy,
 )
 from spatialbench.geometry import (
     OPPOSITE_PAIRS,
@@ -309,10 +307,10 @@ def test_criterion_5_rewrite_semantics():
 
 @criterion(6, "benchmark accounting identities")
 def test_criterion_6_identities():
-    records = pattern_records()
-    assert abs(soft_accuracy(records, RelationKind.RIGHT) - 2 / 3) < 1e-12
-    assert abs(soft_accuracy(records, RelationKind.TOP) - 1 / 2) < 1e-12
-    assert abs(strict_accuracy(records) - 1 / 3) < 1e-12
+    report = evaluate_records(pattern_records())
+    assert abs(report.soft[RelationKind.RIGHT.value] - 2 / 3) < 1e-12
+    assert abs(report.soft[RelationKind.TOP.value] - 1 / 2) < 1e-12
+    assert abs(report.strict - 1 / 3) < 1e-12
 
     objects, contexts = default_objects(), default_contexts()
     rng = random.Random(6)
@@ -325,7 +323,8 @@ def test_criterion_6_identities():
         ]
         cfg = StubGeneratorConfig({kind: 0.5}, seed=60)
         simple_records, _ = stub_generate(prompts, cfg)
-        assert strict_accuracy(simple_records) == soft_accuracy(simple_records, kind)
+        report = evaluate_records(simple_records)
+        assert report.strict == report.soft[kind.value]
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +359,7 @@ def test_criterion_7_stub_lift():
     assert abs(measured["top"] - 0.8) < 0.04
     assert abs(measured["bottom"] - 0.4) < 0.04
 
-    before = soft_accuracy(records[2000:], RelationKind.BOTTOM)
+    before = evaluate_records(records[2000:]).soft[RelationKind.BOTTOM.value]
     assert abs(before - 0.4) < 0.04
 
     profile = compute_bias_profile(report)
@@ -371,7 +370,7 @@ def test_criterion_7_stub_lift():
                for spec in transformed for c in spec.clauses)
 
     lifted_records, _ = stub_generate(transformed, stub_cfg)
-    after = soft_accuracy(lifted_records, RelationKind.TOP)
+    after = evaluate_records(lifted_records).soft[RelationKind.TOP.value]
     assert abs(after - 0.8) < 0.04
     assert after > before + 0.3
 

@@ -100,6 +100,12 @@ class TestGenPrompts:
         assert main(["gen-prompts", "--simple", "right=100",
                      "--objects", str(objs)]) == 1
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_pool_size_below_one(self, capsys, size):
+        assert main(["gen-prompts", "--simple", "right=3", "--pool-size", size]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --pool-size must be at least 1, got {size}"]
+
     def test_bad_kind_count(self):
         with pytest.raises(SystemExit) as info:
             main(["gen-prompts", "--simple", "sideways=3"])
@@ -181,6 +187,7 @@ class TestTore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "field top_bottom.top" in err[0]
+        assert str(profile) in err[0]
 
     def test_deterministic(self, tmp_path, prompts_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [

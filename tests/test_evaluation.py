@@ -5,17 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spatialbench.errors import MissingRelation, NoSamples
+from spatialbench.errors import NoSamples
 from spatialbench.evaluation import (
     BenchReport,
     ClauseVerdict,
     EvalRecord,
-    bias_table,
     evaluate_records,
     score_clause,
     score_record,
-    soft_accuracy,
-    strict_accuracy,
 )
 from spatialbench.extraction import DetectedObject, ExtractionConfig, Scene
 from spatialbench.geometry import BoundingBox, DepthMap, RelationKind
@@ -161,30 +158,31 @@ def pattern_records():
 
 class TestAccuracies:
     def test_pattern_soft(self):
-        records = pattern_records()
-        assert soft_accuracy(records, RelationKind.RIGHT) == pytest.approx(2 / 3)
-        assert soft_accuracy(records, RelationKind.TOP) == pytest.approx(1 / 2)
+        report = evaluate_records(pattern_records())
+        assert report.soft[RelationKind.RIGHT.value] == pytest.approx(2 / 3)
+        assert report.soft[RelationKind.TOP.value] == pytest.approx(1 / 2)
 
     def test_pattern_strict(self):
-        assert strict_accuracy(pattern_records()) == pytest.approx(1 / 3)
+        assert evaluate_records(pattern_records()).strict == pytest.approx(1 / 3)
 
     def test_no_samples(self):
+        assert RelationKind.BETWEEN.value not in evaluate_records(pattern_records()).soft
         with pytest.raises(NoSamples):
-            soft_accuracy(pattern_records(), RelationKind.BETWEEN)
-        with pytest.raises(NoSamples):
-            strict_accuracy([])
+            evaluate_records([])
 
     def test_all_satisfied(self):
         records = [record("r", [quad("a", "right", "b")], make_scene(RIGHT_OK))]
-        assert soft_accuracy(records, RelationKind.RIGHT) == 1.0
-        assert strict_accuracy(records) == 1.0
+        report = evaluate_records(records)
+        assert report.soft[RelationKind.RIGHT.value] == 1.0
+        assert report.strict == 1.0
 
     def test_simple_only_strict_equals_soft(self):
         records = [
             record("r1", [quad("a", "right", "b")], make_scene(RIGHT_OK)),
             record("r2", [quad("a", "right", "b")], make_scene(RIGHT_BAD)),
         ]
-        assert strict_accuracy(records) == soft_accuracy(records, RelationKind.RIGHT)
+        report = evaluate_records(records)
+        assert report.strict == report.soft[RelationKind.RIGHT.value]
 
 
 LEFT_OK = [("a", (0, 0, 30, 30)), ("b", (31, 0, 61, 30))]
@@ -200,26 +198,24 @@ class TestBiasTable:
             "r2", [quad("a", "right", "b"), quad("c", "top", "b")], scene
         )
         simple_left = record("r3", [quad("a", "left", "b")], make_scene(LEFT_OK))
-        table = bias_table([simple_right, complex_right, simple_left])
+        table = evaluate_records([simple_right, complex_right, simple_left]).bias
         # right: simple 1.0 and complex 0.0 averaged; left: simple subset only
         assert table == {"left_right": {"left": 1.0, "right": 0.5}}
 
     def test_pair_requires_both_sides(self):
         records = [record("r", [quad("a", "top", "b")], make_scene(RIGHT_OK))]
-        with pytest.raises(MissingRelation):
-            bias_table(records)
+        assert evaluate_records(records).bias == {}
 
     def test_missing_relation_for_unpaired_kinds(self):
         records = [record("r", [quad("a", "next", "b")], make_scene(RIGHT_OK))]
-        with pytest.raises(MissingRelation):
-            bias_table(records)
+        assert evaluate_records(records).bias == {}
 
     def test_symmetric_records_give_equal_sides(self):
         records = [
             record("r1", [quad("a", "right", "b")], make_scene(RIGHT_OK)),
             record("r2", [quad("b", "left", "a")], make_scene(RIGHT_OK)),
         ]
-        table = bias_table(records)
+        table = evaluate_records(records).bias
         assert table["left_right"]["left"] == table["left_right"]["right"] == 1.0
 
 

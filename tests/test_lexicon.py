@@ -122,6 +122,13 @@ class TestPhraseLexicon:
         index = lex.token_index()
         assert index[("on", "the", "right", "side", "of")] is RelationKind.RIGHT
         assert lex.max_phrase_tokens() == 5
+        assert len(index) == sum(len(lex.accepted_phrases(k)) for k in lex.kinds())
+
+    def test_token_index_is_read_only(self):
+        lex = default_phrase_lexicon()
+        with pytest.raises(TypeError):
+            lex.token_index()[("sideways",)] = RelationKind.RIGHT
+        assert ("sideways",) not in lex.token_index()
 
     def test_partial_lexicon_raises_unknown_kind(self):
         lex = PhraseLexicon({RelationKind.RIGHT: ("to the right of",)})

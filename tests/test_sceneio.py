@@ -139,6 +139,13 @@ class TestDepthFiles:
         with pytest.raises(FormatError):
             read_depth(p)
 
+    @pytest.mark.parametrize("grid", ['[[{}, 1]]', "[[true, false]]", '[["1", 2]]'])
+    def test_non_number_json_rejected(self, tmp_path, grid):
+        p = tmp_path / "d.json"
+        p.write_text(grid)
+        with pytest.raises(FormatError, match="depth values must be numbers"):
+            read_depth(p)
+
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "d.bin"
         p.write_bytes(b"\x89PNG not really")
@@ -226,6 +233,18 @@ class TestSceneParsing:
         with pytest.raises(DimensionMismatch):
             scene_from_dict(minimal_record(depth=[[0, 1], [2, 3]]))
 
+    @pytest.mark.parametrize("grid", [[[{}, 1]], [[True, False]], [["1", 2]]])
+    def test_non_number_inline_depth_rejected(self, grid):
+        with pytest.raises(FormatError, match="depth values must be numbers") as info:
+            scene_from_dict(minimal_record(depth=grid))
+        assert info.value.field == "depth"
+
+    def test_bool_among_ints_is_upcast(self):
+        depth = [[0] * 100 for _ in range(80)]
+        depth[0][0] = True
+        scene = scene_from_dict(minimal_record(depth=depth))
+        assert scene.depth.values[0, 0] == 1.0
+
     def test_depth_wrong_type(self):
         with pytest.raises(FormatError):
             scene_from_dict(minimal_record(depth=42))
@@ -256,6 +275,22 @@ class TestSceneParsing:
         with pytest.raises(FormatError) as info:
             load_scenes(p)
         assert info.value.line == 2
+
+    def test_jsonl_bad_utf8_names_line(self, tmp_path):
+        p = tmp_path / "scenes.jsonl"
+        good = json.dumps(minimal_record()).encode()
+        p.write_bytes(good + b"\n" + good.replace(b"img-1", b"caf\xe9") + b"\n")
+        with pytest.raises(FormatError, match="0xe9") as info:
+            load_scenes(p)
+        assert info.value.line == 2
+
+    def test_non_number_depth_file_names_line_and_field(self, tmp_path):
+        (tmp_path / "d.json").write_text("[[{}, 1]]")
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, [minimal_record(depth="d.json")])
+        with pytest.raises(FormatError, match="depth values must be numbers") as info:
+            load_scenes(p)
+        assert (info.value.line, info.value.field) == (1, "depth")
 
     def test_depth_path_resolved_relative(self, tmp_path):
         write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100))))

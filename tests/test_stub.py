@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialbench.evaluation import score_clause, soft_accuracy
+from spatialbench.evaluation import evaluate_records, score_clause
 from spatialbench.extraction import ExtractionConfig
 from spatialbench.geometry import RelationKind
 from spatialbench.prompts import PromptSpec, RelationQuadruple
@@ -144,7 +144,7 @@ class TestRandomness:
         records, plans = stub_generate(prompts, cfg)
         rate = sum(plan.verdicts[0] for plan in plans) / len(plans)
         assert abs(rate - 0.7) < 0.06
-        assert abs(soft_accuracy(records, RelationKind.RIGHT) - rate) < 1e-12
+        assert abs(evaluate_records(records).soft[RelationKind.RIGHT.value] - rate) < 1e-12
 
     def test_per_kind_rates_independent(self):
         cfg = StubGeneratorConfig({"top": 1.0, "bottom": 0.0}, seed=2)

@@ -293,7 +293,10 @@ class TestComputeBiasProfile:
             compute_bias_profile(report_with({"top": 0.5}))
 
     def test_uncovered_pairs_are_omitted(self):
-        profile = compute_bias_profile(report_with({"top": 0.6, "bottom": 0.4}))
+        profile = compute_bias_profile(report_with(
+            {"top": 0.6, "bottom": 0.4},
+            bias={"top_bottom": {"top": 0.6, "bottom": 0.4}},
+        ))
         assert profile.pairs() == (TOP_BOTTOM,)
 
     def test_bias_table_preferred_over_soft(self):
