@@ -43,6 +43,7 @@ from .sceneio import (
     write_jsonl,
 )
 from .stub import StubGeneratorConfig, stub_generate
+from .textutil import decode_line
 from .tore import (
     ToreConfig,
     builtin_profile,
@@ -219,9 +220,17 @@ def _write_records(args, dicts) -> None:
 
 
 def _read_lines(source: str) -> list[str]:
+    # decoding each "\n"-ended line on its own lets a bad byte name its line;
+    # splitting those lines again gives exactly str.splitlines() of the whole
     if source == "-":
-        return sys.stdin.read().splitlines()
-    return Path(source).read_text(encoding="utf-8").splitlines()
+        return _split_lines(sys.stdin.buffer)
+    with open(source, "rb") as fh:
+        return _split_lines(fh)
+
+
+def _split_lines(stream) -> list[str]:
+    return [part for line_no, data in enumerate(stream, start=1)
+            for part in decode_line(data, line_no).splitlines()]
 
 
 def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:

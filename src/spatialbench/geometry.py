@@ -351,6 +351,8 @@ class DepthMap:
             arr = np.asarray(values)
         except TypeError:
             raise ValueError("depth values must be numbers") from None
+        except ValueError:  # numpy refuses rows of unequal length
+            raise ValueError("depth values must form a non-empty 2D grid, got ragged rows") from None
         if arr.dtype.kind not in "iuf":
             raise ValueError("depth values must be numbers")
         if arr.ndim != 2 or arr.size == 0:

@@ -55,6 +55,14 @@ def _check_surface(phrase: str, what: str, is_context: bool = False) -> None:
                 raise ValueError(f"{what} {phrase!r} contains an 'in a' marker")
 
 
+def _normalized_context(context: str) -> str:
+    context = normalize_phrase(context)
+    if not context:
+        raise ValueError("context must be non-empty")
+    _check_surface(context, "context", is_context=True)
+    return context
+
+
 @dataclass(frozen=True)
 class RelationQuadruple:
     """One relation fact over noun phrases: subject, kind, object(s), context."""
@@ -72,10 +80,7 @@ class RelationQuadruple:
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "subject", normalize_phrase(self.subject))
         if self.context is not None:
-            object.__setattr__(self, "context", normalize_phrase(self.context))
-            if not self.context:
-                raise ValueError("context must be non-empty when given")
-            _check_surface(self.context, "context", is_context=True)
+            object.__setattr__(self, "context", _normalized_context(self.context))
         expected = 2 if self.kind is RelationKind.BETWEEN else 1
         if len(objects) != expected:
             raise ValueError(
@@ -117,10 +122,7 @@ class PromptSpec:
         context = self.context if self.context is not None else clauses[0].context
         if context is None:
             raise ValueError("no context given and the first clause carries none")
-        context = normalize_phrase(context)
-        if not context:
-            raise ValueError("context must be non-empty")
-        _check_surface(context, "context", is_context=True)
+        context = _normalized_context(context)
         clauses = tuple(replace(c, context=context) for c in clauses)
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "context", context)
@@ -340,10 +342,6 @@ def _kind_key(key: RelationKind | str) -> RelationKind:
     return key if isinstance(key, RelationKind) else RelationKind(key)
 
 
-def _shares_phrase(a: RelationQuadruple, b: RelationQuadruple) -> bool:
-    return bool(set(a.phrases) & set(b.phrases))
-
-
 def sample_prompt_set(
     relations: Iterable[RelationQuadruple],
     simple_counts: Mapping[RelationKind | str, int],
@@ -357,25 +355,34 @@ def sample_prompt_set(
     Simple prompts are drawn per kind without replacement. Complex prompts
     are keyed by the first clause's kind; the second clause is any other
     pool entry sharing a noun phrase, drawn uniformly. Quadruples without a
-    context get one drawn from `contexts`. Subject == object is rejected for
-    the four planar directional kinds, where such facts are degenerate.
+    context get one drawn from `contexts`, in pool order; every context is
+    checked before the first draw. Subject == object is rejected for the
+    four planar directional kinds, where such facts are degenerate.
+
+    Candidates and partners are listed in ascending pool order, so a seed
+    fixes the output.
     """
     rng = random.Random(seed)
     contexts = tuple(contexts) if contexts is not None else default_contexts()
     if not contexts:
         raise ValueError("contexts must be non-empty")
+    contexts = tuple(_normalized_context(c) for c in contexts)
 
     pool: list[RelationQuadruple] = []
+    context_of: list[str] = []
     for q in relations:
         if q.kind.is_directional_2d and q.subject in q.objects:
             continue
-        if q.context is None:
-            q = replace(q, context=rng.choice(contexts))
         pool.append(q)
+        context_of.append(q.context if q.context is not None else rng.choice(contexts))
 
     by_kind: dict[RelationKind, list[int]] = {}
+    # phrase -> ascending pool indices, each index once per distinct phrase
+    holders: dict[str, list[int]] = {}
     for i, q in enumerate(pool):
         by_kind.setdefault(q.kind, []).append(i)
+        for phrase in set(q.phrases):
+            holders.setdefault(phrase, []).append(i)
 
     def ordered(counts: Mapping[RelationKind | str, int]) -> list[tuple[RelationKind, int]]:
         items = [(_kind_key(k), int(n)) for k, n in counts.items()]
@@ -392,14 +399,12 @@ def sample_prompt_set(
                 f"need {n} {kind.value} relations for simple prompts, pool has {len(members)}"
             )
         for i in sorted(rng.sample(members, n)):
-            specs.append(PromptSpec((pool[i],)))
+            specs.append(PromptSpec((pool[i],), context=context_of[i]))
 
     for kind, n in ordered(complex_counts or {}):
         members = by_kind.get(kind, [])
         eligible = [
-            i
-            for i in members
-            if any(j != i and _shares_phrase(pool[i], pool[j]) for j in range(len(pool)))
+            i for i in members if any(len(holders[p]) > 1 for p in pool[i].phrases)
         ]
         if len(eligible) < n:
             raise InsufficientPool(
@@ -407,7 +412,7 @@ def sample_prompt_set(
                 f"pool has {len(eligible)}"
             )
         for i in sorted(rng.sample(eligible, n)):
-            partners = [j for j in range(len(pool)) if j != i and _shares_phrase(pool[i], pool[j])]
+            partners = sorted(set().union(*(holders[p] for p in pool[i].phrases)) - {i})
             j = rng.choice(partners)
-            specs.append(PromptSpec((pool[i], pool[j]), context=pool[i].context))
+            specs.append(PromptSpec((pool[i], pool[j]), context=context_of[i]))
     return specs

@@ -38,7 +38,7 @@ from .extraction import DetectedObject, RelationInstance, Scene
 from .geometry import BoundingBox, DepthMap
 from .lexicon import default_contexts, default_objects
 from .prompts import parse_prompt, render_prompt
-from .textutil import ascii_fold, normalize_phrase
+from .textutil import ascii_fold, decode_line, normalize_phrase
 
 __all__ = [
     "CaptionRecord",
@@ -346,10 +346,12 @@ def scene_to_dict(scene: Scene, *, depth_ref: str | None = None) -> dict:
         out["depth"] = depth_ref
     elif scene.depth is not None:
         values = scene.depth.values
-        if np.all(values == np.rint(values)):
-            out["depth"] = [[int(v) for v in row] for row in values]
+        if not np.all(values == np.rint(values)):
+            out["depth"] = values.tolist()
+        elif values.max() < 2.0**63:  # values are >= 0, so every one fits in int64
+            out["depth"] = values.astype(np.int64).tolist()
         else:
-            out["depth"] = [[float(v) for v in row] for row in values]
+            out["depth"] = [[int(v) for v in row] for row in values.tolist()]
     if scene.context is not None:
         out["context"] = scene.context
     return out
@@ -432,11 +434,7 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     # bad byte be reported with its line number
     with open(path, "rb") as fh:
         for line_no, data in enumerate(fh, start=1):
-            try:
-                raw = data.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x} at byte "
-                                  f"offset {exc.start}", line=line_no) from None
+            raw = decode_line(data, line_no).strip()
             if not raw:
                 continue
             try:

@@ -4,15 +4,17 @@ Everything here is transcribed longhand from the distance definitions and
 constraint inequalities, on plain (x_min, y_min, x_max, y_max) tuples. It
 deliberately shares no code with the package so agreement is meaningful.
 
-Three layers:
+Four layers:
   * scalar predicates (the primary oracle),
   * numpy transcriptions of the same formulas for exhaustive grid sweeps,
-  * a dead-simple scene extractor mirroring the extraction rules.
+  * a dead-simple scene extractor mirroring the extraction rules,
+  * the quadratic pool scan for prompt sampling.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -262,4 +264,73 @@ def naive_extract(scene, tau=3.0, min_rel_area=0.01, max_center_dist=0.5,
                 br = scene["objects"][k][0]
                 if naive_check_between(bl, bm, br, tau):
                     out.add(("between", j, (i, k)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# naive prompt sampling
+#
+# The pool scan sample_prompt_set once ran: every candidate first clause is
+# checked against every other pool entry for a shared noun phrase. Relations
+# are plain (subject, kind, objects-tuple, context-or-None) tuples with the
+# kind as its string value; each prompt comes back as (clauses, context),
+# every clause a (subject, kind, objects-tuple) triple.
+
+NAIVE_KIND_ORDER = ("right", "left", "top", "bottom", "next", "between", "front", "behind")
+
+
+class NaivePoolTooSmall(Exception):
+    """The pool cannot cover a requested per-kind count."""
+
+
+def naive_sample_prompt_set(relations, simple_counts, complex_counts, seed, contexts):
+    rng = random.Random(seed)
+    pool = []
+    for subject, kind, objects, context in relations:
+        if kind in (RIGHT, LEFT, TOP, BOTTOM) and subject in objects:
+            continue
+        if context is None:
+            context = rng.choice(contexts)
+        pool.append((subject, kind, objects, context))
+
+    def shares_phrase(a, b):
+        a_phrases = set([a[0]]) | set(a[2])
+        b_phrases = set([b[0]]) | set(b[2])
+        return len(a_phrases & b_phrases) > 0
+
+    out = []
+    for kind in NAIVE_KIND_ORDER:
+        if kind not in simple_counts:
+            continue
+        n = simple_counts[kind]
+        members = [i for i in range(len(pool)) if pool[i][1] == kind]
+        if len(members) < n:
+            raise NaivePoolTooSmall(kind)
+        for i in sorted(rng.sample(members, n)):
+            subject, _, objects, context = pool[i]
+            out.append((((subject, kind, objects),), context))
+
+    for kind in NAIVE_KIND_ORDER:
+        if kind not in complex_counts:
+            continue
+        n = complex_counts[kind]
+        eligible = []
+        for i in range(len(pool)):
+            if pool[i][1] != kind:
+                continue
+            for j in range(len(pool)):
+                if j != i and shares_phrase(pool[i], pool[j]):
+                    eligible.append(i)
+                    break
+        if len(eligible) < n:
+            raise NaivePoolTooSmall(kind)
+        for i in sorted(rng.sample(eligible, n)):
+            partners = []
+            for j in range(len(pool)):
+                if j != i and shares_phrase(pool[i], pool[j]):
+                    partners.append(j)
+            j = rng.choice(partners)
+            first = (pool[i][0], pool[i][1], pool[i][2])
+            second = (pool[j][0], pool[j][1], pool[j][2])
+            out.append(((first, second), pool[i][3]))
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,26 @@ class TestGenPrompts:
         with pytest.raises(SystemExit) as info:
             main(["gen-prompts", "--simple", "sideways=3"])
         assert info.value.code == 2
+
+    # The benchmark's eval_loop prompt set: 40 simple prompts of every kind and
+    # 16 complex ones for top, left and front, drawn from 8,000 candidates.
+    # The digests were recorded before complex partners came from a phrase
+    # index, so they pin the RNG draw order of the pool scan.
+    EVAL_LOOP_ARGV = [
+        "gen-prompts", "--seed", "7",
+        *[arg for kind in ("right", "left", "top", "bottom", "next", "between",
+                           "front", "behind") for arg in ("--simple", f"{kind}=40")],
+        *[arg for kind in ("top", "left", "front") for arg in ("--complex", f"{kind}=16")],
+    ]
+
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "f8783dfe73425d6758b9513d27d028bc23732332750fca4146e959c992687990"),
+        (["--invert"], "67ed0582b1b2b1bbb6e6344810b11a75d4bd4aa2c4bc3080f67308197501df39"),
+    ], ids=["plain", "invert"])
+    def test_golden_output_bytes(self, tmp_path, extra, digest):
+        out = tmp_path / "prompts.txt"
+        assert main([*self.EVAL_LOOP_ARGV, *extra, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestExtract:
@@ -373,6 +394,28 @@ class TestStubGen:
         src = tmp_path / "p.txt"
         src.write_text("definitely not a prompt\n")
         assert main(["stub-gen", str(src)]) == 1
+
+
+class TestPromptFiles:
+    @pytest.mark.parametrize("argv", [["tore", "--profile", "sdxl"], ["stub-gen"]],
+                             ids=["tore", "stub-gen"])
+    def test_bad_utf8_names_line(self, tmp_path, capsys, argv):
+        src = tmp_path / "p.txt"
+        src.write_bytes(b"A bus to the right of a car in a city\n"
+                        b"A caf\xe9 next to a bench in a city\n")
+        assert main([*argv, str(src)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid UTF-8 byte 0xe9 at byte offset 5 (line 2)"]
+
+    def test_lines_split_as_str_splitlines(self, tmp_path):
+        # none of these lines parses, so tore passes each through unchanged
+        text = "not a prompt\r\nx\ry\x0cz\u2028w\x85v\n\nlast"
+        src = tmp_path / "p.txt"
+        src.write_bytes(text.encode("utf-8"))
+        out = tmp_path / "out.txt"
+        assert main(["tore", "--profile", "flux1", str(src), "--output", str(out)]) == 0
+        assert out.read_bytes().decode("utf-8") == "".join(
+            line + "\n" for line in text.splitlines())
 
 
 class TestExitCodes:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatialbench.errors import (
@@ -422,3 +422,82 @@ class TestSamplePromptSet:
         specs = sample_prompt_set(self.pool(), {"right": 3, "next": 1}, {"right": 2}, seed=9)
         for spec in specs:
             assert parse_prompt(render_prompt(spec)) == spec
+
+    def test_bad_context_fails_even_when_never_drawn(self):
+        # every entry carries its own context, so no draw would pick one
+        pool = [quad("car", "right", "tree", "city")]
+        for bad in ("", "park, south", "lot in a city"):
+            with pytest.raises(ValueError):
+                sample_prompt_set(pool, {"right": 1}, seed=0, contexts=["city", bad])
+
+
+# ---------------------------------------------------------------------------
+# sampling against the naive pool scan
+
+from naive_reference import NaivePoolTooSmall, naive_sample_prompt_set
+
+_KIND_VALUES = tuple(k.value for k in RelationKind)
+
+
+@st.composite
+def sampling_cases(draw):
+    # a few phrases make entries share phrases, repeat whole and degenerate;
+    # many phrases leave entries without a partner
+    phrases = OBJECTS[: draw(st.integers(2, 24))]
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(_KIND_VALUES))
+        subject = draw(st.sampled_from(phrases))
+        n = 2 if kind == "between" else 1
+        objects = tuple(draw(st.sampled_from(phrases)) for _ in range(n))
+        context = draw(st.none() | st.sampled_from(CONTEXTS))
+        rows.append((subject, kind, objects, context))
+    kinds = [row[1] for row in rows]
+    # counts reach one past each kind's size, so both outcomes occur
+    simple = draw(st.dictionaries(
+        st.sampled_from(_KIND_VALUES), st.integers(0, 4), max_size=3))
+    simple = {k: min(n, kinds.count(k) + 1) for k, n in simple.items()}
+    complex_counts = draw(st.dictionaries(
+        st.sampled_from(_KIND_VALUES), st.integers(0, 4), max_size=3))
+    complex_counts = {k: min(n, kinds.count(k) + 1) for k, n in complex_counts.items()}
+    return rows, simple, complex_counts, draw(st.integers(0, 2**32))
+
+
+def _plain(specs):
+    return [
+        (tuple((c.subject, c.kind.value, c.objects) for c in spec.clauses), spec.context)
+        for spec in specs
+    ]
+
+
+_EDGE_CASE = (
+    [
+        ("car", "right", ("tree",), None),
+        ("car", "right", ("tree",), None),  # duplicate quadruple
+        ("dog", "between", ("car", "car"), "city"),  # equal flankers
+        ("bench", "next", ("bench",), None),  # subject == object, kept
+        ("bench", "left", ("bench",), None),  # subject == object, dropped
+        ("tree", "top", ("dog",), "street"),  # carries its own context
+        ("bench", "right", ("dog",), None),
+        ("mailbox", "right", ("fountain",), None),  # shares no phrase
+    ],
+    {"right": 4, "next": 1, "top": 1},
+    {"right": 3, "between": 1},  # every right entry but the last has a partner
+    5,
+)
+
+
+@given(sampling_cases())
+@example(_EDGE_CASE)
+@settings(max_examples=300, deadline=None)
+def test_sampling_matches_naive_pool_scan(case):
+    rows, simple, complex_counts, seed = case
+    pool = [quad(*row) for row in rows]
+    try:
+        expected = naive_sample_prompt_set(rows, simple, complex_counts, seed, CONTEXTS)
+    except NaivePoolTooSmall:
+        with pytest.raises(InsufficientPool):
+            sample_prompt_set(pool, simple, complex_counts, seed=seed, contexts=CONTEXTS)
+        return
+    got = sample_prompt_set(pool, simple, complex_counts, seed=seed, contexts=CONTEXTS)
+    assert _plain(got) == expected

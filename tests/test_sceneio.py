@@ -136,7 +136,7 @@ class TestDepthFiles:
     def test_ragged_json_rejected(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text("[[1, 2], [3]]")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="must form a non-empty 2D grid"):
             read_depth(p)
 
     @pytest.mark.parametrize("grid", ['[[{}, 1]]', "[[true, false]]", '[["1", 2]]'])
@@ -239,6 +239,11 @@ class TestSceneParsing:
             scene_from_dict(minimal_record(depth=grid))
         assert info.value.field == "depth"
 
+    def test_ragged_inline_depth_rejected(self):
+        with pytest.raises(FormatError, match="must form a non-empty 2D grid") as info:
+            scene_from_dict(minimal_record(depth=[[1, 2], [3]]))
+        assert info.value.field == "depth"
+
     def test_bool_among_ints_is_upcast(self):
         depth = [[0] * 100 for _ in range(80)]
         depth[0][0] = True
@@ -262,6 +267,27 @@ class TestSceneParsing:
         )
         again = scene_from_dict(scene_to_dict(scene))
         assert again == scene
+
+    @pytest.mark.parametrize("grid, text", [
+        # integers past int64 keep every digit
+        ([[2.0**70, 1.0], [3.0, 0.0]], "[[1180591620717411303424, 1], [3, 0]]"),
+        ([[2.0**63, 2.0**62]], "[[9223372036854775808, 4611686018427387904]]"),
+        ([[0.5, 1.0], [2.0**70, 3.25]], "[[0.5, 1.0], [1.1805916207174113e+21, 3.25]]"),
+        ([[-0.0, 1.0]], "[[0, 1]]"),
+        ([[-0.0, 1.5]], "[[-0.0, 1.5]]"),
+    ])
+    def test_depth_encoding_bytes(self, grid, text):
+        depth = DepthMap(grid)
+        scene = Scene("d", depth.width, depth.height, depth=depth)
+        assert json.dumps(scene_to_dict(scene)["depth"]) == text
+
+    def test_integer_depth_encodes_as_python_ints(self):
+        values = np.random.default_rng(3).integers(0, 65536, (128, 128))
+        depth = DepthMap(values)
+        scene = Scene("d", 128, 128, depth=depth)
+        encoded = scene_to_dict(scene)["depth"]
+        assert all(type(v) is int for row in encoded for v in row)
+        assert encoded == values.tolist()
 
     def test_jsonl_loading(self, tmp_path):
         p = tmp_path / "scenes.jsonl"
@@ -291,6 +317,14 @@ class TestSceneParsing:
         with pytest.raises(FormatError, match="depth values must be numbers") as info:
             load_scenes(p)
         assert (info.value.line, info.value.field) == (1, "depth")
+
+    def test_ragged_depth_file_names_line_and_field(self, tmp_path):
+        (tmp_path / "d.json").write_text("[[1, 2], [3]]")
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, [minimal_record(), minimal_record(depth="d.json")])
+        with pytest.raises(FormatError, match="must form a non-empty 2D grid") as info:
+            load_scenes(p)
+        assert (info.value.line, info.value.field) == (2, "depth")
 
     def test_depth_path_resolved_relative(self, tmp_path):
         write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100))))
