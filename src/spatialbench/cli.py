@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -201,6 +202,8 @@ def _extraction_config(args) -> ExtractionConfig:
                               field="ambiguity_policy")
         values.update(raw)
     if args.tau is not None:
+        if not (math.isfinite(args.tau) and args.tau > 0):
+            raise SpatialBenchError(f"--tau must be finite and positive, got {args.tau}")
         values["tau"] = args.tau
     return ExtractionConfig(**values)
 
@@ -251,10 +254,11 @@ def _resolve_profile(name: str):
 
 def _cmd_extract(args) -> int:
     cfg = _extraction_config(args)
-    scenes = load_scenes(args.scenes)
-    _write_records(
-        args, (relations_to_dict(scene, extract_scene(scene, cfg)) for scene in scenes)
-    )
+    # one scene (and its depth map) is alive at a time; the small relation
+    # dicts are kept, so a bad line fails the run before anything is written
+    dicts = [relations_to_dict(scene, extract_scene(scene, cfg))
+             for scene in load_scenes(args.scenes)]
+    _write_records(args, dicts)
     return 0
 
 
@@ -353,12 +357,15 @@ def _cmd_filter_captions(args) -> int:
 
 
 def _cmd_stub_gen(args) -> int:
+    tau = args.tau if args.tau is not None else 3.0
+    if not 1.0 <= tau < math.inf:  # StubGeneratorConfig's range; nan fails too
+        raise SpatialBenchError(f"--tau must be finite and >= 1 for stub-gen, got {tau}")
     cfg = StubGeneratorConfig(
         probabilities=dict(args.p),
         seed=args.seed,
         width=args.width,
         height=args.height,
-        tau=args.tau if args.tau is not None else 3.0,
+        tau=tau,
     )
     prompts = [line for line in _read_lines(args.prompts) if line.strip()]
     records, plans = stub_generate(prompts, cfg)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 from .errors import NoSamples
 from .extraction import DEFAULT_CONFIG, ExtractionConfig, Scene
@@ -204,12 +204,15 @@ class BenchReport:
 
 
 def evaluate_records(
-    records: Sequence[EvalRecord],
+    records: Iterable[EvalRecord],
     cfg: ExtractionConfig = DEFAULT_CONFIG,
     *,
     seed: int | None = None,
 ) -> BenchReport:
     """Score every record once and aggregate the report.
+
+    records may be any iterable, a generator included; it is read once, one
+    record at a time.
 
     Clauses and hits are counted per (kind, simple/complex subset). Soft
     accuracy is a kind's hits over its clauses, other clauses ignored; strict
@@ -220,12 +223,11 @@ def evaluate_records(
     omitted, so the table is empty when no pair is covered. NoSamples for
     zero records.
     """
-    if not records:
-        raise NoSamples("no records")
-    full = 0
+    total = full = 0
     clauses: Counter = Counter()
     hits: Counter = Counter()
     for record in records:
+        total += 1
         verdicts = score_record(record, cfg)
         full += all(v.satisfied for v in verdicts)
         for clause, verdict in zip(record.prompt.clauses, verdicts):
@@ -233,6 +235,8 @@ def evaluate_records(
             clauses[key] += 1
             hits[key] += verdict.satisfied
 
+    if not total:
+        raise NoSamples("no records")
     soft: dict[str, float] = {}
     counts: dict[str, int] = {}
     for kind in dict.fromkeys(kind for kind, _ in clauses):  # first-seen order
@@ -259,5 +263,5 @@ def evaluate_records(
     }
     if seed is not None:
         config["seed"] = seed
-    return BenchReport(soft=soft, strict=full / len(records), counts=counts,
+    return BenchReport(soft=soft, strict=full / total, counts=counts,
                        bias=bias, config=config)

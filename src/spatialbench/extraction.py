@@ -210,6 +210,8 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
     """
     s = cfg.strictness
     eligible = _eligible(scene, cfg)
+    if len(eligible) < 2:  # no pair; skip the fixed cost of the numpy set-up
+        return []
     boxes = [scene.objects[i].box for i in eligible]
     near = np.array([[a != b and proximity_filter(b1, b2, scene.width, scene.height, cfg)
                       for b, b2 in enumerate(boxes)] for a, b1 in enumerate(boxes)],
@@ -259,6 +261,8 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
             f"{len(eligible)} eligible objects exceed the between cap "
             f"of {cfg.max_between_objects}"
         )
+    if len(eligible) < 3:  # no triple; skip the fixed cost of the numpy set-up
+        return []
     subj, obj = _pair_grid([scene.objects[i].box for i in eligible])
     left = batch_check_directional(subj, obj, RelationKind.LEFT, s)
     right = batch_check_directional(subj, obj, RelationKind.RIGHT, s)

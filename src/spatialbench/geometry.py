@@ -341,7 +341,11 @@ class DepthMap:
     """Per-pixel closeness field; larger value = nearer the camera.
 
     Metric depth (larger = farther) must be inverted before construction.
-    Values are stored as a read-only float64 grid of shape (height, width).
+    Values are stored as a read-only grid of shape (height, width). An integer
+    grid keeps its integer dtype (native byte order) while max * size < 2**53,
+    so every box sum is exact in float64 and average_depth gives the same bits
+    as over float64 values; any other grid is stored as float64. Equality and
+    hashing go by value, across dtypes.
     """
 
     def __init__(self, values):
@@ -353,15 +357,18 @@ class DepthMap:
             raise ValueError("depth values must be numbers") from None
         except ValueError:  # numpy refuses rows of unequal length
             raise ValueError("depth values must form a non-empty 2D grid, got ragged rows") from None
-        if arr.dtype.kind not in "iuf":
+        kind = arr.dtype.kind
+        if kind not in "iuf":
             raise ValueError("depth values must be numbers")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"depth values must form a non-empty 2D grid, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        if kind == "f" and not np.isfinite(arr).all():
             raise ValueError("depth values must be finite")
-        if (arr < 0).any():
+        if kind != "u" and (arr < 0).any():
             raise ValueError("depth values must be >= 0")
-        arr = arr.astype(np.float64)  # a copy, so the caller's array is never frozen
+        exact = kind != "f" and int(arr.max()) * arr.size < 2**53
+        # astype copies, so the caller's array is never frozen
+        arr = arr.astype(arr.dtype.newbyteorder("=") if exact else np.float64)
         arr.setflags(write=False)
         self._values = arr
 
@@ -388,7 +395,9 @@ class DepthMap:
         )
 
     def __hash__(self) -> int:
-        return hash((self._values.shape, self._values.tobytes()))
+        # float64 bytes agree across dtypes; adding 0.0 turns -0.0 into 0.0
+        return hash((self._values.shape,
+                     np.add(self._values, 0.0, dtype=np.float64).tobytes()))
 
 
 def average_depth(d: DepthMap, b: BoundingBox) -> float:

@@ -18,6 +18,10 @@ file's directory. Evaluation records wrap a scene with a prompt:
 
 The prompt is stored as text and parsed on load, so record files stay
 readable and auditable by hand.
+
+load_scenes and load_eval_records are generators: they yield one scene or
+record per line as it parses, so a caller that consumes them one at a time
+holds one depth map at a time. A malformed line raises when it is reached.
 """
 
 from __future__ import annotations
@@ -177,7 +181,9 @@ def read_depth(path: str | Path) -> DepthMap:
 
 def write_depth_pgm(path: str | Path, depth: DepthMap) -> None:
     """Write a closeness map as 16-bit big-endian binary PGM."""
-    values = np.rint(depth.values)
+    values = depth.values
+    if values.dtype.kind == "f":
+        values = np.rint(values)
     if (values < 0).any() or (values > 65535).any():
         raise ValueError("depth values must round into [0, 65535] for PGM output")
     arr = values.astype(">u2")
@@ -200,8 +206,7 @@ def _parse_pgm(data: bytes) -> np.ndarray:
     expected = width * height * dtype.itemsize
     if len(raster) < expected:
         raise FormatError(f"PGM raster truncated: need {expected} bytes, have {len(raster)}")
-    values = np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
-    return values.astype(np.float64)
+    return np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
 
 
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:
@@ -346,7 +351,7 @@ def scene_to_dict(scene: Scene, *, depth_ref: str | None = None) -> dict:
         out["depth"] = depth_ref
     elif scene.depth is not None:
         values = scene.depth.values
-        if not np.all(values == np.rint(values)):
+        if values.dtype.kind != "f" or not np.all(values == np.rint(values)):
             out["depth"] = values.tolist()
         elif values.max() < 2.0**63:  # values are >= 0, so every one fits in int64
             out["depth"] = values.astype(np.int64).tolist()
@@ -361,12 +366,11 @@ def _plain_number(value: float) -> int | float:
     return int(value) if float(value).is_integer() else float(value)
 
 
-def load_scenes(path: str | Path) -> list[Scene]:
+def load_scenes(path: str | Path) -> Iterator[Scene]:
+    """Yield the file's scenes one at a time, reading each depth map as it goes."""
     base_dir = Path(path).parent
-    return [
-        scene_from_dict(obj, base_dir=base_dir, line=line_no)
-        for line_no, obj in _iter_jsonl(path)
-    ]
+    for line_no, obj in _iter_jsonl(path):
+        yield scene_from_dict(obj, base_dir=base_dir, line=line_no)
 
 
 def relations_to_dict(scene: Scene, relations: Sequence[RelationInstance]) -> dict:
@@ -418,12 +422,11 @@ def eval_record_to_dict(record: EvalRecord) -> dict:
     }
 
 
-def load_eval_records(path: str | Path) -> list[EvalRecord]:
+def load_eval_records(path: str | Path) -> Iterator[EvalRecord]:
+    """Yield the file's evaluation records one at a time."""
     base_dir = Path(path).parent
-    return [
-        eval_record_from_dict(obj, base_dir=base_dir, line=line_no)
-        for line_no, obj in _iter_jsonl(path)
-    ]
+    for line_no, obj in _iter_jsonl(path):
+        yield eval_record_from_dict(obj, base_dir=base_dir, line=line_no)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ actually says, not what was drawn.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -51,8 +52,8 @@ class StubGeneratorConfig:
         object.__setattr__(self, "probabilities", coerced)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("scene dimensions must be positive")
-        if self.tau < 1.0:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        if not 1.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
 
     def probability(self, kind: RelationKind) -> float:
         """Satisfaction probability for a kind; unlisted kinds always satisfy."""

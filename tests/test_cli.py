@@ -156,6 +156,15 @@ class TestExtract:
         ])
         assert out_a == out_b
 
+    def test_bad_line_writes_no_output(self, tmp_path, capsys):
+        path = tmp_path / "scenes.jsonl"
+        good = json.dumps(SCENE)
+        path.write_text(f"{good}\n{good}\n{{oops\n{good}\n")
+        out = tmp_path / "relations.jsonl"
+        assert main(["extract", str(path), "--output", str(out)]) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTore:
     def test_line_alignment_and_passthrough(self, tmp_path):
@@ -370,7 +379,7 @@ class TestFilterCaptions:
 
 class TestStubGen:
     def test_records_load_back(self, tmp_path, records_file):
-        records = load_eval_records(records_file)
+        records = list(load_eval_records(records_file))
         assert len(records) == 9
         assert all(r.scene.objects for r in records)
 
@@ -436,3 +445,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["evaluate", "x.jsonl", "--format", "yaml"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate", "bias-report", "stub-gen"])
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1"])
+    def test_bad_tau_names_the_flag(self, tmp_path, capsys, command, tau):
+        src = tmp_path / "in.txt"
+        src.write_text("")
+        assert main([command, str(src), "--tau", tau]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tau must be"), err
+
+    def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
+        assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1
+        assert capsys.readouterr().err == "error: --tau must be finite and >= 1 for stub-gen, got 0.5\n"

@@ -170,6 +170,12 @@ class TestAccuracies:
         with pytest.raises(NoSamples):
             evaluate_records([])
 
+    def test_any_iterable(self):
+        want = evaluate_records(pattern_records(), seed=4)
+        assert evaluate_records((r for r in pattern_records()), seed=4) == want
+        with pytest.raises(NoSamples):
+            evaluate_records(r for r in [])
+
     def test_all_satisfied(self):
         records = [record("r", [quad("a", "right", "b")], make_scene(RIGHT_OK))]
         report = evaluate_records(records)

@@ -89,6 +89,10 @@ class TestSceneTypes:
 
 
 class TestExtractPairwise:
+    def test_fewer_than_two_eligible_objects(self):
+        assert extract_pairwise(scene_of([])) == []
+        assert extract_pairwise(scene_of(EXAMPLE_A, scores=[1.0, 0.1])) == []
+
     def test_worked_example_scene(self):
         relations = extract_pairwise(scene_of(EXAMPLE_A))
         assert as_triples(relations) == {
@@ -203,6 +207,10 @@ class TestExtractBetween:
 
     def test_two_object_scene(self):
         assert extract_between(scene_of(EXAMPLE_A)) == []
+
+    def test_cap_checked_before_small_scene_shortcut(self):
+        with pytest.raises(SceneTooLarge):
+            extract_between(scene_of(EXAMPLE_A), ExtractionConfig(max_between_objects=1))
 
     def test_three_coincident_boxes(self):
         scene = scene_of([(0, 0, 40, 40)] * 3, width=100, height=100)

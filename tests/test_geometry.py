@@ -283,6 +283,40 @@ class TestAverageDepth:
         assert math.isclose(d1, d0 + shift, rel_tol=1e-12, abs_tol=1e-9)
 
 
+class TestIntegerDepthMaps:
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 65535), st.integers(0, 2**32 - 1),
+           st.lists(integer_boxes(grid=40), min_size=1, max_size=20))
+    @settings(max_examples=60)
+    def test_means_are_bit_identical_across_dtypes(self, height, width, top, seed, bs):
+        grid = np.random.default_rng(seed).integers(0, top, size=(height, width), endpoint=True)
+        maps = [DepthMap(grid.astype(t)) for t in (np.uint16, np.int64, np.float64)]
+        assert [m.values.dtype for m in maps] == [np.uint16, np.int64, np.float64]
+        for b in bs:
+            if b.x_min >= width or b.y_min >= height:
+                continue  # covers no pixel of this map
+            means = {average_depth(m, b).hex() for m in maps}
+            assert len(means) == 1
+
+    def test_equal_values_compare_and_hash_equal(self):
+        grid = np.arange(12).reshape(3, 4)
+        maps = [DepthMap(grid.astype(t)) for t in (np.uint8, ">u2", np.int64, np.float64)]
+        assert maps[1].values.dtype == np.uint16  # stored in native byte order
+        assert all(m == maps[0] for m in maps)
+        assert len({hash(m) for m in maps}) == 1
+        assert DepthMap(grid) != DepthMap(grid + 1)
+        assert hash(DepthMap([[-0.0, 1.0]])) == hash(DepthMap([[0, 1]]))
+
+    def test_sums_past_2_to_53_take_the_float64_path(self):
+        # max * size must stay below 2**53 for every box sum to be exact
+        assert DepthMap(np.full((2, 2), 2**51 - 1)).values.dtype == np.int64
+        assert DepthMap(np.full((2, 2), 2**51)).values.dtype == np.float64
+        assert DepthMap([[2**60, 1]]).values.dtype == np.float64
+
+    def test_negative_integers_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            DepthMap(np.array([[3, -1]], dtype=np.int16))
+
+
 class TestCheckDepthRelation:
     def test_front_worked_example(self):
         b1 = BoundingBox(50, 20, 90, 60)

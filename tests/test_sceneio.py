@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from spatialbench import sceneio
 from spatialbench.errors import DimensionMismatch, FormatError
 from spatialbench.extraction import DetectedObject, RelationInstance, Scene
 from spatialbench.geometry import BoundingBox, DepthMap, RelationKind
@@ -99,17 +100,25 @@ class TestDepthFiles:
         got = read_depth(p)
         assert got.width == 9 and got.height == 5
         np.testing.assert_array_equal(got.values, values)
+        # the map read back is uint16 and writes the same bytes
+        assert got.values.dtype == np.uint16
+        again = tmp_path / "again.pgm"
+        write_depth_pgm(again, got)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_16bit_is_big_endian(self, tmp_path):
         p = tmp_path / "d.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x01\x00")
-        assert read_depth(p).values[0, 0] == 256.0
+        got = read_depth(p)
+        assert got.values[0, 0] == 256.0
+        assert got.values.dtype == np.uint16  # native byte order
 
     def test_8bit_read(self, tmp_path):
         p = tmp_path / "d.pgm"
         p.write_bytes(b"P5\n4 3\n255\n" + bytes(range(12)))
         got = read_depth(p)
         np.testing.assert_array_equal(got.values, np.arange(12).reshape(3, 4))
+        assert got.values.dtype == np.uint8
 
     def test_header_comments(self, tmp_path):
         p = tmp_path / "d.pgm"
@@ -275,6 +284,7 @@ class TestSceneParsing:
         ([[0.5, 1.0], [2.0**70, 3.25]], "[[0.5, 1.0], [1.1805916207174113e+21, 3.25]]"),
         ([[-0.0, 1.0]], "[[0, 1]]"),
         ([[-0.0, 1.5]], "[[-0.0, 1.5]]"),
+        (np.array([[0, 65535], [7, 256]], dtype=np.uint16), "[[0, 65535], [7, 256]]"),
     ])
     def test_depth_encoding_bytes(self, grid, text):
         depth = DepthMap(grid)
@@ -292,14 +302,26 @@ class TestSceneParsing:
     def test_jsonl_loading(self, tmp_path):
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [scene_to_dict(scene_from_dict(minimal_record()))])
-        assert len(load_scenes(p)) == 1
+        assert len(list(load_scenes(p))) == 1
+
+    def test_scenes_load_lazily(self, tmp_path, monkeypatch):
+        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100), dtype=np.uint16)))
+        p = tmp_path / "scenes.jsonl"
+        write_jsonl(p, [minimal_record(depth="d.pgm")] * 3)
+        calls = []
+        monkeypatch.setattr(sceneio, "read_depth",
+                            lambda path: calls.append(path) or read_depth(path))
+        scenes = load_scenes(p)
+        assert calls == []
+        next(scenes)
+        assert len(calls) == 1
 
     def test_jsonl_line_numbers(self, tmp_path):
         p = tmp_path / "scenes.jsonl"
         good = json.dumps(minimal_record())
         p.write_text(good + "\n{oops\n")
         with pytest.raises(FormatError) as info:
-            load_scenes(p)
+            list(load_scenes(p))
         assert info.value.line == 2
 
     def test_jsonl_bad_utf8_names_line(self, tmp_path):
@@ -307,7 +329,7 @@ class TestSceneParsing:
         good = json.dumps(minimal_record()).encode()
         p.write_bytes(good + b"\n" + good.replace(b"img-1", b"caf\xe9") + b"\n")
         with pytest.raises(FormatError, match="0xe9") as info:
-            load_scenes(p)
+            list(load_scenes(p))
         assert info.value.line == 2
 
     def test_non_number_depth_file_names_line_and_field(self, tmp_path):
@@ -315,7 +337,7 @@ class TestSceneParsing:
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.json")])
         with pytest.raises(FormatError, match="depth values must be numbers") as info:
-            load_scenes(p)
+            list(load_scenes(p))
         assert (info.value.line, info.value.field) == (1, "depth")
 
     def test_ragged_depth_file_names_line_and_field(self, tmp_path):
@@ -323,14 +345,14 @@ class TestSceneParsing:
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(), minimal_record(depth="d.json")])
         with pytest.raises(FormatError, match="must form a non-empty 2D grid") as info:
-            load_scenes(p)
+            list(load_scenes(p))
         assert (info.value.line, info.value.field) == (2, "depth")
 
     def test_depth_path_resolved_relative(self, tmp_path):
         write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100))))
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.pgm")])
-        scene = load_scenes(p)[0]
+        scene = list(load_scenes(p))[0]
         assert scene.depth is not None and scene.depth.height == 80
 
     def test_wrong_size_pgm_is_dimension_mismatch(self, tmp_path):
@@ -338,13 +360,13 @@ class TestSceneParsing:
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.pgm")])
         with pytest.raises(DimensionMismatch):
-            load_scenes(p)
+            list(load_scenes(p))
 
     def test_missing_depth_file(self, tmp_path):
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="gone.pgm")])
         with pytest.raises(FormatError) as info:
-            load_scenes(p)
+            list(load_scenes(p))
         assert info.value.field == "depth"
 
 
@@ -402,7 +424,7 @@ class TestEvalRecords:
         record = eval_record_from_dict(self.record_dict())
         p = tmp_path / "records.jsonl"
         write_jsonl(p, [eval_record_to_dict(record)])
-        assert load_eval_records(p) == [record]
+        assert list(load_eval_records(p)) == [record]
 
 
 def test_write_jsonl_is_canonical(tmp_path):
