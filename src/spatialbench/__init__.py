@@ -15,7 +15,6 @@ from .errors import (
     NoSamples,
     NotInvertible,
     ParseError,
-    SceneTooLarge,
     SpatialBenchError,
     UnknownKind,
 )
@@ -56,7 +55,6 @@ from .lexicon import default_contexts, default_objects
 from .prompts import (
     PromptSpec,
     RelationQuadruple,
-    augment_inversions,
     parse_prompt,
     render_prompt,
     sample_prompt_set,

@@ -5,10 +5,12 @@ scenes, sample benchmark prompts, rewrite prompts against a bias profile,
 score generated scenes, derive bias tables and profiles, filter captions,
 and fabricate synthetic scenes for pipeline tests.
 
-Global flags live on every subcommand: --tau, --config, --seed, --output,
---format. A JSON config file (or the SPATIALBENCH_CONFIG env var) supplies
-extraction defaults; explicit flags win. All randomness flows from --seed,
-and a fixed seed makes every subcommand byte-reproducible.
+Every subcommand takes --seed and --output. The commands that score or
+extract (extract, evaluate, bias-report) also take --tau and --config: a
+JSON config file (or the SPATIALBENCH_CONFIG env var) supplies extraction
+defaults, and explicit flags win. evaluate and bias-report take --format;
+stub-gen has its own --tau. All randomness flows from --seed, and a fixed
+seed makes every subcommand byte-reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from .errors import FormatError, SpatialBenchError
 from .evaluation import evaluate_records
-from .extraction import AmbiguityPolicy, ExtractionConfig, extract_scene
+from .extraction import ExtractionConfig, extract_scene
 from .geometry import RelationKind, invert
 from .lexicon import default_contexts, default_objects, load_context_list, load_object_list
 from .prompts import (
@@ -66,7 +68,6 @@ _CONFIG_TYPES = {
     "min_score": (int, float),
     "ambiguity_policy": (str,),
     "emit_next_when_directional": (bool,),
-    "max_between_objects": (int,),
 }
 
 
@@ -91,16 +92,19 @@ def _kind_probability(text: str) -> tuple[RelationKind, float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flag groups; each command takes only the groups it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tau", type=float, default=None,
-                        help="strictness divisor (default 3)")
-    common.add_argument("--config", type=Path, default=None,
-                        help=f"JSON config file (or set {CONFIG_ENV_VAR})")
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument("--output", type=Path, default=None,
                         help="output file (default stdout)")
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="report format where applicable")
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--tau", type=float, default=None,
+                         help="strictness divisor (default 3)")
+    scoring.add_argument("--config", type=Path, default=None,
+                         help=f"JSON config file (or set {CONFIG_ENV_VAR})")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "text"), default="json",
+                        help="report format")
 
     parser = argparse.ArgumentParser(
         prog="spatialbench",
@@ -109,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("extract", parents=[common],
+    p = sub.add_parser("extract", parents=[common, scoring],
                        help="extract relation facts from detection scenes")
     p.add_argument("scenes", type=Path, help="scene JSONL file")
     p.set_defaults(func=_cmd_extract)
@@ -137,12 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("prompts", help="prompt text file, one per line ('-' for stdin)")
     p.set_defaults(func=_cmd_tore)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[common, scoring, report],
                        help="score evaluation records into a benchmark report")
     p.add_argument("records", type=Path, help="evaluation record JSONL file")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("bias-report", parents=[common],
+    p = sub.add_parser("bias-report", parents=[common, scoring, report],
                        help="per-pair side accuracies, optionally saved as a profile")
     p.add_argument("records", type=Path, help="evaluation record JSONL file")
     p.add_argument("--emit-profile", type=Path, default=None,
@@ -158,6 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stub-gen", parents=[common],
                        help="fabricate synthetic scenes for prompts")
+    p.add_argument("--tau", type=float, default=3.0,
+                   help="strictness divisor the verdicts use, at least 1 (default 3)")
     p.add_argument("prompts", help="prompt text file, one per line ('-' for stdin)")
     p.add_argument("--p", type=_kind_probability, action="append", default=[],
                    metavar="KIND=P", help="satisfaction probability per kind")
@@ -187,7 +193,7 @@ def _extraction_config(args) -> ExtractionConfig:
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")
         unknown = sorted(set(raw) - set(_CONFIG_TYPES))
         if unknown:
-            raise SpatialBenchError(f"unknown config keys: {', '.join(unknown)}")
+            raise SpatialBenchError(f"config {config_path}: unknown keys: {', '.join(unknown)}")
         for key, value in raw.items():
             types = _CONFIG_TYPES[key]
             # JSON true/false are Python bools, which are also ints
@@ -195,11 +201,11 @@ def _extraction_config(args) -> ExtractionConfig:
                 expected = " or ".join(t.__name__ for t in types)
                 raise FormatError(f"config {config_path}: expected {expected}, "
                                   f"got {json.dumps(value)}", field=key)
-        policies = [p.value for p in AmbiguityPolicy]
-        if "ambiguity_policy" in raw and raw["ambiguity_policy"] not in policies:
-            raise FormatError(f"config {config_path}: expected one of {', '.join(policies)}, "
-                              f"got {json.dumps(raw['ambiguity_policy'])}",
-                              field="ambiguity_policy")
+            # every other setting is at its valid default, so a range error is this key's
+            try:
+                ExtractionConfig(**{key: value})
+            except ValueError as exc:
+                raise FormatError(f"config {config_path}: {exc}", field=key) from None
         values.update(raw)
     if args.tau is not None:
         if not (math.isfinite(args.tau) and args.tau > 0):
@@ -357,15 +363,21 @@ def _cmd_filter_captions(args) -> int:
 
 
 def _cmd_stub_gen(args) -> int:
-    tau = args.tau if args.tau is not None else 3.0
-    if not 1.0 <= tau < math.inf:  # StubGeneratorConfig's range; nan fails too
-        raise SpatialBenchError(f"--tau must be finite and >= 1 for stub-gen, got {tau}")
+    # StubGeneratorConfig's ranges, checked here to name the flag; nan fails too
+    if not 1.0 <= args.tau < math.inf:
+        raise SpatialBenchError(f"--tau must be finite and >= 1 for stub-gen, got {args.tau}")
+    for flag, size in (("--width", args.width), ("--height", args.height)):
+        if size < 1:
+            raise SpatialBenchError(f"{flag} must be at least 1, got {size}")
+    for kind, prob in args.p:
+        if not 0.0 <= prob <= 1.0:
+            raise SpatialBenchError(f"--p {kind.value}={prob}: probability must be in [0, 1]")
     cfg = StubGeneratorConfig(
         probabilities=dict(args.p),
         seed=args.seed,
         width=args.width,
         height=args.height,
-        tau=tau,
+        tau=args.tau,
     )
     prompts = [line for line in _read_lines(args.prompts) if line.strip()]
     records, plans = stub_generate(prompts, cfg)

@@ -15,10 +15,6 @@ class EmptyRegion(SpatialBenchError):
     """A box clipped to a depth map covers zero pixels."""
 
 
-class SceneTooLarge(SpatialBenchError):
-    """Scene has more eligible objects than the triplet enumeration cap."""
-
-
 class NotInvertible(SpatialBenchError):
     """Relation has no opposite-side form (ternary Between)."""
 

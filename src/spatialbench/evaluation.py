@@ -76,14 +76,14 @@ def score_clause(
     cfg: ExtractionConfig = DEFAULT_CONFIG,
     *,
     clause_index: int = 0,
-    between_strict_order: bool = False,
 ) -> ClauseVerdict:
     """Satisfaction verdict for one clause against one scene.
 
     The witness is the first passing index tuple in ascending scan order:
     (subject, object) for pairwise kinds, (middle, flanker1, flanker2) for
-    between. Missing labels, or a missing depth map for a 3D clause, simply
-    yield an unsatisfied verdict.
+    between. Between accepts either flank order: the prompt names the two
+    flankers, not which one is on the left. Missing labels, or a missing
+    depth map for a 3D clause, simply yield an unsatisfied verdict.
     """
     s = cfg.strictness
     boxes = [obj.box for obj in scene.objects]
@@ -100,10 +100,8 @@ def score_clause(
                 for j in second:
                     if j == m or j == i:
                         continue
-                    ok = check_between(boxes[i], boxes[m], boxes[j], s)
-                    if not ok and not between_strict_order:
-                        ok = check_between(boxes[j], boxes[m], boxes[i], s)
-                    if ok:
+                    if (check_between(boxes[i], boxes[m], boxes[j], s)
+                            or check_between(boxes[j], boxes[m], boxes[i], s)):
                         return ClauseVerdict(clause_index, True, (m, i, j))
         return ClauseVerdict(clause_index, False)
 
@@ -125,20 +123,9 @@ def score_clause(
     return ClauseVerdict(clause_index, False)
 
 
-def score_record(
-    record: EvalRecord,
-    cfg: ExtractionConfig = DEFAULT_CONFIG,
-    *,
-    between_strict_order: bool = False,
-) -> list[ClauseVerdict]:
+def score_record(record: EvalRecord, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[ClauseVerdict]:
     return [
-        score_clause(
-            clause,
-            record.scene,
-            cfg,
-            clause_index=i,
-            between_strict_order=between_strict_order,
-        )
+        score_clause(clause, record.scene, cfg, clause_index=i)
         for i, clause in enumerate(record.prompt.clauses)
     ]
 

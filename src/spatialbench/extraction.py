@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, SceneTooLarge
+from .errors import DimensionMismatch
 from .geometry import (
     BoundingBox,
     DepthMap,
@@ -139,8 +139,7 @@ class ExtractionConfig:
 
     min_rel_area is a fraction of image area, max_center_dist a fraction of the
     image diagonal. Detections below min_score or min_rel_area never enter any
-    predicate. max_between_objects bounds the Between output, which can grow
-    as n^3 in the number of eligible objects.
+    predicate.
     """
 
     tau: float = 3.0
@@ -149,20 +148,21 @@ class ExtractionConfig:
     min_score: float = 0.3
     ambiguity_policy: AmbiguityPolicy = AmbiguityPolicy.DROP_PAIR
     emit_next_when_directional: bool = True
-    max_between_objects: int = 100
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if not (0 < self.min_rel_area <= 1):
             raise ValueError(f"min_rel_area must be in (0, 1], got {self.min_rel_area}")
         if not (0 < self.max_center_dist <= 1):
             raise ValueError(f"max_center_dist must be in (0, 1], got {self.max_center_dist}")
         if not (0 <= self.min_score <= 1):
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
-        if self.max_between_objects < 1:
-            raise ValueError("max_between_objects must be >= 1")
         if isinstance(self.ambiguity_policy, str):
+            policies = [p.value for p in AmbiguityPolicy]
+            if self.ambiguity_policy not in policies:
+                raise ValueError(f"ambiguity_policy must be one of {', '.join(policies)}, "
+                                 f"got {self.ambiguity_policy!r}")
             object.__setattr__(self, "ambiguity_policy", AmbiguityPolicy(self.ambiguity_policy))
 
     @property
@@ -250,17 +250,11 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
     """All Between relations over ordered triplets of eligible objects.
 
     The middle object m sits between a and c when a is left of m and c right
-    of it, read off the n x n LEFT and RIGHT matrices. Scenes with more than
-    cfg.max_between_objects eligible objects raise SceneTooLarge rather than
-    silently truncating.
+    of it, read off the n x n LEFT and RIGHT matrices, so the cost is O(n^2)
+    plus the output.
     """
     s = cfg.strictness
     eligible = _eligible(scene, cfg)
-    if len(eligible) > cfg.max_between_objects:
-        raise SceneTooLarge(
-            f"{len(eligible)} eligible objects exceed the between cap "
-            f"of {cfg.max_between_objects}"
-        )
     if len(eligible) < 3:  # no triple; skip the fixed cost of the numpy set-up
         return []
     subj, obj = _pair_grid([scene.objects[i].box for i in eligible])

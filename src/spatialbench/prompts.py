@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InsufficientPool, ParseError
-from .geometry import KIND_ORDER, RelationKind, invert
+from .geometry import KIND_ORDER, RelationKind
 from .lexicon import (
     PhraseLexicon,
     default_contexts,
@@ -94,13 +94,6 @@ class RelationQuadruple:
     @property
     def phrases(self) -> tuple[str, ...]:
         return (self.subject, *self.objects)
-
-
-def augment_inversions(quads: Sequence[RelationQuadruple]) -> list[RelationQuadruple]:
-    """Append the inverse of every invertible quadruple, preserving input order."""
-    out = list(quads)
-    out.extend(invert(q) for q in quads if q.kind.has_opposite)
-    return out
 
 
 @dataclass(frozen=True)

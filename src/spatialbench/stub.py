@@ -110,7 +110,7 @@ def _synthesize(
     depth = None
     if any(c.kind.is_3d for c in spec.clauses):
         # closeness rises to the right, so an x-shift of g decides front/behind
-        plane = np.tile(np.arange(cfg.width, dtype=np.float64), (cfg.height, 1))
+        plane = np.tile(np.arange(cfg.width), (cfg.height, 1))
         depth = DepthMap(plane)
     return Scene(record_id, cfg.width, cfg.height, tuple(objects),
                  depth=depth, context=spec.context)

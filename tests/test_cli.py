@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from spatialbench.cli import CONFIG_ENV_VAR, main
+from spatialbench.cli import CONFIG_ENV_VAR, _build_parser, main
 from spatialbench.evaluation import BenchReport, evaluate_records
 from spatialbench.prompts import parse_prompt
 from spatialbench.sceneio import load_eval_records, write_jsonl
@@ -271,23 +272,31 @@ class TestEvaluate:
         assert main(["evaluate", str(records_file), "--output", str(out)]) == 0
         assert BenchReport.from_json(out.read_text()).config["tau"] == 4.0
 
-    def test_unknown_config_key(self, tmp_path, records_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"speed": 11}')
-        assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
+    def test_unknown_config_key(self, tmp_path, records_file, capsys):
+        # a key no setting reads is rejected, never silently ignored
+        for key in ("speed", "max_between_objects"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: 11}))
+            assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: config {cfg}: unknown keys: {key}"]
 
     @pytest.mark.parametrize("text, key", [
         ('{"tau": "3"}', "tau"),
         ('{"emit_next_when_directional": "false"}', "emit_next_when_directional"),
-        ('{"max_between_objects": 2.5}', "max_between_objects"),
         ('{"ambiguity_policy": "bogus"}', "ambiguity_policy"),
+        ('{"tau": 0}', "tau"),
+        ('{"tau": NaN}', "tau"),
+        ('{"min_score": 2}', "min_score"),
+        ('{"max_center_dist": 0}', "max_center_dist"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, records_file, capsys, text, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and f"field {key}" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: ")
+        assert err[0].endswith(f"(field {key})")
 
     def test_deterministic(self, tmp_path, records_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [
@@ -404,6 +413,16 @@ class TestStubGen:
         src.write_text("definitely not a prompt\n")
         assert main(["stub-gen", str(src)]) == 1
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--width", "0"], "--width must be at least 1, got 0"),
+        (["--height", "-5"], "--height must be at least 1, got -5"),
+        (["--p", "top=2"], "--p top=2.0: probability must be in [0, 1]"),
+        (["--p", "left=nan"], "--p left=nan: probability must be in [0, 1]"),
+    ], ids=["width", "height", "p", "p-nan"])
+    def test_out_of_range_flag_names_it(self, prompts_file, capsys, flag, message):
+        assert main(["stub-gen", str(prompts_file), *flag]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestPromptFiles:
     @pytest.mark.parametrize("argv", [["tore", "--profile", "sdxl"], ["stub-gen"]],
@@ -455,6 +474,44 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --tau must be"), err
 
+    # each command's argv is valid but for one flag the command no longer takes
+    @pytest.mark.parametrize("argv", [
+        ["gen-prompts", "--simple", "top=2", "--tau", "nan"],
+        ["tore", "--profile", "sdxl", "p.txt", "--config", "x"],
+        ["extract", "scenes.jsonl", "--format", "text"],
+        ["stub-gen", "p.txt", "--config", "x"],
+    ], ids=["gen-prompts-tau", "tore-config", "extract-format", "stub-gen-config"])
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
     def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
         assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1
         assert capsys.readouterr().err == "error: --tau must be finite and >= 1 for stub-gen, got 0.5\n"
+
+
+# Every option of every subcommand; a flag added to or dropped from any
+# command shows up here as a diff.
+OPTIONS = {
+    "extract": {"--seed", "--output", "--tau", "--config"},
+    "gen-prompts": {"--seed", "--output", "--simple", "--complex", "--objects",
+                    "--contexts", "--pool-size", "--invert"},
+    "tore": {"--seed", "--output", "--profile", "--pairs"},
+    "evaluate": {"--seed", "--output", "--tau", "--config", "--format"},
+    "bias-report": {"--seed", "--output", "--tau", "--config", "--format",
+                    "--emit-profile"},
+    "filter-captions": {"--seed", "--output", "--objects", "--contexts"},
+    "stub-gen": {"--seed", "--output", "--tau", "--p", "--width", "--height", "--plans"},
+}
+
+
+def test_option_strings_per_command():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTIONS

@@ -98,21 +98,6 @@ class TestScoreClause:
         assert verdict.satisfied
         assert verdict.witness == (1, 2, 0)
 
-    def test_between_strict_order_mode(self):
-        scene = make_scene(
-            [("p", (0, 0, 20, 40)), ("m", (30, 0, 50, 40)), ("q", (60, 0, 80, 40))],
-            width=100,
-            height=100,
-        )
-        ok = score_clause(
-            quad("m", "between", ("q", "p")), scene, between_strict_order=True
-        )
-        assert not ok.satisfied
-        still = score_clause(
-            quad("m", "between", ("p", "q")), scene, between_strict_order=True
-        )
-        assert still.satisfied
-
     def test_depth_clause_without_map_unsatisfied(self):
         scene = make_scene([("a", (50, 20, 90, 60)), ("b", (40, 25, 80, 65))], 100, 100)
         assert not score_clause(quad("a", "front", "b"), scene).satisfied

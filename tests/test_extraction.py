@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spatialbench.errors import DimensionMismatch, NotInvertible, SceneTooLarge
+from spatialbench.errors import DimensionMismatch, NotInvertible
 from spatialbench.extraction import (
     AmbiguityPolicy,
     DetectedObject,
@@ -49,7 +52,10 @@ class TestConfig:
         assert cfg.min_score == 0.3
         assert cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR
         assert cfg.emit_next_when_directional is True
-        assert cfg.max_between_objects == 100
+        assert [f.name for f in fields(cfg)] == [
+            "tau", "min_rel_area", "max_center_dist", "min_score",
+            "ambiguity_policy", "emit_next_when_directional",
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -208,36 +214,29 @@ class TestExtractBetween:
     def test_two_object_scene(self):
         assert extract_between(scene_of(EXAMPLE_A)) == []
 
-    def test_cap_checked_before_small_scene_shortcut(self):
-        with pytest.raises(SceneTooLarge):
-            extract_between(scene_of(EXAMPLE_A), ExtractionConfig(max_between_objects=1))
-
     def test_three_coincident_boxes(self):
         scene = scene_of([(0, 0, 40, 40)] * 3, width=100, height=100)
         assert extract_between(scene) == []
 
-    def test_scene_too_large(self):
-        boxes = [
-            (
-                (i % 5) * 20.0,
-                (i // 5) * 18.0,
-                (i % 5) * 20.0 + 20.0,
-                (i // 5) * 18.0 + 18.0,
-            )
-            for i in range(21)
-        ]
-        scene = scene_of(boxes, width=110, height=100)
-        with pytest.raises(SceneTooLarge):
-            extract_between(scene, ExtractionConfig(max_between_objects=20))
-        # a higher cap clears the error
-        extract_between(scene, ExtractionConfig(max_between_objects=25))
+    # 101 boxes of 8x10 in one row, 2px apart: each is left of every box
+    # further right, so every ordered (left, middle, right) triple is between
+    ROW = [(10 * i, 0, 10 * i + 8, 10) for i in range(101)]
 
-    def test_cap_counts_eligible_objects_only(self):
-        # 101 detections but only a handful pass the score floor
-        boxes = [(0, 0, 50, 50)] * 101
-        scores = [1.0] * 3 + [0.1] * 98
-        scene = scene_of(boxes, width=100, height=100, scores=scores)
-        extract_between(scene, ExtractionConfig(max_between_objects=5))
+    def test_row_of_101_gives_every_triple(self):
+        # each box is 0.8% of the image, so the area floor is lowered to let
+        # all 101 in; there is no cap on the number of eligible objects
+        scene = scene_of(self.ROW, width=1010, height=10)
+        out = extract_between(scene, ExtractionConfig(min_rel_area=0.001))
+        assert len(out) == comb(101, 3) == 166_650
+        assert all(r.objects[0] < r.subject < r.objects[1] for r in out)
+
+    def test_ineligible_detections_never_flank(self):
+        # 101 detections but only three pass the score floor
+        scores = [0.1] * 101
+        scores[0] = scores[50] = scores[100] = 1.0
+        scene = scene_of(self.ROW, width=1010, height=10, scores=scores)
+        out = extract_between(scene, ExtractionConfig(min_rel_area=0.001))
+        assert as_triples(out) == {("between", 50, (0, 100))}
 
 
 class TestExtractScene:

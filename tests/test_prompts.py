@@ -23,7 +23,6 @@ from spatialbench.prompts import (
     PromptSpec,
     RelationQuadruple,
     article_for,
-    augment_inversions,
     parse_prompt,
     render_prompt,
     sample_prompt_set,
@@ -321,33 +320,9 @@ def test_rendered_article_matches_vowel_rule(spec):
             assert (w == "an") == starts_vowel
 
 
-class TestAugmentInversions:
-    def test_right_gains_left(self):
-        quads = [quad("car", "right", "tree", "city")]
-        assert augment_inversions(quads) == [
-            quad("car", "right", "tree", "city"),
-            quad("tree", "left", "car", "city"),
-        ]
-
-    def test_empty(self):
-        assert augment_inversions([]) == []
-
-    def test_between_passes_through(self):
-        quads = [quad("bench", "between", ("car", "tree"), "city")]
-        assert augment_inversions(quads) == quads
-
+class TestInvertQuadruple:
     def test_next_inverts_to_next(self):
-        quads = [quad("car", "next", "tree", "city")]
-        out = augment_inversions(quads)
-        assert out[1] == quad("tree", "next", "car", "city")
-
-    @given(st.lists(quadruples(), max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_length_invariant(self, quads):
-        invertible = sum(1 for q in quads if q.kind is not RelationKind.BETWEEN)
-        out = augment_inversions(quads)
-        assert len(out) == len(quads) + invertible
-        assert out[: len(quads)] == list(quads)
+        assert invert(quad("car", "next", "tree", "city")) == quad("tree", "next", "car", "city")
 
     @given(quadruples())
     @settings(max_examples=100, deadline=None)
