@@ -11,11 +11,18 @@ JSON config file (or the SPATIALBENCH_CONFIG env var) supplies extraction
 defaults, and explicit flags win. evaluate and bias-report take --format;
 stub-gen has its own --tau. All randomness flows from --seed, and a fixed
 seed makes every subcommand byte-reproducible.
+
+gen-prompts, tore and --help run without numpy. The numpy-free modules
+(errors, relations, textutil, lexicon, prompts, tore) are imported normally;
+the array modules (evaluation, extraction, geometry, sceneio, stub) are
+registered as lazy modules and run when a command first reads one of their
+attributes.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -24,28 +31,15 @@ import sys
 from pathlib import Path
 
 from .errors import FormatError, SpatialBenchError
-from .evaluation import evaluate_records
-from .extraction import ExtractionConfig, extract_scene
-from .geometry import RelationKind, invert
 from .lexicon import default_contexts, default_objects, load_context_list, load_object_list
 from .prompts import (
     PromptSpec,
     RelationQuadruple,
+    _trusted_quadruple,
     render_prompt,
     sample_prompt_set,
 )
-from .sceneio import (
-    ObjectLexicon,
-    caption_to_dict,
-    eval_record_to_dict,
-    filter_captions,
-    load_captions,
-    load_eval_records,
-    load_scenes,
-    relations_to_dict,
-    write_jsonl,
-)
-from .stub import StubGeneratorConfig, stub_generate
+from .relations import RelationKind, invert
 from .textutil import decode_line
 from .tore import (
     ToreConfig,
@@ -55,6 +49,32 @@ from .tore import (
     profile_to_json,
     transform_prompt,
 )
+
+
+def _lazy_module(name: str):
+    """The package module ``name``, put in sys.modules now but run on first attribute read."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The array modules load numpy, which gen-prompts, tore and --help never need.
+# Commands call them through the module (sceneio.load_scenes(...)), so that a
+# function rebound in its home module is what runs. geometry is unused here
+# but registered too: importing this module puts every package module in
+# sys.modules, which bench/tracing.py relies on.
+evaluation = _lazy_module("evaluation")
+extraction = _lazy_module("extraction")
+sceneio = _lazy_module("sceneio")
+stub = _lazy_module("stub")
+_lazy_module("geometry")
 
 __all__ = ["main"]
 
@@ -179,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _extraction_config(args) -> ExtractionConfig:
+def _extraction_config(args) -> extraction.ExtractionConfig:
     values: dict = {}
     config_path = args.config or (
         Path(os.environ[CONFIG_ENV_VAR]) if os.environ.get(CONFIG_ENV_VAR) else None
@@ -203,7 +223,7 @@ def _extraction_config(args) -> ExtractionConfig:
                                   f"got {json.dumps(value)}", field=key)
             # every other setting is at its valid default, so a range error is this key's
             try:
-                ExtractionConfig(**{key: value})
+                extraction.ExtractionConfig(**{key: value})
             except ValueError as exc:
                 raise FormatError(f"config {config_path}: {exc}", field=key) from None
         values.update(raw)
@@ -211,7 +231,7 @@ def _extraction_config(args) -> ExtractionConfig:
         if not (math.isfinite(args.tau) and args.tau > 0):
             raise SpatialBenchError(f"--tau must be finite and positive, got {args.tau}")
         values["tau"] = args.tau
-    return ExtractionConfig(**values)
+    return extraction.ExtractionConfig(**values)
 
 
 def _write_output(args, text: str) -> None:
@@ -223,9 +243,9 @@ def _write_output(args, text: str) -> None:
 
 def _write_records(args, dicts) -> None:
     if args.output is None:
-        write_jsonl(sys.stdout, dicts)
+        sceneio.write_jsonl(sys.stdout, dicts)
     else:
-        write_jsonl(args.output, dicts)
+        sceneio.write_jsonl(args.output, dicts)
 
 
 def _read_lines(source: str) -> list[str]:
@@ -262,8 +282,8 @@ def _cmd_extract(args) -> int:
     cfg = _extraction_config(args)
     # one scene (and its depth map) is alive at a time; the small relation
     # dicts are kept, so a bad line fails the run before anything is written
-    dicts = [relations_to_dict(scene, extract_scene(scene, cfg))
-             for scene in load_scenes(args.scenes)]
+    dicts = [sceneio.relations_to_dict(scene, extraction.extract_scene(scene, cfg))
+             for scene in sceneio.load_scenes(args.scenes)]
     _write_records(args, dicts)
     return 0
 
@@ -296,7 +316,14 @@ def _cmd_gen_prompts(args) -> int:
 def _candidate_pool(
     kinds, objects, pool_size: int, seed: int
 ) -> list[RelationQuadruple]:
-    """Draw a deduplicated random pool of candidate facts per kind."""
+    """Draw a deduplicated random pool of candidate facts per kind.
+
+    objects are normalized phrases, as the lexicon loaders return them. Each
+    is checked once, as RelationQuadruple would check it, and the entries are
+    then built without repeating those checks.
+    """
+    for phrase in objects:
+        RelationQuadruple(phrase, RelationKind.NEXT, (phrase,))
     rng = random.Random(seed)
     pool: list[RelationQuadruple] = []
     for kind in kinds:
@@ -311,7 +338,7 @@ def _candidate_pool(
             if picked in seen:
                 continue
             seen.add(picked)
-            pool.append(RelationQuadruple(picked[0], kind, picked[1:]))
+            pool.append(_trusted_quadruple(picked[0], kind, picked[1:]))
     return pool
 
 
@@ -330,16 +357,16 @@ def _cmd_tore(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _extraction_config(args)
-    records = load_eval_records(args.records)
-    report = evaluate_records(records, cfg, seed=args.seed)
+    records = sceneio.load_eval_records(args.records)
+    report = evaluation.evaluate_records(records, cfg, seed=args.seed)
     _write_output(args, report.to_json() if args.format == "json" else report.to_text())
     return 0
 
 
 def _cmd_bias_report(args) -> int:
     cfg = _extraction_config(args)
-    records = load_eval_records(args.records)
-    report = evaluate_records(records, cfg, seed=args.seed)
+    records = sceneio.load_eval_records(args.records)
+    report = evaluation.evaluate_records(records, cfg, seed=args.seed)
     profile = compute_bias_profile(report) if args.emit_profile is not None else None
     if args.format == "json":
         text = json.dumps(report.bias, sort_keys=True, indent=2) + "\n"
@@ -354,11 +381,11 @@ def _cmd_bias_report(args) -> int:
 def _cmd_filter_captions(args) -> int:
     if args.objects or args.contexts:
         objects, contexts = _load_lexicon(args)
-        lex = ObjectLexicon(frozenset(objects), frozenset(contexts))
+        lex = sceneio.ObjectLexicon(frozenset(objects), frozenset(contexts))
     else:
         lex = None
-    kept = filter_captions(load_captions(args.captions), lex)
-    _write_records(args, (caption_to_dict(r) for r in kept))
+    kept = sceneio.filter_captions(sceneio.load_captions(args.captions), lex)
+    _write_records(args, (sceneio.caption_to_dict(r) for r in kept))
     return 0
 
 
@@ -372,7 +399,7 @@ def _cmd_stub_gen(args) -> int:
     for kind, prob in args.p:
         if not 0.0 <= prob <= 1.0:
             raise SpatialBenchError(f"--p {kind.value}={prob}: probability must be in [0, 1]")
-    cfg = StubGeneratorConfig(
+    cfg = stub.StubGeneratorConfig(
         probabilities=dict(args.p),
         seed=args.seed,
         width=args.width,
@@ -380,10 +407,10 @@ def _cmd_stub_gen(args) -> int:
         tau=args.tau,
     )
     prompts = [line for line in _read_lines(args.prompts) if line.strip()]
-    records, plans = stub_generate(prompts, cfg)
-    _write_records(args, (eval_record_to_dict(r) for r in records))
+    records, plans = stub.stub_generate(prompts, cfg)
+    _write_records(args, (sceneio.eval_record_to_dict(r) for r in records))
     if args.plans is not None:
-        write_jsonl(args.plans, (
+        sceneio.write_jsonl(args.plans, (
             {"id": plan.record_id, "verdicts": list(plan.verdicts)} for plan in plans
         ))
     return 0

@@ -22,14 +22,13 @@ from typing import Iterable
 from .errors import NoSamples
 from .extraction import DEFAULT_CONFIG, ExtractionConfig, Scene
 from .geometry import (
-    OPPOSITE_PAIRS,
-    RelationKind,
     check_between,
     check_depth_relation,
     check_directional,
     check_next,
 )
 from .prompts import PromptSpec, RelationQuadruple
+from .relations import OPPOSITE_PAIRS, RelationKind, pair_id
 
 __all__ = [
     "EvalRecord",
@@ -38,12 +37,7 @@ __all__ = [
     "score_clause",
     "score_record",
     "evaluate_records",
-    "pair_id",
 ]
-
-
-def pair_id(pair: tuple[RelationKind, RelationKind]) -> str:
-    return f"{pair[0].value}_{pair[1].value}"
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,11 @@ from .errors import DimensionMismatch
 from .geometry import (
     BoundingBox,
     DepthMap,
-    KIND_ORDER,
-    RelationKind,
-    Strictness,
     average_depth,
     batch_check_depth_overlap,
     batch_check_directional,
 )
+from .relations import KIND_ORDER, RelationKind, Strictness
 from .textutil import normalize_phrase
 
 __all__ = [

@@ -5,9 +5,8 @@ so "top" means smaller y. Boxes are (x_min, y_min, x_max, y_max) in absolute
 pixels. All predicates are pure functions of their arguments; the strictness
 value tau scales every threshold (larger tau = tighter constraints).
 
-RelationKind is the one relation vocabulary: its four 2D kinds select the
-case of the directional predicates, and invert() restates any relation from
-the other side of its pair ("A under B" is "B on top of A").
+The four 2D kinds of RelationKind (see relations.py) select the case of the
+directional predicates.
 
 Each predicate formula is written once, shape-generic over Python floats and
 numpy arrays. The scalar functions apply it to BoundingBox values and return
@@ -19,24 +18,27 @@ grid of ordered box pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
-from typing import TypeVar
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, NotInvertible
+from .errors import EmptyRegion
+
+# KIND_ORDER, OPPOSITE_PAIRS and invert are not used here, but callers may
+# still import the whole vocabulary from this module
+from .relations import (  # noqa: F401
+    DEFAULT_STRICTNESS,
+    KIND_ORDER,
+    OPPOSITE_PAIRS,
+    RelationKind,
+    Strictness,
+    invert,
+)
 
 __all__ = [
     "BoundingBox",
-    "RelationKind",
-    "Strictness",
     "AxisDistances",
     "DepthMap",
-    "DEFAULT_STRICTNESS",
-    "KIND_ORDER",
-    "OPPOSITE_PAIRS",
-    "invert",
     "axis_distances",
     "directional_distance",
     "check_directional",
@@ -51,93 +53,6 @@ __all__ = [
     "batch_check_between",
     "batch_check_depth_overlap",
 ]
-
-
-class RelationKind(Enum):
-    """The eight supported spatial relation kinds."""
-
-    RIGHT = "right"
-    LEFT = "left"
-    TOP = "top"
-    BOTTOM = "bottom"
-    NEXT = "next"
-    BETWEEN = "between"
-    FRONT = "front"
-    BEHIND = "behind"
-
-    @property
-    def is_directional_2d(self) -> bool:
-        return self in _DIRECTIONAL_2D
-
-    @property
-    def is_3d(self) -> bool:
-        return self in (RelationKind.FRONT, RelationKind.BEHIND)
-
-    @property
-    def has_opposite(self) -> bool:
-        # Between is the only kind without an inverse form
-        return self is not RelationKind.BETWEEN
-
-    def opposite(self) -> "RelationKind":
-        """Opposite side of a directional or 3D kind (Next maps to itself)."""
-        return _OPPOSITE[self]
-
-
-_OPPOSITE = {
-    RelationKind.RIGHT: RelationKind.LEFT,
-    RelationKind.LEFT: RelationKind.RIGHT,
-    RelationKind.TOP: RelationKind.BOTTOM,
-    RelationKind.BOTTOM: RelationKind.TOP,
-    RelationKind.FRONT: RelationKind.BEHIND,
-    RelationKind.BEHIND: RelationKind.FRONT,
-    RelationKind.NEXT: RelationKind.NEXT,
-}
-
-_DIRECTIONAL_2D = (
-    RelationKind.RIGHT,
-    RelationKind.LEFT,
-    RelationKind.TOP,
-    RelationKind.BOTTOM,
-)
-
-# Canonical sort order for deterministic relation listings.
-KIND_ORDER = {kind: index for index, kind in enumerate(RelationKind)}
-
-# The three opposite-side pairs, in report order.
-OPPOSITE_PAIRS = (
-    (RelationKind.TOP, RelationKind.BOTTOM),
-    (RelationKind.LEFT, RelationKind.RIGHT),
-    (RelationKind.FRONT, RelationKind.BEHIND),
-)
-
-_R = TypeVar("_R")
-
-
-def invert(relation: _R) -> _R:
-    """The same RelationInstance or RelationQuadruple seen from its object.
-
-    Subject and object swap and the kind becomes its opposite ("A under B" is
-    "B on top of A"); Next stays Next and the context carries over. Between
-    has no opposite and raises NotInvertible.
-    """
-    if not relation.kind.has_opposite:
-        raise NotInvertible(f"{relation.kind.value} relations have no inverse form")
-    return replace(relation, subject=relation.objects[0], kind=relation.kind.opposite(),
-                   objects=(relation.subject,))
-
-
-@dataclass(frozen=True)
-class Strictness:
-    """Constraint strictness divisor; thresholds are min-extent / tau."""
-
-    tau: float = 3.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
-
-
-DEFAULT_STRICTNESS = Strictness()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import FormatError, UnknownKind
-from .geometry import RelationKind
+from .relations import RelationKind
 from .textutil import normalize_phrase
 
 _IRREGULAR_PLURALS = {

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InsufficientPool, ParseError
-from .geometry import KIND_ORDER, RelationKind
 from .lexicon import (
     PhraseLexicon,
     default_contexts,
@@ -33,6 +32,7 @@ from .lexicon import (
     pluralize,
     singularize,
 )
+from .relations import KIND_ORDER, RelationKind
 from .textutil import normalize_phrase
 
 _ARTICLES = ("a", "an", "the")
@@ -94,6 +94,19 @@ class RelationQuadruple:
     @property
     def phrases(self) -> tuple[str, ...]:
         return (self.subject, *self.objects)
+
+
+def _trusted_quadruple(
+    subject: str, kind: RelationKind, objects: tuple[str, ...]
+) -> RelationQuadruple:
+    """A context-free RelationQuadruple from parts that already passed its checks.
+
+    The phrases must be normalized and valid, as __post_init__ would leave
+    them; nothing is checked or normalized again.
+    """
+    q = object.__new__(RelationQuadruple)
+    q.__dict__.update(subject=subject, kind=kind, objects=objects, context=None)
+    return q
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .errors import SpatialBenchError
 from .evaluation import EvalRecord, score_clause
 from .extraction import DetectedObject, ExtractionConfig, Scene
-from .geometry import BoundingBox, DepthMap, RelationKind
-from .prompts import PromptSpec, RelationQuadruple, parse_prompt
+from .geometry import BoundingBox, DepthMap
+from .prompts import PromptSpec, RelationQuadruple, parse_prompt, render_prompt
+from .relations import RelationKind
 
 __all__ = ["StubGeneratorConfig", "StubPlan", "stub_generate"]
 
@@ -99,9 +101,10 @@ def _synthesize(
     # the front/behind overlap gate needs g < s/tau, and the diagonal
     # violation offset needs 2s outside the s/tau alignment band
     if not g < s / cfg.tau:
-        raise ValueError(
-            f"scene {cfg.width}x{cfg.height} is too small for tau {cfg.tau} "
-            f"with {len(spec.clauses)} clause(s)"
+        raise SpatialBenchError(
+            f"scene {cfg.width}x{cfg.height} (--width/--height) is too small for tau "
+            f"{cfg.tau} with {len(spec.clauses)} clause(s) (record {record_id}, "
+            f"prompt {render_prompt(spec)!r})"
         )
     objects: list[DetectedObject] = []
     for k, (clause, want) in enumerate(zip(spec.clauses, intents)):

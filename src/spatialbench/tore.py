@@ -15,13 +15,15 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import FormatError, MissingRelation, ParseError
-from .evaluation import BenchReport, pair_id
-from .geometry import OPPOSITE_PAIRS, RelationKind, invert
 from .lexicon import PhraseLexicon
 from .prompts import PromptSpec, parse_prompt, render_prompt
+from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
+
+if TYPE_CHECKING:  # evaluation loads numpy, which rewriting never needs
+    from .evaluation import BenchReport
 
 __all__ = [
     "BiasProfile",

@@ -10,7 +10,7 @@ import pytest
 
 from spatialbench.cli import CONFIG_ENV_VAR, _build_parser, main
 from spatialbench.evaluation import BenchReport, evaluate_records
-from spatialbench.prompts import parse_prompt
+from spatialbench.prompts import parse_prompt, render_prompt
 from spatialbench.sceneio import load_eval_records, write_jsonl
 from spatialbench.tore import load_bias_profile
 
@@ -422,6 +422,16 @@ class TestStubGen:
     def test_out_of_range_flag_names_it(self, prompts_file, capsys, flag, message):
         assert main(["stub-gen", str(prompts_file), *flag]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_scene_too_small_names_flags_and_prompt(self, tmp_path, capsys):
+        prompt = "A lamp on top of a bench, the bench left of a car in a park"
+        src = tmp_path / "p.txt"
+        src.write_text(prompt + "\n")
+        assert main(["stub-gen", str(src), "--width", "97", "--height", "53"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: scene 97x53 (--width/--height) is too small")
+        assert "2 clause(s)" in line and "record stub-000000" in line
+        assert repr(render_prompt(parse_prompt(prompt))) in line
 
 
 class TestPromptFiles:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialbench.errors import SpatialBenchError
 from spatialbench.evaluation import evaluate_records, score_clause
 from spatialbench.extraction import ExtractionConfig
 from spatialbench.geometry import RelationKind
@@ -122,7 +123,7 @@ class TestConfig:
 
     def test_scene_too_small_for_tau(self):
         cfg = StubGeneratorConfig(width=20, height=20)
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(SpatialBenchError, match="too small"):
             stub_generate([spec_for(RelationKind.RIGHT)], cfg)
 
 
