@@ -6,11 +6,12 @@ score generated scenes, derive bias tables and profiles, filter captions,
 and fabricate synthetic scenes for pipeline tests.
 
 Every subcommand takes --seed and --output. The commands that score or
-extract (extract, evaluate, bias-report) also take --tau and --config: a
-JSON config file (or the SPATIALBENCH_CONFIG env var) supplies extraction
-defaults, and explicit flags win. evaluate and bias-report take --format;
-stub-gen has its own --tau. All randomness flows from --seed, and a fixed
-seed makes every subcommand byte-reproducible.
+extract (extract, evaluate, bias-report) also take --tau, the strictness
+divisor, which is the one setting scoring reads. extract alone takes
+--config: a JSON config file (or the SPATIALBENCH_CONFIG env var) supplies
+extraction defaults, and an explicit --tau wins. evaluate and bias-report
+take --format; stub-gen has its own --tau. All randomness flows from --seed,
+and a fixed seed makes every subcommand byte-reproducible.
 
 gen-prompts, tore and --help run without numpy. The numpy-free modules
 (errors, relations, textutil, lexicon, prompts, tore) are imported normally;
@@ -39,9 +40,10 @@ from .prompts import (
     render_prompt,
     sample_prompt_set,
 )
-from .relations import RelationKind, invert
+from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness, invert
 from .textutil import decode_line
 from .tore import (
+    PAIR_IDS,
     ToreConfig,
     builtin_profile,
     compute_bias_profile,
@@ -120,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--tau", type=float, default=None,
                          help="strictness divisor (default 3)")
-    scoring.add_argument("--config", type=Path, default=None,
-                         help=f"JSON config file (or set {CONFIG_ENV_VAR})")
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format")
@@ -136,6 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", parents=[common, scoring],
                        help="extract relation facts from detection scenes")
     p.add_argument("scenes", type=Path, help="scene JSONL file")
+    p.add_argument("--config", type=Path, default=None,
+                   help=f"JSON extraction config file (or set {CONFIG_ENV_VAR})")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("gen-prompts", parents=[common],
@@ -199,8 +201,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+def _strictness(args) -> Strictness:
+    if args.tau is None:
+        return DEFAULT_STRICTNESS
+    if not (math.isfinite(args.tau) and args.tau > 0):
+        raise SpatialBenchError(f"--tau must be finite and positive, got {args.tau}")
+    return Strictness(args.tau)
+
+
 def _extraction_config(args) -> extraction.ExtractionConfig:
-    values: dict = {}
+    raw: dict = {}
     config_path = args.config or (
         Path(os.environ[CONFIG_ENV_VAR]) if os.environ.get(CONFIG_ENV_VAR) else None
     )
@@ -226,12 +236,9 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
                 extraction.ExtractionConfig(**{key: value})
             except ValueError as exc:
                 raise FormatError(f"config {config_path}: {exc}", field=key) from None
-        values.update(raw)
     if args.tau is not None:
-        if not (math.isfinite(args.tau) and args.tau > 0):
-            raise SpatialBenchError(f"--tau must be finite and positive, got {args.tau}")
-        values["tau"] = args.tau
-    return extraction.ExtractionConfig(**values)
+        raw["tau"] = _strictness(args).tau
+    return extraction.ExtractionConfig(**raw)
 
 
 def _write_output(args, text: str) -> None:
@@ -242,10 +249,7 @@ def _write_output(args, text: str) -> None:
 
 
 def _write_records(args, dicts) -> None:
-    if args.output is None:
-        sceneio.write_jsonl(sys.stdout, dicts)
-    else:
-        sceneio.write_jsonl(args.output, dicts)
+    sceneio.write_jsonl(sys.stdout if args.output is None else args.output, dicts)
 
 
 def _read_lines(source: str) -> list[str]:
@@ -270,9 +274,7 @@ def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def _resolve_profile(name: str):
     path = Path(name)
-    if path.exists():
-        return load_bias_profile(path)
-    return builtin_profile(name)
+    return load_bias_profile(path) if path.exists() else builtin_profile(name)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +295,17 @@ def _cmd_gen_prompts(args) -> int:
     complex_counts = dict(getattr(args, "complex"))
     if not simple and not complex_counts:
         raise SpatialBenchError("nothing to generate: pass --simple and/or --complex")
+    for flag, counts in (("--simple", simple), ("--complex", complex_counts)):
+        for kind, n in counts.items():
+            if n < 0:
+                raise SpatialBenchError(f"{flag} {kind.value}={n}: count must not be negative")
     objects, contexts = _load_lexicon(args)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
+    needed = 3 if RelationKind.BETWEEN in kinds else 2
+    if len(objects) < needed:
+        raise SpatialBenchError(
+            f"--objects {args.objects} lists {len(objects)} object(s); "
+            f"{needed} are needed" + (" for between" if needed == 3 else ""))
     largest = max([*simple.values(), *complex_counts.values()])
     if args.pool_size is not None and args.pool_size < 1:
         raise SpatialBenchError(f"--pool-size must be at least 1, got {args.pool_size}")
@@ -331,10 +342,7 @@ def _candidate_pool(
         ceiling = len(objects) * max(1, len(objects) - 1)
         budget = min(pool_size, ceiling)
         while len(seen) < budget:
-            if kind is RelationKind.BETWEEN:
-                picked = tuple(rng.sample(objects, 3))
-            else:
-                picked = tuple(rng.sample(objects, 2))
+            picked = tuple(rng.sample(objects, 3 if kind is RelationKind.BETWEEN else 2))
             if picked in seen:
                 continue
             seen.add(picked)
@@ -344,11 +352,11 @@ def _candidate_pool(
 
 def _cmd_tore(args) -> int:
     profile = _resolve_profile(args.profile)
-    if args.pairs is None:
-        cfg = ToreConfig(profile)
-    else:
-        pairs = frozenset(p.strip() for p in args.pairs.split(",") if p.strip())
-        cfg = ToreConfig(profile, pairs)
+    pairs = PAIR_IDS if args.pairs is None else (p.strip() for p in args.pairs.split(","))
+    try:
+        cfg = ToreConfig(profile, frozenset(p for p in pairs if p))
+    except ValueError as exc:
+        raise SpatialBenchError(f"--pairs {args.pairs!r}: {exc}") from None
     lines = _read_lines(args.prompts)
     out = [transform_prompt(line, cfg, lenient=True) for line in lines]
     _write_output(args, "".join(line + "\n" for line in out))
@@ -356,17 +364,15 @@ def _cmd_tore(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _extraction_config(args)
     records = sceneio.load_eval_records(args.records)
-    report = evaluation.evaluate_records(records, cfg, seed=args.seed)
+    report = evaluation.evaluate_records(records, _strictness(args), seed=args.seed)
     _write_output(args, report.to_json() if args.format == "json" else report.to_text())
     return 0
 
 
 def _cmd_bias_report(args) -> int:
-    cfg = _extraction_config(args)
     records = sceneio.load_eval_records(args.records)
-    report = evaluation.evaluate_records(records, cfg, seed=args.seed)
+    report = evaluation.evaluate_records(records, _strictness(args), seed=args.seed)
     profile = compute_bias_profile(report) if args.emit_profile is not None else None
     if args.format == "json":
         text = json.dumps(report.bias, sort_keys=True, indent=2) + "\n"

@@ -2,10 +2,11 @@
 
 A clause is satisfied when ANY pair (or triple, for between) of detected
 instances whose labels match the clause's noun phrases passes the geometry
-predicate at the configured tau. Duplicate detections are therefore harmless:
-one passing assignment suffices. Clause scoring ignores the extractor's
-proximity, score and area filters on purpose; the prompt already commits to
-the objects, so only the spatial constraint is under test.
+predicate at the given strictness. Duplicate detections are therefore
+harmless: one passing assignment suffices. Clause scoring ignores the
+extractor's proximity, score and area filters on purpose; the prompt already
+commits to the objects, so only the spatial constraint is under test. Tau
+is thus the one setting scoring reads, and the one the report records.
 
 evaluate_records is the one aggregator: it scores each record once, and the
 report's soft and strict accuracies and its opposite-pair bias table are all
@@ -20,15 +21,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import NoSamples
-from .extraction import DEFAULT_CONFIG, ExtractionConfig, Scene
-from .geometry import (
-    check_between,
-    check_depth_relation,
-    check_directional,
-    check_next,
-)
+from .extraction import Scene
+from .geometry import check_between, check_depth_relation, check_directional, check_next
 from .prompts import PromptSpec, RelationQuadruple
-from .relations import OPPOSITE_PAIRS, RelationKind, pair_id
+from .relations import DEFAULT_STRICTNESS, OPPOSITE_PAIRS, RelationKind, Strictness, pair_id
 
 __all__ = [
     "EvalRecord",
@@ -67,7 +63,7 @@ def _instances(scene: Scene, label: str) -> list[int]:
 def score_clause(
     clause: RelationQuadruple,
     scene: Scene,
-    cfg: ExtractionConfig = DEFAULT_CONFIG,
+    s: Strictness = DEFAULT_STRICTNESS,
     *,
     clause_index: int = 0,
 ) -> ClauseVerdict:
@@ -79,7 +75,6 @@ def score_clause(
     flankers, not which one is on the left. Missing labels, or a missing
     depth map for a 3D clause, simply yield an unsatisfied verdict.
     """
-    s = cfg.strictness
     boxes = [obj.box for obj in scene.objects]
     subjects = _instances(scene, clause.subject)
     kind = clause.kind
@@ -117,9 +112,9 @@ def score_clause(
     return ClauseVerdict(clause_index, False)
 
 
-def score_record(record: EvalRecord, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[ClauseVerdict]:
+def score_record(record: EvalRecord, s: Strictness = DEFAULT_STRICTNESS) -> list[ClauseVerdict]:
     return [
-        score_clause(clause, record.scene, cfg, clause_index=i)
+        score_clause(clause, record.scene, s, clause_index=i)
         for i, clause in enumerate(record.prompt.clauses)
     ]
 
@@ -186,7 +181,7 @@ class BenchReport:
 
 def evaluate_records(
     records: Iterable[EvalRecord],
-    cfg: ExtractionConfig = DEFAULT_CONFIG,
+    s: Strictness = DEFAULT_STRICTNESS,
     *,
     seed: int | None = None,
 ) -> BenchReport:
@@ -209,7 +204,7 @@ def evaluate_records(
     hits: Counter = Counter()
     for record in records:
         total += 1
-        verdicts = score_record(record, cfg)
+        verdicts = score_record(record, s)
         full += all(v.satisfied for v in verdicts)
         for clause, verdict in zip(record.prompt.clauses, verdicts):
             key = (clause.kind, record.prompt.is_complex)
@@ -236,12 +231,7 @@ def evaluate_records(
                 sides[kind.value] = sum(values) / len(values)
         if len(sides) == 2:
             bias[pair_id(pair)] = sides
-    config: dict[str, object] = {
-        "tau": cfg.tau,
-        "min_rel_area": cfg.min_rel_area,
-        "max_center_dist": cfg.max_center_dist,
-        "min_score": cfg.min_score,
-    }
+    config: dict[str, object] = {"tau": s.tau}
     if seed is not None:
         config["seed"] = seed
     return BenchReport(soft=soft, strict=full / total, counts=counts,

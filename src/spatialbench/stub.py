@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import SpatialBenchError
 from .evaluation import EvalRecord, score_clause
-from .extraction import DetectedObject, ExtractionConfig, Scene
+from .extraction import DetectedObject, Scene
 from .geometry import BoundingBox, DepthMap
 from .prompts import PromptSpec, RelationQuadruple, parse_prompt, render_prompt
-from .relations import RelationKind
+from .relations import RelationKind, Strictness
 
 __all__ = ["StubGeneratorConfig", "StubPlan", "stub_generate"]
 
@@ -76,7 +76,7 @@ def stub_generate(
     """Fabricate one scene per prompt; returns records plus verified plans."""
     cfg = cfg or StubGeneratorConfig()
     rng = random.Random(cfg.seed)
-    eval_cfg = ExtractionConfig(tau=cfg.tau)
+    strictness = Strictness(cfg.tau)
     records, plans = [], []
     for index, prompt in enumerate(prompts):
         spec = parse_prompt(prompt) if isinstance(prompt, str) else prompt
@@ -84,7 +84,7 @@ def stub_generate(
         record_id = f"stub-{index:06d}"
         scene = _synthesize(record_id, spec, intents, cfg)
         verdicts = tuple(
-            score_clause(clause, scene, eval_cfg, clause_index=k).satisfied
+            score_clause(clause, scene, strictness, clause_index=k).satisfied
             for k, clause in enumerate(spec.clauses)
         )
         records.append(EvalRecord(record_id, spec, scene))

@@ -112,9 +112,10 @@ class ToreConfig:
 
     def __post_init__(self) -> None:
         enabled = frozenset(self.enabled_pairs)
-        unknown = enabled - set(PAIR_IDS)
-        if unknown:
-            raise ValueError(f"unknown pair ids: {sorted(unknown)}")
+        unknown = ", ".join(sorted(enabled - set(PAIR_IDS)))
+        if unknown or not enabled:
+            problem = f"unknown pair ids {unknown}" if unknown else "no pair ids given"
+            raise ValueError(f"{problem}; valid ids: {', '.join(PAIR_IDS)}")
         object.__setattr__(self, "enabled_pairs", enabled)
 
 

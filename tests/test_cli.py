@@ -33,6 +33,17 @@ def scenes_file(tmp_path):
 
 
 @pytest.fixture
+def offset_scenes_file(tmp_path):
+    # the tree sits 8 px low: aligned up to tau 30/8, so its relations hold at
+    # tau 2 and 3 and vanish at tau 4 and 5
+    scene = json.loads(json.dumps(SCENE))
+    scene["objects"][1]["box"] = [40, 8, 70, 38]
+    path = tmp_path / "offset_scenes.jsonl"
+    write_jsonl(path, [scene])
+    return path
+
+
+@pytest.fixture
 def prompts_file(tmp_path):
     path = tmp_path / "prompts.txt"
     rc = main([
@@ -52,6 +63,12 @@ def records_file(tmp_path, prompts_file):
     ])
     assert rc == 0
     return path
+
+
+def extract_bytes(tmp_path, scenes, *flags) -> bytes:
+    out = tmp_path / "relations.jsonl"
+    assert main(["extract", str(scenes), *flags, "--output", str(out)]) == 0
+    return out.read_bytes()
 
 
 def run_twice(tmp_path, argv_for):
@@ -107,6 +124,19 @@ class TestGenPrompts:
         assert main(["gen-prompts", "--simple", "right=3", "--pool-size", size]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: --pool-size must be at least 1, got {size}"]
+
+    @pytest.mark.parametrize("objects, kinds, message", [
+        ("bus\n", ["right=1"], "lists 1 object(s); 2 are needed"),
+        ("bus\ncar\n", ["right=1", "between=1"], "lists 2 object(s); 3 are needed for between"),
+    ], ids=["one-object", "two-objects-between"])
+    def test_too_few_objects_names_the_flag(self, tmp_path, capsys, objects, kinds, message):
+        objs = tmp_path / "objects.txt"
+        objs.write_text(objects)
+        argv = ["gen-prompts", "--objects", str(objs)]
+        for kind in kinds:
+            argv += ["--simple", kind]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --objects {objs} {message}"]
 
     def test_bad_kind_count(self):
         with pytest.raises(SystemExit) as info:
@@ -233,8 +263,7 @@ class TestEvaluate:
         assert main(["evaluate", str(records_file), "--output", str(out)]) == 0
         report = BenchReport.from_json(out.read_text())
         assert report.soft["right"] == 1.0
-        assert report.config["tau"] == 3.0
-        assert report.config["seed"] == 0
+        assert report.config == {"tau": 3.0, "seed": 0}
 
     def test_text_report(self, records_file, capsys):
         assert main(["evaluate", str(records_file), "--format", "text"]) == 0
@@ -247,39 +276,54 @@ class TestEvaluate:
                      "--output", str(out)]) == 0
         assert BenchReport.from_json(out.read_text()).config["tau"] == 2.0
 
-    def test_config_file(self, tmp_path, records_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tau": 5, "min_score": 0.5}')
-        out = tmp_path / "report.json"
-        assert main(["evaluate", str(records_file), "--config", str(cfg),
-                     "--output", str(out)]) == 0
-        report = BenchReport.from_json(out.read_text())
-        assert report.config["tau"] == 5.0 and report.config["min_score"] == 0.5
+    # The config file (--config or SPATIALBENCH_CONFIG) reaches extract alone,
+    # since scoring reads tau only. Each case below runs its file through
+    # extract, then checks that evaluate, handed the same file through the env
+    # var, ignores it and writes the default report.
 
-    def test_flag_beats_config(self, tmp_path, records_file):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tau": 5}')
-        out = tmp_path / "report.json"
-        assert main(["evaluate", str(records_file), "--config", str(cfg),
-                     "--tau", "2", "--output", str(out)]) == 0
-        assert BenchReport.from_json(out.read_text()).config["tau"] == 2.0
-
-    def test_config_env_var(self, tmp_path, records_file, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tau": 4}')
+    @staticmethod
+    def assert_ignores_config(monkeypatch, tmp_path, records_file, cfg):
         monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
         out = tmp_path / "report.json"
         assert main(["evaluate", str(records_file), "--output", str(out)]) == 0
-        assert BenchReport.from_json(out.read_text()).config["tau"] == 4.0
+        assert BenchReport.from_json(out.read_text()).config == {"tau": 3.0, "seed": 0}
 
-    def test_unknown_config_key(self, tmp_path, records_file, capsys):
+    def test_config_file(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 5, "min_score": 0.5}')
+        configured = extract_bytes(tmp_path, offset_scenes_file, "--config", str(cfg))
+        assert configured == extract_bytes(tmp_path, offset_scenes_file, "--tau", "5")
+        assert configured != extract_bytes(tmp_path, offset_scenes_file)
+        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+
+    def test_flag_beats_config(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 5}')
+        flagged = extract_bytes(tmp_path, offset_scenes_file, "--config", str(cfg), "--tau", "2")
+        assert flagged == extract_bytes(tmp_path, offset_scenes_file, "--tau", "2")
+        assert flagged != extract_bytes(tmp_path, offset_scenes_file, "--tau", "5")
+        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+
+    def test_config_env_var(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
+        default = extract_bytes(tmp_path, offset_scenes_file)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 4}')
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        configured = extract_bytes(tmp_path, offset_scenes_file)
+        assert configured == extract_bytes(tmp_path, offset_scenes_file, "--tau", "4")
+        assert configured != default
+        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+
+    def test_unknown_config_key(self, tmp_path, scenes_file, records_file, capsys, monkeypatch):
         # a key no setting reads is rejected, never silently ignored
         for key in ("speed", "max_between_objects"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: 11}))
-            assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
+            assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error: config {cfg}: unknown keys: {key}"]
+            self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+            monkeypatch.delenv(CONFIG_ENV_VAR)
 
     @pytest.mark.parametrize("text, key", [
         ('{"tau": "3"}', "tau"),
@@ -290,13 +334,15 @@ class TestEvaluate:
         ('{"min_score": 2}', "min_score"),
         ('{"max_center_dist": 0}', "max_center_dist"),
     ])
-    def test_config_value_of_wrong_type(self, tmp_path, records_file, capsys, text, key):
+    def test_config_value_of_wrong_type(self, tmp_path, scenes_file, records_file, capsys,
+                                        monkeypatch, text, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        assert main(["evaluate", str(records_file), "--config", str(cfg)]) == 1
+        assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: ")
         assert err[0].endswith(f"(field {key})")
+        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
 
     def test_deterministic(self, tmp_path, records_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [
@@ -490,12 +536,27 @@ class TestExitCodes:
         ["tore", "--profile", "sdxl", "p.txt", "--config", "x"],
         ["extract", "scenes.jsonl", "--format", "text"],
         ["stub-gen", "p.txt", "--config", "x"],
-    ], ids=["gen-prompts-tau", "tore-config", "extract-format", "stub-gen-config"])
+        ["evaluate", "r.jsonl", "--config", "x"],
+        ["bias-report", "r.jsonl", "--config", "x"],
+    ], ids=["gen-prompts-tau", "tore-config", "extract-format", "stub-gen-config",
+            "evaluate-config", "bias-report-config"])
     def test_removed_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tore", "--profile", "sdxl", "--pairs", "bogus", "p.txt"],
+         "--pairs 'bogus': unknown pair ids bogus; "
+         "valid ids: top_bottom, left_right, front_behind"),
+        (["tore", "--profile", "sdxl", "--pairs", ",", "p.txt"],
+         "--pairs ',': no pair ids given; valid ids: top_bottom, left_right, front_behind"),
+        (["gen-prompts", "--simple", "right=-1"], "--simple right=-1: count must not be negative"),
+    ], ids=["pairs-unknown", "pairs-empty", "simple-negative"])
+    def test_bad_flag_value_names_the_flag(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
         assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1
@@ -509,9 +570,8 @@ OPTIONS = {
     "gen-prompts": {"--seed", "--output", "--simple", "--complex", "--objects",
                     "--contexts", "--pool-size", "--invert"},
     "tore": {"--seed", "--output", "--profile", "--pairs"},
-    "evaluate": {"--seed", "--output", "--tau", "--config", "--format"},
-    "bias-report": {"--seed", "--output", "--tau", "--config", "--format",
-                    "--emit-profile"},
+    "evaluate": {"--seed", "--output", "--tau", "--format"},
+    "bias-report": {"--seed", "--output", "--tau", "--format", "--emit-profile"},
     "filter-captions": {"--seed", "--output", "--objects", "--contexts"},
     "stub-gen": {"--seed", "--output", "--tau", "--p", "--width", "--height", "--plans"},
 }

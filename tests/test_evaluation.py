@@ -14,8 +14,8 @@ from spatialbench.evaluation import (
     score_clause,
     score_record,
 )
-from spatialbench.extraction import DetectedObject, ExtractionConfig, Scene
-from spatialbench.geometry import BoundingBox, DepthMap, RelationKind
+from spatialbench.extraction import DetectedObject, Scene
+from spatialbench.geometry import BoundingBox, DepthMap, RelationKind, Strictness
 from spatialbench.prompts import PromptSpec, RelationQuadruple
 
 
@@ -115,8 +115,8 @@ class TestScoreClause:
         # 10px misalignment on the cross axis: passes tau=2 (15px budget),
         # fails tau=3 (10px budget, strict inequality)
         scene = make_scene([("b", (0, 0, 30, 30)), ("a", (31, 10, 61, 40))])
-        loose = score_clause(quad("a", "right", "b"), scene, ExtractionConfig(tau=2.0))
-        tight = score_clause(quad("a", "right", "b"), scene, ExtractionConfig(tau=3.0))
+        loose = score_clause(quad("a", "right", "b"), scene, Strictness(2.0))
+        tight = score_clause(quad("a", "right", "b"), scene, Strictness(3.0))
         assert loose.satisfied
         assert not tight.satisfied
 
@@ -217,8 +217,7 @@ class TestReport:
         assert report.strict == pytest.approx(1 / 3)
         assert report.counts == {"right": 3, "top": 2}
         assert report.bias == {}  # no pair covered on both sides
-        assert report.config["tau"] == 3.0
-        assert report.config["seed"] == 7
+        assert report.config == {"tau": 3.0, "seed": 7}
 
     def test_json_deterministic_and_round_trips(self):
         a = evaluate_records(pattern_records(), seed=1)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from spatialbench.errors import SpatialBenchError
 from spatialbench.evaluation import evaluate_records, score_clause
-from spatialbench.extraction import ExtractionConfig
-from spatialbench.geometry import RelationKind
+from spatialbench.geometry import RelationKind, Strictness
 from spatialbench.prompts import PromptSpec, RelationQuadruple
 from spatialbench.stub import StubGeneratorConfig, StubPlan, stub_generate
 
@@ -35,7 +34,7 @@ class TestSoundness:
         records, plans = stub_generate([spec_for(kind)], cfg)
         assert plans == [StubPlan("stub-000000", (True,))]
         verdict = score_clause(records[0].prompt.clauses[0], records[0].scene,
-                               ExtractionConfig(tau=cfg.tau))
+                               Strictness(cfg.tau))
         assert verdict.satisfied
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -44,7 +43,7 @@ class TestSoundness:
         records, plans = stub_generate([spec_for(kind)], cfg)
         assert plans == [StubPlan("stub-000000", (False,))]
         verdict = score_clause(records[0].prompt.clauses[0], records[0].scene,
-                               ExtractionConfig(tau=cfg.tau))
+                               Strictness(cfg.tau))
         assert not verdict.satisfied
 
     @pytest.mark.parametrize("tau", [2.0, 3.0, 5.0])

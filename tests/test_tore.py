@@ -134,6 +134,10 @@ class TestToreConfig:
         with pytest.raises(ValueError):
             ToreConfig(builtin_profile("flux1"), frozenset({"up_down"}))
 
+    def test_empty_pair_set_rejected(self):
+        with pytest.raises(ValueError, match="valid ids: top_bottom, left_right, front_behind"):
+            ToreConfig(builtin_profile("flux1"), frozenset())
+
     def test_defaults_enable_all_pairs(self):
         cfg = ToreConfig(builtin_profile("flux1"))
         assert cfg.enabled_pairs == {"top_bottom", "left_right", "front_behind"}
