@@ -37,7 +37,6 @@ _HOMES = {
     ), "evaluation"),
     **dict.fromkeys((
         "DEFAULT_CONFIG",
-        "AmbiguityPolicy",
         "DetectedObject",
         "ExtractionConfig",
         "RelationInstance",
@@ -66,16 +65,10 @@ _HOMES = {
         "render_prompt",
         "sample_prompt_set",
     ), "prompts"),
-    **dict.fromkeys((
-        "ObjectLexicon",
-        "filter_captions",
-        "load_captions",
-        "load_eval_records",
-        "load_scenes",
-        "read_depth",
-        "write_depth_pgm",
-        "write_jsonl",
-    ), "sceneio"),
+    **dict.fromkeys(("ObjectLexicon", "filter_captions", "load_captions", "write_jsonl"),
+                    "captions"),
+    **dict.fromkeys(("load_eval_records", "load_scenes", "read_depth", "write_depth_pgm"),
+                    "sceneio"),
     **dict.fromkeys(("StubGeneratorConfig", "StubPlan", "stub_generate"), "stub"),
     **dict.fromkeys((
         "BiasProfile",

@@ -8,27 +8,30 @@ and fabricate synthetic scenes for pipeline tests.
 Every subcommand takes --seed and --output. The commands that score or
 extract (extract, evaluate, bias-report) also take --tau, the strictness
 divisor, which is the one setting scoring reads. extract alone takes
---config: a JSON config file (or the SPATIALBENCH_CONFIG env var) supplies
-extraction defaults, and an explicit --tau wins. evaluate and bias-report
-take --format; stub-gen has its own --tau. All randomness flows from --seed,
-and a fixed seed makes every subcommand byte-reproducible.
+--config: a JSON object (from the file, or the SPATIALBENCH_CONFIG env var)
+whose keys are the ExtractionConfig fields and whose values are numbers,
+and an explicit --tau wins. evaluate and bias-report take --format;
+stub-gen has its own --tau. All randomness flows from --seed, and a fixed
+seed makes every subcommand byte-reproducible.
 
-gen-prompts, tore and --help run without numpy. The numpy-free modules
-(errors, relations, textutil, lexicon, prompts, tore) are imported normally;
-the array modules (evaluation, extraction, geometry, sceneio, stub) are
-registered as lazy modules and run when a command first reads one of their
-attributes.
+gen-prompts, tore, filter-captions and --help run without numpy. The
+numpy-free modules (errors, relations, textutil, lexicon, prompts, tore) are
+imported normally; the array modules (evaluation, extraction, geometry,
+sceneio, stub) and captions are registered as lazy modules and run when a
+command first reads one of their attributes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import math
 import os
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import FormatError, SpatialBenchError
@@ -36,12 +39,13 @@ from .lexicon import default_contexts, default_objects, load_context_list, load_
 from .prompts import (
     PromptSpec,
     RelationQuadruple,
+    _normalized_context,
     _trusted_quadruple,
     render_prompt,
     sample_prompt_set,
 )
 from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness, invert
-from .textutil import decode_line
+from .textutil import split_lines
 from .tore import (
     PAIR_IDS,
     ToreConfig,
@@ -67,11 +71,13 @@ def _lazy_module(name: str):
     return module
 
 
-# The array modules load numpy, which gen-prompts, tore and --help never need.
+# The array modules load numpy, which the prompt and caption commands never need,
+# and captions builds dataclasses that gen-prompts and tore never need.
 # Commands call them through the module (sceneio.load_scenes(...)), so that a
 # function rebound in its home module is what runs. geometry is unused here
 # but registered too: importing this module puts every package module in
 # sys.modules, which bench/tracing.py relies on.
+captions = _lazy_module("captions")
 evaluation = _lazy_module("evaluation")
 extraction = _lazy_module("extraction")
 sceneio = _lazy_module("sceneio")
@@ -81,16 +87,6 @@ _lazy_module("geometry")
 __all__ = ["main"]
 
 CONFIG_ENV_VAR = "SPATIALBENCH_CONFIG"
-
-# config key -> the JSON types its value may take
-_CONFIG_TYPES = {
-    "tau": (int, float),
-    "min_rel_area": (int, float),
-    "max_center_dist": (int, float),
-    "min_score": (int, float),
-    "ambiguity_policy": (str,),
-    "emit_next_when_directional": (bool,),
-}
 
 
 def _kind_count(text: str) -> tuple[RelationKind, int]:
@@ -221,15 +217,14 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
             raise SpatialBenchError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")
-        unknown = sorted(set(raw) - set(_CONFIG_TYPES))
+        keys = {f.name for f in dataclasses.fields(extraction.ExtractionConfig)}
+        unknown = sorted(set(raw) - keys)
         if unknown:
             raise SpatialBenchError(f"config {config_path}: unknown keys: {', '.join(unknown)}")
         for key, value in raw.items():
-            types = _CONFIG_TYPES[key]
             # JSON true/false are Python bools, which are also ints
-            if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
-                expected = " or ".join(t.__name__ for t in types)
-                raise FormatError(f"config {config_path}: expected {expected}, "
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"config {config_path}: expected a number, "
                                   f"got {json.dumps(value)}", field=key)
             # every other setting is at its valid default, so a range error is this key's
             try:
@@ -249,26 +244,30 @@ def _write_output(args, text: str) -> None:
 
 
 def _write_records(args, dicts) -> None:
-    sceneio.write_jsonl(sys.stdout if args.output is None else args.output, dicts)
+    captions.write_jsonl(sys.stdout if args.output is None else args.output, dicts)
 
 
 def _read_lines(source: str) -> list[str]:
-    # decoding each "\n"-ended line on its own lets a bad byte name its line;
-    # splitting those lines again gives exactly str.splitlines() of the whole
     if source == "-":
-        return _split_lines(sys.stdin.buffer)
+        return split_lines(sys.stdin.buffer)
     with open(source, "rb") as fh:
-        return _split_lines(fh)
+        return split_lines(fh)
 
 
-def _split_lines(stream) -> list[str]:
-    return [part for line_no, data in enumerate(stream, start=1)
-            for part in decode_line(data, line_no).splitlines()]
+@contextmanager
+def _lexicon_file(flag: str, path: Path | None):
+    """Name the flag and file in an error raised while reading or checking its list."""
+    try:
+        yield
+    except (FormatError, OSError, ValueError) as exc:
+        raise SpatialBenchError(f"{flag} {path}: {exc}") from None
 
 
 def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    objects = load_object_list(args.objects) if args.objects else default_objects()
-    contexts = load_context_list(args.contexts) if args.contexts else default_contexts()
+    with _lexicon_file("--objects", args.objects):
+        objects = load_object_list(args.objects) if args.objects else default_objects()
+    with _lexicon_file("--contexts", args.contexts):
+        contexts = load_context_list(args.contexts) if args.contexts else default_contexts()
     return objects, contexts
 
 
@@ -300,6 +299,13 @@ def _cmd_gen_prompts(args) -> int:
             if n < 0:
                 raise SpatialBenchError(f"{flag} {kind.value}={n}: count must not be negative")
     objects, contexts = _load_lexicon(args)
+    # the prompt grammar's rules (no comma; no "in a" in a context), which captions need not follow
+    with _lexicon_file("--objects", args.objects):
+        for phrase in objects:
+            RelationQuadruple(phrase, RelationKind.NEXT, (phrase,))
+    with _lexicon_file("--contexts", args.contexts):
+        for context in contexts:
+            _normalized_context(context)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
     needed = 3 if RelationKind.BETWEEN in kinds else 2
     if len(objects) < needed:
@@ -329,12 +335,8 @@ def _candidate_pool(
 ) -> list[RelationQuadruple]:
     """Draw a deduplicated random pool of candidate facts per kind.
 
-    objects are normalized phrases, as the lexicon loaders return them. Each
-    is checked once, as RelationQuadruple would check it, and the entries are
-    then built without repeating those checks.
+    objects already passed the grammar check, so the entries skip it.
     """
-    for phrase in objects:
-        RelationQuadruple(phrase, RelationKind.NEXT, (phrase,))
     rng = random.Random(seed)
     pool: list[RelationQuadruple] = []
     for kind in kinds:
@@ -387,11 +389,11 @@ def _cmd_bias_report(args) -> int:
 def _cmd_filter_captions(args) -> int:
     if args.objects or args.contexts:
         objects, contexts = _load_lexicon(args)
-        lex = sceneio.ObjectLexicon(frozenset(objects), frozenset(contexts))
+        lex = captions.ObjectLexicon(frozenset(objects), frozenset(contexts))
     else:
         lex = None
-    kept = sceneio.filter_captions(sceneio.load_captions(args.captions), lex)
-    _write_records(args, (sceneio.caption_to_dict(r) for r in kept))
+    kept = captions.filter_captions(captions.load_captions(args.captions), lex)
+    _write_records(args, (captions.caption_to_dict(r) for r in kept))
     return 0
 
 
@@ -416,7 +418,7 @@ def _cmd_stub_gen(args) -> int:
     records, plans = stub.stub_generate(prompts, cfg)
     _write_records(args, (sceneio.eval_record_to_dict(r) for r in records))
     if args.plans is not None:
-        sceneio.write_jsonl(args.plans, (
+        captions.write_jsonl(args.plans, (
             {"id": plan.record_id, "verdicts": list(plan.verdicts)} for plan in plans
         ))
     return 0

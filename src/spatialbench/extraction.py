@@ -1,16 +1,17 @@
 """Relation extraction: labeled detections in, unambiguous relation facts out.
 
 A Scene is a set of scored, labeled boxes (plus optional depth). Extraction
-filters out weak or tiny detections, applies a proximity gate to pairs, runs
-the geometry predicates, and resolves directional ambiguity. Output lists are
-deterministically ordered so identical inputs give identical outputs.
+filters out weak or tiny detections, applies a proximity gate to pairs, and
+runs the geometry predicates under one rule: a pair that hits a horizontal
+and a vertical direction at once emits no directional relation, and every
+horizontal hit emits Next. Output lists are deterministically ordered so
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .relations import KIND_ORDER, RelationKind, Strictness
 from .textutil import normalize_phrase
 
 __all__ = [
-    "AmbiguityPolicy",
     "DetectedObject",
     "Scene",
     "RelationInstance",
@@ -36,13 +36,6 @@ __all__ = [
     "extract_between",
     "extract_scene",
 ]
-
-
-class AmbiguityPolicy(Enum):
-    """What to do when a pair satisfies both a horizontal and a vertical direction."""
-
-    DROP_PAIR = "drop_pair"
-    KEEP_ALL = "keep_all"
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,6 @@ class ExtractionConfig:
     min_rel_area: float = 0.01
     max_center_dist: float = 0.5
     min_score: float = 0.3
-    ambiguity_policy: AmbiguityPolicy = AmbiguityPolicy.DROP_PAIR
-    emit_next_when_directional: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -156,12 +147,6 @@ class ExtractionConfig:
             raise ValueError(f"max_center_dist must be in (0, 1], got {self.max_center_dist}")
         if not (0 <= self.min_score <= 1):
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
-        if isinstance(self.ambiguity_policy, str):
-            policies = [p.value for p in AmbiguityPolicy]
-            if self.ambiguity_policy not in policies:
-                raise ValueError(f"ambiguity_policy must be one of {', '.join(policies)}, "
-                                 f"got {self.ambiguity_policy!r}")
-            object.__setattr__(self, "ambiguity_policy", AmbiguityPolicy(self.ambiguity_policy))
 
     @property
     def strictness(self) -> Strictness:
@@ -200,11 +185,10 @@ def _pair_grid(boxes: list[BoundingBox]) -> tuple[np.ndarray, np.ndarray]:
 def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[RelationInstance]:
     """All pairwise relations (directional, Next, Front/Behind) in the scene.
 
-    Every ordered eligible pair within the proximity gate is checked. Under
-    DROP_PAIR, a pair that hits both a horizontal and a vertical direction is
-    treated as ambiguous and emits no directional relation at all; Next and
-    depth relations are unaffected. When emit_next_when_directional is false,
-    Next is emitted only for pairs without a directional emission.
+    Every ordered eligible pair within the proximity gate is checked. A pair
+    that hits both a horizontal and a vertical direction is ambiguous and
+    emits no directional relation at all; Next (either horizontal hit) and
+    the depth relations are emitted regardless.
     """
     s = cfg.strictness
     eligible = _eligible(scene, cfg)
@@ -219,12 +203,8 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
             for kind in RelationKind if kind.is_directional_2d}
     # Next is either horizontal direction
     next_to = hits[RelationKind.RIGHT] | hits[RelationKind.LEFT]
-    if cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR:
-        ambiguous = next_to & (hits[RelationKind.TOP] | hits[RelationKind.BOTTOM])
-        hits = {kind: hit & ~ambiguous for kind, hit in hits.items()}
-    if not cfg.emit_next_when_directional:
-        next_to = next_to & ~np.logical_or.reduce(list(hits.values()))
-    layers = list(hits.items())
+    ambiguous = next_to & (hits[RelationKind.TOP] | hits[RelationKind.BOTTOM])
+    layers = [(kind, hit & ~ambiguous) for kind, hit in hits.items()]
     layers.append((RelationKind.NEXT, next_to))
     if scene.depth is not None:
         overlap = batch_check_depth_overlap(subj, obj, s) & near

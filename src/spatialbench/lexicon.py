@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import FormatError, UnknownKind
 from .relations import RelationKind
-from .textutil import normalize_phrase
+from .textutil import normalize_phrase, split_lines
 
 _IRREGULAR_PLURALS = {
     "person": "people",
@@ -131,6 +131,12 @@ def _data_path(name: str):
     return resources.files("spatialbench").joinpath("data", name)
 
 
+def _read_lines(path: str | Path | None, default_name: str) -> list[str]:
+    # a bad UTF-8 byte raises FormatError naming its line
+    with open(path, "rb") if path else _data_path(default_name).open("rb") as fh:
+        return split_lines(fh)
+
+
 def load_phrase_lexicon(path: str | Path | None = None) -> PhraseLexicon:
     """Read a kind -> {canonical, variants[]} JSON file."""
     src = Path(path).read_text(encoding="utf-8") if path else _data_path(
@@ -159,12 +165,9 @@ def load_phrase_lexicon(path: str | Path | None = None) -> PhraseLexicon:
 
 def load_object_list(path: str | Path | None = None) -> tuple[str, ...]:
     """Read a newline-delimited noun-phrase list; blank lines are skipped."""
-    src = Path(path).read_text(encoding="utf-8") if path else _data_path(
-        "urban_objects.txt"
-    ).read_text(encoding="utf-8")
     phrases = []
     seen = set()
-    for line in src.splitlines():
+    for line in _read_lines(path, "urban_objects.txt"):
         phrase = normalize_phrase(line)
         if not phrase:
             continue
@@ -178,11 +181,8 @@ def load_object_list(path: str | Path | None = None) -> tuple[str, ...]:
 
 
 def load_context_list(path: str | Path | None = None) -> tuple[str, ...]:
-    src = Path(path).read_text(encoding="utf-8") if path else _data_path(
-        "contexts.txt"
-    ).read_text(encoding="utf-8")
     contexts = tuple(
-        normalize_phrase(line) for line in src.splitlines() if line.strip()
+        normalize_phrase(line) for line in _read_lines(path, "contexts.txt") if line.strip()
     )
     if not contexts:
         raise FormatError("context list is empty")

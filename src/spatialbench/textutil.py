@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import unicodedata
+from typing import Iterable
 
 from .errors import FormatError
 
@@ -24,3 +25,10 @@ def decode_line(data: bytes, line: int) -> str:
     except UnicodeDecodeError as exc:
         raise FormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x} at byte "
                           f"offset {exc.start}", line=line) from None
+
+
+def split_lines(stream: Iterable[bytes]) -> list[str]:
+    """The stream's text as str.splitlines() gives it; a bad byte names its line."""
+    # each b"\n"-ended line is decoded alone; splitting those again loses nothing
+    return [part for line_no, data in enumerate(stream, start=1)
+            for part in decode_line(data, line_no).splitlines()]

@@ -316,7 +316,8 @@ class TestEvaluate:
 
     def test_unknown_config_key(self, tmp_path, scenes_file, records_file, capsys, monkeypatch):
         # a key no setting reads is rejected, never silently ignored
-        for key in ("speed", "max_between_objects"):
+        for key in ("speed", "max_between_objects", "ambiguity_policy",
+                    "emit_next_when_directional"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: 11}))
             assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
@@ -327,8 +328,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("text, key", [
         ('{"tau": "3"}', "tau"),
-        ('{"emit_next_when_directional": "false"}', "emit_next_when_directional"),
-        ('{"ambiguity_policy": "bogus"}', "ambiguity_policy"),
+        ('{"min_score": true}', "min_score"),
+        ('{"max_center_dist": "0.5"}', "max_center_dist"),
         ('{"tau": 0}', "tau"),
         ('{"tau": NaN}', "tau"),
         ('{"min_score": 2}', "min_score"),
@@ -416,9 +417,9 @@ class TestFilterCaptions:
     def test_custom_lexicon(self, tmp_path, capsys):
         path = self.write_captions(tmp_path)
         objs = tmp_path / "objects.txt"
-        objs.write_text("fruit\n")
+        objs.write_text("fruit\ncar, van\n")  # only the prompt grammar forbids commas
         ctxs = tmp_path / "contexts.txt"
-        ctxs.write_text("bowl\n")
+        ctxs.write_text("bowl\nstreet, corner\n")
         assert main(["filter-captions", str(path), "--objects", str(objs),
                      "--contexts", str(ctxs)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -500,6 +501,32 @@ class TestPromptFiles:
         assert main(["tore", "--profile", "flux1", str(src), "--output", str(out)]) == 0
         assert out.read_bytes().decode("utf-8") == "".join(
             line + "\n" for line in text.splitlines())
+
+
+class TestLexiconFiles:
+    BAD_BYTE = "invalid UTF-8 byte 0xff at byte offset 3 (line 2)"
+
+    @pytest.mark.parametrize("command, flag, data, message", [
+        ("gen-prompts", "--objects", b"bus\ncar\xff\nlamp\n", BAD_BYTE),
+        ("gen-prompts", "--contexts", b"city\npar\xffk\n", BAD_BYTE),
+        ("filter-captions", "--objects", b"bus\ncar\xff\nlamp\n", BAD_BYTE),
+        ("filter-captions", "--contexts", b"city\npar\xffk\n", BAD_BYTE),
+        ("gen-prompts", "--objects", b"bus\ncar, van\nlamp\n",
+         "noun phrase 'car, van' contains a comma"),
+        ("gen-prompts", "--contexts", b"city\nstreet, corner\n",
+         "context 'street, corner' contains a comma"),
+    ], ids=["gen-prompts-objects-utf8", "gen-prompts-contexts-utf8",
+            "filter-captions-objects-utf8", "filter-captions-contexts-utf8",
+            "gen-prompts-objects-comma", "gen-prompts-contexts-comma"])
+    def test_error_names_flag_and_file(self, tmp_path, capsys, command, flag, data, message):
+        lexicon = tmp_path / "list.txt"
+        lexicon.write_bytes(data)
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"caption": "a bus in a city"}\n')
+        argv = {"gen-prompts": ["gen-prompts", "--simple", "right=1"],
+                "filter-captions": ["filter-captions", str(captions)]}[command]
+        assert main([*argv, flag, str(lexicon)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} {lexicon}: {message}"]
 
 
 class TestExitCodes:

@@ -1,4 +1,4 @@
-"""Scene extraction: frozen examples, policies, oracle agreement."""
+"""Scene extraction: frozen examples, the ambiguity rule, oracle agreement."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from spatialbench.errors import DimensionMismatch, NotInvertible
 from spatialbench.extraction import (
-    AmbiguityPolicy,
     DetectedObject,
     ExtractionConfig,
     RelationInstance,
@@ -50,11 +49,8 @@ class TestConfig:
         assert cfg.min_rel_area == 0.01
         assert cfg.max_center_dist == 0.5
         assert cfg.min_score == 0.3
-        assert cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR
-        assert cfg.emit_next_when_directional is True
         assert [f.name for f in fields(cfg)] == [
             "tau", "min_rel_area", "max_center_dist", "min_score",
-            "ambiguity_policy", "emit_next_when_directional",
         ]
 
     def test_validation(self):
@@ -66,9 +62,6 @@ class TestConfig:
             ExtractionConfig(max_center_dist=1.5)
         with pytest.raises(ValueError):
             ExtractionConfig(min_score=-0.1)
-
-    def test_policy_accepts_string(self):
-        assert ExtractionConfig(ambiguity_policy="keep_all").ambiguity_policy is AmbiguityPolicy.KEEP_ALL
 
 
 class TestSceneTypes:
@@ -154,40 +147,15 @@ class TestExtractPairwise:
         relations = extract_pairwise(scene_of(EXAMPLE_A, context="Downtown  Area"))
         assert {r.context for r in relations} == {"downtown area"}
 
-    def test_next_suppressed_when_directional_covers_it(self):
-        cfg = ExtractionConfig(emit_next_when_directional=False)
-        assert as_triples(extract_pairwise(scene_of(EXAMPLE_A), cfg)) == {
-            ("right", 0, (1,)),
-            ("left", 1, (0,)),
-        }
-
 
 class TestAmbiguityPolicy:
     # At tau=1.2 a diagonal overlap satisfies one horizontal and one vertical
     # direction at once; at tau >= 2 the constraints make that impossible.
+    # Such a pair emits no directional relation, but still emits Next.
     BOXES = [(0, 0, 30, 30), (15, 15, 45, 45)]
 
     def test_drop_pair_suppresses_directional_hits(self):
         cfg = ExtractionConfig(tau=1.2)
-        scene = scene_of(self.BOXES, width=100, height=100)
-        got = as_triples(extract_pairwise(scene, cfg))
-        assert got == {("next", 0, (1,)), ("next", 1, (0,))}
-
-    def test_keep_all_emits_everything(self):
-        cfg = ExtractionConfig(tau=1.2, ambiguity_policy=AmbiguityPolicy.KEEP_ALL)
-        scene = scene_of(self.BOXES, width=100, height=100)
-        got = as_triples(extract_pairwise(scene, cfg))
-        assert got == {
-            ("left", 0, (1,)),
-            ("top", 0, (1,)),
-            ("right", 1, (0,)),
-            ("bottom", 1, (0,)),
-            ("next", 0, (1,)),
-            ("next", 1, (0,)),
-        }
-
-    def test_dropped_pair_counts_as_no_directional_emission(self):
-        cfg = ExtractionConfig(tau=1.2, emit_next_when_directional=False)
         scene = scene_of(self.BOXES, width=100, height=100)
         got = as_triples(extract_pairwise(scene, cfg))
         assert got == {("next", 0, (1,)), ("next", 1, (0,))}
@@ -334,8 +302,6 @@ def _assert_matches_oracle(scene, cfg):
         min_rel_area=cfg.min_rel_area,
         max_center_dist=cfg.max_center_dist,
         min_score=cfg.min_score,
-        drop_ambiguous=cfg.ambiguity_policy is AmbiguityPolicy.DROP_PAIR,
-        emit_next_when_directional=cfg.emit_next_when_directional,
     )
     assert len(got) == len(want)
     assert as_triples(got) == want
@@ -345,13 +311,10 @@ def _assert_matches_oracle(scene, cfg):
     random_scenes(max_objects=30),
     # below tau=1 a box can sit left and right of itself, or of one other box
     st.sampled_from([2.0, 3.0, 5.0, 1.2, 0.7]),
-    st.sampled_from(AmbiguityPolicy),
-    st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_matches_naive_extraction_oracle(scene, tau, policy, emit_next):
-    cfg = ExtractionConfig(tau=tau, min_rel_area=0.01, min_score=0.3, ambiguity_policy=policy,
-                           emit_next_when_directional=emit_next)
+def test_matches_naive_extraction_oracle(scene, tau):
+    cfg = ExtractionConfig(tau=tau, min_rel_area=0.01, min_score=0.3)
     _assert_matches_oracle(scene, cfg)
 
 

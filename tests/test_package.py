@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, and the demo scripts run.
 
-Also how the CLI starts: the prompt-side commands run without numpy, and
+Also how the CLI starts: the prompt and caption commands run without numpy, and
 importing spatialbench.cli registers every package module (the benchmark's
 tracer rebinds functions across all of them).
 """
@@ -30,7 +30,7 @@ EXPORTED = {
                "SpatialBenchError", "UnknownKind"],
     "evaluation": ["BenchReport", "ClauseVerdict", "EvalRecord", "evaluate_records",
                    "score_clause", "score_record"],
-    "extraction": ["DEFAULT_CONFIG", "AmbiguityPolicy", "DetectedObject", "ExtractionConfig",
+    "extraction": ["DEFAULT_CONFIG", "DetectedObject", "ExtractionConfig",
                    "RelationInstance", "Scene", "extract_scene"],
     "geometry": ["AxisDistances", "BoundingBox", "DepthMap", "average_depth",
                  "axis_distances", "check_between", "check_depth_overlap",
@@ -40,8 +40,8 @@ EXPORTED = {
     "lexicon": ["default_contexts", "default_objects"],
     "prompts": ["PromptSpec", "RelationQuadruple", "parse_prompt", "render_prompt",
                 "sample_prompt_set"],
-    "sceneio": ["ObjectLexicon", "filter_captions", "load_captions", "load_eval_records",
-                "load_scenes", "read_depth", "write_depth_pgm", "write_jsonl"],
+    "captions": ["ObjectLexicon", "filter_captions", "load_captions", "write_jsonl"],
+    "sceneio": ["load_eval_records", "load_scenes", "read_depth", "write_depth_pgm"],
     "stub": ["StubGeneratorConfig", "StubPlan", "stub_generate"],
     "tore": ["BiasProfile", "ToreConfig", "builtin_profile", "compute_bias_profile",
              "load_bias_profile", "transform_prompt", "transform_spec"],
@@ -79,7 +79,7 @@ def test_demo_script_runs(argv, first_line):
 
 def test_exports_resolve_to_their_home_module():
     assert sorted(spatialbench.__all__) == sorted(n for names in EXPORTED.values() for n in names)
-    assert len(spatialbench.__all__) == 62
+    assert len(spatialbench.__all__) == 61
     listed = dir(spatialbench)
     star: dict = {}
     exec("from spatialbench import *", star)
@@ -126,7 +126,8 @@ print("RESULT", code, "numpy" in sys.modules, file=sys.stderr)
     ["gen-prompts", "--simple", "right=3", "--complex", "top=2", "--invert"],
     ["tore", "--profile", "profile.json", "prompts.txt"],
     ["tore", "--profile", "sdxl", "--pairs", "top_bottom", "prompts.txt"],
-], ids=["help", "gen-prompts", "tore-file", "tore-sdxl"])
+    ["filter-captions", "captions.jsonl"],
+], ids=["help", "gen-prompts", "tore-file", "tore-sdxl", "filter-captions"])
 def test_prompt_commands_start_without_numpy(tmp_path, argv):
     (tmp_path / "prompts.txt").write_text(
         "A bus to the right of a car in a city\n"
@@ -134,6 +135,7 @@ def test_prompt_commands_start_without_numpy(tmp_path, argv):
         "not a benchmark prompt\n"
     )
     (tmp_path / "profile.json").write_text('{"left_right": {"left": 0.9, "right": 0.1}}')
+    (tmp_path / "captions.jsonl").write_text('{"caption": "a red bus on a street downtown"}\n')
     result = _run_python(_RUN_CLI.format(argv=argv), tmp_path)
     assert result.stderr.splitlines()[-1] == "RESULT 0 False"
     assert result.stdout

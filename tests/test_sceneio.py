@@ -7,20 +7,22 @@ import json
 import numpy as np
 import pytest
 
-from spatialbench import sceneio
+from spatialbench import captions, sceneio
+from spatialbench.captions import (
+    CaptionRecord,
+    ObjectLexicon,
+    caption_to_dict,
+    default_object_lexicon,
+    filter_captions,
+    load_captions,
+)
 from spatialbench.errors import DimensionMismatch, FormatError
 from spatialbench.extraction import DetectedObject, RelationInstance, Scene
 from spatialbench.geometry import BoundingBox, DepthMap, RelationKind
 from spatialbench.prompts import parse_prompt
 from spatialbench.sceneio import (
-    CaptionRecord,
-    ObjectLexicon,
-    caption_to_dict,
-    default_object_lexicon,
     eval_record_from_dict,
     eval_record_to_dict,
-    filter_captions,
-    load_captions,
     load_eval_records,
     load_scenes,
     read_depth,
@@ -89,6 +91,10 @@ class TestCaptionFilter:
         p.write_text('{"caption": ""}\n')
         with pytest.raises(FormatError):
             load_captions(p)
+
+    def test_sceneio_writes_through_the_caption_module(self):
+        # sceneio re-exports the numpy-free writer rather than a copy of it
+        assert sceneio.write_jsonl is captions.write_jsonl
 
 
 class TestDepthFiles:
