@@ -21,7 +21,7 @@ from spatialbench import (
     Scene,
     extract_scene,
 )
-from spatialbench.geometry import RelationKind
+from spatialbench.relations import RelationKind
 
 LABELS = ("bench", "tree", "car", "lamp", "bin", "sign")
 

@@ -24,7 +24,7 @@ from spatialbench import (
     stub_generate,
     transform_spec,
 )
-from spatialbench.geometry import OPPOSITE_PAIRS, RelationKind
+from spatialbench.relations import OPPOSITE_PAIRS, RelationKind
 
 
 def simple_prompts(kind: RelationKind, count: int, rng: random.Random) -> list[PromptSpec]:

@@ -44,17 +44,14 @@ _HOMES = {
         "extract_scene",
     ), "extraction"),
     **dict.fromkeys((
-        "AxisDistances",
         "BoundingBox",
         "DepthMap",
         "average_depth",
-        "axis_distances",
         "check_between",
         "check_depth_overlap",
         "check_depth_relation",
         "check_directional",
         "check_next",
-        "directional_distance",
     ), "geometry"),
     **dict.fromkeys(("RelationKind", "Strictness", "invert"), "relations"),
     **dict.fromkeys(("default_contexts", "default_objects"), "lexicon"),

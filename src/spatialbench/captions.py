@@ -9,18 +9,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError
-from .lexicon import default_contexts, default_objects
 from .textutil import ascii_fold, decode_line, normalize_phrase
 
 __all__ = [
     "CaptionRecord",
     "ObjectLexicon",
-    "default_object_lexicon",
     "filter_captions",
     "load_captions",
     "caption_to_dict",
@@ -59,11 +56,6 @@ class ObjectLexicon:
                     raise ValueError(f"{name} entry {p!r} is not normalized")
 
 
-@lru_cache(maxsize=1)
-def default_object_lexicon() -> ObjectLexicon:
-    return ObjectLexicon(frozenset(default_objects()), frozenset(default_contexts()))
-
-
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
@@ -76,15 +68,12 @@ def _contains_words(words: Sequence[str], phrase: Sequence[str]) -> bool:
     return any(list(words[i:i + n]) == list(phrase) for i in range(len(words) - n + 1))
 
 
-def filter_captions(
-    records: Iterable[CaptionRecord], lex: ObjectLexicon | None = None
-) -> list[CaptionRecord]:
+def filter_captions(records: Iterable[CaptionRecord], lex: ObjectLexicon) -> list[CaptionRecord]:
     """Keep captions mentioning at least one object and one context phrase.
 
     Matching is whole-word on ASCII-folded lowercase text, so "business"
     does not match the object "bus". Input order is preserved.
     """
-    lex = lex or default_object_lexicon()
     object_words = [tuple(_words(p)) for p in sorted(lex.objects)]
     context_words = [tuple(_words(p)) for p in sorted(lex.contexts)]
     kept = []

@@ -34,13 +34,20 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import FormatError, SpatialBenchError
-from .lexicon import default_contexts, default_objects, load_context_list, load_object_list
+from .errors import FormatError, ParseError, SpatialBenchError
+from .lexicon import (
+    _entries,
+    default_contexts,
+    default_objects,
+    load_context_list,
+    load_object_list,
+)
 from .prompts import (
     PromptSpec,
     RelationQuadruple,
     _normalized_context,
     _trusted_quadruple,
+    parse_prompt,
     render_prompt,
     sample_prompt_set,
 )
@@ -263,12 +270,28 @@ def _lexicon_file(flag: str, path: Path | None):
         raise SpatialBenchError(f"{flag} {path}: {exc}") from None
 
 
+def _check_object_phrase(phrase: str) -> None:
+    RelationQuadruple(phrase, RelationKind.NEXT, (phrase,))
+
+
 def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:
     with _lexicon_file("--objects", args.objects):
         objects = load_object_list(args.objects) if args.objects else default_objects()
     with _lexicon_file("--contexts", args.contexts):
         contexts = load_context_list(args.contexts) if args.contexts else default_contexts()
     return objects, contexts
+
+
+def _check_grammar(flag: str, path: Path | None, check) -> None:
+    """Run check on each entry of a given list file; a ValueError names the entry's line."""
+    if path is None:
+        return
+    with _lexicon_file(flag, path):
+        for line_no, phrase in _entries(path, ""):
+            try:
+                check(phrase)
+            except ValueError as exc:
+                raise FormatError(str(exc), line=line_no) from None
 
 
 def _resolve_profile(name: str):
@@ -300,12 +323,8 @@ def _cmd_gen_prompts(args) -> int:
                 raise SpatialBenchError(f"{flag} {kind.value}={n}: count must not be negative")
     objects, contexts = _load_lexicon(args)
     # the prompt grammar's rules (no comma; no "in a" in a context), which captions need not follow
-    with _lexicon_file("--objects", args.objects):
-        for phrase in objects:
-            RelationQuadruple(phrase, RelationKind.NEXT, (phrase,))
-    with _lexicon_file("--contexts", args.contexts):
-        for context in contexts:
-            _normalized_context(context)
+    _check_grammar("--objects", args.objects, _check_object_phrase)
+    _check_grammar("--contexts", args.contexts, _normalized_context)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
     needed = 3 if RelationKind.BETWEEN in kinds else 2
     if len(objects) < needed:
@@ -360,7 +379,7 @@ def _cmd_tore(args) -> int:
     except ValueError as exc:
         raise SpatialBenchError(f"--pairs {args.pairs!r}: {exc}") from None
     lines = _read_lines(args.prompts)
-    out = [transform_prompt(line, cfg, lenient=True) for line in lines]
+    out = [transform_prompt(line, cfg) for line in lines]
     _write_output(args, "".join(line + "\n" for line in out))
     return 0
 
@@ -387,11 +406,8 @@ def _cmd_bias_report(args) -> int:
 
 
 def _cmd_filter_captions(args) -> int:
-    if args.objects or args.contexts:
-        objects, contexts = _load_lexicon(args)
-        lex = captions.ObjectLexicon(frozenset(objects), frozenset(contexts))
-    else:
-        lex = None
+    objects, contexts = _load_lexicon(args)
+    lex = captions.ObjectLexicon(frozenset(objects), frozenset(contexts))
     kept = captions.filter_captions(captions.load_captions(args.captions), lex)
     _write_records(args, (captions.caption_to_dict(r) for r in kept))
     return 0
@@ -414,8 +430,16 @@ def _cmd_stub_gen(args) -> int:
         height=args.height,
         tau=args.tau,
     )
-    prompts = [line for line in _read_lines(args.prompts) if line.strip()]
-    records, plans = stub.stub_generate(prompts, cfg)
+    specs = []
+    for line_no, line in enumerate(_read_lines(args.prompts), start=1):
+        if not line.strip():
+            continue
+        try:
+            specs.append(parse_prompt(line))
+        except ParseError as exc:
+            raise FormatError(f"{args.prompts}: prompt does not parse: {exc}",
+                              line=line_no) from None
+    records, plans = stub.stub_generate(specs, cfg)
     _write_records(args, (sceneio.eval_record_to_dict(r) for r in records))
     if args.plans is not None:
         captions.write_jsonl(args.plans, (

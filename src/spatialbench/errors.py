@@ -67,5 +67,5 @@ class FormatError(SpatialBenchError):
         super().__init__(f"{reason}{suffix}")
 
 
-class DimensionMismatch(SpatialBenchError):
+class DimensionMismatch(FormatError):
     """Depth map dimensions disagree with the scene dimensions."""

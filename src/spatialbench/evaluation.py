@@ -47,7 +47,6 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class ClauseVerdict:
-    clause_index: int
     satisfied: bool
     witness: tuple[int, ...] | None = None
 
@@ -64,8 +63,6 @@ def score_clause(
     clause: RelationQuadruple,
     scene: Scene,
     s: Strictness = DEFAULT_STRICTNESS,
-    *,
-    clause_index: int = 0,
 ) -> ClauseVerdict:
     """Satisfaction verdict for one clause against one scene.
 
@@ -91,8 +88,8 @@ def score_clause(
                         continue
                     if (check_between(boxes[i], boxes[m], boxes[j], s)
                             or check_between(boxes[j], boxes[m], boxes[i], s)):
-                        return ClauseVerdict(clause_index, True, (m, i, j))
-        return ClauseVerdict(clause_index, False)
+                        return ClauseVerdict(True, (m, i, j))
+        return ClauseVerdict(False)
 
     objects = _instances(scene, clause.objects[0])
     for i in subjects:
@@ -105,18 +102,16 @@ def score_clause(
                 ok = check_next(boxes[i], boxes[j], s)
             else:
                 if scene.depth is None:
-                    return ClauseVerdict(clause_index, False)
+                    return ClauseVerdict(False)
                 ok = check_depth_relation(boxes[i], boxes[j], scene.depth, s) is kind
             if ok:
-                return ClauseVerdict(clause_index, True, (i, j))
-    return ClauseVerdict(clause_index, False)
+                return ClauseVerdict(True, (i, j))
+    return ClauseVerdict(False)
 
 
 def score_record(record: EvalRecord, s: Strictness = DEFAULT_STRICTNESS) -> list[ClauseVerdict]:
-    return [
-        score_clause(clause, record.scene, s, clause_index=i)
-        for i, clause in enumerate(record.prompt.clauses)
-    ]
+    """One verdict per clause, in clause order."""
+    return [score_clause(clause, record.scene, s) for clause in record.prompt.clauses]
 
 
 @dataclass(frozen=True)
@@ -143,17 +138,6 @@ class BenchReport:
             "config": self.config,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        raw = json.loads(text)
-        return cls(
-            soft=dict(raw["soft_accuracy"]),
-            strict=float(raw["strict_accuracy"]),
-            counts=dict(raw["sample_counts"]),
-            bias={k: dict(v) for k, v in raw.get("bias", {}).items()},
-            config=dict(raw.get("config", {})),
-        )
 
     def to_text(self) -> str:
         lines = [f"{'relation':<12}{'samples':>8}{'soft':>8}"]

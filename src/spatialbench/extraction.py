@@ -88,10 +88,6 @@ class Scene:
         if self.context is not None:
             object.__setattr__(self, "context", normalize_phrase(self.context))
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
-
 
 @dataclass(frozen=True)
 class RelationInstance:

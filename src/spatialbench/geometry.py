@@ -23,31 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion
-
-# KIND_ORDER, OPPOSITE_PAIRS and invert are not used here, but callers may
-# still import the whole vocabulary from this module
-from .relations import (  # noqa: F401
-    DEFAULT_STRICTNESS,
-    KIND_ORDER,
-    OPPOSITE_PAIRS,
-    RelationKind,
-    Strictness,
-    invert,
-)
+from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness
 
 __all__ = [
     "BoundingBox",
-    "AxisDistances",
     "DepthMap",
-    "axis_distances",
-    "directional_distance",
     "check_directional",
     "check_next",
     "check_between",
     "check_depth_overlap",
     "average_depth",
     "check_depth_relation",
-    "batch_axis_distances",
     "batch_check_directional",
     "batch_check_next",
     "batch_check_between",
@@ -93,19 +79,6 @@ class BoundingBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True)
-class AxisDistances:
-    """Signed location-independent distances between a box pair."""
-
-    x_max_dist: float
-    x_min_dist: float
-    y_max_dist: float
-    y_min_dist: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_max_dist, self.x_min_dist, self.y_max_dist, self.y_min_dist)
-
-
 # ---------------------------------------------------------------------------
 # predicate formulas
 #
@@ -126,7 +99,8 @@ def _pair(p, q):
 
     Each axis picks its minuend independently: the wider box for the
     horizontal distances, the taller box for the vertical ones (ties keep
-    input order).
+    input order). That choice makes the directional checks exactly symmetric
+    under argument swap.
     """
     px0, py0, px1, py1 = p
     qx0, qy0, qx1, qy1 = q
@@ -143,6 +117,7 @@ def _pair(p, q):
 
 
 def _distance(p, q, kind: RelationKind):
+    """Signed gap between the facing edges of p and q in direction kind; < 0 is overlap."""
     px0, py0, px1, py1 = p
     qx0, qy0, qx1, qy1 = q
     if kind is RelationKind.RIGHT:
@@ -176,25 +151,6 @@ def _depth_overlap(p, q, tau: float):
 
 # ---------------------------------------------------------------------------
 # scalar predicates on BoundingBox values
-
-
-def axis_distances(b1: BoundingBox, b2: BoundingBox) -> AxisDistances:
-    """Location-independent edge distances for a box pair.
-
-    The per-axis minuend choice (see _pair) is what makes the directional
-    checks exactly symmetric under argument swap.
-    """
-    return AxisDistances(*_pair(b1.as_tuple(), b2.as_tuple())[:4])
-
-
-def directional_distance(b1: BoundingBox, b2: BoundingBox, loc: RelationKind) -> float:
-    """Signed gap between facing edges for the given direction of b1 vs b2.
-
-    Positive means separation in that direction, negative means overlap along
-    the axis. Right: left edge of b1 minus right edge of b2; the other cases
-    mirror it (y-down convention for top/bottom).
-    """
-    return _distance(b1.as_tuple(), b2.as_tuple(), loc)
 
 
 def check_directional(
@@ -367,11 +323,6 @@ def _rows(a):
     if arr.shape[-1] != 4:
         raise ValueError(f"expected boxes with 4 coordinates in the last axis, got {arr.shape}")
     return arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]
-
-
-def batch_axis_distances(b1, b2):
-    """Vectorized axis_distances; returns four arrays in field order."""
-    return _pair(_rows(b1), _rows(b2))[:4]
 
 
 def batch_check_directional(b1, b2, loc: RelationKind, s: Strictness = DEFAULT_STRICTNESS):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import FormatError, UnknownKind
 from .relations import RelationKind
@@ -76,7 +76,7 @@ class PhraseLexicon:
     """Canonical phrase plus variants per relation kind.
 
     entries maps kind -> (canonical, variant, variant, ...). A lexicon may
-    cover only a subset of kinds; render and parse report UnknownKind when
+    cover only a subset of kinds; canonical_phrase reports UnknownKind when
     asked about the rest.
     """
 
@@ -104,18 +104,9 @@ class PhraseLexicon:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_longest", max(map(len, index), default=0))
 
-    def kinds(self) -> tuple[RelationKind, ...]:
-        return tuple(self.entries)
-
     def canonical_phrase(self, kind: RelationKind) -> str:
         try:
             return self.entries[kind][0]
-        except KeyError:
-            raise UnknownKind(f"lexicon has no phrases for kind {kind.value!r}") from None
-
-    def accepted_phrases(self, kind: RelationKind) -> tuple[str, ...]:
-        try:
-            return self.entries[kind]
         except KeyError:
             raise UnknownKind(f"lexicon has no phrases for kind {kind.value!r}") from None
 
@@ -163,27 +154,28 @@ def load_phrase_lexicon(path: str | Path | None = None) -> PhraseLexicon:
     return PhraseLexicon(entries)
 
 
+def _entries(path: str | Path | None, default_name: str) -> Iterator[tuple[int, str]]:
+    """Each non-blank line's normalized phrase, with its 1-based line number."""
+    for line_no, line in enumerate(_read_lines(path, default_name), start=1):
+        phrase = normalize_phrase(line)
+        if phrase:
+            yield line_no, phrase
+
+
 def load_object_list(path: str | Path | None = None) -> tuple[str, ...]:
     """Read a newline-delimited noun-phrase list; blank lines are skipped."""
-    phrases = []
-    seen = set()
-    for line in _read_lines(path, "urban_objects.txt"):
-        phrase = normalize_phrase(line)
-        if not phrase:
-            continue
-        if phrase in seen:
-            raise FormatError(f"duplicate object phrase {phrase!r}")
-        seen.add(phrase)
-        phrases.append(phrase)
+    phrases: dict[str, None] = {}
+    for line_no, phrase in _entries(path, "urban_objects.txt"):
+        if phrase in phrases:
+            raise FormatError(f"duplicate object phrase {phrase!r}", line=line_no)
+        phrases[phrase] = None
     if not phrases:
         raise FormatError("object list is empty")
     return tuple(phrases)
 
 
 def load_context_list(path: str | Path | None = None) -> tuple[str, ...]:
-    contexts = tuple(
-        normalize_phrase(line) for line in _read_lines(path, "contexts.txt") if line.strip()
-    )
+    contexts = tuple(phrase for _, phrase in _entries(path, "contexts.txt"))
     if not contexts:
         raise FormatError("context list is empty")
     return contexts

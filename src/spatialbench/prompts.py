@@ -25,13 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InsufficientPool, ParseError
-from .lexicon import (
-    PhraseLexicon,
-    default_contexts,
-    default_phrase_lexicon,
-    pluralize,
-    singularize,
-)
+from .lexicon import default_contexts, default_phrase_lexicon, pluralize, singularize
 from .relations import KIND_ORDER, RelationKind
 from .textutil import normalize_phrase
 
@@ -160,10 +154,8 @@ def _noun_phrase(phrase: str, anchored: frozenset[str]) -> str:
     return f"{article_for(phrase)} {phrase}"
 
 
-def _render_clause(
-    q: RelationQuadruple, lex: PhraseLexicon, anchored: frozenset[str] = frozenset()
-) -> str:
-    phrase = lex.canonical_phrase(q.kind)
+def _render_clause(q: RelationQuadruple, anchored: frozenset[str] = frozenset()) -> str:
+    phrase = default_phrase_lexicon().canonical_phrase(q.kind)
     subject = _noun_phrase(q.subject, anchored)
     if q.kind is RelationKind.BETWEEN:
         f1, f2 = q.objects
@@ -176,11 +168,10 @@ def _render_clause(
     return f"{subject} {phrase} {_noun_phrase(q.objects[0], anchored)}"
 
 
-def render_prompt(spec: PromptSpec, lex: PhraseLexicon | None = None) -> str:
-    lex = lex or default_phrase_lexicon()
-    parts = [_render_clause(spec.clauses[0], lex)]
+def render_prompt(spec: PromptSpec) -> str:
+    parts = [_render_clause(spec.clauses[0])]
     if spec.is_complex:
-        parts.append(_render_clause(spec.clauses[1], lex, frozenset({spec.anchor})))
+        parts.append(_render_clause(spec.clauses[1], frozenset({spec.anchor})))
     body = ", ".join(parts)
     return f"{body[0].upper()}{body[1:]} in {article_for(spec.context)} {spec.context}"
 
@@ -294,8 +285,8 @@ def _split_clauses(tokens: Sequence[str]) -> list[tuple[int, list[str]]]:
     return segments
 
 
-def parse_prompt(text: str, lex: PhraseLexicon | None = None) -> PromptSpec:
-    lex = lex or default_phrase_lexicon()
+def parse_prompt(text: str) -> PromptSpec:
+    lex = default_phrase_lexicon()
     tokens = tokenize_prompt(text)
     if not tokens:
         raise ParseError("empty prompt")

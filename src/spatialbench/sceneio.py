@@ -35,7 +35,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .captions import _iter_jsonl, write_jsonl
-from .errors import FormatError, ParseError
+from .errors import DimensionMismatch, FormatError, ParseError
 from .evaluation import EvalRecord
 from .extraction import DetectedObject, RelationInstance, Scene
 from .geometry import BoundingBox, DepthMap
@@ -185,6 +185,8 @@ def scene_from_dict(
     try:
         return Scene(str(image_id), float(width), float(height), tuple(objects),
                      depth=depth, context=context)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(exc.reason, line=line, field=field_prefix + "depth") from None
     except ValueError as exc:
         raise FormatError(str(exc), line=line, field=field_prefix or None) from None
 

@@ -27,7 +27,7 @@ from .errors import SpatialBenchError
 from .evaluation import EvalRecord, score_clause
 from .extraction import DetectedObject, Scene
 from .geometry import BoundingBox, DepthMap
-from .prompts import PromptSpec, RelationQuadruple, parse_prompt, render_prompt
+from .prompts import PromptSpec, RelationQuadruple, render_prompt
 from .relations import RelationKind, Strictness
 
 __all__ = ["StubGeneratorConfig", "StubPlan", "stub_generate"]
@@ -71,22 +71,19 @@ class StubPlan:
 
 
 def stub_generate(
-    prompts: Iterable[PromptSpec | str], cfg: StubGeneratorConfig | None = None
+    prompts: Iterable[PromptSpec], cfg: StubGeneratorConfig | None = None
 ) -> tuple[list[EvalRecord], list[StubPlan]]:
     """Fabricate one scene per prompt; returns records plus verified plans."""
     cfg = cfg or StubGeneratorConfig()
     rng = random.Random(cfg.seed)
     strictness = Strictness(cfg.tau)
     records, plans = [], []
-    for index, prompt in enumerate(prompts):
-        spec = parse_prompt(prompt) if isinstance(prompt, str) else prompt
+    for index, spec in enumerate(prompts):
         intents = tuple(rng.random() < cfg.probability(c.kind) for c in spec.clauses)
         record_id = f"stub-{index:06d}"
         scene = _synthesize(record_id, spec, intents, cfg)
-        verdicts = tuple(
-            score_clause(clause, scene, strictness, clause_index=k).satisfied
-            for k, clause in enumerate(spec.clauses)
-        )
+        verdicts = tuple(score_clause(clause, scene, strictness).satisfied
+                         for clause in spec.clauses)
         records.append(EvalRecord(record_id, spec, scene))
         plans.append(StubPlan(record_id, verdicts))
     return records, plans

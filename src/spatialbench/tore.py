@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import FormatError, MissingRelation, ParseError
-from .lexicon import PhraseLexicon
 from .prompts import PromptSpec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
 
@@ -139,29 +138,21 @@ def transform_spec(spec: PromptSpec, cfg: ToreConfig) -> tuple[PromptSpec, bool]
     return PromptSpec(clauses, context=spec.context), True
 
 
-def transform_prompt(
-    text: str,
-    cfg: ToreConfig,
-    lex: PhraseLexicon | None = None,
-    *,
-    lenient: bool = False,
-) -> str:
+def transform_prompt(text: str, cfg: ToreConfig) -> str:
     """Rewrite dispreferred-side clauses in a prompt string.
 
     A prompt needing no flip is returned untouched, byte for byte; otherwise
-    the whole prompt is re-rendered with canonical phrases. With lenient=True
-    unparseable lines pass through unchanged instead of raising.
+    the whole prompt is re-rendered with canonical phrases. A line outside the
+    grammar passes through unchanged.
     """
     try:
-        spec = parse_prompt(text, lex)
+        spec = parse_prompt(text)
     except ParseError:
-        if lenient:
-            return text
-        raise
+        return text
     out, changed = transform_spec(spec, cfg)
     if not changed:
         return text
-    return render_prompt(out, lex)
+    return render_prompt(out)
 
 
 def compute_bias_profile(report: BenchReport) -> BiasProfile:

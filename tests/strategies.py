@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from spatialbench.geometry import BoundingBox, RelationKind, Strictness
+from spatialbench.geometry import BoundingBox
 from spatialbench.lexicon import default_contexts, default_objects
 from spatialbench.prompts import PromptSpec, RelationQuadruple
+from spatialbench.relations import RelationKind, Strictness
 
 OBJECTS = default_objects()
 CONTEXTS = default_contexts()

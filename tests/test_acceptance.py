@@ -17,12 +17,8 @@ from spatialbench.evaluation import (
     score_clause,
 )
 from spatialbench.geometry import (
-    OPPOSITE_PAIRS,
     BoundingBox,
     DepthMap,
-    RelationKind,
-    Strictness,
-    DEFAULT_STRICTNESS,
     batch_check_between,
     batch_check_depth_overlap,
     batch_check_directional,
@@ -32,7 +28,6 @@ from spatialbench.geometry import (
     check_depth_relation,
     check_directional,
     check_next,
-    invert,
 )
 from spatialbench.extraction import DetectedObject, Scene
 from spatialbench.cli import main
@@ -42,6 +37,13 @@ from spatialbench.prompts import (
     RelationQuadruple,
     parse_prompt,
     render_prompt,
+)
+from spatialbench.relations import (
+    DEFAULT_STRICTNESS,
+    OPPOSITE_PAIRS,
+    RelationKind,
+    Strictness,
+    invert,
 )
 from spatialbench.sceneio import write_jsonl
 from spatialbench.stub import StubGeneratorConfig, stub_generate

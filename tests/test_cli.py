@@ -8,9 +8,10 @@ import json
 
 import pytest
 
-from spatialbench.cli import CONFIG_ENV_VAR, _build_parser, main
-from spatialbench.evaluation import BenchReport, evaluate_records
-from spatialbench.prompts import parse_prompt, render_prompt
+from spatialbench.cli import CONFIG_ENV_VAR, _build_parser, _check_object_phrase, main
+from spatialbench.evaluation import evaluate_records
+from spatialbench.lexicon import default_contexts, default_objects
+from spatialbench.prompts import _normalized_context, parse_prompt, render_prompt
 from spatialbench.sceneio import load_eval_records, write_jsonl
 from spatialbench.tore import load_bias_profile
 
@@ -261,9 +262,9 @@ class TestEvaluate:
     def test_json_report(self, tmp_path, records_file):
         out = tmp_path / "report.json"
         assert main(["evaluate", str(records_file), "--output", str(out)]) == 0
-        report = BenchReport.from_json(out.read_text())
-        assert report.soft["right"] == 1.0
-        assert report.config == {"tau": 3.0, "seed": 0}
+        report = json.loads(out.read_text())
+        assert report["soft_accuracy"]["right"] == 1.0
+        assert report["config"] == {"tau": 3.0, "seed": 0}
 
     def test_text_report(self, records_file, capsys):
         assert main(["evaluate", str(records_file), "--format", "text"]) == 0
@@ -274,7 +275,7 @@ class TestEvaluate:
         out = tmp_path / "report.json"
         assert main(["evaluate", str(records_file), "--tau", "2",
                      "--output", str(out)]) == 0
-        assert BenchReport.from_json(out.read_text()).config["tau"] == 2.0
+        assert json.loads(out.read_text())["config"]["tau"] == 2.0
 
     # The config file (--config or SPATIALBENCH_CONFIG) reaches extract alone,
     # since scoring reads tau only. Each case below runs its file through
@@ -286,7 +287,7 @@ class TestEvaluate:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
         out = tmp_path / "report.json"
         assert main(["evaluate", str(records_file), "--output", str(out)]) == 0
-        assert BenchReport.from_json(out.read_text()).config == {"tau": 3.0, "seed": 0}
+        assert json.loads(out.read_text())["config"] == {"tau": 3.0, "seed": 0}
 
     def test_config_file(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -460,6 +461,19 @@ class TestStubGen:
         src.write_text("definitely not a prompt\n")
         assert main(["stub-gen", str(src)]) == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        ("hello world", "no relation phrase found"),
+        ("A car right of bus in a city",
+         "expected an article ('a', 'an' or 'the') starting a noun phrase (token 4)"),
+    ], ids=["no-relation", "token"])
+    def test_unparseable_prompt_names_file_and_line(self, tmp_path, capsys, text, reason):
+        # the blank line counts, so the bad prompt is on line 3
+        src = tmp_path / "p.txt"
+        src.write_text(f"A bus to the right of a car in a city\n\n{text}\n")
+        assert main(["stub-gen", str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: prompt does not parse: {reason} (line 3)"]
+
     @pytest.mark.parametrize("flag, message", [
         (["--width", "0"], "--width must be at least 1, got 0"),
         (["--height", "-5"], "--height must be at least 1, got -5"),
@@ -512,12 +526,15 @@ class TestLexiconFiles:
         ("filter-captions", "--objects", b"bus\ncar\xff\nlamp\n", BAD_BYTE),
         ("filter-captions", "--contexts", b"city\npar\xffk\n", BAD_BYTE),
         ("gen-prompts", "--objects", b"bus\ncar, van\nlamp\n",
-         "noun phrase 'car, van' contains a comma"),
+         "noun phrase 'car, van' contains a comma (line 2)"),
         ("gen-prompts", "--contexts", b"city\nstreet, corner\n",
-         "context 'street, corner' contains a comma"),
+         "context 'street, corner' contains a comma (line 2)"),
+        ("gen-prompts", "--objects", b"bus\ncar\n\nbus\n",
+         "duplicate object phrase 'bus' (line 4)"),
     ], ids=["gen-prompts-objects-utf8", "gen-prompts-contexts-utf8",
             "filter-captions-objects-utf8", "filter-captions-contexts-utf8",
-            "gen-prompts-objects-comma", "gen-prompts-contexts-comma"])
+            "gen-prompts-objects-comma", "gen-prompts-contexts-comma",
+            "gen-prompts-objects-duplicate"])
     def test_error_names_flag_and_file(self, tmp_path, capsys, command, flag, data, message):
         lexicon = tmp_path / "list.txt"
         lexicon.write_bytes(data)
@@ -527,6 +544,13 @@ class TestLexiconFiles:
                 "filter-captions": ["filter-captions", str(captions)]}[command]
         assert main([*argv, flag, str(lexicon)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {flag} {lexicon}: {message}"]
+
+    def test_shipped_lists_keep_the_prompt_grammar(self):
+        # gen-prompts checks the grammar of a given list file only
+        for phrase in default_objects():
+            _check_object_phrase(phrase)
+        for context in default_contexts():
+            assert _normalized_context(context) == context
 
 
 class TestExitCodes:
@@ -584,6 +608,17 @@ class TestExitCodes:
     def test_bad_flag_value_names_the_flag(self, capsys, argv, message):
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command, field", [("extract", "depth"), ("evaluate", "scene.depth")])
+    def test_depth_size_mismatch_names_line_and_field(self, tmp_path, capsys, command, field):
+        scene = {"image_id": "s", "width": 4, "height": 3, "depth": [[1, 2], [3, 4]]}
+        if command == "evaluate":
+            scene = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n" + json.dumps(scene) + "\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: depth map is 2x2, scene is 4.0x3.0 (line 2, field {field})"]
 
     def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
         assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1

@@ -21,7 +21,8 @@ from spatialbench.extraction import (
     extract_scene,
     proximity_filter,
 )
-from spatialbench.geometry import BoundingBox, DepthMap, RelationKind, invert
+from spatialbench.geometry import BoundingBox, DepthMap
+from spatialbench.relations import RelationKind, invert
 
 import naive_reference as ref
 

@@ -9,15 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialbench import geometry
 from spatialbench.errors import EmptyRegion
 from spatialbench.geometry import (
     BoundingBox,
     DepthMap,
-    RelationKind,
-    Strictness,
     average_depth,
-    axis_distances,
-    batch_axis_distances,
     batch_check_between,
     batch_check_depth_overlap,
     batch_check_directional,
@@ -27,8 +24,8 @@ from spatialbench.geometry import (
     check_depth_relation,
     check_directional,
     check_next,
-    directional_distance,
 )
+from spatialbench.relations import RelationKind, Strictness
 
 import naive_reference as ref
 from strategies import boxes, integer_boxes, strictness
@@ -38,6 +35,16 @@ B_A2 = BoundingBox(0, 0, 40, 40)
 TAU3 = Strictness(3)
 
 DIRECTIONS = [k for k in RelationKind if k.is_directional_2d]
+
+
+def axis_distances(b1, b2):
+    """(x_max, x_min, y_max, y_min) distances of the formula every predicate shares."""
+    return geometry._pair(b1.as_tuple(), b2.as_tuple())[:4]
+
+
+def directional_distance(b1, b2, kind):
+    """Signed facing-edge gap of the directional formula."""
+    return geometry._distance(b1.as_tuple(), b2.as_tuple(), kind)
 
 
 def gradient_map(width=100, height=100):
@@ -84,17 +91,17 @@ class TestConstruction:
 
 class TestAxisDistances:
     def test_worked_example(self):
-        assert axis_distances(B_A1, B_A2).as_tuple() == (60, 60, 10, 10)
+        assert axis_distances(B_A1, B_A2) == (60, 60, 10, 10)
 
     def test_coincident_boxes(self):
-        assert axis_distances(B_A2, B_A2).as_tuple() == (0, 0, 0, 0)
+        assert axis_distances(B_A2, B_A2) == (0, 0, 0, 0)
 
     def test_per_axis_swap(self):
         # b1 narrow and tall, b2 wide and short: horizontal distances swap to
         # b2 minus b1, vertical distances keep b1 as minuend.
         b1 = BoundingBox(0, 0, 10, 100)
         b2 = BoundingBox(0, 0, 100, 10)
-        assert axis_distances(b1, b2).as_tuple() == (90, 0, 90, 0)
+        assert axis_distances(b1, b2) == (90, 0, 90, 0)
 
     @given(boxes(), boxes())
     def test_symmetric_under_argument_swap(self, a, b):
@@ -103,11 +110,9 @@ class TestAxisDistances:
         da = axis_distances(a, b)
         db = axis_distances(b, a)
         if a.width != b.width:
-            assert da.x_max_dist == db.x_max_dist
-            assert da.x_min_dist == db.x_min_dist
+            assert da[:2] == db[:2]
         if a.height != b.height:
-            assert da.y_max_dist == db.y_max_dist
-            assert da.y_min_dist == db.y_min_dist
+            assert da[2:] == db[2:]
 
 
 class TestDirectionalDistance:
@@ -231,7 +236,7 @@ class TestCheckDepthOverlap:
     def test_worked_example(self):
         b1 = BoundingBox(50, 20, 90, 60)
         b2 = BoundingBox(40, 25, 80, 65)
-        assert axis_distances(b1, b2).as_tuple() == (10, 10, -5, -5)
+        assert axis_distances(b1, b2) == (10, 10, -5, -5)
         assert check_depth_overlap(b1, b2, TAU3) is True
 
     def test_identical_boxes_overlap(self):
@@ -375,5 +380,6 @@ class TestBatchAgreement:
 
     @given(boxes(), boxes())
     def test_axis_distances(self, a, b):
-        xs = batch_axis_distances(np.array([a.as_tuple()]), np.array([b.as_tuple()]))
-        assert tuple(float(v[0]) for v in xs) == axis_distances(a, b).as_tuple()
+        rows = geometry._rows(np.array([a.as_tuple()])), geometry._rows(np.array([b.as_tuple()]))
+        xs = geometry._pair(*rows)[:4]
+        assert tuple(float(v[0]) for v in xs) == axis_distances(a, b)

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from spatialbench.errors import FormatError, UnknownKind
-from spatialbench.geometry import RelationKind
 from spatialbench.lexicon import (
     PhraseLexicon,
     default_contexts,
@@ -16,6 +15,7 @@ from spatialbench.lexicon import (
     pluralize,
     singularize,
 )
+from spatialbench.relations import RelationKind
 
 
 class TestPluralize:
@@ -87,7 +87,7 @@ class TestContexts:
 class TestPhraseLexicon:
     def test_covers_all_kinds(self):
         lex = default_phrase_lexicon()
-        assert set(lex.kinds()) == set(RelationKind)
+        assert set(lex.entries) == set(RelationKind)
 
     @pytest.mark.parametrize(
         "kind,phrase",
@@ -106,14 +106,14 @@ class TestPhraseLexicon:
         assert default_phrase_lexicon().canonical_phrase(kind) == phrase
 
     def test_bottom_variants(self):
-        got = default_phrase_lexicon().accepted_phrases(RelationKind.BOTTOM)
+        got = default_phrase_lexicon().entries[RelationKind.BOTTOM]
         assert set(got) == {"under", "on the bottom of", "below", "underneath"}
 
     def test_variants_disjoint_across_kinds(self):
         lex = default_phrase_lexicon()
         seen = set()
-        for kind in lex.kinds():
-            for phrase in lex.accepted_phrases(kind):
+        for phrases in lex.entries.values():
+            for phrase in phrases:
                 assert phrase not in seen
                 seen.add(phrase)
 
@@ -122,7 +122,7 @@ class TestPhraseLexicon:
         index = lex.token_index()
         assert index[("on", "the", "right", "side", "of")] is RelationKind.RIGHT
         assert lex.max_phrase_tokens() == 5
-        assert len(index) == sum(len(lex.accepted_phrases(k)) for k in lex.kinds())
+        assert len(index) == sum(len(phrases) for phrases in lex.entries.values())
 
     def test_token_index_is_read_only(self):
         lex = default_phrase_lexicon()
@@ -158,4 +158,4 @@ class TestPhraseLexicon:
         )
         lex = load_phrase_lexicon(p)
         assert lex.canonical_phrase(RelationKind.RIGHT) == "right of"
-        assert lex.accepted_phrases(RelationKind.RIGHT) == ("right of", "to the right of")
+        assert lex.entries[RelationKind.RIGHT] == ("right of", "to the right of")

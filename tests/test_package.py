@@ -32,10 +32,9 @@ EXPORTED = {
                    "score_clause", "score_record"],
     "extraction": ["DEFAULT_CONFIG", "DetectedObject", "ExtractionConfig",
                    "RelationInstance", "Scene", "extract_scene"],
-    "geometry": ["AxisDistances", "BoundingBox", "DepthMap", "average_depth",
-                 "axis_distances", "check_between", "check_depth_overlap",
-                 "check_depth_relation", "check_directional", "check_next",
-                 "directional_distance"],
+    "geometry": ["BoundingBox", "DepthMap", "average_depth", "check_between",
+                 "check_depth_overlap", "check_depth_relation", "check_directional",
+                 "check_next"],
     "relations": ["RelationKind", "Strictness", "invert"],
     "lexicon": ["default_contexts", "default_objects"],
     "prompts": ["PromptSpec", "RelationQuadruple", "parse_prompt", "render_prompt",
@@ -79,7 +78,7 @@ def test_demo_script_runs(argv, first_line):
 
 def test_exports_resolve_to_their_home_module():
     assert sorted(spatialbench.__all__) == sorted(n for names in EXPORTED.values() for n in names)
-    assert len(spatialbench.__all__) == 61
+    assert len(spatialbench.__all__) == 58
     listed = dir(spatialbench)
     star: dict = {}
     exec("from spatialbench import *", star)

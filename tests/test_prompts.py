@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spatialbench import prompts
 from spatialbench.errors import (
     InsufficientPool,
     NotInvertible,
     ParseError,
     UnknownKind,
 )
-from spatialbench.geometry import RelationKind, invert
 from spatialbench.lexicon import (
     PhraseLexicon,
     default_contexts,
@@ -27,6 +29,7 @@ from spatialbench.prompts import (
     render_prompt,
     sample_prompt_set,
 )
+from spatialbench.relations import RelationKind, invert
 
 OBJECTS = default_objects()
 CONTEXTS = default_contexts()
@@ -183,8 +186,9 @@ class TestRender:
     def test_unknown_kind_when_lexicon_partial(self):
         lex = PhraseLexicon({RelationKind.RIGHT: ("to the right of",)})
         spec = PromptSpec((quad("bench", "top", "car", "city"),))
-        with pytest.raises(UnknownKind):
-            render_prompt(spec, lex)
+        with patch.object(prompts, "default_phrase_lexicon", lambda: lex):
+            with pytest.raises(UnknownKind):
+                render_prompt(spec)
 
 
 class TestParse:
@@ -300,14 +304,15 @@ def test_parse_render_round_trip(spec):
 @given(quadruples(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_any_accepted_phrase_parses_to_same_spec(q, data):
-    lex = default_phrase_lexicon()
-    variant = data.draw(st.sampled_from(lex.accepted_phrases(q.kind)))
+    entries = default_phrase_lexicon().entries
+    variant = data.draw(st.sampled_from(entries[q.kind]))
     variant_lex = PhraseLexicon(
-        {kind: (variant,) if kind is q.kind else lex.accepted_phrases(kind)
-         for kind in lex.kinds()}
+        {kind: (variant,) if kind is q.kind else phrases for kind, phrases in entries.items()}
     )
     spec = PromptSpec((q,))
-    assert parse_prompt(render_prompt(spec, variant_lex)) == spec
+    with patch.object(prompts, "default_phrase_lexicon", lambda: variant_lex):
+        text = render_prompt(spec)
+    assert parse_prompt(text) == spec
 
 
 @given(prompt_specs())

@@ -12,14 +12,15 @@ from spatialbench.captions import (
     CaptionRecord,
     ObjectLexicon,
     caption_to_dict,
-    default_object_lexicon,
     filter_captions,
     load_captions,
 )
 from spatialbench.errors import DimensionMismatch, FormatError
 from spatialbench.extraction import DetectedObject, RelationInstance, Scene
-from spatialbench.geometry import BoundingBox, DepthMap, RelationKind
+from spatialbench.geometry import BoundingBox, DepthMap
+from spatialbench.lexicon import default_contexts, default_objects
 from spatialbench.prompts import parse_prompt
+from spatialbench.relations import RelationKind
 from spatialbench.sceneio import (
     eval_record_from_dict,
     eval_record_to_dict,
@@ -67,10 +68,10 @@ class TestCaptionFilter:
         assert filter_captions(records, LEX) == [records[0], records[2]]
 
     def test_default_lexicon(self):
-        lex = default_object_lexicon()
+        lex = ObjectLexicon(frozenset(default_objects()), frozenset(default_contexts()))
         assert len(lex.objects) == 299
         assert len(lex.contexts) == 4
-        kept = filter_captions([cap("a streetlight by a bench in the downtown area")])
+        kept = filter_captions([cap("a streetlight by a bench in the downtown area")], lex)
         assert len(kept) == 1
 
     def test_empty_caption_rejected(self):
@@ -245,8 +246,10 @@ class TestSceneParsing:
         assert scene.depth is not None and scene.depth.width == 100
 
     def test_wrong_size_depth_is_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            scene_from_dict(minimal_record(depth=[[0, 1], [2, 3]]))
+        with pytest.raises(DimensionMismatch) as info:
+            scene_from_dict(minimal_record(depth=[[0, 1], [2, 3]]), line=4)
+        assert isinstance(info.value, FormatError)
+        assert (info.value.line, info.value.field) == (4, "depth")
 
     @pytest.mark.parametrize("grid", [[[{}, 1]], [[True, False]], [["1", 2]]])
     def test_non_number_inline_depth_rejected(self, grid):
@@ -365,8 +368,9 @@ class TestSceneParsing:
         write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((8, 10))))
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.pgm")])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch) as info:
             list(load_scenes(p))
+        assert (info.value.line, info.value.field) == (1, "depth")
 
     def test_missing_depth_file(self, tmp_path):
         p = tmp_path / "scenes.jsonl"

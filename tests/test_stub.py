@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from spatialbench.errors import SpatialBenchError
 from spatialbench.evaluation import evaluate_records, score_clause
-from spatialbench.geometry import RelationKind, Strictness
-from spatialbench.prompts import PromptSpec, RelationQuadruple
+from spatialbench.prompts import PromptSpec, RelationQuadruple, parse_prompt
+from spatialbench.relations import RelationKind, Strictness
 from spatialbench.stub import StubGeneratorConfig, StubPlan, stub_generate
 
 from strategies import prompt_specs
@@ -84,14 +84,9 @@ class TestScenes:
         assert all(r.scene.context == "city" for r in records)
         assert all(r.scene.image_id == r.record_id for r in records)
 
-    def test_string_prompts_accepted(self):
-        records, plans = stub_generate(["A bench under a tree in a city"])
-        assert records[0].prompt.clauses[0].kind is RelationKind.BOTTOM
-        assert plans[0].verdicts == (True,)
-
     def test_complex_prompt_gets_two_zones(self):
         text = "A bench to the right of a tree, a lamp on top of the tree in a city"
-        records, plans = stub_generate([text])
+        records, plans = stub_generate([parse_prompt(text)])
         assert plans[0].verdicts == (True, True)
         assert len(records[0].scene.objects) == 4
 
