@@ -254,20 +254,31 @@ def _write_records(args, dicts) -> None:
     captions.write_jsonl(sys.stdout if args.output is None else args.output, dicts)
 
 
-def _read_lines(source: str) -> list[str]:
-    if source == "-":
-        return split_lines(sys.stdin.buffer)
-    with open(source, "rb") as fh:
-        return split_lines(fh)
-
-
 @contextmanager
-def _lexicon_file(flag: str, path: Path | None):
-    """Name the flag and file in an error raised while reading or checking its list."""
+def _naming(where: str, errors: tuple[type[Exception], ...] = (FormatError,)):
+    """Prefix an error raised inside with the file, or the flag and file, it is about."""
     try:
         yield
-    except (FormatError, OSError, ValueError) as exc:
-        raise SpatialBenchError(f"{flag} {path}: {exc}") from None
+    except errors as exc:
+        raise SpatialBenchError(f"{where}: {exc}") from None
+
+
+def _lexicon_file(flag: str, path: Path | None):
+    """Name the flag and file in an error raised while reading or checking its list."""
+    return _naming(f"{flag} {path}", (FormatError, OSError, ValueError))
+
+
+def _prompt_file(source: str):
+    """Name the prompt file in a FormatError about one of its lines."""
+    return _naming("<stdin>" if source == "-" else source)
+
+
+def _read_lines(source: str) -> list[str]:
+    with _prompt_file(source):
+        if source == "-":
+            return split_lines(sys.stdin.buffer)
+        with open(source, "rb") as fh:
+            return split_lines(fh)
 
 
 def _check_object_phrase(phrase: str) -> None:
@@ -306,8 +317,9 @@ def _cmd_extract(args) -> int:
     cfg = _extraction_config(args)
     # one scene (and its depth map) is alive at a time; the small relation
     # dicts are kept, so a bad line fails the run before anything is written
-    dicts = [sceneio.relations_to_dict(scene, extraction.extract_scene(scene, cfg))
-             for scene in sceneio.load_scenes(args.scenes)]
+    with _naming(str(args.scenes)):
+        dicts = [sceneio.relations_to_dict(scene, extraction.extract_scene(scene, cfg))
+                 for scene in sceneio.load_scenes(args.scenes)]
     _write_records(args, dicts)
     return 0
 
@@ -384,16 +396,21 @@ def _cmd_tore(args) -> int:
     return 0
 
 
+def _evaluate(args) -> evaluation.BenchReport:
+    strictness = _strictness(args)
+    with _naming(str(args.records)):
+        records = sceneio.load_eval_records(args.records)
+        return evaluation.evaluate_records(records, strictness, seed=args.seed)
+
+
 def _cmd_evaluate(args) -> int:
-    records = sceneio.load_eval_records(args.records)
-    report = evaluation.evaluate_records(records, _strictness(args), seed=args.seed)
+    report = _evaluate(args)
     _write_output(args, report.to_json() if args.format == "json" else report.to_text())
     return 0
 
 
 def _cmd_bias_report(args) -> int:
-    records = sceneio.load_eval_records(args.records)
-    report = evaluation.evaluate_records(records, _strictness(args), seed=args.seed)
+    report = _evaluate(args)
     profile = compute_bias_profile(report) if args.emit_profile is not None else None
     if args.format == "json":
         text = json.dumps(report.bias, sort_keys=True, indent=2) + "\n"
@@ -430,15 +447,16 @@ def _cmd_stub_gen(args) -> int:
         height=args.height,
         tau=args.tau,
     )
+    lines = _read_lines(args.prompts)
     specs = []
-    for line_no, line in enumerate(_read_lines(args.prompts), start=1):
-        if not line.strip():
-            continue
-        try:
-            specs.append(parse_prompt(line))
-        except ParseError as exc:
-            raise FormatError(f"{args.prompts}: prompt does not parse: {exc}",
-                              line=line_no) from None
+    with _prompt_file(args.prompts):
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                specs.append(parse_prompt(line))
+            except ParseError as exc:
+                raise FormatError(f"prompt does not parse: {exc}", line=line_no) from None
     records, plans = stub.stub_generate(specs, cfg)
     _write_records(args, (sceneio.eval_record_to_dict(r) for r in records))
     if args.plans is not None:

@@ -16,13 +16,32 @@ The relation phrase is found by leftmost-longest token matching against the
 lexicon, and the context is whatever follows the last "in a|an" marker. Both
 rules keep arbitrary multiword noun phrases parseable without a noun
 inventory.
+
+The public constructors validate and normalize every field. parse_prompt
+and the rewriter (tore.transform_spec) build through _trusted_quadruple and
+_trusted_spec instead, and relations.invert copies its input; none of them
+checks anything, so their parts must already pass those checks. For the
+parser, its own checks imply each __post_init__ check:
+
+  - normalized phrases: the prompt is lower-cased and whitespace-split once,
+    and every phrase and the context are single-space joins of its tokens
+  - no comma in a noun phrase: clauses are split at every comma token
+  - non-empty noun phrases: an article must be followed by a token, and
+    "two PLURAL" needs a plural that singularizes to a non-empty phrase
+  - one object, or two for between: the relation phrase decides the slots
+  - one or two clauses: a third clause is a parse error
+  - a shared noun phrase in a complex prompt: the antecedent check
+  - a non-empty context without "in a|an": the context follows the last
+    marker that has a token after it, so the only marker it can hold is a
+    trailing "in a|an"; that and a comma the parser rejects itself, after
+    the clause checks
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InsufficientPool, ParseError
 from .lexicon import default_contexts, default_phrase_lexicon, pluralize, singularize
@@ -91,15 +110,15 @@ class RelationQuadruple:
 
 
 def _trusted_quadruple(
-    subject: str, kind: RelationKind, objects: tuple[str, ...]
+    subject: str, kind: RelationKind, objects: tuple[str, ...], context: str | None = None
 ) -> RelationQuadruple:
-    """A context-free RelationQuadruple from parts that already passed its checks.
+    """A RelationQuadruple from parts that already passed its checks.
 
-    The phrases must be normalized and valid, as __post_init__ would leave
-    them; nothing is checked or normalized again.
+    The phrases and context must be normalized and valid, as __post_init__
+    would leave them; nothing is checked or normalized again.
     """
     q = object.__new__(RelationQuadruple)
-    q.__dict__.update(subject=subject, kind=kind, objects=objects, context=None)
+    q.__dict__.update(subject=subject, kind=kind, objects=objects, context=context)
     return q
 
 
@@ -123,7 +142,12 @@ class PromptSpec:
         if context is None:
             raise ValueError("no context given and the first clause carries none")
         context = _normalized_context(context)
-        clauses = tuple(replace(c, context=context) for c in clauses)
+        # each clause passed its checks when built, so only its context changes
+        clauses = tuple(
+            c if c.context == context
+            else _trusted_quadruple(c.subject, c.kind, c.objects, context)
+            for c in clauses
+        )
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "context", context)
         if len(clauses) == 2 and self.anchor is None:
@@ -143,6 +167,17 @@ class PromptSpec:
             if phrase in present:
                 return phrase
         return None
+
+
+def _trusted_spec(clauses: tuple[RelationQuadruple, ...], context: str) -> PromptSpec:
+    """A PromptSpec from clauses and a context that already passed its checks.
+
+    Each clause must carry the context, and a second clause must share a
+    noun phrase with the first; nothing is checked again.
+    """
+    spec = object.__new__(PromptSpec)
+    spec.__dict__.update(clauses=clauses, context=context)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -179,40 +214,37 @@ def render_prompt(spec: PromptSpec) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-def tokenize_prompt(text: str) -> list[str]:
-    return text.lower().replace(",", " , ").split()
-
-
 def _scan_relation(
-    tokens: Sequence[str],
+    tokens: tuple[str, ...],
     index: Mapping[tuple[str, ...], RelationKind],
     longest: int,
     start: int,
 ) -> tuple[int, int, RelationKind] | None:
     """Leftmost-longest relation phrase at position >= start."""
-    for p in range(start, len(tokens)):
-        for n in range(min(longest, len(tokens) - p), 0, -1):
-            kind = index.get(tuple(tokens[p : p + n]))
+    get = index.get
+    end = len(tokens)
+    for p in range(start, end):
+        for stop in range(min(p + longest, end), p, -1):
+            kind = get(tokens[p:stop])
             if kind is not None:
-                return p, n, kind
+                return p, stop - p, kind
     return None
 
 
-def _find_context_marker(tokens: Sequence[str]) -> int | None:
+def _find_context_marker(tokens: tuple[str, ...]) -> int | None:
     for i in range(len(tokens) - 3, -1, -1):
         if tokens[i] == "in" and tokens[i + 1] in ("a", "an"):
             return i
     return None
 
 
-@dataclass(frozen=True)
-class _Slot:
+class _Slot(NamedTuple):
     phrase: str
     definite: bool
     position: int
 
 
-def _parse_noun_phrase(tokens: Sequence[str], offset: int) -> _Slot:
+def _parse_noun_phrase(tokens: tuple[str, ...], offset: int) -> _Slot:
     if len(tokens) < 2 or tokens[0] not in _ARTICLES:
         raise ParseError(
             "expected an article ('a', 'an' or 'the') starting a noun phrase",
@@ -221,10 +253,10 @@ def _parse_noun_phrase(tokens: Sequence[str], offset: int) -> _Slot:
     return _Slot(" ".join(tokens[1:]), tokens[0] == "the", offset)
 
 
-def _parse_between_objects(tokens: Sequence[str], offset: int) -> list[_Slot]:
+def _parse_between_objects(tokens: tuple[str, ...], offset: int) -> list[_Slot]:
     if not tokens:
         raise ParseError("missing objects after 'between'", position=offset)
-    head = 2 if tokens[:2] == ["the", "two"] else 1 if tokens[0] == "two" else 0
+    head = 2 if tokens[:2] == ("the", "two") else 1 if tokens[0] == "two" else 0
     if head:
         plural = " ".join(tokens[head:])
         if not plural:
@@ -249,7 +281,7 @@ def _parse_between_objects(tokens: Sequence[str], offset: int) -> list[_Slot]:
 
 
 def _parse_clause(
-    tokens: Sequence[str],
+    tokens: tuple[str, ...],
     offset: int,
     index: Mapping[tuple[str, ...], RelationKind],
     longest: int,
@@ -269,14 +301,14 @@ def _parse_clause(
     return kind, slots
 
 
-def _split_clauses(tokens: Sequence[str]) -> list[tuple[int, list[str]]]:
-    segments: list[tuple[int, list[str]]] = []
+def _split_clauses(tokens: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+    segments: list[tuple[int, tuple[str, ...]]] = []
     start = 0
     for i, tok in enumerate(tokens):
         if tok == ",":
-            segments.append((start, list(tokens[start:i])))
+            segments.append((start, tokens[start:i]))
             start = i + 1
-    segments.append((start, list(tokens[start:])))
+    segments.append((start, tokens[start:]))
     if len(segments) > 2:
         raise ParseError("more than two clauses", position=segments[2][0] - 1)
     for offset, segment in segments:
@@ -285,9 +317,21 @@ def _split_clauses(tokens: Sequence[str]) -> list[tuple[int, list[str]]]:
     return segments
 
 
+def _check_context(tokens: tuple[str, ...], start: int) -> None:
+    """The context check of the constructors, as a ParseError at the offending token."""
+    context = tokens[start:]
+    if "," in context:
+        raise ParseError(f"context {' '.join(context)!r} contains a comma",
+                         position=start + context.index(","))
+    # an "in a|an" with a token after it would have been the marker
+    if context[-2:] in (("in", "a"), ("in", "an")):
+        raise ParseError(f"context {' '.join(context)!r} contains an 'in a' marker",
+                         position=len(tokens) - 2)
+
+
 def parse_prompt(text: str) -> PromptSpec:
     lex = default_phrase_lexicon()
-    tokens = tokenize_prompt(text)
+    tokens = tuple(text.lower().replace(",", " , ").split())
     if not tokens:
         raise ParseError("empty prompt")
     index = lex.token_index()
@@ -299,7 +343,6 @@ def parse_prompt(text: str) -> PromptSpec:
         raise ParseError(
             "no trailing context ('in a ...') found", position=len(tokens) - 1
         )
-    context = " ".join(tokens[marker + 2 :])
 
     parsed = [
         _parse_clause(segment, offset, index, longest)
@@ -324,12 +367,15 @@ def parse_prompt(text: str) -> PromptSpec:
                 )
         if not antecedents & {slot.phrase for slot in second_slots}:
             raise ParseError("clauses share no noun phrase", position=parsed[1][1][0].position)
+    _check_context(tokens, marker + 2)
 
+    # every constructor check holds here (see the module docstring)
+    context = " ".join(tokens[marker + 2 :])
     clauses = tuple(
-        RelationQuadruple(slots[0].phrase, kind, tuple(s.phrase for s in slots[1:]))
+        _trusted_quadruple(slots[0].phrase, kind, tuple(s.phrase for s in slots[1:]), context)
         for kind, slots in parsed
     )
-    return PromptSpec(clauses, context=context)
+    return _trusted_spec(clauses, context)
 
 
 # ---------------------------------------------------------------------------

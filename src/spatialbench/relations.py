@@ -11,7 +11,7 @@ and the prompt, lexicon and rewrite modules load without the array code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TypeVar
 
@@ -94,11 +94,16 @@ def invert(relation: _R) -> _R:
     Subject and object swap and the kind becomes its opposite ("A under B" is
     "B on top of A"); Next stays Next and the context carries over. Between
     has no opposite and raises NotInvertible.
+
+    The swap keeps every check of both classes (one object; valid phrases or
+    distinct indices), so the copy is made without running them again.
     """
     if not relation.kind.has_opposite:
         raise NotInvertible(f"{relation.kind.value} relations have no inverse form")
-    return replace(relation, subject=relation.objects[0], kind=relation.kind.opposite(),
-                   objects=(relation.subject,))
+    inverted = object.__new__(type(relation))
+    inverted.__dict__.update(relation.__dict__, subject=relation.objects[0],
+                             kind=relation.kind.opposite(), objects=(relation.subject,))
+    return inverted
 
 
 def pair_id(pair: tuple[RelationKind, RelationKind]) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import unicodedata
-from typing import Iterable
+from typing import BinaryIO
 
 from .errors import FormatError
 
@@ -18,17 +18,30 @@ def ascii_fold(text: str) -> str:
     return unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
 
 
+def _bad_byte(value: int, offset: int, line: int) -> FormatError:
+    return FormatError(f"invalid UTF-8 byte 0x{value:02x} at byte offset {offset}", line=line)
+
+
 def decode_line(data: bytes, line: int) -> str:
     """Decode one UTF-8 line of a file; a bad byte raises FormatError naming the line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x} at byte "
-                          f"offset {exc.start}", line=line) from None
+        raise _bad_byte(data[exc.start], exc.start, line) from None
 
 
-def split_lines(stream: Iterable[bytes]) -> list[str]:
-    """The stream's text as str.splitlines() gives it; a bad byte names its line."""
-    # each b"\n"-ended line is decoded alone; splitting those again loses nothing
-    return [part for line_no, data in enumerate(stream, start=1)
-            for part in decode_line(data, line_no).splitlines()]
+def split_lines(stream: BinaryIO) -> list[str]:
+    """The stream's text as str.splitlines() gives it.
+
+    A bad byte raises FormatError naming its line and its byte offset in that
+    line, both counted by the same splitlines() rule, so a lone "\r" moves a
+    decode error's line number as it moves a line's.
+    """
+    data = stream.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; "|" stands in for the byte itself
+        lines = (data[: exc.start].decode("utf-8") + "|").splitlines()
+        offset = len(lines[-1].encode("utf-8")) - 1
+        raise _bad_byte(data[exc.start], offset, len(lines)) from None

@@ -12,13 +12,13 @@ phrases are untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import FormatError, MissingRelation, ParseError
-from .prompts import PromptSpec, parse_prompt, render_prompt
+from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
 
 if TYPE_CHECKING:  # evaluation loads numpy, which rewriting never needs
@@ -106,8 +106,15 @@ class BiasProfile:
 
 @dataclass(frozen=True)
 class ToreConfig:
+    """A profile and the pairs it may flip.
+
+    flip_kinds, derived once, holds the dispreferred side of every enabled
+    pair that has a preference: the kinds a clause is flipped away from.
+    """
+
     profile: BiasProfile
     enabled_pairs: frozenset[str] = frozenset(PAIR_IDS)
+    flip_kinds: frozenset[RelationKind] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         enabled = frozenset(self.enabled_pairs)
@@ -116,26 +123,21 @@ class ToreConfig:
             problem = f"unknown pair ids {unknown}" if unknown else "no pair ids given"
             raise ValueError(f"{problem}; valid ids: {', '.join(PAIR_IDS)}")
         object.__setattr__(self, "enabled_pairs", enabled)
-
-
-def _wants_flip(kind: RelationKind, cfg: ToreConfig) -> bool:
-    pair = pair_of(kind)
-    if pair is None or pair_id(pair) not in cfg.enabled_pairs:
-        return False
-    return kind is cfg.profile.dispreferred(pair)
+        sides = (self.profile.dispreferred(p) for p in OPPOSITE_PAIRS if pair_id(p) in enabled)
+        object.__setattr__(self, "flip_kinds", frozenset(s for s in sides if s is not None))
 
 
 def transform_spec(spec: PromptSpec, cfg: ToreConfig) -> tuple[PromptSpec, bool]:
     """Flip every clause sitting on a dispreferred side; report whether any did.
 
     Flipping preserves each clause's phrase set, so a complex prompt keeps
-    its shared anchor and stays renderable.
+    its shared anchor and the result needs no new checks.
     """
-    clauses = tuple(invert(q) if _wants_flip(q.kind, cfg) else q for q in spec.clauses)
-    # an inverted clause never equals its original: the kind changes side
-    if clauses == spec.clauses:
+    flip = cfg.flip_kinds
+    if not any(q.kind in flip for q in spec.clauses):
         return spec, False
-    return PromptSpec(clauses, context=spec.context), True
+    clauses = tuple(invert(q) if q.kind in flip else q for q in spec.clauses)
+    return _trusted_spec(clauses, spec.context), True
 
 
 def transform_prompt(text: str, cfg: ToreConfig) -> str:

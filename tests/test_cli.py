@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -504,7 +506,27 @@ class TestPromptFiles:
                         b"A caf\xe9 next to a bench in a city\n")
         assert main([*argv, str(src)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: invalid UTF-8 byte 0xe9 at byte offset 5 (line 2)"]
+        assert err == [f"error: {src}: invalid UTF-8 byte 0xe9 at byte offset 5 (line 2)"]
+
+    def test_bad_utf8_on_stdin_names_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"ok\n\xe9\n")))
+        assert main(["tore", "--profile", "sdxl", "-"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: <stdin>: invalid UTF-8 byte 0xe9 at byte offset 0 (line 2)"]
+
+    @pytest.mark.parametrize("break_", ["\r", "\x0c", "\u2028"], ids=["cr", "ff", "ls"])
+    def test_decode_and_parse_errors_count_lines_alike(self, tmp_path, capsys, break_):
+        # a lone line break other than "\n" starts a line for both kinds of error
+        good = "A bus to the right of a car in a city"
+        src = tmp_path / "p.txt"
+        src.write_bytes(f"{good}{break_}not a prompt\n".encode("utf-8"))
+        assert main(["stub-gen", str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: prompt does not parse: no relation phrase found (line 2)"]
+        src.write_bytes(f"{good}{break_}A caf".encode("utf-8") + b"\xe9\n")
+        assert main(["stub-gen", str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: invalid UTF-8 byte 0xe9 at byte offset 5 (line 2)"]
 
     def test_lines_split_as_str_splitlines(self, tmp_path):
         # none of these lines parses, so tore passes each through unchanged
@@ -618,7 +640,34 @@ class TestExitCodes:
         src.write_text("\n" + json.dumps(scene) + "\n")
         assert main([command, str(src)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: depth map is 2x2, scene is 4.0x3.0 (line 2, field {field})"]
+            f"error: {src}: depth map is 2x2, scene is 4.0x3.0 (line 2, field {field})"]
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate", "bias-report"])
+    def test_bad_json_names_file_and_line(self, tmp_path, capsys, command):
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n{oops\n")
+        assert main([command, str(src)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {src}: invalid JSON: ") and line.endswith(" (line 2)")
+
+    @pytest.mark.parametrize("prompt, reason", [
+        ("A bus in front of a car in a street, at night",
+         "context 'street , at night' contains a comma"),
+        ("A bus in front of a car in a street in a",
+         "context 'street in a' contains an 'in a' marker"),
+    ], ids=["comma", "trailing-in-a"])
+    def test_bad_context_is_a_parse_error(self, tmp_path, capsys, prompt, reason):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text(f"A bus in front of a car in a city\n{prompt}\n")
+        assert main(["stub-gen", str(prompts)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {prompts}: prompt does not parse: {reason} (token 10) (line 2)"]
+        scene = {"image_id": "s", "width": 4, "height": 3}
+        records = tmp_path / "r.jsonl"
+        records.write_text(json.dumps({"id": "r", "prompt": prompt, "scene": scene}) + "\n")
+        assert main(["evaluate", str(records)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {records}: prompt does not parse: {reason} (line 1, field prompt)"]
 
     def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
         assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from unittest.mock import patch
 
 import pytest
@@ -288,6 +289,26 @@ class TestParse:
             parse_prompt("A bench next to the tree in a city")
         assert exc.value.position == 4
 
+    @pytest.mark.parametrize("text, reason, position", [
+        ("A car to the left of a bus in a street, at night",
+         "context 'street , at night' contains a comma", 11),
+        ("A car to the left of a bus in a street,", "context 'street ,' contains a comma", 11),
+        ("A car to the left of a bus in a street in a",
+         "context 'street in a' contains an 'in a' marker", 11),
+        ("A car to the left of a bus in a street, in an",
+         "context 'street , in an' contains a comma", 11),
+    ])
+    def test_bad_context_is_a_parse_error(self, text, reason, position):
+        with pytest.raises(ParseError) as exc:
+            parse_prompt(text)
+        assert (exc.value.reason, exc.value.position) == (reason, position)
+
+    def test_clause_errors_come_before_context_errors(self):
+        with pytest.raises(ParseError) as exc:
+            parse_prompt("A bench next to the tree in a street, at night")
+        assert (exc.value.reason, exc.value.position) == (
+            "'the tree' has no antecedent in the first clause", 4)
+
 
 # ---------------------------------------------------------------------------
 # property tests
@@ -313,6 +334,67 @@ def test_any_accepted_phrase_parses_to_same_spec(q, data):
     with patch.object(prompts, "default_phrase_lexicon", lambda: variant_lex):
         text = render_prompt(spec)
     assert parse_prompt(text) == spec
+
+
+def _fields(spec: PromptSpec) -> tuple:
+    return (type(spec), spec.context, [
+        (type(c), c.subject, c.kind, type(c.objects), c.objects, c.context)
+        for c in spec.clauses
+    ])
+
+
+def _rebuilt(spec: PromptSpec) -> PromptSpec:
+    """The spec's parts passed through the public, validating constructors."""
+    clauses = tuple(RelationQuadruple(c.subject, c.kind.value, list(c.objects))
+                    for c in spec.clauses)
+    return PromptSpec(clauses, context=spec.context)
+
+
+@given(prompt_specs())
+@settings(max_examples=300, deadline=None)
+def test_parsed_spec_equals_validated_rebuild(spec):
+    parsed = parse_prompt(render_prompt(spec))
+    assert _fields(parsed) == _fields(_rebuilt(parsed)) == _fields(spec)
+
+
+_SOUP = (
+    "a", "an", "the", "A", "The", "two", "the two", "and", ",", "in", "in a", "in an",
+    "IN A", "to the right of", "left of", "under", "between", "in between", "next to",
+    "behind", "on top of", "in front of", "bench", "benches", "people", "street", "city",
+    "Fire  Hydrant", "at night", "\t",
+)
+
+
+def _token_soup(rng: random.Random, seeds: list[str]) -> str:
+    tokens = rng.choice(seeds).split()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(3)
+        if op == 0 and len(tokens) > 1:
+            del tokens[rng.randrange(len(tokens))]
+        elif op == 1 and len(tokens) > 1:
+            i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_SOUP))
+    return " ".join(tokens).replace(" ,", rng.choice((",", " ,")))
+
+
+def test_token_soup_parses_to_validated_specs():
+    rng = random.Random(12)
+    pool = [quad(a, kind, (b, c) if kind is RelationKind.BETWEEN else (b,))
+            for kind in RelationKind for a, b, c in zip(OBJECTS, OBJECTS[1:], OBJECTS[2:40])]
+    seeds = [render_prompt(spec) for spec in sample_prompt_set(
+        pool, {k: 5 for k in RelationKind}, {k: 5 for k in RelationKind}, seed=3)]
+    parsed = 0
+    for _ in range(4000):
+        text = _token_soup(rng, seeds)
+        try:
+            spec = parse_prompt(text)
+        except ParseError:
+            continue  # anything else escaping the parser fails the test
+        parsed += 1
+        assert _fields(spec) == _fields(_rebuilt(spec)), text
+    assert 400 < parsed < 3600  # both outcomes are well represented
 
 
 @given(prompt_specs())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialbench.cli import main
 from spatialbench.errors import FormatError, MissingRelation, NotInvertible
 from spatialbench.evaluation import BenchReport, score_clause
 from spatialbench.extraction import DetectedObject, Scene
@@ -16,9 +19,11 @@ from spatialbench.prompts import (
     RelationQuadruple,
     parse_prompt,
     render_prompt,
+    sample_prompt_set,
 )
-from spatialbench.relations import OPPOSITE_PAIRS, RelationKind, invert
+from spatialbench.relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
 from spatialbench.tore import (
+    PAIR_IDS,
     BiasProfile,
     ToreConfig,
     builtin_profile,
@@ -184,6 +189,33 @@ class TestTransformPrompt:
         cfg = self.cfg()
         assert transform_prompt("a photo of a sunset", cfg) == "a photo of a sunset"
 
+    @pytest.mark.parametrize("text", [
+        "A bus to the right of a car in a street, at night",
+        "A bus to the right of a car in a street in a",
+        "A bus to the right of a car in a street in an",
+    ])
+    def test_bad_context_passes_through(self, text):
+        assert transform_prompt(text, self.cfg()) == text
+
+    def test_cli_passes_bad_context_through_line_aligned(self, tmp_path, capsys):
+        lines = [
+            "A bus to the right of a car in a city",
+            "A bus to the right of a car in a street, at night",
+            "A bus to the right of a car in a street in a",
+            "A market behind a building in a city",
+        ]
+        src = tmp_path / "p.txt"
+        src.write_text("".join(line + "\n" for line in lines))
+        assert main(["tore", "--profile", "sdxl", str(src)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            lines[0],  # sdxl ties left and right
+            lines[1],
+            lines[2],
+            "A building in front of a market in a city",
+        ]
+
     def test_transform_spec_reports_change(self):
         spec = PromptSpec((quad("bus", "right", "car", "city"),))
         out, changed = transform_spec(spec, self.cfg())
@@ -328,6 +360,53 @@ class TestProfileFiles:
         p.write_text("accuracy: high")
         with pytest.raises(FormatError):
             load_bias_profile(p)
+
+
+@given(bias_profiles(), st.sets(st.sampled_from(PAIR_IDS), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_flip_kinds_are_the_dispreferred_sides_of_enabled_pairs(profile, enabled):
+    cfg = ToreConfig(profile, frozenset(enabled))
+    expected = {profile.dispreferred(p) for p in OPPOSITE_PAIRS if pair_id(p) in enabled}
+    assert cfg.flip_kinds == expected - {None}
+
+
+@pytest.mark.parametrize("name", ["flux1", "sdxl"])
+def test_builtin_flip_kinds(name):
+    profile = builtin_profile(name)
+    cfg = ToreConfig(profile)
+    assert cfg.flip_kinds == {profile.dispreferred(p) for p in OPPOSITE_PAIRS} - {None}
+    assert ToreConfig(profile, frozenset({"front_behind"})).flip_kinds == (
+        {profile.dispreferred(FRONT_BEHIND)} - {None})
+
+
+def test_rewriting_builds_no_validated_objects(monkeypatch):
+    # parsing and flipping take the trusted constructors; a fallback to the
+    # validating ones would run these hooks
+    texts = [render_prompt(spec) for spec in sample_prompt_set(
+        _pool(), {k: 3 for k in RelationKind}, {k: 2 for k in RelationKind}, seed=4)]
+    cfg = ToreConfig(builtin_profile("flux1"))
+    calls = []
+    for cls in (RelationQuadruple, PromptSpec):
+        original = cls.__post_init__
+
+        def counted(self, _original=original):
+            calls.append(type(self).__name__)
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    flipped = 0
+    for text in texts:
+        parse_prompt(text)
+        flipped += transform_prompt(text, cfg) != text
+    assert flipped and calls == []
+
+
+def _pool() -> list[RelationQuadruple]:
+    objects = ("bench", "tree", "car", "lamp", "bus")
+    pool = [RelationQuadruple(a, kind, (b,)) for kind in RelationKind if kind.has_opposite
+            or kind is RelationKind.NEXT for a, b in permutations(objects, 2)]
+    return pool + [RelationQuadruple(a, RelationKind.BETWEEN, (b, c))
+                   for a, b, c in permutations(objects, 3)]
 
 
 def test_pair_of():
