@@ -6,7 +6,8 @@ prompts onto a model's stronger relation sides, and scores generated scenes
 against prompts with soft/strict accuracy and opposite-pair bias tables.
 
 The exported names resolve lazily (PEP 562): reading one imports only its
-home module, so prompt-side code never loads numpy through this package.
+home module, so prompt-side code never loads the scoring modules through
+this package.
 """
 
 import importlib

@@ -14,11 +14,14 @@ and an explicit --tau wins. evaluate and bias-report take --format;
 stub-gen has its own --tau. All randomness flows from --seed, and a fixed
 seed makes every subcommand byte-reproducible.
 
-gen-prompts, tore, filter-captions and --help run without numpy. The
-numpy-free modules (errors, relations, textutil, lexicon, prompts, tore) are
-imported normally; the array modules (evaluation, extraction, geometry,
-sceneio, stub) and captions are registered as lazy modules and run when a
-command first reads one of their attributes.
+Every command but extract runs without numpy on integer depth (inline JSON
+ints and PGM files): gen-prompts, tore, filter-captions, stub-gen, evaluate,
+bias-report and --help. extract loads it for its batch predicates, and so
+does a float depth map. The prompt-side modules (errors, relations,
+textutil, lexicon, prompts, tore) are imported normally; the scoring modules
+(evaluation, extraction, geometry, sceneio, stub) and captions are
+registered as lazy modules and run when a command first reads one of their
+attributes.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ def _lazy_module(name: str):
     return module
 
 
-# The array modules load numpy, which the prompt and caption commands never need,
-# and captions builds dataclasses that gen-prompts and tore never need.
+# The prompt and caption commands never need the scoring modules, and
+# captions builds dataclasses that gen-prompts and tore never need.
 # Commands call them through the module (sceneio.load_scenes(...)), so that a
 # function rebound in its home module is what runs. geometry is unused here
 # but registered too: importing this module puts every package module in

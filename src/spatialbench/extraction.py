@@ -6,14 +6,15 @@ runs the geometry predicates under one rule: a pair that hits a horizontal
 and a vertical direction at once emits no directional relation, and every
 horizontal hit emits Next. Output lists are deterministically ordered so
 identical inputs give identical outputs.
+
+The extractors load numpy when first called; the Scene and DetectedObject
+types load without it, so scoring code can import them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DimensionMismatch
 from .geometry import (
@@ -172,8 +173,10 @@ def _eligible(scene: Scene, cfg: ExtractionConfig) -> list[int]:
     ]
 
 
-def _pair_grid(boxes: list[BoundingBox]) -> tuple[np.ndarray, np.ndarray]:
+def _pair_grid(boxes: list[BoundingBox]):
     """Box rows shaped so a batch predicate gives the (n, n) matrix over ordered pairs."""
+    import numpy as np
+
     rows = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
     return rows[:, None], rows[None]
 
@@ -190,6 +193,8 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
     eligible = _eligible(scene, cfg)
     if len(eligible) < 2:  # no pair; skip the fixed cost of the numpy set-up
         return []
+    import numpy as np
+
     boxes = [scene.objects[i].box for i in eligible]
     near = np.array([[a != b and proximity_filter(b1, b2, scene.width, scene.height, cfg)
                       for b, b2 in enumerate(boxes)] for a, b1 in enumerate(boxes)],
@@ -231,6 +236,8 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
     eligible = _eligible(scene, cfg)
     if len(eligible) < 3:  # no triple; skip the fixed cost of the numpy set-up
         return []
+    import numpy as np
+
     subj, obj = _pair_grid([scene.objects[i].box for i in eligible])
     left = batch_check_directional(subj, obj, RelationKind.LEFT, s)
     right = batch_check_directional(subj, obj, RelationKind.RIGHT, s)

@@ -13,14 +13,17 @@ numpy arrays. The scalar functions apply it to BoundingBox values and return
 Python bool/float; the batch_* functions apply it to box rows of shape
 (..., 4) and return arrays. Extraction runs the batch functions over the n x n
 grid of ordered box pairs.
+
+Only the batch functions, float depth maps and DepthMap.values load numpy, so
+scoring integer-depth scenes (stub-gen, evaluate, bias-report) runs without
+it; extraction is the one production caller of the batch functions.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EmptyRegion
 from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness
@@ -89,9 +92,11 @@ class BoundingBox:
 
 def _pick(flag, a, b):
     """a where flag holds, else b."""
-    if isinstance(flag, np.ndarray):
-        return np.where(flag, a, b)
-    return a if flag else b
+    if type(flag) is bool:
+        return a if flag else b
+    import numpy as np
+
+    return np.where(flag, a, b)
 
 
 def _pair(p, q):
@@ -212,48 +217,69 @@ class DepthMap:
     """Per-pixel closeness field; larger value = nearer the camera.
 
     Metric depth (larger = farther) must be inverted before construction.
-    Values are stored as a read-only grid of shape (height, width). An integer
-    grid keeps its integer dtype (native byte order) while max * size < 2**53,
-    so every box sum is exact in float64 and average_depth gives the same bits
-    as over float64 values; any other grid is stored as float64. Equality and
-    hashing go by value, across dtypes.
+
+    values is a 2D grid: nested lists, as JSON decodes them, or a numpy
+    array. With shape=(height, width), values is instead the flat row-major
+    grid as an array.array of an integer type. The map keeps its own copy.
+
+    The grid is stored flat in an array.array. An integer grid keeps integer
+    storage while max * size < 2**53, so every box sum is exact in float64
+    and average_depth gives the same bits as over float64 values; any other
+    grid is stored as float64. values builds the read-only numpy grid on
+    first read; its dtype is the input's (native byte order), int64 for
+    nested lists of ints, float64 once stored as float. Equality and hashing
+    go by value, across dtypes.
+
+    Nested lists of ints (bools among them count as 0 and 1) and flat arrays
+    are read without numpy; every other grid goes through numpy.asarray,
+    which decides what it holds.
     """
 
-    def __init__(self, values):
-        # infer the dtype first, so bools, strings and objects are rejected
-        # instead of coerced; a bool mixed among ints is upcast and accepted
-        try:
-            arr = np.asarray(values)
-        except TypeError:
-            raise ValueError("depth values must be numbers") from None
-        except ValueError:  # numpy refuses rows of unequal length
-            raise ValueError("depth values must form a non-empty 2D grid, got ragged rows") from None
-        kind = arr.dtype.kind
-        if kind not in "iuf":
-            raise ValueError("depth values must be numbers")
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"depth values must form a non-empty 2D grid, got shape {arr.shape}")
-        if kind == "f" and not np.isfinite(arr).all():
+    def __init__(self, values, *, shape: tuple[int, int] | None = None):
+        if shape is not None:
+            data, shape = _flat_grid(values, shape)
+            dtype = data.typecode  # the dtype of values
+        elif (data := _int_rows(values)) is not None:
+            # numpy reads Python ints as int64; the storage may be narrower
+            shape, dtype = (len(values), len(values[0])), "q"
+        else:
+            data, shape = _numpy_grid(values)
+            dtype = data.typecode
+        if data.typecode == "d" and not all(map(math.isfinite, data)):
             raise ValueError("depth values must be finite")
-        if kind != "u" and (arr < 0).any():
+        if not data.typecode.isupper() and min(data) < 0:
             raise ValueError("depth values must be >= 0")
-        exact = kind != "f" and int(arr.max()) * arr.size < 2**53
-        # astype copies, so the caller's array is never frozen
-        arr = arr.astype(arr.dtype.newbyteorder("=") if exact else np.float64)
-        arr.setflags(write=False)
-        self._values = arr
+        if data.typecode != "d" and not _sums_exact(data):
+            data, dtype = array("d", data), "d"
+        self._data = data
+        self._shape = shape
+        self._dtype = dtype
+        self._values = None
 
     @property
-    def values(self) -> np.ndarray:
+    def values(self):
+        """The grid as a read-only numpy array of shape (height, width)."""
+        if self._values is None:
+            import numpy as np
+
+            arr = np.frombuffer(self._data, dtype=self._data.typecode).astype(self._dtype)
+            arr = arr.reshape(self._shape)
+            arr.setflags(write=False)
+            self._values = arr
         return self._values
 
     @property
+    def flat(self) -> memoryview:
+        """The grid in row-major order, read-only; format is 'd' for a float map."""
+        return memoryview(self._data).toreadonly()
+
+    @property
     def width(self) -> int:
-        return self._values.shape[1]
+        return self._shape[1]
 
     @property
     def height(self) -> int:
-        return self._values.shape[0]
+        return self._shape[0]
 
     def __repr__(self) -> str:
         return f"DepthMap({self.width}x{self.height})"
@@ -261,14 +287,88 @@ class DepthMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DepthMap):
             return NotImplemented
-        return self._values.shape == other._values.shape and bool(
-            (self._values == other._values).all()
-        )
+        return self._shape == other._shape and self._data == other._data
 
     def __hash__(self) -> int:
-        # float64 bytes agree across dtypes; adding 0.0 turns -0.0 into 0.0
-        return hash((self._values.shape,
-                     np.add(self._values, 0.0, dtype=np.float64).tobytes()))
+        # equal Python numbers hash equal, ints and floats alike, and -0.0 as 0
+        return hash((self._shape, tuple(self._data)))
+
+
+def _int_rows(rows) -> array | None:
+    """A list of equal-length lists of ints as flat storage; None for any other grid.
+
+    Unsigned storage holds non-negative values, and its range bounds the
+    maximum; a negative value or one past that range takes signed storage.
+    """
+    if type(rows) is not list or not rows or type(rows[0]) is not list or not rows[0]:
+        return None
+    width = len(rows[0])
+    for typecode in ("I", "q"):
+        data = array(typecode)
+        try:
+            for row in rows:
+                if type(row) is not list or len(row) != width:
+                    return None
+                data.fromlist(row)
+        except OverflowError:
+            continue
+        except TypeError:  # not an int: a float, or no number at all
+            return None
+        break
+    else:
+        return None  # past int64
+    # numpy reads a grid of bools alone as booleans, not numbers
+    if type(rows[0][0]) is bool and all(type(v) is bool for row in rows for v in row):
+        return None
+    return data
+
+
+_INT_TYPECODES = {("u" if t.isupper() else "i", array(t).itemsize): t for t in "bBhHiIlLqQ"}
+
+
+def _flat_grid(values, shape: tuple[int, int]) -> tuple[array, tuple[int, int]]:
+    if type(values) is not array or values.typecode not in "bBhHiIlLqQ":
+        raise TypeError("a flat depth grid must be an array.array of an integer type")
+    height, width = shape
+    if not (height > 0 and width > 0 and height * width == len(values)):
+        raise ValueError(f"depth values must form a non-empty 2D grid, got {len(values)} "
+                         f"values for shape {(height, width)}")
+    return values[:], (height, width)
+
+
+def _numpy_grid(values) -> tuple[array, tuple[int, int]]:
+    import numpy as np
+
+    # infer the dtype first, so bools, strings and objects are rejected
+    # instead of coerced; a bool mixed among ints is upcast and accepted
+    try:
+        arr = np.asarray(values)
+    except TypeError:
+        raise ValueError("depth values must be numbers") from None
+    except ValueError:  # numpy refuses rows of unequal length
+        raise ValueError("depth values must form a non-empty 2D grid, got ragged rows") from None
+    kind = arr.dtype.kind
+    if kind not in "iuf":
+        raise ValueError("depth values must be numbers")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"depth values must form a non-empty 2D grid, got shape {arr.shape}")
+    if kind == "f":
+        arr = arr.astype(np.float64)
+        typecode = "d"
+    else:
+        arr = arr.astype(arr.dtype.newbyteorder("="))
+        typecode = _INT_TYPECODES[kind, arr.itemsize]
+    data = array(typecode)
+    data.frombytes(arr.tobytes())
+    return data, arr.shape
+
+
+def _sums_exact(data: array) -> bool:
+    """max * size < 2**53, read off the storage's range where that suffices."""
+    bound = (2**53 - 1) // len(data)
+    if data.typecode.isupper() and 2 ** (8 * data.itemsize) - 1 <= bound:
+        return True
+    return max(data) <= bound
 
 
 def average_depth(d: DepthMap, b: BoundingBox) -> float:
@@ -277,6 +377,10 @@ def average_depth(d: DepthMap, b: BoundingBox) -> float:
     The footprint is the half-open integer region
     [floor(x_min), ceil(x_max)) x [floor(y_min), ceil(y_max)) clipped to the
     map; raises EmptyRegion when nothing remains.
+
+    An integer map sums each row of the footprint as Python ints and divides
+    once. The sum is exact and the division correctly rounded, so the result
+    has the bits of numpy's float64 mean. A float map takes numpy's mean.
     """
     x0 = max(0, math.floor(b.x_min))
     x1 = min(d.width, math.ceil(b.x_max))
@@ -284,7 +388,14 @@ def average_depth(d: DepthMap, b: BoundingBox) -> float:
     y1 = min(d.height, math.ceil(b.y_max))
     if x1 <= x0 or y1 <= y0:
         raise EmptyRegion(f"box {b.as_tuple()} covers no pixels of a {d.width}x{d.height} map")
-    return float(d.values[y0:y1, x0:x1].mean())
+    data = d._data
+    if data.typecode == "d":
+        return float(d.values[y0:y1, x0:x1].mean())
+    w = d.width
+    total = 0
+    for start in range(y0 * w + x0, y1 * w, w):
+        total += sum(data[start:start + x1 - x0])
+    return total / ((y1 - y0) * (x1 - x0))
 
 
 def check_depth_relation(
@@ -319,6 +430,8 @@ def check_depth_relation(
 
 def _rows(a):
     """Box rows of shape (..., 4) as their four coordinate arrays."""
+    import numpy as np
+
     arr = np.asarray(a, dtype=np.float64)
     if arr.shape[-1] != 4:
         raise ValueError(f"expected boxes with 4 coordinates in the last axis, got {arr.shape}")

@@ -285,10 +285,13 @@ def _parse_clause(
     offset: int,
     index: Mapping[tuple[str, ...], RelationKind],
     longest: int,
+    found: tuple[int, int, RelationKind] | None = None,
 ) -> tuple[RelationKind, list[_Slot]]:
-    # subject needs an article plus at least one token, so the relation
-    # phrase cannot start before position 2
-    found = _scan_relation(tokens, index, longest, start=2)
+    """Parse one clause; found, when given, is its relation phrase as a scan would find it."""
+    if found is None:
+        # subject needs an article plus at least one token, so the relation
+        # phrase cannot start before position 2
+        found = _scan_relation(tokens, index, longest, start=2)
     if found is None:
         raise ParseError("no relation phrase in clause", position=offset)
     p, n, kind = found
@@ -336,7 +339,8 @@ def parse_prompt(text: str) -> PromptSpec:
         raise ParseError("empty prompt")
     index = lex.token_index()
     longest = lex.max_phrase_tokens()
-    if _scan_relation(tokens, index, longest, start=0) is None:
+    first = _scan_relation(tokens, index, longest, start=0)
+    if first is None:
         raise ParseError("no relation phrase found")
     marker = _find_context_marker(tokens)
     if marker is None:
@@ -344,9 +348,14 @@ def parse_prompt(text: str) -> PromptSpec:
             "no trailing context ('in a ...') found", position=len(tokens) - 1
         )
 
+    segments = _split_clauses(tokens[:marker])
+    # No phrase starts before the first hit, so a hit at position 2 or later
+    # that ends inside the first clause is also that clause's own scan result.
+    p, n, _ = first
+    reuse = first if p >= 2 and p + n <= len(segments[0][1]) else None
     parsed = [
-        _parse_clause(segment, offset, index, longest)
-        for offset, segment in _split_clauses(tokens[:marker])
+        _parse_clause(segment, offset, index, longest, reuse if offset == 0 else None)
+        for offset, segment in segments
     ]
 
     first_slots = parsed[0][1]
@@ -385,6 +394,25 @@ def _kind_key(key: RelationKind | str) -> RelationKind:
     return key if isinstance(key, RelationKind) else RelationKind(key)
 
 
+def _contradicts(first: RelationQuadruple, second: RelationQuadruple) -> bool:
+    """True iff second states the converse of first's directional or depth fact.
+
+    That is the same kind with the roles swapped ("A right of B" then "B
+    right of A"), or the opposite kind with the same roles ("A left of B").
+    Next is symmetric and Between has no opposite, so neither has a
+    converse; nor does a fact relating a phrase to itself.
+    """
+    kind = first.kind
+    if not (kind.is_directional_2d or kind.is_3d):
+        return False
+    subject, obj = first.subject, first.objects[0]
+    if subject == obj:
+        return False
+    if second.kind is kind:
+        return second.subject == obj and second.objects == (subject,)
+    return second.kind is kind.opposite() and second.subject == subject and second.objects == (obj,)
+
+
 def sample_prompt_set(
     relations: Iterable[RelationQuadruple],
     simple_counts: Mapping[RelationKind | str, int],
@@ -397,7 +425,9 @@ def sample_prompt_set(
 
     Simple prompts are drawn per kind without replacement. Complex prompts
     are keyed by the first clause's kind; the second clause is any other
-    pool entry sharing a noun phrase, drawn uniformly. Quadruples without a
+    pool entry sharing a noun phrase, drawn uniformly, except one that states
+    the first clause's converse: when such a partner is drawn, the partner is
+    drawn again among the rest. Quadruples without a
     context get one drawn from `contexts`, in pool order; every context is
     checked before the first draw. Subject == object is rejected for the
     four planar directional kinds, where such facts are degenerate.
@@ -447,15 +477,19 @@ def sample_prompt_set(
     for kind, n in ordered(complex_counts or {}):
         members = by_kind.get(kind, [])
         eligible = [
-            i for i in members if any(len(holders[p]) > 1 for p in pool[i].phrases)
+            i for i in members
+            if any(j != i and not _contradicts(pool[i], pool[j])
+                   for p in pool[i].phrases for j in holders[p])
         ]
         if len(eligible) < n:
             raise InsufficientPool(
-                f"need {n} {kind.value} first clauses with a phrase-sharing partner, "
-                f"pool has {len(eligible)}"
+                f"need {n} {kind.value} first clauses with a phrase-sharing partner "
+                f"that is not their converse, pool has {len(eligible)}"
             )
         for i in sorted(rng.sample(eligible, n)):
             partners = sorted(set().union(*(holders[p] for p in pool[i].phrases)) - {i})
             j = rng.choice(partners)
+            if _contradicts(pool[i], pool[j]):
+                j = rng.choice([k for k in partners if not _contradicts(pool[i], pool[k])])
             specs.append(PromptSpec((pool[i], pool[j]), context=context_of[i]))
     return specs

@@ -22,17 +22,18 @@ readable and auditable by hand.
 load_scenes and load_eval_records are generators: they yield one scene or
 record per line as it parses, so a caller that consumes them one at a time
 holds one depth map at a time. A malformed line raises when it is reached.
-The JSONL reader and writer live in the numpy-free captions module.
+The JSONL reader and writer live in the numpy-free captions module. Depth
+maps are decoded into and encoded from DepthMap's flat array without numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from array import array
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .captions import _iter_jsonl, write_jsonl
 from .errors import DimensionMismatch, FormatError, ParseError
@@ -62,12 +63,12 @@ def read_depth(path: str | Path) -> DepthMap:
     """Read a closeness map from a binary PGM (P5) or a JSON 2D array."""
     data = Path(path).read_bytes()
     if data[:2] == b"P5":
-        values = _parse_pgm(data)
-    else:
-        try:
-            values = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"depth file is neither PGM nor JSON: {exc}") from None
+        flat, shape = _parse_pgm(data)
+        return DepthMap(flat, shape=shape)
+    try:
+        values = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"depth file is neither PGM nor JSON: {exc}") from None
     try:
         return DepthMap(values)
     except ValueError as exc:
@@ -76,17 +77,20 @@ def read_depth(path: str | Path) -> DepthMap:
 
 def write_depth_pgm(path: str | Path, depth: DepthMap) -> None:
     """Write a closeness map as 16-bit big-endian binary PGM."""
-    values = depth.values
-    if values.dtype.kind == "f":
-        values = np.rint(values)
-    if (values < 0).any() or (values > 65535).any():
+    values = depth.flat
+    if values.format == "d":
+        values = [round(v) for v in values]  # half to even, as numpy.rint
+    if min(values) < 0 or max(values) > 65535:
         raise ValueError("depth values must round into [0, 65535] for PGM output")
-    arr = values.astype(">u2")
+    raster = array("H", values)
+    if sys.byteorder == "little":
+        raster.byteswap()
     header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes())
+    Path(path).write_bytes(header + raster.tobytes())
 
 
-def _parse_pgm(data: bytes) -> np.ndarray:
+def _parse_pgm(data: bytes) -> tuple[array, tuple[int, int]]:
+    """The raster as a flat array of native-order values, and its (height, width)."""
     tokens, pos = _pgm_header(data)
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise FormatError("not a binary PGM (P5) file")
@@ -96,12 +100,15 @@ def _parse_pgm(data: bytes) -> np.ndarray:
         raise FormatError("PGM header fields must be integers") from None
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise FormatError(f"bad PGM header: {width}x{height}, maxval {maxval}")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+    flat = array("H" if maxval > 255 else "B")
     raster = data[pos + 1:]  # a single whitespace byte separates header and raster
-    expected = width * height * dtype.itemsize
+    expected = width * height * flat.itemsize
     if len(raster) < expected:
         raise FormatError(f"PGM raster truncated: need {expected} bytes, have {len(raster)}")
-    return np.frombuffer(raster[:expected], dtype=dtype).reshape(height, width)
+    flat.frombytes(raster[:expected])
+    if flat.itemsize > 1 and sys.byteorder == "little":
+        flat.byteswap()  # PGM stores 16-bit values big-endian
+    return flat, (height, width)
 
 
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:
@@ -247,16 +254,21 @@ def scene_to_dict(scene: Scene, *, depth_ref: str | None = None) -> dict:
     if depth_ref is not None:
         out["depth"] = depth_ref
     elif scene.depth is not None:
-        values = scene.depth.values
-        if values.dtype.kind != "f" or not np.all(values == np.rint(values)):
-            out["depth"] = values.tolist()
-        elif values.max() < 2.0**63:  # values are >= 0, so every one fits in int64
-            out["depth"] = values.astype(np.int64).tolist()
-        else:
-            out["depth"] = [[int(v) for v in row] for row in values.tolist()]
+        out["depth"] = _depth_rows(scene.depth)
     if scene.context is not None:
         out["context"] = scene.context
     return out
+
+
+def _depth_rows(depth: DepthMap) -> list[list[int | float]]:
+    """The grid as nested lists; a float grid of whole numbers as exact ints."""
+    flat = depth.flat
+    if flat.format == "d" and all(v.is_integer() for v in flat):
+        values = [int(v) for v in flat]  # int(-0.0) is 0
+        w = depth.width
+        return [values[i:i + w] for i in range(0, len(values), w)]
+    # a flat view casts to 2D only by way of bytes
+    return flat.cast("B").cast(flat.format, (depth.height, depth.width)).tolist()
 
 
 def _plain_number(value: float) -> int | float:
@@ -302,7 +314,7 @@ def eval_record_from_dict(
     try:
         prompt = parse_prompt(prompt_text)
     except ParseError as exc:
-        raise FormatError(f"prompt does not parse: {exc.reason}",
+        raise FormatError(f"prompt does not parse: {exc}",
                           line=line, field="prompt") from None
     scene_obj = record.get("scene")
     if scene_obj is None:

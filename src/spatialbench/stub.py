@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .errors import SpatialBenchError
 from .evaluation import EvalRecord, score_clause
@@ -77,11 +76,19 @@ def stub_generate(
     cfg = cfg or StubGeneratorConfig()
     rng = random.Random(cfg.seed)
     strictness = Strictness(cfg.tau)
+    plane = None  # the one depth map of every 3D scene, read-only and so shared
     records, plans = [], []
     for index, spec in enumerate(prompts):
         intents = tuple(rng.random() < cfg.probability(c.kind) for c in spec.clauses)
         record_id = f"stub-{index:06d}"
-        scene = _synthesize(record_id, spec, intents, cfg)
+        depth = None
+        if any(c.kind.is_3d for c in spec.clauses):
+            # closeness rises to the right, so an x-shift of g decides front/behind
+            if plane is None:
+                plane = DepthMap(array("q", range(cfg.width)) * cfg.height,
+                                 shape=(cfg.height, cfg.width))
+            depth = plane
+        scene = _synthesize(record_id, spec, intents, cfg, depth)
         verdicts = tuple(score_clause(clause, scene, strictness).satisfied
                          for clause in spec.clauses)
         records.append(EvalRecord(record_id, spec, scene))
@@ -90,7 +97,11 @@ def stub_generate(
 
 
 def _synthesize(
-    record_id: str, spec: PromptSpec, intents: tuple[bool, ...], cfg: StubGeneratorConfig
+    record_id: str,
+    spec: PromptSpec,
+    intents: tuple[bool, ...],
+    cfg: StubGeneratorConfig,
+    depth: DepthMap | None,
 ) -> Scene:
     zone = min(cfg.width, cfg.height) // (2 * len(spec.clauses))
     s = zone // 6
@@ -107,11 +118,6 @@ def _synthesize(
     for k, (clause, want) in enumerate(zip(spec.clauses, intents)):
         origin = k * 2 * zone
         objects.extend(_place_clause(clause, want, origin, s, g))
-    depth = None
-    if any(c.kind.is_3d for c in spec.clauses):
-        # closeness rises to the right, so an x-shift of g decides front/behind
-        plane = np.tile(np.arange(cfg.width), (cfg.height, 1))
-        depth = DepthMap(plane)
     return Scene(record_id, cfg.width, cfg.height, tuple(objects),
                  depth=depth, context=spec.context)
 

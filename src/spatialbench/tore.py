@@ -21,7 +21,7 @@ from .errors import FormatError, MissingRelation, ParseError
 from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
 
-if TYPE_CHECKING:  # evaluation loads numpy, which rewriting never needs
+if TYPE_CHECKING:  # evaluation loads the scoring modules, which rewriting never needs
     from .evaluation import BenchReport
 
 __all__ = [

@@ -4,11 +4,12 @@ Everything here is transcribed longhand from the distance definitions and
 constraint inequalities, on plain (x_min, y_min, x_max, y_max) tuples. It
 deliberately shares no code with the package so agreement is meaningful.
 
-Four layers:
+Five layers:
   * scalar predicates (the primary oracle),
   * numpy transcriptions of the same formulas for exhaustive grid sweeps,
   * a dead-simple scene extractor mirroring the extraction rules,
-  * the quadratic pool scan for prompt sampling.
+  * the quadratic pool scan for prompt sampling,
+  * the numpy depth grid that DepthMap stored before its flat storage.
 """
 
 from __future__ import annotations
@@ -271,12 +272,15 @@ def naive_extract(scene, tau=3.0, min_rel_area=0.01, max_center_dist=0.5,
 # naive prompt sampling
 #
 # The pool scan sample_prompt_set once ran: every candidate first clause is
-# checked against every other pool entry for a shared noun phrase. Relations
+# checked against every other pool entry for a shared noun phrase, and a
+# partner that states the first clause's converse is drawn again. Relations
 # are plain (subject, kind, objects-tuple, context-or-None) tuples with the
 # kind as its string value; each prompt comes back as (clauses, context),
 # every clause a (subject, kind, objects-tuple) triple.
 
 NAIVE_KIND_ORDER = ("right", "left", "top", "bottom", "next", "between", "front", "behind")
+NAIVE_OPPOSITE = {"right": "left", "left": "right", "top": "bottom", "bottom": "top",
+                  "front": "behind", "behind": "front"}
 
 
 class NaivePoolTooSmall(Exception):
@@ -297,6 +301,14 @@ def naive_sample_prompt_set(relations, simple_counts, complex_counts, seed, cont
         a_phrases = set([a[0]]) | set(a[2])
         b_phrases = set([b[0]]) | set(b[2])
         return len(a_phrases & b_phrases) > 0
+
+    def converse(a, b):
+        # "A right of B" against "B right of A" or "A left of B"
+        if a[1] not in NAIVE_OPPOSITE or a[0] == a[2][0]:
+            return False
+        swapped = b[1] == a[1] and b[0] == a[2][0] and b[2] == (a[0],)
+        opposite = b[1] == NAIVE_OPPOSITE[a[1]] and b[0] == a[0] and b[2] == a[2]
+        return swapped or opposite
 
     out = []
     for kind in NAIVE_KIND_ORDER:
@@ -319,7 +331,7 @@ def naive_sample_prompt_set(relations, simple_counts, complex_counts, seed, cont
             if pool[i][1] != kind:
                 continue
             for j in range(len(pool)):
-                if j != i and shares_phrase(pool[i], pool[j]):
+                if j != i and shares_phrase(pool[i], pool[j]) and not converse(pool[i], pool[j]):
                     eligible.append(i)
                     break
         if len(eligible) < n:
@@ -330,7 +342,50 @@ def naive_sample_prompt_set(relations, simple_counts, complex_counts, seed, cont
                 if j != i and shares_phrase(pool[i], pool[j]):
                     partners.append(j)
             j = rng.choice(partners)
+            if converse(pool[i], pool[j]):
+                j = rng.choice([k for k in partners if not converse(pool[i], pool[k])])
             first = (pool[i][0], pool[i][1], pool[i][2])
             second = (pool[j][0], pool[j][1], pool[j][2])
             out.append(((first, second), pool[i][3]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# numpy depth grid
+#
+# What DepthMap checked and stored when it held a numpy array: the same
+# accept/reject rules and messages, the dtype its values reported, and the
+# box mean it took with ndarray.mean().
+
+
+def numpy_depth_grid(values):
+    """The read-only grid for values, or ValueError for a grid DepthMap rejects."""
+    try:
+        arr = np.asarray(values)
+    except TypeError:
+        raise ValueError("depth values must be numbers") from None
+    except ValueError:
+        raise ValueError("depth values must form a non-empty 2D grid, got ragged rows") from None
+    kind = arr.dtype.kind
+    if kind not in "iuf":
+        raise ValueError("depth values must be numbers")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"depth values must form a non-empty 2D grid, got shape {arr.shape}")
+    if kind == "f" and not np.isfinite(arr).all():
+        raise ValueError("depth values must be finite")
+    if kind != "u" and (arr < 0).any():
+        raise ValueError("depth values must be >= 0")
+    exact = kind != "f" and int(arr.max()) * arr.size < 2**53
+    arr = arr.astype(arr.dtype.newbyteorder("=") if exact else np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def numpy_average_depth(grid, b):
+    """Box mean over the clipped half-open pixel footprint; None when it is empty."""
+    height, width = grid.shape
+    x0, x1 = max(0, math.floor(b[0])), min(width, math.ceil(b[2]))
+    y0, y1 = max(0, math.floor(b[1])), min(height, math.ceil(b[3]))
+    if x1 <= x0 or y1 <= y0:
+        return None
+    return float(grid[y0:y1, x0:x1].mean())

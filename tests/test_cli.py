@@ -667,7 +667,7 @@ class TestExitCodes:
         records.write_text(json.dumps({"id": "r", "prompt": prompt, "scene": scene}) + "\n")
         assert main(["evaluate", str(records)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {records}: prompt does not parse: {reason} (line 1, field prompt)"]
+            f"error: {records}: prompt does not parse: {reason} (token 10) (line 1, field prompt)"]
 
     def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
         assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spatialbench import geometry
 from spatialbench.errors import EmptyRegion
@@ -320,6 +322,158 @@ class TestIntegerDepthMaps:
     def test_negative_integers_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             DepthMap(np.array([[3, -1]], dtype=np.int16))
+
+
+# ---------------------------------------------------------------------------
+# DepthMap against the numpy grid it stored before (naive_reference)
+
+_EDGE_INTS = st.sampled_from([2**31, 2**32 - 1, 2**32, 2**51, 2**53, 2**63 - 1, 2**63,
+                              2**64 - 1, 2**64, 10**30, -1, -(2**63), -(2**63) - 1])
+_ELEMENTS = {
+    "ints": st.integers(0, 70000),
+    "bools": st.booleans(),
+    "ints and bools": st.one_of(st.integers(0, 3), st.booleans()),
+    "floats": st.one_of(st.floats(0, 1e6), st.integers(0, 100), st.just(-0.0)),
+    "edges": st.one_of(st.integers(-2, 2), _EDGE_INTS,
+                       st.floats(allow_nan=True, allow_infinity=True)),
+    "junk": st.one_of(st.integers(0, 9), st.none(), st.text(max_size=2),
+                      st.just([1]), st.just({})),
+}
+
+
+@st.composite
+def json_grids(draw):
+    """Nested lists as JSON decodes them: mostly rectangular, some not 2D at all."""
+    elements = _ELEMENTS[draw(st.sampled_from(sorted(_ELEMENTS)))]
+    height, width = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    grid = [[draw(elements) for _ in range(width)] for _ in range(height)]
+    form = draw(st.sampled_from(["2d", "2d", "2d", "ragged", "1d", "3d", "tuple rows"]))
+    if form == "ragged" and grid and grid[-1]:
+        grid[-1].pop()
+    elif form == "1d":
+        grid = grid[0] if grid else []
+    elif form == "3d":
+        grid = [[[v] for v in row] for row in grid]
+    elif form == "tuple rows":
+        grid = [tuple(row) for row in grid]
+    return grid
+
+
+_DTYPES = ["u1", "u2", ">u2", "i2", ">i4", "i8", "u4", "u8", "f4", "f8", "?"]
+
+
+def _agreeing_map(make, values) -> tuple[DepthMap, np.ndarray] | None:
+    """The map make() builds, checked against the reference; None where both reject."""
+    try:
+        want = ref.numpy_depth_grid(values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return None
+    got = make()
+    assert got.values.dtype == want.dtype
+    assert got.values.shape == want.shape == (got.height, got.width)
+    assert np.array_equal(got.values, want)
+    assert not got.values.flags.writeable
+    return got, want
+
+
+def _same_means(got: DepthMap, want: np.ndarray, bs) -> None:
+    for b in bs:
+        mean = ref.numpy_average_depth(want, b.as_tuple())
+        if mean is None:
+            with pytest.raises(EmptyRegion):
+                average_depth(got, b)
+        else:
+            assert average_depth(got, b).hex() == mean.hex()
+
+
+class TestDepthMapAgainstNumpy:
+    @given(json_grids(), st.lists(integer_boxes(grid=6), max_size=6))
+    @example([[True, False]], [])
+    @example([[1, 2], [3]], [])
+    @example([[[1]]], [])
+    @example([[2**63, 1]], [])
+    @example([[2**51, 2**51]], [])
+    @example([[2**52, 0]], [])  # max * size reaches 2**53: float64
+    @example([[True, 1], [0, 2]], [])
+    @example([[1, 2.5]], [])
+    @example([[-1, 2]], [])
+    @settings(max_examples=400, deadline=None)
+    def test_nested_lists(self, grid, bs):
+        found = _agreeing_map(lambda: DepthMap(grid), grid)
+        if found is not None:
+            _same_means(*found, bs)
+
+    @given(hnp.arrays(st.sampled_from(_DTYPES),
+                      hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)),
+           st.lists(integer_boxes(grid=6), max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_numpy_arrays(self, arr, bs):
+        found = _agreeing_map(lambda: DepthMap(arr), arr)
+        if found is not None:
+            _same_means(*found, bs)
+
+    @given(st.sampled_from("bBhHiIlLqQ"), st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flat_arrays(self, typecode, height, width, data):
+        bits = 8 * array(typecode).itemsize
+        lo, hi = (0, 2**bits - 1) if typecode.isupper() else (-3, 2 ** (bits - 1) - 1)
+        values = data.draw(st.lists(st.integers(lo, hi) | st.integers(0, min(hi, 300)),
+                                    min_size=height * width, max_size=height * width))
+        flat = array(typecode, values)
+        found = _agreeing_map(lambda: DepthMap(flat, shape=(height, width)),
+                              np.array(flat, dtype=typecode).reshape(height, width))
+        if found is not None:
+            _same_means(*found, data.draw(st.lists(integer_boxes(grid=6), max_size=6)))
+            assert DepthMap(flat, shape=(height, width)) == DepthMap(
+                [values[i:i + width] for i in range(0, len(values), width)])
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 254), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash_across_dtypes(self, height, width, top, data):
+        flat = data.draw(st.lists(st.integers(0, top), min_size=height * width,
+                                  max_size=height * width))
+        rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+
+        def forms(flat, rows):
+            return [DepthMap(rows), DepthMap([[float(v) for v in row] for row in rows]),
+                    *(DepthMap(np.array(rows, dtype=t)) for t in ("u1", ">u2", "i8", "f8")),
+                    *(DepthMap(array(t, flat), shape=(height, width)) for t in "BHq")]
+
+        maps = forms(flat, rows)
+        assert all(m == maps[0] for m in maps)
+        assert len({hash(m) for m in maps}) == 1
+        cell = data.draw(st.integers(0, len(flat) - 1))
+        other = flat[:cell] + [flat[cell] + 1] + flat[cell + 1:]
+        other_rows = [other[i:i + width] for i in range(0, len(other), width)]
+        assert all(a != b for a, b in zip(maps, forms(other, other_rows)))
+        if height != width:
+            assert DepthMap(array("q", flat), shape=(width, height)) != maps[0]
+
+    def test_unsigned_range_proves_exact_sums_only_on_small_grids(self):
+        # past 2**21 cells, 2**32 - 1 per cell no longer keeps the sum below 2**53
+        n = 2**21 + 1
+        assert geometry._sums_exact(array("I", [2**32 - 1]) * 2**21)
+        assert geometry._sums_exact(array("I", bytes(4 * n)))
+        big = array("I", bytes(4 * n))
+        big[-1] = 2**32 - 1
+        assert not geometry._sums_exact(big)
+        assert DepthMap(big, shape=(3, n // 3)).values.dtype == np.float64
+        assert DepthMap(big[:-1] + array("I", [1]), shape=(3, n // 3)).values.dtype == np.uint32
+
+    def test_flat_input_is_copied_and_checked(self):
+        flat = array("H", [1, 2, 3, 4, 5, 6])
+        d = DepthMap(flat, shape=(2, 3))
+        flat[0] = 9
+        assert d.values[0, 0] == 1 and d.flat.readonly
+        with pytest.raises(ValueError, match="non-empty 2D grid"):
+            DepthMap(flat, shape=(4, 2))
+        with pytest.raises(TypeError):
+            DepthMap([1, 2, 3, 4, 5, 6], shape=(2, 3))
+        with pytest.raises(TypeError):
+            DepthMap(array("d", [1.0]), shape=(1, 1))
 
 
 class TestCheckDepthRelation:

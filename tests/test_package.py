@@ -1,15 +1,17 @@
 """Package surface: every exported name resolves, and the demo scripts run.
 
-Also how the CLI starts: the prompt and caption commands run without numpy, and
-importing spatialbench.cli registers every package module (the benchmark's
-tracer rebinds functions across all of them).
+Also how the CLI starts: every command but extract runs without numpy on
+integer depth, and importing spatialbench.cli registers every package module
+(the benchmark's tracer rebinds functions across all of them).
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -120,24 +122,117 @@ print("RESULT", code, "numpy" in sys.modules, file=sys.stderr)
 """
 
 
+_SIDES_3D = (
+    "A bus to the right of a car in a city\n"
+    "A car to the left of a bus in a city\n"
+    "A lamp on top of a bench in a park\n"
+    "A lamp below a bench in a park\n"
+    "A tree in front of a kiosk in a street\n"
+    "A tree behind a kiosk in a street\n"
+    "A bus in front of a car, the car behind a lamp in a city\n"
+)
+
+
+def _write_inputs(tmp_path: Path) -> None:
+    """Prompt, profile and caption files, and stub records with inline and PGM depth."""
+    from spatialbench.cli import main
+    from spatialbench.geometry import DepthMap
+    from spatialbench.sceneio import read_depth, write_depth_pgm
+
+    (tmp_path / "prompts.txt").write_text(
+        "A bus to the right of a car in a city\n"
+        "A lamp below a bench in a park\n"
+        "not a benchmark prompt\n"
+    )
+    (tmp_path / "sides.txt").write_text(_SIDES_3D)
+    (tmp_path / "profile.json").write_text('{"left_right": {"left": 0.9, "right": 0.1}}')
+    (tmp_path / "captions.jsonl").write_text('{"caption": "a red bus on a street downtown"}\n')
+    records = tmp_path / "records.jsonl"
+    assert main(["stub-gen", str(tmp_path / "sides.txt"), "--output", str(records),
+                 "--p", "front=0.5", "--seed", "3"]) == 0
+    lines = [json.loads(line) for line in records.read_text().splitlines()]
+    for i, line in enumerate(lines):
+        if isinstance(line["scene"].get("depth"), list):
+            name = f"d{i}.pgm"
+            write_depth_pgm(tmp_path / name, DepthMap(line["scene"]["depth"]))
+            line["scene"]["depth"] = name
+    # one 8-bit file among the 16-bit ones
+    (tmp_path / "d8.pgm").write_bytes(b"P5\n128 128\n255\n" + bytes(range(128)) * 128)
+    lines[-1]["scene"]["depth"] = "d8.pgm"
+    (tmp_path / "records_pgm.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+    assert read_depth(tmp_path / "d8.pgm").values.dtype == "uint8"
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["gen-prompts", "--simple", "right=3", "--complex", "top=2", "--invert"],
     ["tore", "--profile", "profile.json", "prompts.txt"],
     ["tore", "--profile", "sdxl", "--pairs", "top_bottom", "prompts.txt"],
     ["filter-captions", "captions.jsonl"],
-], ids=["help", "gen-prompts", "tore-file", "tore-sdxl", "filter-captions"])
+    ["stub-gen", "sides.txt", "--plans", "plans.jsonl"],
+    ["evaluate", "records.jsonl"],
+    ["evaluate", "records_pgm.jsonl", "--format", "text"],
+    ["bias-report", "records.jsonl", "--emit-profile", "emitted.json"],
+    ["bias-report", "records_pgm.jsonl"],
+], ids=["help", "gen-prompts", "tore-file", "tore-sdxl", "filter-captions", "stub-gen",
+        "evaluate-inline", "evaluate-pgm", "bias-report-inline", "bias-report-pgm"])
 def test_prompt_commands_start_without_numpy(tmp_path, argv):
-    (tmp_path / "prompts.txt").write_text(
-        "A bus to the right of a car in a city\n"
-        "A lamp below a bench in a park\n"
-        "not a benchmark prompt\n"
-    )
-    (tmp_path / "profile.json").write_text('{"left_right": {"left": 0.9, "right": 0.1}}')
-    (tmp_path / "captions.jsonl").write_text('{"caption": "a red bus on a street downtown"}\n')
+    _write_inputs(tmp_path)
     result = _run_python(_RUN_CLI.format(argv=argv), tmp_path)
     assert result.stderr.splitlines()[-1] == "RESULT 0 False"
     assert result.stdout
+
+
+def test_depth_files_and_inline_depth_score_alike(tmp_path):
+    _write_inputs(tmp_path)
+    from spatialbench.cli import main
+
+    # the 8-bit map ramps like the stub's plane, so only the record order differs
+    reports = []
+    for name in ("records.jsonl", "records_pgm.jsonl"):
+        out = tmp_path / f"{name}.report"
+        assert main(["evaluate", str(tmp_path / name), "--output", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
+def test_extract_loads_numpy_and_matches_the_oracle(tmp_path):
+    import naive_reference as ref
+    from spatialbench.geometry import DepthMap
+    from spatialbench.sceneio import write_depth_pgm
+
+    rng = random.Random(4)
+    scenes = []
+    for i in range(6):
+        objects = []
+        for _ in range(rng.randint(2, 7)):
+            # boxes on two bands line up sideways, and near-copies overlap in depth
+            x, y = rng.randrange(0, 50), rng.choice([4, 24])
+            box = [x, y, x + rng.randint(6, 14), y + rng.randint(10, 12)]
+            if objects and rng.random() < 0.4:
+                box = [c + 1 for c in objects[-1]["box"]]
+            objects.append({"label": "car", "box": box, "score": rng.choice([0.2, 0.9, 0.9])})
+        rows = [[rng.randrange(0, 300) for _ in range(64)] for _ in range(48)]
+        depth = rows
+        if i % 2:
+            depth = f"s{i}.pgm"
+            write_depth_pgm(tmp_path / depth, DepthMap(rows))
+        scenes.append(({"image_id": f"s{i}", "width": 64, "height": 48, "objects": objects,
+                        "depth": depth}, rows))
+    (tmp_path / "scenes.jsonl").write_text("".join(json.dumps(s) + "\n" for s, _ in scenes))
+    result = _run_python(_RUN_CLI.format(argv=["extract", "scenes.jsonl"]), tmp_path)
+    assert result.stderr.splitlines()[-1] == "RESULT 0 True"
+    outputs = [json.loads(line) for line in result.stdout.splitlines()]
+    assert len(outputs) == len(scenes)
+    for (scene, rows), out in zip(scenes, outputs):
+        want = ref.naive_extract({
+            "width": 64, "height": 48, "depth": rows,
+            "objects": [(tuple(o["box"]), o["score"]) for o in scene["objects"]],
+        })
+        got = [(r["kind"], r["subject"], tuple(r["objects"])) for r in out["relations"]]
+        assert len(got) == len(set(got)) and set(got) == want
+    kinds = {r["kind"] for out in outputs for r in out["relations"]}
+    assert {"right", "left", "top", "next", "front", "behind"} <= kinds
 
 
 def test_importing_cli_registers_every_module_without_numpy(tmp_path):
@@ -150,3 +245,15 @@ def test_importing_cli_registers_every_module_without_numpy(tmp_path):
     registered, numpy_loaded = result.stdout.splitlines()
     assert registered == repr(sorted(MODULES))
     assert numpy_loaded == "False"
+
+
+def test_scoring_modules_import_without_numpy(tmp_path):
+    result = _run_python(
+        "import sys\n"
+        "from spatialbench.extraction import DetectedObject, Scene\n"
+        "from spatialbench.evaluation import EvalRecord\n"
+        "from spatialbench import geometry, sceneio, stub\n"
+        "print('numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert result.stdout == "False\n"

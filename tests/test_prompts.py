@@ -397,6 +397,52 @@ def test_token_soup_parses_to_validated_specs():
     assert 400 < parsed < 3600  # both outcomes are well represented
 
 
+def _outcome(text: str):
+    try:
+        return _fields(parse_prompt(text))
+    except ParseError as exc:
+        return exc.reason, exc.position
+
+
+def test_first_clause_reuse_matches_a_rescan():
+    # the reference parser scans the first clause again instead of reusing
+    # the whole-prompt hit
+    rescan = prompts._parse_clause
+
+    def always_rescan(tokens, offset, index, longest, found=None):
+        return rescan(tokens, offset, index, longest)
+
+    rng = random.Random(5)
+    pool = [quad(a, kind, (b, c) if kind is RelationKind.BETWEEN else (b,))
+            for kind in RelationKind for a, b, c in zip(OBJECTS, OBJECTS[1:], OBJECTS[2:40])]
+    seeds = [render_prompt(spec) for spec in sample_prompt_set(
+        pool, {k: 5 for k in RelationKind}, {k: 5 for k in RelationKind}, seed=4)]
+    # a relation phrase in the subject slot, running into the comma, or past it
+    texts = seeds + ["Under a bench next to a tree in a city", "A under next to a tree in a city",
+                     "A bench in front, of a tree in a city", "A bench next to, a tree in a city",
+                     "A bench, a tree next to a car in a city"]
+    texts += [_token_soup(rng, seeds) for _ in range(3000)]
+    got = [_outcome(t) for t in texts]
+    with patch.object(prompts, "_parse_clause", always_rescan):
+        want = [_outcome(t) for t in texts]
+    assert got == want
+
+
+@pytest.mark.parametrize("text, scans", [
+    ("A bench next to a tree in a city", 1),
+    ("A bench next to a tree, a dog under the tree in a city", 2),
+    # the first hit precedes position 2, so the first clause is scanned again
+    ("Under a bench next to a tree in a city", 2),
+])
+def test_first_clause_reuses_the_prompt_scan(text, scans):
+    calls = []
+    scan = prompts._scan_relation
+    with patch.object(prompts, "_scan_relation",
+                      lambda *args, **kw: calls.append(args) or scan(*args, **kw)):
+        _outcome(text)
+    assert len(calls) == scans
+
+
 @given(prompt_specs())
 @settings(max_examples=200, deadline=None)
 def test_rendered_article_matches_vowel_rule(spec):
@@ -419,6 +465,18 @@ class TestInvertQuadruple:
                 invert(q)
         else:
             assert invert(invert(q)) == q
+
+
+_OPPOSITE_SIDE = {"right": "left", "left": "right", "top": "bottom", "bottom": "top",
+                  "front": "behind", "behind": "front"}
+
+
+def _is_converse(first, second) -> bool:
+    """second says "B k A" or "A opposite-of-k B" where first says "A k B"."""
+    a, kind, b = first.subject, first.kind.value, first.objects[0]
+    return kind in _OPPOSITE_SIDE and a != b and (
+        (second.subject, second.kind.value, second.objects)
+        in ((b, kind, (a,)), (a, _OPPOSITE_SIDE[kind], (b,))))
 
 
 class TestSamplePromptSet:
@@ -474,6 +532,45 @@ class TestSamplePromptSet:
     def test_degenerate_next_fact_allowed(self):
         specs = sample_prompt_set([quad("car", "next", "car", "city")], {"next": 1}, seed=0)
         assert specs[0].clauses[0].objects == ("car",)
+
+    def test_complex_partner_is_never_the_converse(self):
+        # with two phrases, every first clause has its converse in the pool
+        pool = [quad(a, kind, b, "city") for kind in ("right", "left", "top", "bottom",
+                                                       "front", "behind", "next")
+                for a, b in (("car", "bus"), ("bus", "car"))]
+        drawn = 0
+        for seed in range(40):
+            for spec in sample_prompt_set(pool, {}, {"right": 2, "front": 2}, seed=seed):
+                assert not _is_converse(*spec.clauses)
+                drawn += 1
+        assert drawn == 160
+
+    def test_draws_change_only_from_a_rejected_partner_on(self):
+        pool = [quad("car", "right", "bus", "city"), quad("car", "next", "bus", "city"),
+                quad("bus", "top", "car", "city"), quad("bus", "right", "car", "city"),
+                quad("car", "left", "bus", "city"), quad("tree", "right", "bus", "city")]
+        redrawn = 0
+        for seed in range(60):
+            got = sample_prompt_set(pool, {"next": 1}, {"right": 3}, seed=seed)
+            with patch.object(prompts, "_contradicts", lambda first, second: False):
+                before = sample_prompt_set(pool, {"next": 1}, {"right": 3}, seed=seed)
+            for new, old in zip(got, before):
+                if old.is_complex and _is_converse(*old.clauses):
+                    # the redraw takes one more draw, so later prompts may differ
+                    assert new.clauses[0] == old.clauses[0] and not _is_converse(*new.clauses)
+                    redrawn += 1
+                    break
+                assert new == old
+        assert redrawn > 10
+
+    def test_converse_alone_is_no_partner(self):
+        pool = [quad("car", "right", "bus", "city"), quad("bus", "right", "car", "city")]
+        with pytest.raises(InsufficientPool, match="not their converse"):
+            sample_prompt_set(pool, {}, {"right": 1}, seed=0)
+        # a phrase related to itself has no converse
+        pool = [quad("car", "front", "car", "city"), quad("car", "behind", "car", "city")]
+        (spec,) = sample_prompt_set(pool, {}, {"front": 1}, seed=0)
+        assert spec.clauses[1] == pool[1]
 
     def test_complex_requires_partner(self):
         lone = [quad("car", "right", "tree", "city")]
@@ -549,8 +646,24 @@ _EDGE_CASE = (
 )
 
 
+_CONVERSE_CASE = (
+    [
+        ("car", "right", ("bus",), "city"),
+        ("bus", "right", ("car",), None),  # converse: same kind, roles swapped
+        ("car", "left", ("bus",), None),  # converse: opposite kind, same roles
+        ("bus", "front", ("car",), None),
+        ("car", "behind", ("bus",), None),  # converse of the front entry
+        ("car", "next", ("bus",), None),
+    ],
+    {},
+    {"right": 2, "left": 1, "front": 1},
+    3,
+)
+
+
 @given(sampling_cases())
 @example(_EDGE_CASE)
+@example(_CONVERSE_CASE)
 @settings(max_examples=300, deadline=None)
 def test_sampling_matches_naive_pool_scan(case):
     rows, simple, complex_counts, seed = case

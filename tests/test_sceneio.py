@@ -113,6 +113,15 @@ class TestDepthFiles:
         write_depth_pgm(again, got)
         assert again.read_bytes() == p.read_bytes()
 
+    def test_float_depth_rounds_half_to_even_as_numpy(self, tmp_path):
+        values = [[0.5, 1.5, 2.5, 3.49], [65534.5, 7.0, 0.0, 254.5]]
+        write_depth_pgm(tmp_path / "d.pgm", DepthMap(values))
+        got = read_depth(tmp_path / "d.pgm")
+        assert got.values.tolist() == np.rint(values).tolist() == [[0, 2, 2, 3],
+                                                                   [65534, 7, 0, 254]]
+        with pytest.raises(ValueError, match="round into"):
+            write_depth_pgm(tmp_path / "e.pgm", DepthMap([[65535.5]]))
+
     def test_16bit_is_big_endian(self, tmp_path):
         p = tmp_path / "d.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x01\x00")

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialbench.errors import SpatialBenchError
-from spatialbench.evaluation import evaluate_records, score_clause
-from spatialbench.prompts import PromptSpec, RelationQuadruple, parse_prompt
+from spatialbench.evaluation import evaluate_records, score_clause, score_record
+from spatialbench.prompts import PromptSpec, RelationQuadruple, parse_prompt, sample_prompt_set
 from spatialbench.relations import RelationKind, Strictness
 from spatialbench.stub import StubGeneratorConfig, StubPlan, stub_generate
 
-from strategies import prompt_specs
+from strategies import OBJECTS, prompt_specs
 
 ALL_KINDS = list(RelationKind)
 
@@ -76,6 +76,14 @@ class TestScenes:
         depth = records[1].scene.depth
         assert depth is not None and depth.width == 128 and depth.height == 128
         assert np.all(depth.values == np.rint(depth.values))
+
+    def test_3d_scenes_share_one_depth_map(self):
+        records, _ = stub_generate([spec_for(RelationKind.FRONT), spec_for(RelationKind.TOP),
+                                    spec_for(RelationKind.BEHIND)])
+        first, _, last = (r.scene.depth for r in records)
+        assert first is last
+        assert first.values.dtype == np.int64
+        assert first.values.tolist() == [list(range(128))] * 128
 
     def test_context_and_ids(self):
         records, plans = stub_generate([spec_for(RelationKind.TOP)] * 3)
@@ -155,3 +163,20 @@ def test_extreme_probabilities_force_verdicts(spec, p):
     cfg = StubGeneratorConfig(all_probabilities(p))
     _, plans = stub_generate([spec], cfg)
     assert plans[0].verdicts == tuple(p == 1.0 for _ in spec.clauses)
+
+
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sampled_complex_prompts_are_satisfiable(n_objects, seed):
+    # a small lexicon makes every pairwise first clause meet its converse in
+    # the pool, which the sampler must never chain onto it
+    objects = OBJECTS[:n_objects]
+    pool = [RelationQuadruple(a, kind, (b, c) if kind is RelationKind.BETWEEN else (b,))
+            for kind in ALL_KINDS for a in objects for b in objects for c in objects
+            if a != b and (kind is RelationKind.BETWEEN or b == c)]
+    specs = sample_prompt_set(pool, {}, {kind: 2 for kind in ALL_KINDS}, seed=seed)
+    assert all(spec.is_complex for spec in specs)
+    records, plans = stub_generate(specs, StubGeneratorConfig(all_probabilities(1.0)))
+    for record, plan in zip(records, plans):
+        assert plan.verdicts == (True, True), record.prompt
+        assert all(v.satisfied for v in score_record(record))
