@@ -101,11 +101,13 @@ def _parse_pgm(data: bytes) -> tuple[array, tuple[int, int]]:
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise FormatError(f"bad PGM header: {width}x{height}, maxval {maxval}")
     flat = array("H" if maxval > 255 else "B")
-    raster = data[pos + 1:]  # a single whitespace byte separates header and raster
+    start = pos + 1  # a single whitespace byte separates header and raster
     expected = width * height * flat.itemsize
-    if len(raster) < expected:
-        raise FormatError(f"PGM raster truncated: need {expected} bytes, have {len(raster)}")
-    flat.frombytes(raster[:expected])
+    have = max(0, len(data) - start)
+    if have < expected:
+        raise FormatError(f"PGM raster truncated: need {expected} bytes, have {have}")
+    # a memoryview slice reads the raster in place; a bytes slice would copy it
+    flat.frombytes(memoryview(data)[start:start + expected])
     if flat.itemsize > 1 and sys.byteorder == "little":
         flat.byteswap()  # PGM stores 16-bit values big-endian
     return flat, (height, width)
