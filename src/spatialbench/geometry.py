@@ -14,9 +14,10 @@ Python bool/float; the batch_* functions apply it to box rows of shape
 (..., 4) and return arrays. Extraction runs the batch functions over the n x n
 grid of ordered box pairs.
 
-Only the batch functions, float depth maps and DepthMap.values load numpy, so
-scoring integer-depth scenes (stub-gen, evaluate, bias-report) runs without
-it; extraction is the one production caller of the batch functions.
+Only the batch functions, DepthMap.values and depth grids other than
+integers (float maps, numpy input) load numpy, so scoring integer-depth
+scenes (stub-gen, evaluate, bias-report) runs without it; extraction is the
+one production caller of the batch functions.
 """
 
 from __future__ import annotations

@@ -402,15 +402,18 @@ def _contradicts(first: RelationQuadruple, second: RelationQuadruple) -> bool:
     Next is symmetric and Between has no opposite, so neither has a
     converse; nor does a fact relating a phrase to itself.
     """
-    kind = first.kind
-    if not (kind.is_directional_2d or kind.is_3d):
-        return False
+    # the phrases are compared first: they rule out almost every pair cheaply
     subject, obj = first.subject, first.objects[0]
-    if subject == obj:
+    if second.subject == obj and second.objects == (subject,):
+        swapped = True
+    elif second.subject == subject and second.objects == (obj,):
+        swapped = False
+    else:
         return False
-    if second.kind is kind:
-        return second.subject == obj and second.objects == (subject,)
-    return second.kind is kind.opposite() and second.subject == subject and second.objects == (obj,)
+    kind = first.kind
+    if subject == obj or not (kind.is_directional_2d or kind.is_3d):
+        return False
+    return second.kind is (kind if swapped else kind.opposite())
 
 
 def sample_prompt_set(

@@ -400,7 +400,7 @@ class TestDepthMapAgainstNumpy:
     @example([[True, 1], [0, 2]], [])
     @example([[1, 2.5]], [])
     @example([[-1, 2]], [])
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_nested_lists(self, grid, bs):
         found = _agreeing_map(lambda: DepthMap(grid), grid)
         if found is not None:
@@ -409,14 +409,14 @@ class TestDepthMapAgainstNumpy:
     @given(hnp.arrays(st.sampled_from(_DTYPES),
                       hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)),
            st.lists(integer_boxes(grid=6), max_size=6))
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=250, deadline=None)
     def test_numpy_arrays(self, arr, bs):
         found = _agreeing_map(lambda: DepthMap(arr), arr)
         if found is not None:
             _same_means(*found, bs)
 
     @given(st.sampled_from("bBhHiIlLqQ"), st.integers(1, 5), st.integers(1, 5), st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_flat_arrays(self, typecode, height, width, data):
         bits = 8 * array(typecode).itemsize
         lo, hi = (0, 2**bits - 1) if typecode.isupper() else (-3, 2 ** (bits - 1) - 1)

@@ -567,10 +567,11 @@ class TestSamplePromptSet:
         pool = [quad("car", "right", "bus", "city"), quad("bus", "right", "car", "city")]
         with pytest.raises(InsufficientPool, match="not their converse"):
             sample_prompt_set(pool, {}, {"right": 1}, seed=0)
-        # a phrase related to itself has no converse
-        pool = [quad("car", "front", "car", "city"), quad("car", "behind", "car", "city")]
-        (spec,) = sample_prompt_set(pool, {}, {"front": 1}, seed=0)
-        assert spec.clauses[1] == pool[1]
+        # a phrase related to itself has no converse, repeated or reversed
+        for partner in ("front", "behind"):
+            pool = [quad("car", "front", "car", "city"), quad("car", partner, "car", "city")]
+            (spec,) = sample_prompt_set(pool, {}, {"front": 1}, seed=0)
+            assert spec.clauses[1] == pool[1]
 
     def test_complex_requires_partner(self):
         lone = [quad("car", "right", "tree", "city")]
