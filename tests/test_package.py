@@ -187,7 +187,7 @@ def test_depth_files_and_inline_depth_score_alike(tmp_path):
     _write_inputs(tmp_path)
     from spatialbench.cli import main
 
-    # the 8-bit map ramps like the stub's plane, so only the record order differs
+    # every PGM file, the 8-bit one too, holds the stub's ramp, so the reports agree
     reports = []
     for name in ("records.jsonl", "records_pgm.jsonl"):
         out = tmp_path / f"{name}.report"
