@@ -14,14 +14,13 @@ and an explicit --tau wins. evaluate and bias-report take --format;
 stub-gen has its own --tau. All randomness flows from --seed, and a fixed
 seed makes every subcommand byte-reproducible.
 
-Every command but extract runs without numpy on integer depth (inline JSON
-ints and PGM files): gen-prompts, tore, filter-captions, stub-gen, evaluate,
-bias-report and --help. extract loads it for its batch predicates, and so
-does a float depth map. The prompt-side modules (errors, relations,
-textutil, lexicon, prompts, tore) are imported normally; the scoring modules
-(evaluation, extraction, geometry, sceneio, stub) and captions are
-registered as lazy modules and run when a command first reads one of their
-attributes.
+Every command runs without numpy on integer depth (inline JSON ints and PGM
+files): gen-prompts, tore, filter-captions, stub-gen, evaluate, bias-report,
+extract and --help. A float depth map loads it. The prompt-side modules
+(errors, relations, textutil, lexicon, prompts, tore) are imported normally;
+the scoring modules (evaluation, extraction, geometry, sceneio, stub) and
+captions are registered as lazy modules and run when a command first reads
+one of their attributes.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
     if config_path is not None:
         try:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SpatialBenchError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")

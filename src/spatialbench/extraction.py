@@ -7,8 +7,8 @@ and a vertical direction at once emits no directional relation, and every
 horizontal hit emits Next. Output lists are deterministically ordered so
 identical inputs give identical outputs.
 
-The extractors load numpy when first called; the Scene and DetectedObject
-types load without it, so scoring code can import them.
+Both extractors call geometry's per-pair kernel once for each ordered pair
+they consider, the same formula scoring reads.
 """
 
 from __future__ import annotations
@@ -17,14 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
-from .geometry import (
-    BoundingBox,
-    DepthMap,
-    average_depth,
-    batch_check_depth_overlap,
-    batch_check_directional,
-)
-from .relations import KIND_ORDER, RelationKind, Strictness
+from .geometry import _DIRECTIONS, BoundingBox, DepthMap, _verdicts, average_depth
+from .relations import KIND_ORDER, RelationKind
 from .textutil import normalize_phrase
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "Scene",
     "RelationInstance",
     "ExtractionConfig",
-    "proximity_filter",
     "extract_pairwise",
     "extract_between",
     "extract_scene",
@@ -145,23 +138,8 @@ class ExtractionConfig:
         if not (0 <= self.min_score <= 1):
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
 
-    @property
-    def strictness(self) -> Strictness:
-        return Strictness(self.tau)
-
 
 DEFAULT_CONFIG = ExtractionConfig()
-
-
-def proximity_filter(
-    b1: BoundingBox,
-    b2: BoundingBox,
-    width: float,
-    height: float,
-    cfg: ExtractionConfig = DEFAULT_CONFIG,
-) -> bool:
-    """True iff the box centers are within max_center_dist of the image diagonal."""
-    return math.dist(b1.center, b2.center) <= cfg.max_center_dist * math.hypot(width, height)
 
 
 def _eligible(scene: Scene, cfg: ExtractionConfig) -> list[int]:
@@ -173,54 +151,44 @@ def _eligible(scene: Scene, cfg: ExtractionConfig) -> list[int]:
     ]
 
 
-def _pair_grid(boxes: list[BoundingBox]):
-    """Box rows shaped so a batch predicate gives the (n, n) matrix over ordered pairs."""
-    import numpy as np
-
-    rows = np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-    return rows[:, None], rows[None]
-
-
 def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[RelationInstance]:
     """All pairwise relations (directional, Next, Front/Behind) in the scene.
 
-    Every ordered eligible pair within the proximity gate is checked. A pair
-    that hits both a horizontal and a vertical direction is ambiguous and
-    emits no directional relation at all; Next (either horizontal hit) and
-    the depth relations are emitted regardless.
+    Every ordered eligible pair whose box centers lie within max_center_dist
+    of the image diagonal is checked. A pair that hits both a horizontal and
+    a vertical direction is ambiguous and emits no directional relation at
+    all; Next (either horizontal hit) and the depth relations are emitted
+    regardless.
     """
-    s = cfg.strictness
     eligible = _eligible(scene, cfg)
-    if len(eligible) < 2:  # no pair; skip the fixed cost of the numpy set-up
-        return []
-    import numpy as np
-
     boxes = [scene.objects[i].box for i in eligible]
-    near = np.array([[a != b and proximity_filter(b1, b2, scene.width, scene.height, cfg)
-                      for b, b2 in enumerate(boxes)] for a, b1 in enumerate(boxes)],
-                    dtype=bool).reshape(len(boxes), len(boxes))
-    subj, obj = _pair_grid(boxes)
-    hits = {kind: batch_check_directional(subj, obj, kind, s)
-            for kind in RelationKind if kind.is_directional_2d}
-    # Next is either horizontal direction
-    next_to = hits[RelationKind.RIGHT] | hits[RelationKind.LEFT]
-    ambiguous = next_to & (hits[RelationKind.TOP] | hits[RelationKind.BOTTOM])
-    layers = [(kind, hit & ~ambiguous) for kind, hit in hits.items()]
-    layers.append((RelationKind.NEXT, next_to))
-    if scene.depth is not None:
-        overlap = batch_check_depth_overlap(subj, obj, s) & near
-        # one mean per object that a gated pair compares; the comparisons are
-        # exact, so a tie decides neither side
-        means = np.zeros(len(boxes))
-        for a in np.flatnonzero(overlap.any(axis=0) | overlap.any(axis=1)):
-            means[a] = average_depth(scene.depth, boxes[a])
-        layers.append((RelationKind.FRONT, overlap & (means[:, None] > means[None])))
-        layers.append((RelationKind.BEHIND, overlap & (means[:, None] < means[None])))
-    out = [
-        RelationInstance(kind, eligible[a], (eligible[b],), scene.context)
-        for kind, hit in layers
-        for a, b in zip(*np.nonzero(hit & near))
-    ]
+    corners = [b.as_tuple() for b in boxes]
+    centers = [b.center for b in boxes]
+    limit = cfg.max_center_dist * math.hypot(scene.width, scene.height)
+    means: dict[int, float] = {}
+    out: list[RelationInstance] = []
+    for a, subject in enumerate(eligible):
+        for b, obj in enumerate(eligible):
+            if a == b or not math.dist(centers[a], centers[b]) <= limit:
+                continue
+            right, left, top, bottom, overlap = _verdicts(corners[a], corners[b], cfg.tau)
+            next_to = right or left
+            kinds = []
+            if not (next_to and (top or bottom)):  # not ambiguous
+                kinds = [kind for kind, hit in zip(_DIRECTIONS, (right, left, top, bottom)) if hit]
+            if next_to:
+                kinds.append(RelationKind.NEXT)
+            if overlap and scene.depth is not None:
+                # one mean per object that a gated pair compares; the comparisons
+                # are exact, so a tie decides neither side
+                for i in (a, b):
+                    if i not in means:
+                        means[i] = average_depth(scene.depth, boxes[i])
+                if means[a] > means[b]:
+                    kinds.append(RelationKind.FRONT)
+                elif means[a] < means[b]:
+                    kinds.append(RelationKind.BEHIND)
+            out.extend(RelationInstance(kind, subject, (obj,), scene.context) for kind in kinds)
     out.sort(key=RelationInstance.sort_key)
     return out
 
@@ -229,28 +197,23 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
     """All Between relations over ordered triplets of eligible objects.
 
     The middle object m sits between a and c when a is left of m and c right
-    of it, read off the n x n LEFT and RIGHT matrices, so the cost is O(n^2)
-    plus the output.
+    of it. Each ordered pair is checked once, with no proximity gate, so the
+    cost is O(n^2) plus the output.
     """
-    s = cfg.strictness
     eligible = _eligible(scene, cfg)
-    if len(eligible) < 3:  # no triple; skip the fixed cost of the numpy set-up
-        return []
-    import numpy as np
-
-    subj, obj = _pair_grid([scene.objects[i].box for i in eligible])
-    left = batch_check_directional(subj, obj, RelationKind.LEFT, s)
-    right = batch_check_directional(subj, obj, RelationKind.RIGHT, s)
+    corners = [scene.objects[i].box.as_tuple() for i in eligible]
     out: list[RelationInstance] = []
-    # each middle object pairs its left flankers with its right ones, so no
-    # n^3 array is ever built
     for m, mid in enumerate(eligible):
-        for a in np.flatnonzero(left[:, m]):
-            for c in np.flatnonzero(right[:, m]):
-                if a != m and c != m and a != c:
-                    out.append(RelationInstance(
-                        RelationKind.BETWEEN, mid, (eligible[a], eligible[c]), scene.context
-                    ))
+        lefts, rights = [], []
+        for a, flank in enumerate(eligible):
+            if a != m:
+                right, left, _, _, _ = _verdicts(corners[a], corners[m], cfg.tau)
+                if left:
+                    lefts.append(flank)
+                if right:
+                    rights.append(flank)
+        out.extend(RelationInstance(RelationKind.BETWEEN, mid, (a, c), scene.context)
+                   for a in lefts for c in rights if a != c)
     out.sort(key=RelationInstance.sort_key)
     return out
 

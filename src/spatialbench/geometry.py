@@ -8,16 +8,13 @@ value tau scales every threshold (larger tau = tighter constraints).
 The four 2D kinds of RelationKind (see relations.py) select the case of the
 directional predicates.
 
-Each predicate formula is written once, shape-generic over Python floats and
-numpy arrays. The scalar functions apply it to BoundingBox values and return
-Python bool/float; the batch_* functions apply it to box rows of shape
-(..., 4) and return arrays. Extraction runs the batch functions over the n x n
-grid of ordered box pairs.
+Each predicate formula is written once, in one per-pair kernel that gives
+every directional verdict and the depth-overlap gate of an ordered box pair.
+The public checks read it for scoring, and extraction calls it once per pair.
 
-Only the batch functions, DepthMap.values and depth grids other than
-integers (float maps, numpy input) load numpy, so scoring integer-depth
-scenes (stub-gen, evaluate, bias-report) runs without it; extraction is the
-one production caller of the batch functions.
+Only DepthMap.values and depth grids other than integers (float maps, numpy
+input) load numpy, so scoring and extracting integer-depth scenes runs
+without it.
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ __all__ = [
     "check_depth_overlap",
     "average_depth",
     "check_depth_relation",
-    "batch_check_directional",
-    "batch_check_next",
-    "batch_check_between",
-    "batch_check_depth_overlap",
 ]
 
 
@@ -86,77 +79,63 @@ class BoundingBox:
 # ---------------------------------------------------------------------------
 # predicate formulas
 #
-# A box enters as its four coordinates (x_min, y_min, x_max, y_max): Python
-# floats from a BoundingBox, or arrays from box rows, which broadcast by numpy
-# rules. The public scalar and batch_* functions below are adapters.
+# A box enters as its four coordinates (x_min, y_min, x_max, y_max). _verdicts
+# is the one kernel; the public checks below and extraction read it.
 
-
-def _pick(flag, a, b):
-    """a where flag holds, else b."""
-    if type(flag) is bool:
-        return a if flag else b
-    import numpy as np
-
-    return np.where(flag, a, b)
+_DIRECTIONS = (RelationKind.RIGHT, RelationKind.LEFT, RelationKind.TOP, RelationKind.BOTTOM)
+_DIRECTION_INDEX = {kind: index for index, kind in enumerate(_DIRECTIONS)}
 
 
 def _pair(p, q):
-    """Axis distances of boxes p and q, then their smaller width and height.
+    """Axis distances of boxes p and q, their smaller width and height, then their gaps.
 
     Each axis picks its minuend independently: the wider box for the
     horizontal distances, the taller box for the vertical ones (ties keep
     input order). That choice makes the directional checks exactly symmetric
-    under argument swap.
+    under argument swap. The gaps are the signed distances between the facing
+    edges in the RIGHT, LEFT, TOP and BOTTOM directions; < 0 is overlap.
     """
     px0, py0, px1, py1 = p
     qx0, qy0, qx1, qy1 = q
     pw, ph, qw, qh = px1 - px0, py1 - py0, qx1 - qx0, qy1 - qy0
-    hswap, vswap = pw < qw, ph < qh
+    if pw < qw:
+        x_max, x_min, min_w = qx1 - px1, qx0 - px0, pw
+    else:
+        x_max, x_min, min_w = px1 - qx1, px0 - qx0, qw
+    if ph < qh:
+        y_max, y_min, min_h = qy1 - py1, qy0 - py0, ph
+    else:
+        y_max, y_min, min_h = py1 - qy1, py0 - qy0, qh
+    return (x_max, x_min, y_max, y_min, min_w, min_h,
+            px0 - qx1, qx0 - px1, qy0 - py1, py0 - qy1)
+
+
+def _within(max_dist, min_dist, extent, tau: float) -> bool:
+    """Both edge distances of one axis inside the +-extent/tau band."""
+    return max_dist < extent / tau and min_dist > -extent / tau
+
+
+def _verdicts(p, q, tau: float) -> tuple[bool, bool, bool, bool, bool]:
+    """RIGHT, LEFT, TOP and BOTTOM verdicts of p against q, then their depth-overlap gate.
+
+    A direction holds when its facing-edge gap stays above -min_extent/tau
+    along its axis and the other axis is aligned inside the +-min_extent/tau
+    band; the gate needs both axes aligned.
+    """
+    x_max, x_min, y_max, y_min, min_w, min_h, right, left, top, bottom = _pair(p, q)
+    rows = _within(y_max, y_min, min_h, tau)
+    columns = _within(x_max, x_min, min_w, tau)
     return (
-        _pick(hswap, qx1 - px1, px1 - qx1),
-        _pick(hswap, qx0 - px0, px0 - qx0),
-        _pick(vswap, qy1 - py1, py1 - qy1),
-        _pick(vswap, qy0 - py0, py0 - qy0),
-        _pick(hswap, pw, qw),
-        _pick(vswap, ph, qh),
+        rows and right > -min_w / tau,
+        rows and left > -min_w / tau,
+        columns and top > -min_h / tau,
+        columns and bottom > -min_h / tau,
+        rows and columns,
     )
 
 
-def _distance(p, q, kind: RelationKind):
-    """Signed gap between the facing edges of p and q in direction kind; < 0 is overlap."""
-    px0, py0, px1, py1 = p
-    qx0, qy0, qx1, qy1 = q
-    if kind is RelationKind.RIGHT:
-        return px0 - qx1
-    if kind is RelationKind.LEFT:
-        return qx0 - px1
-    if kind is RelationKind.BOTTOM:
-        return py0 - qy1
-    if kind is RelationKind.TOP:
-        return qy0 - py1
-    raise ValueError(f"{kind!r} is not a 2D direction")
-
-
-def _within(max_dist, min_dist, extent, tau: float):
-    """Both edge distances of one axis inside the +-extent/tau band."""
-    return (max_dist < extent / tau) & (min_dist > -extent / tau)
-
-
-def _directional(p, q, kind: RelationKind, tau: float):
-    dist = _distance(p, q, kind)
-    x_max, x_min, y_max, y_min, min_w, min_h = _pair(p, q)
-    if kind is RelationKind.RIGHT or kind is RelationKind.LEFT:
-        return (dist > -min_w / tau) & _within(y_max, y_min, min_h, tau)
-    return (dist > -min_h / tau) & _within(x_max, x_min, min_w, tau)
-
-
-def _depth_overlap(p, q, tau: float):
-    x_max, x_min, y_max, y_min, min_w, min_h = _pair(p, q)
-    return _within(x_max, x_min, min_w, tau) & _within(y_max, y_min, min_h, tau)
-
-
 # ---------------------------------------------------------------------------
-# scalar predicates on BoundingBox values
+# predicates on BoundingBox values
 
 
 def check_directional(
@@ -175,16 +154,18 @@ def check_directional(
     cross-axis distances must stay inside +-min_extent/tau (the boxes must be
     roughly aligned on the other axis). Boundary values fail.
     """
-    return bool(_directional(b1.as_tuple(), b2.as_tuple(), loc, s.tau))
+    index = _DIRECTION_INDEX.get(loc)
+    if index is None:
+        raise ValueError(f"{loc!r} is not a 2D direction")
+    return bool(_verdicts(b1.as_tuple(), b2.as_tuple(), s.tau)[index])
 
 
 def check_next(
     b1: BoundingBox, b2: BoundingBox, s: Strictness = DEFAULT_STRICTNESS
 ) -> bool:
     """True iff b1 is next to b2: either horizontal direction holds."""
-    return check_directional(b1, b2, RelationKind.RIGHT, s) or check_directional(
-        b1, b2, RelationKind.LEFT, s
-    )
+    right, left, _, _, _ = _verdicts(b1.as_tuple(), b2.as_tuple(), s.tau)
+    return bool(right or left)
 
 
 def check_between(
@@ -198,9 +179,9 @@ def check_between(
     Order-specific: b_left must be left of the middle and b_right right of it.
     Side-agnostic acceptance belongs to the evaluator, not here.
     """
-    return check_directional(b_left, b_mid, RelationKind.LEFT, s) and check_directional(
-        b_right, b_mid, RelationKind.RIGHT, s
-    )
+    mid = b_mid.as_tuple()
+    return bool(_verdicts(b_left.as_tuple(), mid, s.tau)[1]
+                and _verdicts(b_right.as_tuple(), mid, s.tau)[0])
 
 
 def check_depth_overlap(
@@ -211,7 +192,7 @@ def check_depth_overlap(
     All four location-independent distances must stay inside the same
     +-min_extent/tau bands used by the directional checks.
     """
-    return bool(_depth_overlap(b1.as_tuple(), b2.as_tuple(), s.tau))
+    return bool(_verdicts(b1.as_tuple(), b2.as_tuple(), s.tau)[4])
 
 
 class DepthMap:
@@ -419,42 +400,3 @@ def check_depth_relation(
     if d1 < d2:
         return RelationKind.BEHIND
     return None
-
-
-# ---------------------------------------------------------------------------
-# batch predicates on box rows
-#
-# Arrays hold boxes as rows [x_min, y_min, x_max, y_max]. Broadcasting follows
-# numpy rules, so (N, 4) against (N, 4) gives (N,) verdicts, and (N, 1, 4)
-# against (1, N, 4) gives the (N, N) matrix over all ordered pairs.
-
-
-def _rows(a):
-    """Box rows of shape (..., 4) as their four coordinate arrays."""
-    import numpy as np
-
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.shape[-1] != 4:
-        raise ValueError(f"expected boxes with 4 coordinates in the last axis, got {arr.shape}")
-    return arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]
-
-
-def batch_check_directional(b1, b2, loc: RelationKind, s: Strictness = DEFAULT_STRICTNESS):
-    """Vectorized check_directional; returns a boolean array."""
-    return _directional(_rows(b1), _rows(b2), loc, s.tau)
-
-
-def batch_check_next(b1, b2, s: Strictness = DEFAULT_STRICTNESS):
-    return batch_check_directional(b1, b2, RelationKind.RIGHT, s) | batch_check_directional(
-        b1, b2, RelationKind.LEFT, s
-    )
-
-
-def batch_check_between(b_left, b_mid, b_right, s: Strictness = DEFAULT_STRICTNESS):
-    return batch_check_directional(b_left, b_mid, RelationKind.LEFT, s) & batch_check_directional(
-        b_right, b_mid, RelationKind.RIGHT, s
-    )
-
-
-def batch_check_depth_overlap(b1, b2, s: Strictness = DEFAULT_STRICTNESS):
-    return _depth_overlap(_rows(b1), _rows(b2), s.tau)

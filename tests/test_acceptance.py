@@ -16,13 +16,10 @@ from spatialbench.evaluation import (
     evaluate_records,
     score_clause,
 )
+from spatialbench import geometry
 from spatialbench.geometry import (
     BoundingBox,
     DepthMap,
-    batch_check_between,
-    batch_check_depth_overlap,
-    batch_check_directional,
-    batch_check_next,
     check_between,
     check_depth_overlap,
     check_depth_relation,
@@ -95,6 +92,10 @@ def random_box_array(rng: np.random.Generator, n: int, span=100.0, max_extent=50
     return np.concatenate([low, low + extent], axis=1)
 
 
+def box_list(rows) -> list[BoundingBox]:
+    return [BoundingBox(*row) for row in rows.tolist()]
+
+
 # --------------------------------------------------------------------------
 # 1. exhaustive + randomized agreement with the naive reference
 
@@ -102,51 +103,56 @@ def random_box_array(rng: np.random.Generator, n: int, span=100.0, max_extent=50
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
 
-    boxes = grid_boxes(8)  # all 1296 integer-corner boxes on the 8x8 grid
+    # all 1296 integer-corner boxes on the 8x8 grid, every ordered pair; the
+    # kernel runs once per pair and gives the four directions and the gate
+    boxes = grid_boxes(8)
+    rows = [tuple(b) for b in boxes.tolist()]
     a, b = boxes[:, None, :], boxes[None, :, :]
     for tau in TAUS:
-        s = Strictness(tau)
-        for loc in DIRECTIONS:
-            got = batch_check_directional(a, b, loc, s)
-            want = naive_batch_directional(a, b, loc.value, tau)
-            assert (got == want).all()
-        assert (batch_check_next(a, b, s) == naive_batch_next(a, b, tau)).all()
-        assert (batch_check_depth_overlap(a, b, s)
-                == naive_batch_depth_overlap(a, b, tau)).all()
+        want = np.stack([naive_batch_directional(a, b, loc.value, tau)
+                         for loc in geometry._DIRECTIONS]
+                        + [naive_batch_depth_overlap(a, b, tau)], axis=-1)
+        want_next = naive_batch_next(a, b, tau)
+        for i, p in enumerate(rows):
+            got = np.array([geometry._verdicts(p, q, tau) for q in rows])
+            assert (got == want[i]).all()
+            assert ((got[:, 0] | got[:, 1]) == want_next[i]).all()  # Next as check_next reads it
 
     small = grid_boxes(4)  # between is ternary: exhaust all 1e6 triples on 4x4
     l = small[:, None, None, :]
     m = small[None, :, None, :]
     r = small[None, None, :, :]
+    small_boxes = box_list(small)
     for tau in TAUS:
-        got = batch_check_between(l, m, r, Strictness(tau))
-        assert (got == naive_batch_between(l, m, r, tau)).all()
+        s = Strictness(tau)
+        got = [[[check_between(bl, bm, br, s) for br in small_boxes] for bm in small_boxes]
+               for bl in small_boxes]
+        assert got == naive_batch_between(l, m, r, tau).tolist()
 
     rng = np.random.default_rng(42)
     n = 120_000
     pa, pb, pc = (random_box_array(rng, n) for _ in range(3))
+    ba, bb, bc = (box_list(arr) for arr in (pa, pb, pc))
     for tau in TAUS:
         s = Strictness(tau)
         for loc in DIRECTIONS:
-            assert (batch_check_directional(pa, pb, loc, s)
-                    == naive_batch_directional(pa, pb, loc.value, tau)).all()
-        assert (batch_check_next(pa, pb, s) == naive_batch_next(pa, pb, tau)).all()
-        assert (batch_check_depth_overlap(pa, pb, s)
-                == naive_batch_depth_overlap(pa, pb, tau)).all()
-        assert (batch_check_between(pa, pb, pc, s)
-                == naive_batch_between(pa, pb, pc, tau)).all()
+            assert ([check_directional(x, y, loc, s) for x, y in zip(ba, bb)]
+                    == naive_batch_directional(pa, pb, loc.value, tau).tolist())
+        assert ([check_next(x, y, s) for x, y in zip(ba, bb)]
+                == naive_batch_next(pa, pb, tau).tolist())
+        assert ([check_depth_overlap(x, y, s) for x, y in zip(ba, bb)]
+                == naive_batch_depth_overlap(pa, pb, tau).tolist())
+        assert ([check_between(x, y, z, s) for x, y, z in zip(ba, bb, bc)]
+                == naive_batch_between(pa, pb, pc, tau).tolist())
 
-    # scalar entry points agree with both their batch forms and the oracle
+    # scalar entry points agree with the scalar oracle too
     s3 = Strictness(3.0)
-    batch_right = batch_check_directional(pa, pb, RelationKind.RIGHT, s3)
-    batch_between = batch_check_between(pa, pb, pc, s3)
     for i in range(0, n, n // 300):
-        b1, b2, b3 = (BoundingBox(*row) for row in (pa[i], pb[i], pc[i]))
+        b1, b2, b3 = ba[i], bb[i], bc[i]
         for loc in DIRECTIONS:
             assert check_directional(b1, b2, loc, s3) == naive_check_directional(
                 pa[i], pb[i], loc.value, 3.0
             )
-        assert check_directional(b1, b2, RelationKind.RIGHT, s3) == bool(batch_right[i])
         assert check_next(b1, b2, s3) == naive_check_next(pa[i], pb[i], 3.0)
         assert check_depth_overlap(b1, b2, s3) == naive_check_depth_overlap(
             pa[i], pb[i], 3.0
@@ -154,7 +160,6 @@ def test_criterion_1_oracle_equivalence():
         assert check_between(b1, b2, b3, s3) == naive_check_between(
             pa[i], pb[i], pc[i], 3.0
         )
-        assert check_between(b1, b2, b3, s3) == bool(batch_between[i])
 
     assert time.perf_counter() - start < 60.0
 
@@ -166,13 +171,13 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_symmetry():
     rng = np.random.default_rng(7)
     n = 120_000
-    a, b = random_box_array(rng, n), random_box_array(rng, n)
+    a, b = box_list(random_box_array(rng, n)), box_list(random_box_array(rng, n))
     s = DEFAULT_STRICTNESS
-    assert (batch_check_directional(a, b, RelationKind.RIGHT, s)
-            == batch_check_directional(b, a, RelationKind.LEFT, s)).all()
-    assert (batch_check_directional(a, b, RelationKind.BOTTOM, s)
-            == batch_check_directional(b, a, RelationKind.TOP, s)).all()
-    assert (batch_check_next(a, b, s) == batch_check_next(b, a, s)).all()
+    R, L, T, B = RelationKind.RIGHT, RelationKind.LEFT, RelationKind.TOP, RelationKind.BOTTOM
+    for x, y in zip(a, b):
+        assert check_directional(x, y, R, s) == check_directional(y, x, L, s)
+        assert check_directional(x, y, B, s) == check_directional(y, x, T, s)
+        assert check_next(x, y, s) == check_next(y, x, s)
 
     depth = DepthMap(rng.uniform(0.0, 10.0, size=(64, 64)))
     da = random_box_array(rng, 100_000, span=60.0, max_extent=4.0)

@@ -329,6 +329,15 @@ class TestEvaluate:
             self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
             monkeypatch.delenv(CONFIG_ENV_VAR)
 
+    def test_undecodable_config(self, tmp_path, scenes_file, capsys):
+        # bytes that are not UTF-8 name the file, as any other unreadable config does
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte"]
+
     @pytest.mark.parametrize("text, key", [
         ('{"tau": "3"}', "tau"),
         ('{"min_score": true}', "min_score"),

@@ -19,7 +19,6 @@ from spatialbench.extraction import (
     extract_between,
     extract_pairwise,
     extract_scene,
-    proximity_filter,
 )
 from spatialbench.geometry import BoundingBox, DepthMap
 from spatialbench.relations import RelationKind, invert
@@ -237,20 +236,39 @@ class TestInvertRelation:
 
 
 class TestProximityFilter:
+    """The center-distance gate of extract_pairwise: <= max_center_dist x diagonal."""
+
     def test_far_corner_boxes(self):
-        b1 = BoundingBox(0, 0, 100, 100)
-        b2 = BoundingBox(900, 900, 1000, 1000)
-        # centers 1272.8 apart, threshold 0.5 * 1414.2 = 707.1
-        assert proximity_filter(b1, b2, 1000, 1000) is False
+        scene = scene_of([(0, 0, 100, 100), (900, 900, 1000, 1000)], 1000, 1000)
+        # centers 1272.8 apart: inside the gate at 1.0 x 1414.2, outside at 0.5
+        wide = ExtractionConfig(tau=0.1, max_center_dist=1.0)
+        assert as_triples(extract_pairwise(scene, wide)) == {
+            ("next", 0, (1,)), ("next", 1, (0,)),
+        }
+        assert extract_pairwise(scene, ExtractionConfig(tau=0.1)) == []
 
     def test_adjacent_boxes(self):
-        b1 = BoundingBox(0, 0, 100, 100)
-        b2 = BoundingBox(30, 0, 130, 100)
-        assert proximity_filter(b1, b2, 1000, 1000) is True
+        depth = DepthMap([list(range(100))] * 100)
+        scene = scene_of([(0, 0, 10, 10), (3, 0, 13, 10)], 100, 100, depth=depth)
+        assert as_triples(extract_pairwise(scene)) == {
+            ("behind", 0, (1,)), ("front", 1, (0,)),
+        }
 
     def test_identical_centers(self):
-        b = BoundingBox(10, 10, 50, 50)
-        assert proximity_filter(b, b, 1000, 1000) is True
+        depth = DepthMap([[x * x for x in range(100)]] * 100)
+        scene = scene_of([(10, 10, 50, 50), (20, 20, 40, 40)], 100, 100, depth=depth)
+        assert as_triples(extract_pairwise(scene, ExtractionConfig(tau=1))) == {
+            ("front", 0, (1,)), ("behind", 1, (0,)),
+        }
+
+    def test_gate_includes_its_boundary(self):
+        # diagonal 500, so the gate is 250: centers exactly 250 apart pass, 251 do not
+        near = scene_of([(0, 0, 100, 100), (250, 0, 350, 100)], 400, 300)
+        assert as_triples(extract_pairwise(near)) == {
+            ("left", 0, (1,)), ("next", 0, (1,)), ("right", 1, (0,)), ("next", 1, (0,)),
+        }
+        far = scene_of([(0, 0, 100, 100), (251, 0, 351, 100)], 400, 300)
+        assert extract_pairwise(far) == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ from spatialbench.geometry import (
     BoundingBox,
     DepthMap,
     average_depth,
-    batch_check_between,
-    batch_check_depth_overlap,
-    batch_check_directional,
-    batch_check_next,
     check_between,
     check_depth_overlap,
     check_depth_relation,
@@ -46,7 +42,7 @@ def axis_distances(b1, b2):
 
 def directional_distance(b1, b2, kind):
     """Signed facing-edge gap of the directional formula."""
-    return geometry._distance(b1.as_tuple(), b2.as_tuple(), kind)
+    return geometry._pair(b1.as_tuple(), b2.as_tuple())[6 + geometry._DIRECTIONS.index(kind)]
 
 
 def gradient_map(width=100, height=100):
@@ -164,10 +160,6 @@ class TestCheckDirectional:
     def test_non_directional_kind_rejected(self, kind):
         with pytest.raises(ValueError):
             check_directional(B_A1, B_A2, kind, TAU3)
-        with pytest.raises(ValueError):
-            directional_distance(B_A1, B_A2, kind)
-        with pytest.raises(ValueError):
-            batch_check_directional([B_A1.as_tuple()], [B_A2.as_tuple()], kind, TAU3)
 
     @given(boxes(), boxes(), strictness())
     def test_matches_naive_oracle(self, a, b, s):
@@ -508,32 +500,26 @@ class TestCheckDepthRelation:
             assert rev is None
 
 
-class TestBatchAgreement:
-    """The batch API must agree exactly with the scalar functions."""
-
-    @given(st.lists(st.tuples(boxes(), boxes()), min_size=1, max_size=30), strictness())
-    def test_directional_next_overlap(self, pairs, s):
-        a = np.array([p[0].as_tuple() for p in pairs])
-        b = np.array([p[1].as_tuple() for p in pairs])
-        for loc in DIRECTIONS:
-            got = batch_check_directional(a, b, loc, s)
-            want = [check_directional(p, q, loc, s) for p, q in pairs]
-            assert got.tolist() == want
-        assert batch_check_next(a, b, s).tolist() == [check_next(p, q, s) for p, q in pairs]
-        assert batch_check_depth_overlap(a, b, s).tolist() == [
-            check_depth_overlap(p, q, s) for p, q in pairs
-        ]
-
-    @given(st.lists(st.tuples(boxes(), boxes(), boxes()), min_size=1, max_size=30), strictness())
-    def test_between(self, triples, s):
-        l = np.array([t[0].as_tuple() for t in triples])
-        m = np.array([t[1].as_tuple() for t in triples])
-        r = np.array([t[2].as_tuple() for t in triples])
-        got = batch_check_between(l, m, r, s)
-        assert got.tolist() == [check_between(a, b, c, s) for a, b, c in triples]
+class TestPairKernel:
+    """The one per-pair kernel that every check and extraction read."""
 
     @given(boxes(), boxes())
     def test_axis_distances(self, a, b):
-        rows = geometry._rows(np.array([a.as_tuple()])), geometry._rows(np.array([b.as_tuple()]))
-        xs = geometry._pair(*rows)[:4]
-        assert tuple(float(v[0]) for v in xs) == axis_distances(a, b)
+        assert axis_distances(a, b) == ref.naive_axis_distances(a.as_tuple(), b.as_tuple())
+
+    @given(boxes(), boxes())
+    def test_gaps(self, a, b):
+        for loc in DIRECTIONS:
+            assert directional_distance(a, b, loc) == ref.naive_directional_distance(
+                a.as_tuple(), b.as_tuple(), loc.value)
+
+    @given(boxes(), boxes(), strictness())
+    @example(BoundingBox(0, 0, 30, 30), BoundingBox(20, 0, 50, 30), TAU3)  # gap at the band edge
+    def test_verdicts_match_naive_oracle(self, a, b, s):
+        p, q = a.as_tuple(), b.as_tuple()
+        want = tuple(ref.naive_check_directional(p, q, loc.value, s.tau)
+                     for loc in geometry._DIRECTIONS)
+        want += (ref.naive_check_depth_overlap(p, q, s.tau),)
+        got = geometry._verdicts(p, q, s.tau)
+        assert got == want
+        assert all(type(v) is bool for v in got)

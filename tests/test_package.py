@@ -1,7 +1,7 @@
 """Package surface: every exported name resolves, and the demo scripts run.
 
-Also how the CLI starts: every command but extract runs without numpy on
-integer depth, and importing spatialbench.cli registers every package module
+Also how the CLI starts: every command runs without numpy on integer
+depth, and importing spatialbench.cli registers every package module
 (the benchmark's tracer rebinds functions across all of them).
 """
 
@@ -134,7 +134,7 @@ _SIDES_3D = (
 
 
 def _write_inputs(tmp_path: Path) -> None:
-    """Prompt, profile and caption files, and stub records with inline and PGM depth."""
+    """Prompt, profile and caption files, and stub records and scenes with inline and PGM depth."""
     from spatialbench.cli import main
     from spatialbench.geometry import DepthMap
     from spatialbench.sceneio import read_depth, write_depth_pgm
@@ -160,6 +160,9 @@ def _write_inputs(tmp_path: Path) -> None:
     (tmp_path / "d8.pgm").write_bytes(b"P5\n128 128\n255\n" + bytes(range(128)) * 128)
     lines[-1]["scene"]["depth"] = "d8.pgm"
     (tmp_path / "records_pgm.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+    (tmp_path / "scenes_pgm.jsonl").write_text("".join(json.dumps(x["scene"]) + "\n" for x in lines))
+    (tmp_path / "scenes.jsonl").write_text("".join(
+        json.dumps(json.loads(line)["scene"]) + "\n" for line in records.read_text().splitlines()))
     assert read_depth(tmp_path / "d8.pgm").values.dtype == "uint8"
 
 
@@ -174,8 +177,11 @@ def _write_inputs(tmp_path: Path) -> None:
     ["evaluate", "records_pgm.jsonl", "--format", "text"],
     ["bias-report", "records.jsonl", "--emit-profile", "emitted.json"],
     ["bias-report", "records_pgm.jsonl"],
+    ["extract", "scenes.jsonl"],
+    ["extract", "scenes_pgm.jsonl", "--tau", "2"],
 ], ids=["help", "gen-prompts", "tore-file", "tore-sdxl", "filter-captions", "stub-gen",
-        "evaluate-inline", "evaluate-pgm", "bias-report-inline", "bias-report-pgm"])
+        "evaluate-inline", "evaluate-pgm", "bias-report-inline", "bias-report-pgm",
+        "extract-inline", "extract-pgm"])
 def test_prompt_commands_start_without_numpy(tmp_path, argv):
     _write_inputs(tmp_path)
     result = _run_python(_RUN_CLI.format(argv=argv), tmp_path)
@@ -196,7 +202,7 @@ def test_depth_files_and_inline_depth_score_alike(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_extract_loads_numpy_and_matches_the_oracle(tmp_path):
+def test_extract_starts_without_numpy_and_matches_the_oracle(tmp_path):
     import naive_reference as ref
     from spatialbench.geometry import DepthMap
     from spatialbench.sceneio import write_depth_pgm
@@ -221,7 +227,7 @@ def test_extract_loads_numpy_and_matches_the_oracle(tmp_path):
                         "depth": depth}, rows))
     (tmp_path / "scenes.jsonl").write_text("".join(json.dumps(s) + "\n" for s, _ in scenes))
     result = _run_python(_RUN_CLI.format(argv=["extract", "scenes.jsonl"]), tmp_path)
-    assert result.stderr.splitlines()[-1] == "RESULT 0 True"
+    assert result.stderr.splitlines()[-1] == "RESULT 0 False"
     outputs = [json.loads(line) for line in result.stdout.splitlines()]
     assert len(outputs) == len(scenes)
     for (scene, rows), out in zip(scenes, outputs):
