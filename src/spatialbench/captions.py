@@ -125,13 +125,19 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
                 yield line_no, json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
+            except ValueError as exc:  # an integer past int's digit limit
+                raise FormatError(f"invalid JSON: {exc}", line=line_no) from None
 
 
-def write_jsonl(dest: IO[str] | str | Path, objs: Iterable[Mapping]) -> None:
-    """Write canonical JSON Lines: sorted keys, one object per line."""
+def write_jsonl(dest: IO[str] | str | Path, objs: Iterable[Mapping | str]) -> None:
+    """Write canonical JSON Lines: sorted keys, one object per line.
+
+    A str item is a line already encoded that way, and is written as it is.
+    """
     if hasattr(dest, "write"):
         for obj in objs:
-            dest.write(json.dumps(obj, sort_keys=True) + "\n")
+            line = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
+            dest.write(line + "\n")
     else:
         with open(dest, "w", encoding="utf-8") as fh:
             write_jsonl(fh, objs)

@@ -222,7 +222,7 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
     if config_path is not None:
         try:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad bytes, JSON or digit count
             raise SpatialBenchError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")
@@ -240,6 +240,9 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
                 extraction.ExtractionConfig(**{key: value})
             except ValueError as exc:
                 raise FormatError(f"config {config_path}: {exc}", field=key) from None
+            except OverflowError:  # an int past the float range
+                raise FormatError(f"config {config_path}: {key} must be finite, "
+                                  "got an integer too large for a float", field=key) from None
     if args.tau is not None:
         raw["tau"] = _strictness(args).tau
     return extraction.ExtractionConfig(**raw)
@@ -460,7 +463,7 @@ def _cmd_stub_gen(args) -> int:
             except ParseError as exc:
                 raise FormatError(f"prompt does not parse: {exc}", line=line_no) from None
     records, plans = stub.stub_generate(specs, cfg)
-    _write_records(args, (sceneio.eval_record_to_dict(r) for r in records))
+    _write_records(args, sceneio.eval_record_lines(records))
     if args.plans is not None:
         captions.write_jsonl(args.plans, (
             {"id": plan.record_id, "verdicts": list(plan.verdicts)} for plan in plans

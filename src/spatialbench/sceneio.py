@@ -17,7 +17,10 @@ file's directory. Evaluation records wrap a scene with a prompt:
     {"id": ..., "prompt": "A bench under a tree in a city", "scene": {...}}
 
 The prompt is stored as text and parsed on load, so record files stay
-readable and auditable by hand.
+readable and auditable by hand. eval_record_lines gives each record's line
+with its depth plane inline; a plane shared by many records (stub-gen shares
+one across its 3D scenes) has its rows encoded once per call, and the bytes
+are those of encoding every record on its own.
 
 load_scenes and load_eval_records are generators: they yield one scene or
 record per line as it parses, so a caller that consumes them one at a time
@@ -33,7 +36,7 @@ import math
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .captions import _iter_jsonl, write_jsonl
 from .errors import DimensionMismatch, FormatError, ParseError
@@ -51,6 +54,7 @@ __all__ = [
     "relations_to_dict",
     "eval_record_from_dict",
     "eval_record_to_dict",
+    "eval_record_lines",
     "load_eval_records",
     "write_jsonl",
 ]
@@ -204,9 +208,18 @@ def _positive_number(record: Mapping, name: str, err) -> float:
     value = record.get(name)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise err(f"{name} must be a number", name)
+    value = _float(value)
     if not (math.isfinite(value) and value > 0):
         raise err(f"{name} must be positive and finite", name)
-    return float(value)
+    return value
+
+
+def _float(value: int | float) -> float:
+    """value as a float; an int past the float range becomes the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
@@ -219,7 +232,7 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     if (not isinstance(box, list) or len(box) != 4
             or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in box)):
         raise err("box must be a list of four numbers")
-    x_min, y_min, x_max, y_max = (float(c) for c in box)
+    x_min, y_min, x_max, y_max = (_float(c) for c in box)
     if not all(math.isfinite(c) for c in (x_min, y_min, x_max, y_max)):
         raise err("box coordinates must be finite")
     if x_min >= x_max or y_min >= y_max:
@@ -233,7 +246,7 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise err("score must be a number")
     try:
-        return DetectedObject(label, BoundingBox(x_min, y_min, x_max, y_max), float(score))
+        return DetectedObject(label, BoundingBox(x_min, y_min, x_max, y_max), _float(score))
     except ValueError as exc:
         raise err(str(exc)) from None
 
@@ -331,6 +344,35 @@ def eval_record_to_dict(record: EvalRecord) -> dict:
         "prompt": render_prompt(record.prompt),
         "scene": scene_to_dict(record.scene),
     }
+
+
+# Once a record's scene depth is set to None, the first occurrence of this text
+# in its encoding is that key: a JSON string never holds an unescaped '"', and
+# the scene's depth key sorts before its objects. It is also the only one, as
+# objects hold only label, box and score.
+_NULL_DEPTH = '"depth": null'
+
+
+def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
+    """Each record's JSONL line, json.dumps(eval_record_to_dict(record), sort_keys=True).
+
+    A depth map's rows are encoded once per call, and that text is spliced into
+    every record whose scene holds the same map (stub scenes share one). The
+    memo keys by id and keeps each map it keys, so no id is reused while it lives.
+    """
+    rows_text: dict[int, tuple[DepthMap, str]] = {}
+    for record in records:
+        obj = eval_record_to_dict(record)
+        depth = record.scene.depth
+        if depth is None:
+            yield json.dumps(obj, sort_keys=True)
+            continue
+        scene = obj["scene"]
+        entry = rows_text.get(id(depth))
+        if entry is None:
+            entry = rows_text[id(depth)] = (depth, json.dumps(scene["depth"]))
+        scene["depth"] = None
+        yield json.dumps(obj, sort_keys=True).replace(_NULL_DEPTH, '"depth": ' + entry[1], 1)
 
 
 def load_eval_records(path: str | Path) -> Iterator[EvalRecord]:

@@ -204,7 +204,9 @@ def _profile_from_raw(raw: object) -> BiasProfile:
 def load_bias_profile(path: str | Path) -> BiasProfile:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise FormatError(f"cannot read bias profile {path}: {exc}") from None
+    except ValueError as exc:  # undecodable bytes, bad JSON, an int past the digit limit
         raise FormatError(f"bias profile {path} is not valid JSON: {exc}") from exc
     try:
         return _profile_from_raw(raw)

@@ -166,6 +166,24 @@ class TestGenPrompts:
         assert main([*self.EVAL_LOOP_ARGV, *extra, "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # The benchmark's eval_loop stub-gen step on those prompts. 102 of the 368
+    # records carry the one shared depth plane inline; the digests were
+    # recorded while every record's plane was encoded on its own.
+    STUB_PROBABILITIES = ["top=0.8", "bottom=0.5", "left=0.75", "right=0.55",
+                          "front=0.7", "behind=0.45", "next=0.9", "between=0.6"]
+
+    def test_golden_stub_gen_bytes(self, tmp_path):
+        prompts, records, plans = (tmp_path / n for n in ("p.txt", "r.jsonl", "plans.jsonl"))
+        assert main([*self.EVAL_LOOP_ARGV, "--output", str(prompts)]) == 0
+        assert main(["stub-gen", str(prompts), "--seed", "7",
+                     *[arg for p in self.STUB_PROBABILITIES for arg in ("--p", p)],
+                     "--plans", str(plans), "--output", str(records)]) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (records, plans)} == {
+            "r.jsonl": "6a9f4ee4b418616bba4cf3932e0fd1314c4bb84e58a850b1d90d3b28eaac928c",
+            "plans.jsonl": "b5fa2bf931c7ce7472430a97a9c7e6a5fd30a0f687bfc47fa6aa9346c8fea083",
+        }
+
 
 class TestExtract:
     def test_relations_output(self, scenes_file, capsys):
@@ -235,6 +253,14 @@ class TestTore:
         assert main(["tore", "--profile", "flux1", "--pairs", "top_bottom",
                      str(src), "--output", str(out)]) == 0
         assert out.read_text() == "A bus to the right of a car in a city\n"
+
+    def test_unreadable_profile_names_it(self, tmp_path, capsys):
+        src = tmp_path / "p.txt"
+        src.write_text("A bus to the right of a car in a city\n")
+        assert main(["tore", "--profile", str(tmp_path), str(src)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read bias profile {tmp_path}: ")
+        assert "Is a directory" in line
 
     def test_unknown_profile(self, tmp_path):
         src = tmp_path / "p.txt"
@@ -346,6 +372,9 @@ class TestEvaluate:
         ('{"tau": NaN}', "tau"),
         ('{"min_score": 2}', "min_score"),
         ('{"max_center_dist": 0}', "max_center_dist"),
+        pytest.param('{"tau": 1%s}' % ("0" * 400), "tau", id="tau-past-float-range"),
+        pytest.param('{"min_score": -1%s}' % ("0" * 400), "min_score",
+                     id="min_score-past-float-range"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, scenes_file, records_file, capsys,
                                         monkeypatch, text, key):
@@ -466,6 +495,21 @@ class TestStubGen:
             "--seed", "6", "--output", str(out),
         ])
         assert out_a == out_b
+
+    def test_stdout_bytes_equal_output_bytes(self, tmp_path, capsysbinary):
+        # 3D prompts, so records share the stub's depth plane
+        src = tmp_path / "p.txt"
+        src.write_text("A bus in front of a car in a city\n"
+                       "A tree to the left of a bench in a park\n"
+                       "A lamp behind a kiosk, the kiosk next to a car in a street\n")
+        out = tmp_path / "records.jsonl"
+        argv = ["stub-gen", str(src), "--p", "front=0.5", "--seed", "4"]
+        assert main([*argv, "--output", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        written = out.read_bytes()
+        assert capsysbinary.readouterr().out == written
+        assert written.count(b'"depth": [[') == 2
 
     def test_unparseable_prompt(self, tmp_path):
         src = tmp_path / "p.txt"
@@ -650,6 +694,36 @@ class TestExitCodes:
         assert main([command, str(src)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {src}: depth map is 2x2, scene is 4.0x3.0 (line 2, field {field})"]
+
+    # 1 followed by 400 zeros overflows a float; every such number is one error line
+    @pytest.mark.parametrize("command, prefix", [("extract", ""), ("evaluate", "scene.")])
+    @pytest.mark.parametrize("scene_fields, object_fields, field, message", [
+        ({"width": 10 ** 400}, {}, "width", "width must be positive and finite"),
+        ({"height": 10 ** 400}, {}, "height", "height must be positive and finite"),
+        ({}, {"box": [0, 0, 10 ** 400, 5]}, "objects[0]", "box coordinates must be finite"),
+        ({}, {"box": [-10 ** 400, 0, 5, 5]}, "objects[0]", "box coordinates must be finite"),
+        ({}, {"score": 10 ** 400}, "objects[0]", "score must be in [0, 1], got inf"),
+    ], ids=["width", "height", "box-max", "box-min", "score"])
+    def test_integer_past_float_range_names_line_and_field(
+            self, tmp_path, capsys, command, prefix, scene_fields, object_fields, field, message):
+        obj = {"label": "bus", "box": [0, 0, 5, 5], "score": 0.5, **object_fields}
+        scene = {"image_id": "s", "width": 10, "height": 10, "objects": [obj], **scene_fields}
+        if command == "evaluate":
+            scene = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n" + json.dumps(scene) + "\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: {message} (line 2, field {prefix}{field})"]
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_integer_past_digit_limit_names_file_and_line(self, tmp_path, capsys, command):
+        src = tmp_path / "in.jsonl"
+        src.write_text('\n{"width": 1%s}\n' % ("0" * sys.get_int_max_str_digits()))
+        assert main([command, str(src)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {src}: invalid JSON: ") and line.endswith(" (line 2)")
 
     @pytest.mark.parametrize("command", ["extract", "evaluate", "bias-report"])
     def test_bad_json_names_file_and_line(self, tmp_path, capsys, command):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spatialbench import captions, sceneio
 from spatialbench.captions import (
@@ -16,13 +20,15 @@ from spatialbench.captions import (
     load_captions,
 )
 from spatialbench.errors import DimensionMismatch, FormatError
+from spatialbench.evaluation import EvalRecord
 from spatialbench.extraction import DetectedObject, RelationInstance, Scene
 from spatialbench.geometry import BoundingBox, DepthMap
 from spatialbench.lexicon import default_contexts, default_objects
-from spatialbench.prompts import parse_prompt
+from spatialbench.prompts import PromptSpec, RelationQuadruple, parse_prompt
 from spatialbench.relations import RelationKind
 from spatialbench.sceneio import (
     eval_record_from_dict,
+    eval_record_lines,
     eval_record_to_dict,
     load_eval_records,
     load_scenes,
@@ -214,7 +220,10 @@ class TestSceneParsing:
             scene_from_dict(record, line=3)
         assert info.value.field == "image_id" and info.value.line == 3
 
-    @pytest.mark.parametrize("width", ["wide", -5, 0, True, float("nan")])
+    @pytest.mark.parametrize("width", [
+        "wide", -5, 0, True, float("nan"),
+        pytest.param(10 ** 400, id="past-float-range"),
+    ])
     def test_bad_width(self, width):
         with pytest.raises(FormatError):
             scene_from_dict(minimal_record(width=width))
@@ -248,6 +257,21 @@ class TestSceneParsing:
         record = minimal_record(objects=[{"label": "a", "box": [0, 0, 5, 5], "score": 1.5}])
         with pytest.raises(FormatError):
             scene_from_dict(record)
+
+    @pytest.mark.parametrize("score", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+    def test_score_past_float_range(self, score):
+        record = minimal_record(objects=[{"label": "a", "box": [0, 0, 5, 5], "score": score}])
+        with pytest.raises(FormatError, match=r"score must be in \[0, 1\]") as info:
+            scene_from_dict(record, line=2)
+        assert (info.value.line, info.value.field) == (2, "objects[0]")
+
+    @pytest.mark.parametrize("box", [[-10 ** 400, 0, 5, 5], [0, 0, 5, 10 ** 400]],
+                             ids=["min", "max"])
+    def test_box_past_float_range(self, box):
+        record = minimal_record(objects=[{"label": "a", "box": box}])
+        with pytest.raises(FormatError, match="box coordinates must be finite") as info:
+            scene_from_dict(record)
+        assert info.value.field == "objects[0]"
 
     def test_inline_depth(self):
         depth = [[0] * 100 for _ in range(80)]
@@ -444,6 +468,125 @@ class TestEvalRecords:
         p = tmp_path / "records.jsonl"
         write_jsonl(p, [eval_record_to_dict(record)])
         assert list(load_eval_records(p)) == [record]
+
+
+# ---------------------------------------------------------------------------
+# record lines: each depth map's rows encoded once and spliced in
+
+def _record(record_id: str, depth: DepthMap | None, *, label: str = "bench",
+            phrase: str = "tree", context: str | None = "city") -> EvalRecord:
+    width, height = (depth.width, depth.height) if depth is not None else (4, 3)
+    # a prompt needs a context; a scene may have none
+    spec = PromptSpec((RelationQuadruple(phrase, RelationKind.FRONT, (label,), context or "city"),))
+    scene = Scene(record_id, float(width), float(height),
+                  (DetectedObject(label, BoundingBox(0, 0, width, height), 0.5),),
+                  depth=depth, context=context)
+    return EvalRecord(record_id, spec, scene)
+
+
+def _expected_line(record: EvalRecord) -> str:
+    return json.dumps(eval_record_to_dict(record), sort_keys=True)
+
+
+# strings a splice could trip on: the marker itself, quotes, backslashes, non-ASCII
+_TRICKY = st.one_of(
+    st.sampled_from(['"depth": null', '{"depth": null}', 'say "hi"', "back\\slash \\",
+                     "café", "深度 map", "\\\"depth\\\": null"]),
+    st.text(alphabet='"\\: {}depthnulé雪', min_size=1, max_size=12),
+).filter(lambda s: s.split() and "," not in s)
+
+# whole-number floats encode as ints; -0.0 keeps its sign only in a non-whole float grid
+_GRID_VALUES = {
+    "int": st.integers(0, 2 ** 40),
+    "float": st.sampled_from([0.0, -0.0, 0.5, 2.25, 1e-7, 3.0, 1e300]),
+    "whole float": st.sampled_from([0.0, -0.0, 1.0, 7.0, 2.0 ** 52]),
+}
+
+
+@st.composite
+def depth_maps(draw) -> DepthMap:
+    height, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = _GRID_VALUES[draw(st.sampled_from(sorted(_GRID_VALUES)))]
+    return DepthMap([[draw(values) for _ in range(width)] for _ in range(height)])
+
+
+@st.composite
+def record_lists(draw) -> list[EvalRecord]:
+    # records pick from a small pool of maps, so some share a map and some have none
+    pool = [None, *draw(st.lists(depth_maps(), min_size=1, max_size=3))]
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        phrase, label = draw(_TRICKY), draw(_TRICKY)
+        context = draw(st.none() | _TRICKY)
+        try:
+            RelationQuadruple(phrase, RelationKind.FRONT, (label,), context)
+        except ValueError:  # an "in a" marker inside the context
+            context = None
+        records.append(_record(f"{draw(_TRICKY)}-{i}", draw(st.sampled_from(pool)),
+                               label=label, phrase=phrase, context=context))
+    return records
+
+
+class TestEvalRecordLines:
+    @given(record_lists())
+    def test_each_line_is_the_record_dict_encoded(self, records):
+        assert list(eval_record_lines(records)) == [_expected_line(r) for r in records]
+
+    @given(record_lists())
+    def test_marker_occurs_once_per_record_with_depth(self, records):
+        # the splice relies on this: a scene's null depth is the one match
+        for record in records:
+            obj = eval_record_to_dict(record)
+            if "depth" in obj["scene"]:
+                obj["scene"]["depth"] = None
+                assert json.dumps(obj, sort_keys=True).count('"depth": null') == 1
+
+    def test_equal_maps_of_different_text_are_kept_apart(self):
+        # these maps compare and hash equal, but their rows encode differently
+        maps = [DepthMap([[0.5, 0.0]]), DepthMap([[0.5, -0.0]]),
+                DepthMap([[1, 2, 3, 4]]), DepthMap(array("q", [1, 2, 3, 4]), shape=(2, 2))]
+        assert maps[0] == maps[1] and hash(maps[0]) == hash(maps[1])
+        records = [_record(f"r{i}", depth) for i, depth in enumerate(maps * 2)]
+        assert list(eval_record_lines(records)) == [_expected_line(r) for r in records]
+
+    def test_only_the_scene_depth_is_spliced(self, monkeypatch):
+        # a scene's depth key sorts before its objects, so the first null depth
+        # of a line is the scene's; were an object to carry one, it stays null
+        scene_to_dict = sceneio.scene_to_dict
+
+        def with_object_depth(scene, **kwargs):
+            out = scene_to_dict(scene, **kwargs)
+            for obj in out["objects"]:
+                obj["depth"] = None
+            return out
+
+        monkeypatch.setattr(sceneio, "scene_to_dict", with_object_depth)
+        plane = DepthMap(array("q", range(12)), shape=(3, 4))
+        records = [_record("a", plane), _record("b", plane)]
+        assert list(eval_record_lines(records)) == [_expected_line(r) for r in records]
+
+    def test_maps_freed_mid_write_are_not_confused(self):
+        # each map lives only as long as its record, so a freed map's id can be
+        # handed to the next one while the lines are being written
+        expected = []
+
+        def records():
+            for i in range(64):
+                record = _record(f"r{i}", DepthMap(array("q", [i] * 6), shape=(2, 3)))
+                expected.append(_expected_line(record))
+                yield record
+
+        assert list(eval_record_lines(records())) == expected
+
+    def test_written_through_write_jsonl(self, tmp_path):
+        plane = DepthMap(array("q", range(12)), shape=(3, 4))
+        records = [_record("a", plane), _record("b", None), _record("c", plane)]
+        path, stream = tmp_path / "records.jsonl", io.StringIO()
+        write_jsonl(path, eval_record_lines(records))
+        write_jsonl(stream, eval_record_lines(records))
+        text = "".join(_expected_line(r) + "\n" for r in records)
+        assert path.read_text(encoding="utf-8") == stream.getvalue() == text
+        assert list(load_eval_records(path)) == records
 
 
 def test_write_jsonl_is_canonical(tmp_path):
