@@ -13,7 +13,8 @@ runs ``bench/run.py --trace 0`` once on the revision and once on the working
 tree, each from its own root; which side runs first alternates by pair. Per metric the table gives the median
 and quartiles of each side and how many pairs the working tree won, where
 "won" follows the metric's ``better`` direction in BENCHMARK.json. The last
-line says whether the two sides' chain outputs had the same SHA-256 digests.
+line says whether the two sides' chain outputs had the same SHA-256 digests,
+and the exit code is 1 when they differ, 0 when they are identical.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def main(argv: list[str] | None = None) -> int:
         sign = 1 if higher_wins.get(name, False) else -1
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         print(f"  {name}: {summary(old)} → {summary(new)} ({wins}/{args.pairs})")
-    changed = sorted(k for k in digests["tree"] if digests["tree"][k] != digests["rev"].get(k))
+    before, after = digests["rev"], digests["tree"]
+    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
     print("chain outputs: " + (f"differ in {', '.join(changed)}" if changed else "identical"))
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -88,7 +88,8 @@ def filter_captions(records: Iterable[CaptionRecord], lex: ObjectLexicon) -> lis
 
 def load_captions(path: str | Path) -> list[CaptionRecord]:
     records = []
-    for line_no, obj in _iter_jsonl(path):
+    for line_no, text in _iter_lines(path):
+        obj = _loads(text, line_no)
         if not isinstance(obj, dict):
             raise FormatError("caption record must be a JSON object", line=line_no)
         caption = _req_str(obj, "caption", line_no)
@@ -113,20 +114,25 @@ def caption_to_dict(record: CaptionRecord) -> dict:
 # ---------------------------------------------------------------------------
 # JSONL plumbing
 
-def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+def _iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of a JSONL file, decoded and stripped, with its number."""
     # lines end at b"\n" as JSON Lines specifies; decoding line by line lets a
     # bad byte be reported with its line number
     with open(path, "rb") as fh:
         for line_no, data in enumerate(fh, start=1):
-            raw = decode_line(data, line_no).strip()
-            if not raw:
-                continue
-            try:
-                yield line_no, json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
-            except ValueError as exc:  # an integer past int's digit limit
-                raise FormatError(f"invalid JSON: {exc}", line=line_no) from None
+            text = decode_line(data, line_no).strip()
+            if text:
+                yield line_no, text
+
+
+def _loads(text: str, line_no: int) -> object:
+    """One line's JSON value; a line that does not decode is a FormatError naming it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise FormatError(f"invalid JSON: {exc}", line=line_no) from None
 
 
 def write_jsonl(dest: IO[str] | str | Path, objs: Iterable[Mapping | str]) -> None:

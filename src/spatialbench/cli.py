@@ -235,14 +235,12 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"config {config_path}: expected a number, "
                                   f"got {json.dumps(value)}", field=key)
-            # every other setting is at its valid default, so a range error is this key's
+            # every other setting is at its valid default, so a range error is this
+            # key's; an int past the float range reads as inf, as in a scene
             try:
-                extraction.ExtractionConfig(**{key: value})
+                extraction.ExtractionConfig(**{key: sceneio._float(value)})
             except ValueError as exc:
                 raise FormatError(f"config {config_path}: {exc}", field=key) from None
-            except OverflowError:  # an int past the float range
-                raise FormatError(f"config {config_path}: {key} must be finite, "
-                                  "got an integer too large for a float", field=key) from None
     if args.tau is not None:
         raw["tau"] = _strictness(args).tau
     return extraction.ExtractionConfig(**raw)
@@ -439,9 +437,16 @@ def _cmd_stub_gen(args) -> int:
     # StubGeneratorConfig's ranges, checked here to name the flag; nan fails too
     if not 1.0 <= args.tau < math.inf:
         raise SpatialBenchError(f"--tau must be finite and >= 1 for stub-gen, got {args.tau}")
+    # before any allocation: a plane is width x height int64 cells
     for flag, size in (("--width", args.width), ("--height", args.height)):
         if size < 1:
             raise SpatialBenchError(f"{flag} must be at least 1, got {size}")
+        if size > stub.MAX_SIDE:
+            raise SpatialBenchError(f"{flag} must be at most {stub.MAX_SIDE}, "
+                                    f"got {sceneio._float(size):g}")
+    if args.width * args.height > stub.MAX_CELLS:
+        raise SpatialBenchError(f"scene {args.width}x{args.height} (--width/--height) "
+                                f"has more than {stub.MAX_CELLS} cells")
     for kind, prob in args.p:
         if not 0.0 <= prob <= 1.0:
             raise SpatialBenchError(f"--p {kind.value}={prob}: probability must be in [0, 1]")

@@ -25,8 +25,11 @@ are those of encoding every record on its own.
 load_scenes and load_eval_records are generators: they yield one scene or
 record per line as it parses, so a caller that consumes them one at a time
 holds one depth map at a time. A malformed line raises when it is reached.
-The JSONL reader and writer live in the numpy-free captions module. Depth
-maps are decoded into and encoded from DepthMap's flat array without numpy.
+Reading mirrors the encode splice: an inline plane is decoded once per run
+of lines that repeat its text, and those records share one read-only
+DepthMap; the reader keeps only the last plane. The JSONL line reader and
+writer live in the numpy-free captions module. Depth maps are decoded into
+and encoded from DepthMap's flat array without numpy.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ import math
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .captions import _iter_jsonl, write_jsonl
+from .captions import _iter_lines, _loads, write_jsonl
 from .errors import DimensionMismatch, FormatError, ParseError
 from .evaluation import EvalRecord
 from .extraction import DetectedObject, RelationInstance, Scene
@@ -147,7 +150,10 @@ def scene_from_dict(
     line: int | None = None,
     field_prefix: str = "",
 ) -> Scene:
-    """Validate one scene record and build a Scene, clipping boxes to the image."""
+    """Validate one scene record and build a Scene, clipping boxes to the image.
+
+    depth is null, a path, a 2D array, or a DepthMap, which is used as is.
+    """
     if not isinstance(record, Mapping):
         raise FormatError("scene record must be a JSON object", line=line, field=field_prefix or None)
 
@@ -183,6 +189,8 @@ def scene_from_dict(
                 raise err(f"cannot read depth file: {exc}", "depth") from None
             except FormatError as exc:
                 raise err(exc.reason, "depth") from None
+        elif isinstance(raw_depth, DepthMap):
+            depth = raw_depth
         elif isinstance(raw_depth, list):
             try:
                 depth = DepthMap(raw_depth)
@@ -290,13 +298,6 @@ def _plain_number(value: float) -> int | float:
     return int(value) if float(value).is_integer() else float(value)
 
 
-def load_scenes(path: str | Path) -> Iterator[Scene]:
-    """Yield the file's scenes one at a time, reading each depth map as it goes."""
-    base_dir = Path(path).parent
-    for line_no, obj in _iter_jsonl(path):
-        yield scene_from_dict(obj, base_dir=base_dir, line=line_no)
-
-
 def relations_to_dict(scene: Scene, relations: Sequence[RelationInstance]) -> dict:
     """One output line of the extractor: scene id plus its relation facts."""
     rendered = []
@@ -310,6 +311,97 @@ def relations_to_dict(scene: Scene, relations: Sequence[RelationInstance]) -> di
             entry["context"] = rel.context
         rendered.append(entry)
     return {"image_id": scene.image_id, "relations": rendered}
+
+
+# ---------------------------------------------------------------------------
+# JSONL reading: a repeated inline plane is decoded once
+
+# json.dumps writes a scene's inline plane after this text, and the plane's
+# last row closes at the first "]]" after it
+_INLINE_PLANE = '"depth": ['
+
+# the dict of a decoded line that holds its scene's depth key, or None
+_SceneOf = Callable[[object], dict | None]
+
+
+def _iter_values(path: str | Path, scene_of: _SceneOf) -> Iterator[tuple[int, object]]:
+    """Yield each line's number and JSON value, decoding a repeated inline plane once.
+
+    When _split_plane proves a line's plane, that depth becomes a
+    DepthMap: the previous line's map when the plane text is the same, so a
+    run of records that share a plane shares one map. Only the last plane is
+    kept. Every other line, and one whose plane does not decode into a map,
+    takes the plain decode, which reports any fault as it always has.
+    """
+    plane_text = plane = None
+    for line_no, text in _iter_lines(path):
+        split = _split_plane(text, scene_of)
+        if split is not None:
+            value, scene, span = split
+            if span != plane_text:
+                plane_text, plane = span, _plane(span)
+            if plane is not None:
+                scene["depth"] = plane
+                yield line_no, value
+                continue
+        yield line_no, _loads(text, line_no)
+
+
+def _split_plane(text: str, scene_of: _SceneOf) -> tuple[object, dict, str] | None:
+    """The line's value with its scene depth set to 0, that scene, and the plane text.
+
+    The candidate plane runs from the first '"depth": [' to the first "]]"
+    after it. It is the scene's depth value exactly when the line with 0 in
+    its place decodes to a scene depth of int 0, and with 1 to int 1: the two
+    texts differ in one character, so only a token that is the depth value
+    itself moves that field. That rules out a match inside a key or an
+    object's own depth, a duplicate depth key and a literal depth elsewhere;
+    the type test rules out a digit that the text after the plane makes a
+    float. None when there is no candidate or the check fails.
+    """
+    start = text.find(_INLINE_PLANE)
+    if start < 0:
+        return None
+    start += len(_INLINE_PLANE) - 1
+    end = text.find("]]", start) + 2
+    if end < 2:
+        return None
+    head, tail = text[:start], text[end:]
+    try:
+        zero, one = json.loads(head + "0" + tail), json.loads(head + "1" + tail)
+    except ValueError:  # a decode error, or an integer past the digit limit
+        return None
+    scene, check = scene_of(zero), scene_of(one)
+    if scene is None or check is None:
+        return None
+    depths = scene.get("depth"), check.get("depth")
+    if (type(depths[0]), type(depths[1])) != (int, int) or depths != (0, 1):
+        return None
+    return zero, scene, text[start:end]
+
+
+def _plane(text: str) -> DepthMap | None:
+    """The plane text as a DepthMap; None for a fault, which the plain decode reports."""
+    try:
+        return DepthMap(json.loads(text))
+    except ValueError:  # bad JSON, an integer past the digit limit, or a bad grid
+        return None
+
+
+def _scene_itself(value: object) -> dict | None:
+    return value if isinstance(value, dict) else None
+
+
+def _record_scene(value: object) -> dict | None:
+    scene = value.get("scene") if isinstance(value, dict) else None
+    return scene if isinstance(scene, dict) else None
+
+
+def load_scenes(path: str | Path) -> Iterator[Scene]:
+    """Yield the file's scenes one at a time, reading each depth map as it goes."""
+    base_dir = Path(path).parent
+    for line_no, obj in _iter_values(path, _scene_itself):
+        yield scene_from_dict(obj, base_dir=base_dir, line=line_no)
 
 
 # ---------------------------------------------------------------------------
@@ -378,5 +470,5 @@ def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
 def load_eval_records(path: str | Path) -> Iterator[EvalRecord]:
     """Yield the file's evaluation records one at a time."""
     base_dir = Path(path).parent
-    for line_no, obj in _iter_jsonl(path):
+    for line_no, obj in _iter_values(path, _record_scene):
         yield eval_record_from_dict(obj, base_dir=base_dir, line=line_no)

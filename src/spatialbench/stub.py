@@ -31,6 +31,11 @@ from .relations import RelationKind, Strictness
 
 __all__ = ["StubGeneratorConfig", "StubPlan", "stub_generate"]
 
+# The largest scene. A plane's closeness runs 0 .. width - 1, so a side of at
+# most 65535 keeps it writable as 16-bit PGM; 2**24 cells are 128 MiB of int64.
+MAX_SIDE = 65535
+MAX_CELLS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class StubGeneratorConfig:
@@ -51,8 +56,10 @@ class StubGeneratorConfig:
                 raise ValueError(f"probability for {kind.value} must be in [0, 1], got {p}")
             coerced[kind] = float(p)
         object.__setattr__(self, "probabilities", coerced)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("scene dimensions must be positive")
+        if not (0 < self.width <= MAX_SIDE and 0 < self.height <= MAX_SIDE
+                and self.width * self.height <= MAX_CELLS):
+            raise ValueError(f"scene dimensions must be in [1, {MAX_SIDE}], "
+                             f"with at most {MAX_CELLS} cells")
         if not 1.0 <= self.tau < math.inf:
             raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
 

@@ -384,7 +384,21 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: ")
         assert err[0].endswith(f"(field {key})")
+        assert "0" * 400 not in err[0]
         self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"tau": 1%s}' % ("0" * 400), "tau must be finite and positive, got inf (field tau)"),
+        ('{"min_score": -1%s}' % ("0" * 400),
+         "min_score must be in [0, 1], got -inf (field min_score)"),
+    ], ids=["tau", "min_score"])
+    def test_config_number_past_float_range_reads_inf(self, tmp_path, scenes_file, capsys,
+                                                      text, reason):
+        # as a scene's score of the same size does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config {cfg}: {reason}"]
 
     def test_deterministic(self, tmp_path, records_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [
@@ -536,6 +550,21 @@ class TestStubGen:
         (["--p", "left=nan"], "--p left=nan: probability must be in [0, 1]"),
     ], ids=["width", "height", "p", "p-nan"])
     def test_out_of_range_flag_names_it(self, prompts_file, capsys, flag, message):
+        assert main(["stub-gen", str(prompts_file), *flag]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--width", "1" + "0" * 400], "--width must be at most 65535, got inf"),
+        (["--height", "65536"], "--height must be at most 65535, got 65536"),
+        (["--width", "65535", "--height", "257"],
+         "scene 65535x257 (--width/--height) has more than 16777216 cells"),
+    ], ids=["width-401-digits", "height", "cells"])
+    def test_oversized_scene_refused_before_any_plane(self, prompts_file, capsys, monkeypatch,
+                                                      flag, message):
+        def no_scenes(*args, **kwargs):
+            raise AssertionError("stub_generate ran")
+
+        monkeypatch.setattr("spatialbench.stub.stub_generate", no_scenes)
         assert main(["stub-gen", str(prompts_file), *flag]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 

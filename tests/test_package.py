@@ -8,6 +8,7 @@ depth, and importing spatialbench.cli registers every package module
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -76,6 +77,29 @@ def test_demo_script_runs(argv, first_line):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("digest, code, last_line", [
+    ("same", 0, "chain outputs: identical"),
+    ("other", 1, "chain outputs: differ in records.jsonl"),
+], ids=["identical", "differ"])
+def test_ab_bench_exit_code_follows_the_digests(tmp_path, monkeypatch, capsys,
+                                               digest, code, last_line):
+    # the two sides' runs are stood in for, so only the comparison runs
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
+    ab_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_bench)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "evaluate_s", "better": "lower"}]}))
+    monkeypatch.setattr(ab_bench.subprocess, "run",
+                        lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, b""))
+    monkeypatch.setattr(ab_bench, "bench_run", lambda root, args: (
+        {"evaluate_s": 1.0},
+        {"records.jsonl": digest if root == tmp_path else "same", "report.json": "r"},
+    ))
+    assert ab_bench.main(["HEAD", "--workload", "eval_loop", "--pairs", "2"]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == last_line
 
 
 def test_exports_resolve_to_their_home_module():

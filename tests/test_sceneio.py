@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import weakref
 from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatialbench import captions, sceneio
@@ -39,6 +40,7 @@ from spatialbench.sceneio import (
     write_depth_pgm,
     write_jsonl,
 )
+from spatialbench.stub import StubGeneratorConfig, stub_generate
 
 LEX = ObjectLexicon(frozenset({"bus", "garage door"}), frozenset({"street", "downtown area"}))
 
@@ -595,3 +597,140 @@ def test_write_jsonl_is_canonical(tmp_path):
     write_jsonl(b, [{"a": 2, "z": 1}])
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text() == '{"a": 2, "z": 1}\n'
+
+
+# ---------------------------------------------------------------------------
+# reading: a repeated inline plane decoded once, proven equal to a plain decode
+
+def _plain_load(path, from_dict):
+    """The readers as a json.loads per line: same records or the same error."""
+    with open(path, "rb") as fh:
+        for line_no, data in enumerate(fh, start=1):
+            text = data.decode("utf-8").strip()
+            if not text:
+                continue
+            try:
+                value = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
+            except ValueError as exc:
+                raise FormatError(f"invalid JSON: {exc}", line=line_no) from None
+            yield from_dict(value, base_dir=path.parent, line=line_no)
+
+
+def _outcome(items) -> list:
+    """Everything a reader yields, then the error it stops on, if any."""
+    out = []
+    try:
+        out.extend(items)
+    except FormatError as exc:
+        out.append((type(exc), str(exc), exc.line, exc.field))
+    return out
+
+
+_PROMPT = json.dumps("A bench in front of a tree in a city")
+
+# planes that fail on their own or with the bracket after them; then ones whose
+# next characters make the line invalid JSON, though a digit in the plane's
+# place would read as a float
+_BAD_PLANES = ["[[1, 2], [3]]", "[[-1, 2]]", "[[NaN, 1]]", "[[1%s, 2]]" % ("0" * 4400),
+               "[[true, false]]", '[[1, "2"]]', "[[]]", "[[1, 2]]]"]
+_FLOAT_TAILS = ["[[1, 2]].0", "[[1, 2]]e1", "[[1, 2]]E0"]
+
+
+def _member(key: str, value: str) -> str:
+    return f"{json.dumps(key)}: {value}"
+
+
+@st.composite
+def scene_lines(draw) -> list[str]:
+    """Scene lines of one shape (1 x 2) that mostly share a few planes.
+
+    A line may carry no depth, a shared plane, a fresh one, a hand-spaced
+    one, a bad one, a literal, two depth keys, a key that holds the text
+    '"depth": [' or an object with its own depth.
+    """
+    grids = st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=1, max_size=1)
+    pool = [json.dumps(g) for g in draw(st.lists(grids, min_size=1, max_size=3))]
+    spaced = st.sampled_from(["[[1,2]]", "[ [1, 2]]", "[[1, 2] ]", "[[ 1 , 2 ]]"])
+    shared = st.sampled_from(pool)
+    depth = st.one_of(shared, shared, shared, grids.map(json.dumps), spaced,
+                      st.sampled_from(["0", "0", "1", "null", "[[0.5, 2.0]]"]),
+                      st.sampled_from(_BAD_PLANES), st.sampled_from(_FLOAT_TAILS))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        obj = [_member("label", json.dumps(draw(st.sampled_from(
+                   ["bench", '"depth": [[1, 2]]', pool[0]])))),
+               _member("box", "[0, 0, 2, 1]")]
+        if draw(st.booleans()):
+            obj.append(_member("depth", draw(depth)))
+        members = [
+            _member("image_id", json.dumps(draw(st.sampled_from(["img", pool[0], '"depth": 0'])))),
+            _member("width", "2"), _member("height", "1"),
+            _member("objects", "[{%s}]" % ", ".join(draw(st.permutations(obj)))),
+            *(_member("depth", draw(depth)) for _ in range(draw(st.integers(0, 2)))),
+        ]
+        if draw(st.integers(0, 3)) == 0:
+            members.append(_member('a"depth', draw(depth)))
+        lines.append("{%s}" % ", ".join(draw(st.permutations(members))))
+    return lines
+
+
+def _as_records(lines: list[str]) -> list[str]:
+    return ['{"id": "r%d", "prompt": %s, "scene": %s}' % (i, _PROMPT, line)
+            for i, line in enumerate(lines)]
+
+
+class TestSharedPlaneReading:
+    @given(scene_lines())
+    # a literal depth after a key that holds the candidate: only the 1 parse tells
+    @example(['{"a\\"depth": [[1, 2]], "image_id": "[[1, 2]]", "width": 2, "height": 1, '
+              '"depth": 0}'])
+    # an object's own depth before the scene's, and a duplicate key that wins
+    @example(['{"objects": [{"label": "bench", "box": [0, 0, 2, 1], "depth": [[1, 2]]}], '
+              '"image_id": "img", "width": 2, "height": 1, "depth": [[3, 4]]}',
+              '{"depth": [[1, 2]], "image_id": "img", "width": 2, "height": 1, "depth": null}',
+              '{"depth": 0, "image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]]}'])
+    # a label that quotes a plane, then planes that differ from the one before
+    @example(['{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]], '
+              '"objects": [{"label": "\\"depth\\": [[1]]", "box": [0, 0, 2, 1]}]}',
+              '{"image_id": "img", "width": 2, "height": 1, "depth": [[3, 4]]}',
+              '{"image_id": "img", "width": 2, "height": 1, "depth": [[3, 4]]}',
+              '{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]]}'])
+    @example(['{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]]}',
+              '{"image_id": "img", "width": 2, "height": 1, "depth": %s}' % _BAD_PLANES[3]])
+    @example(['{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]].0}'])
+    @settings(deadline=None)
+    def test_readers_agree_with_a_plain_decode(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("lines") / "lines.jsonl"
+        for readers, texts in (
+            ((load_scenes, scene_from_dict), lines),
+            ((load_eval_records, eval_record_from_dict), _as_records(lines)),
+        ):
+            path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+            reader, from_dict = readers
+            assert _outcome(reader(path)) == _outcome(_plain_load(path, from_dict))
+
+    def test_consecutive_stub_records_share_one_map(self, tmp_path):
+        prompts = [parse_prompt(f"A bench {kind} a tree in a city")
+                   for kind in ("in front of", "behind", "in front of")]
+        records, _ = stub_generate(prompts, StubGeneratorConfig(seed=3))
+        other = _record("other", DepthMap(array("q", range(1, 13)), shape=(3, 4)))
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, eval_record_lines([*records, other]))
+        loaded = load_eval_records(path)
+        first = [next(loaded) for _ in records]
+        assert first == records
+        assert all(r.scene.depth is first[0].scene.depth for r in first)
+        # a different plane takes the memo's one entry; the last map is let go
+        gone = weakref.ref(first[0].scene.depth)
+        del first
+        assert next(loaded) == other
+        assert gone() is None
+
+    def test_scene_from_dict_takes_a_depth_map_as_is(self):
+        plane = DepthMap([[0] * 100 for _ in range(80)])
+        assert scene_from_dict(minimal_record(depth=plane)).depth is plane
+        with pytest.raises(DimensionMismatch) as info:
+            scene_from_dict(minimal_record(depth=DepthMap([[1, 2]])), line=5)
+        assert (info.value.line, info.value.field) == (5, "depth")

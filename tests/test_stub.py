@@ -123,6 +123,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             StubGeneratorConfig(tau=0.5)
 
+    @pytest.mark.parametrize("size", [
+        {"width": 0}, {"height": 65536}, {"width": 10 ** 400}, {"width": 65535, "height": 257},
+    ], ids=["zero", "side", "401-digits", "cells"])
+    def test_scene_size_bounded(self, size):
+        # the config is checked before any plane is built
+        with pytest.raises(ValueError, match="scene dimensions"):
+            StubGeneratorConfig(**size)
+
+    def test_largest_scene_accepted(self):
+        cfg = StubGeneratorConfig(width=65535, height=256)
+        assert cfg.width * cfg.height <= 2 ** 24
+
     def test_scene_too_small_for_tau(self):
         cfg = StubGeneratorConfig(width=20, height=20)
         with pytest.raises(SpatialBenchError, match="too small"):
