@@ -35,8 +35,8 @@ def simple_prompts(kind: RelationKind, count: int, rng: random.Random) -> list[P
         target = rng.choice(objects)
         while target == subject:
             target = rng.choice(objects)
-        clause = RelationQuadruple(subject, kind, (target,), rng.choice(contexts))
-        out.append(PromptSpec((clause,)))
+        clause = RelationQuadruple(subject, kind, (target,))
+        out.append(PromptSpec((clause,), rng.choice(contexts)))
     return out
 
 

@@ -8,11 +8,10 @@ and fabricate synthetic scenes for pipeline tests.
 Every subcommand takes --seed and --output. The commands that score or
 extract (extract, evaluate, bias-report) also take --tau, the strictness
 divisor, which is the one setting scoring reads. extract alone takes
---config: a JSON object (from the file, or the SPATIALBENCH_CONFIG env var)
-whose keys are the ExtractionConfig fields and whose values are numbers,
-and an explicit --tau wins. evaluate and bias-report take --format;
-stub-gen has its own --tau. All randomness flows from --seed, and a fixed
-seed makes every subcommand byte-reproducible.
+--config: a file holding a JSON object whose keys are the ExtractionConfig
+fields and whose values are numbers, and an explicit --tau wins. evaluate
+and bias-report take --format; stub-gen has its own --tau. All randomness
+flows from --seed, and a fixed seed makes every subcommand byte-reproducible.
 
 Every command runs without numpy on integer depth (inline JSON ints and PGM
 files): gen-prompts, tore, filter-captions, stub-gen, evaluate, bias-report,
@@ -30,7 +29,6 @@ import dataclasses
 import importlib.util
 import json
 import math
-import os
 import random
 import sys
 from contextlib import contextmanager
@@ -95,8 +93,6 @@ _lazy_module("geometry")
 
 __all__ = ["main"]
 
-CONFIG_ENV_VAR = "SPATIALBENCH_CONFIG"
-
 
 def _kind_count(text: str) -> tuple[RelationKind, int]:
     try:
@@ -142,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="extract relation facts from detection scenes")
     p.add_argument("scenes", type=Path, help="scene JSONL file")
     p.add_argument("--config", type=Path, default=None,
-                   help=f"JSON extraction config file (or set {CONFIG_ENV_VAR})")
+                   help="JSON extraction config file")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("gen-prompts", parents=[common],
@@ -216,12 +212,10 @@ def _strictness(args) -> Strictness:
 
 def _extraction_config(args) -> extraction.ExtractionConfig:
     raw: dict = {}
-    config_path = args.config or (
-        Path(os.environ[CONFIG_ENV_VAR]) if os.environ.get(CONFIG_ENV_VAR) else None
-    )
+    config_path = args.config
     if config_path is not None:
         try:
-            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            raw = json.loads(config_path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: bad bytes, JSON or digit count
             raise SpatialBenchError(f"cannot read config {config_path}: {exc}") from None
         if not isinstance(raw, dict):
@@ -428,7 +422,9 @@ def _cmd_bias_report(args) -> int:
 def _cmd_filter_captions(args) -> int:
     objects, contexts = _load_lexicon(args)
     lex = captions.ObjectLexicon(frozenset(objects), frozenset(contexts))
-    kept = captions.filter_captions(captions.load_captions(args.captions), lex)
+    with _naming(str(args.captions)):
+        records = captions.load_captions(args.captions)
+    kept = captions.filter_captions(records, lex)
     _write_records(args, (captions.caption_to_dict(r) for r in kept))
     return 0
 
@@ -480,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpatialBenchError, OSError, ValueError) as exc:
+    except (SpatialBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -88,13 +88,13 @@ class RelationInstance:
     """A grounded relation fact over scene object indices.
 
     objects holds one index for pairwise kinds; for Between it holds the two
-    flanking indices (left, right) and subject is the middle object.
+    flanking indices (left, right) and subject is the middle object. The
+    context is the scene's, held there once.
     """
 
     kind: RelationKind
     subject: int
     objects: tuple[int, ...]
-    context: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -188,7 +188,7 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
                     kinds.append(RelationKind.FRONT)
                 elif means[a] < means[b]:
                     kinds.append(RelationKind.BEHIND)
-            out.extend(RelationInstance(kind, subject, (obj,), scene.context) for kind in kinds)
+            out.extend(RelationInstance(kind, subject, (obj,)) for kind in kinds)
     out.sort(key=RelationInstance.sort_key)
     return out
 
@@ -212,7 +212,7 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
                     lefts.append(flank)
                 if right:
                     rights.append(flank)
-        out.extend(RelationInstance(RelationKind.BETWEEN, mid, (a, c), scene.context)
+        out.extend(RelationInstance(RelationKind.BETWEEN, mid, (a, c))
                    for a in lefts for c in rights if a != c)
     out.sort(key=RelationInstance.sort_key)
     return out

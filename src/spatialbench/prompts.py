@@ -7,6 +7,9 @@ Grammar (case-insensitive):
   between: the object slot becomes "ART OBJ and ART OBJ", collapsing to
            "two PLURAL" (or "the two PLURAL") when both flankers are equal
 
+The context belongs to the prompt, not to a clause: PromptSpec holds it once,
+and a RelationQuadruple has none.
+
 In a complex prompt the second clause refers back to a phrase of the first
 (the anchor) with the definite article. The renderer always marks the anchor;
 the parser also accepts an unmarked repetition of a shared phrase, which
@@ -78,12 +81,11 @@ def _normalized_context(context: str) -> str:
 
 @dataclass(frozen=True)
 class RelationQuadruple:
-    """One relation fact over noun phrases: subject, kind, object(s), context."""
+    """One relation fact over noun phrases: subject, kind, object(s)."""
 
     subject: str
     kind: RelationKind
     objects: tuple[str, ...]
-    context: str | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.kind, str):
@@ -92,8 +94,6 @@ class RelationQuadruple:
         objects = tuple(normalize_phrase(o) for o in objects)
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "subject", normalize_phrase(self.subject))
-        if self.context is not None:
-            object.__setattr__(self, "context", _normalized_context(self.context))
         expected = 2 if self.kind is RelationKind.BETWEEN else 1
         if len(objects) != expected:
             raise ValueError(
@@ -110,15 +110,15 @@ class RelationQuadruple:
 
 
 def _trusted_quadruple(
-    subject: str, kind: RelationKind, objects: tuple[str, ...], context: str | None = None
+    subject: str, kind: RelationKind, objects: tuple[str, ...]
 ) -> RelationQuadruple:
     """A RelationQuadruple from parts that already passed its checks.
 
-    The phrases and context must be normalized and valid, as __post_init__
-    would leave them; nothing is checked or normalized again.
+    The phrases must be normalized and valid, as __post_init__ would leave
+    them; nothing is checked or normalized again.
     """
     q = object.__new__(RelationQuadruple)
-    q.__dict__.update(subject=subject, kind=kind, objects=objects, context=context)
+    q.__dict__.update(subject=subject, kind=kind, objects=objects)
     return q
 
 
@@ -132,24 +132,14 @@ class PromptSpec:
     """
 
     clauses: tuple[RelationQuadruple, ...]
-    context: str | None = None
+    context: str
 
     def __post_init__(self) -> None:
         clauses = tuple(self.clauses)
         if not 1 <= len(clauses) <= 2:
             raise ValueError("a prompt carries one or two clauses")
-        context = self.context if self.context is not None else clauses[0].context
-        if context is None:
-            raise ValueError("no context given and the first clause carries none")
-        context = _normalized_context(context)
-        # each clause passed its checks when built, so only its context changes
-        clauses = tuple(
-            c if c.context == context
-            else _trusted_quadruple(c.subject, c.kind, c.objects, context)
-            for c in clauses
-        )
         object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "context", _normalized_context(self.context))
         if len(clauses) == 2 and self.anchor is None:
             raise ValueError("second clause shares no noun phrase with the first")
 
@@ -172,8 +162,8 @@ class PromptSpec:
 def _trusted_spec(clauses: tuple[RelationQuadruple, ...], context: str) -> PromptSpec:
     """A PromptSpec from clauses and a context that already passed its checks.
 
-    Each clause must carry the context, and a second clause must share a
-    noun phrase with the first; nothing is checked again.
+    A second clause must share a noun phrase with the first; nothing is
+    checked again.
     """
     spec = object.__new__(PromptSpec)
     spec.__dict__.update(clauses=clauses, context=context)
@@ -381,7 +371,7 @@ def parse_prompt(text: str) -> PromptSpec:
     # every constructor check holds here (see the module docstring)
     context = " ".join(tokens[marker + 2 :])
     clauses = tuple(
-        _trusted_quadruple(slots[0].phrase, kind, tuple(s.phrase for s in slots[1:]), context)
+        _trusted_quadruple(slots[0].phrase, kind, tuple(s.phrase for s in slots[1:]))
         for kind, slots in parsed
     )
     return _trusted_spec(clauses, context)
@@ -430,10 +420,11 @@ def sample_prompt_set(
     are keyed by the first clause's kind; the second clause is any other
     pool entry sharing a noun phrase, drawn uniformly, except one that states
     the first clause's converse: when such a partner is drawn, the partner is
-    drawn again among the rest. Quadruples without a
-    context get one drawn from `contexts`, in pool order; every context is
-    checked before the first draw. Subject == object is rejected for the
-    four planar directional kinds, where such facts are degenerate.
+    drawn again among the rest. Each kept pool entry draws a context from
+    `contexts`, in pool order, and a prompt takes the one drawn for its first
+    clause; every context is checked before the first draw. Subject == object
+    is rejected for the four planar directional kinds, where such facts are
+    degenerate.
 
     Candidates and partners are listed in ascending pool order, so a seed
     fixes the output.
@@ -444,13 +435,8 @@ def sample_prompt_set(
         raise ValueError("contexts must be non-empty")
     contexts = tuple(_normalized_context(c) for c in contexts)
 
-    pool: list[RelationQuadruple] = []
-    context_of: list[str] = []
-    for q in relations:
-        if q.kind.is_directional_2d and q.subject in q.objects:
-            continue
-        pool.append(q)
-        context_of.append(q.context if q.context is not None else rng.choice(contexts))
+    pool = [q for q in relations if not (q.kind.is_directional_2d and q.subject in q.objects)]
+    context_of = [rng.choice(contexts) for _ in pool]
 
     by_kind: dict[RelationKind, list[int]] = {}
     # phrase -> ascending pool indices, each index once per distinct phrase

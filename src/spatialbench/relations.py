@@ -92,8 +92,8 @@ def invert(relation: _R) -> _R:
     """The same RelationInstance or RelationQuadruple seen from its object.
 
     Subject and object swap and the kind becomes its opposite ("A under B" is
-    "B on top of A"); Next stays Next and the context carries over. Between
-    has no opposite and raises NotInvertible.
+    "B on top of A"); Next stays Next. Between has no opposite and raises
+    NotInvertible.
 
     The swap keeps every check of both classes (one object; valid phrases or
     distinct indices), so the copy is made without running them again.

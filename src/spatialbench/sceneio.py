@@ -299,18 +299,15 @@ def _plain_number(value: float) -> int | float:
 
 
 def relations_to_dict(scene: Scene, relations: Sequence[RelationInstance]) -> dict:
-    """One output line of the extractor: scene id plus its relation facts."""
-    rendered = []
-    for rel in relations:
-        entry = {
-            "kind": rel.kind.value,
-            "subject": rel.subject,
-            "objects": list(rel.objects),
-        }
-        if rel.context is not None:
-            entry["context"] = rel.context
-        rendered.append(entry)
-    return {"image_id": scene.image_id, "relations": rendered}
+    """One output line of the extractor: scene id plus its relation facts.
+
+    Each fact repeats the scene's context, when it has one.
+    """
+    context = {} if scene.context is None else {"context": scene.context}
+    return {"image_id": scene.image_id, "relations": [
+        {"kind": rel.kind.value, "subject": rel.subject, "objects": list(rel.objects), **context}
+        for rel in relations
+    ]}
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,9 @@ def naive_extract(scene, tau=3.0, min_rel_area=0.01, max_center_dist=0.5,
 # The pool scan sample_prompt_set once ran: every candidate first clause is
 # checked against every other pool entry for a shared noun phrase, and a
 # partner that states the first clause's converse is drawn again. Relations
-# are plain (subject, kind, objects-tuple, context-or-None) tuples with the
-# kind as its string value; each prompt comes back as (clauses, context),
-# every clause a (subject, kind, objects-tuple) triple.
+# are plain (subject, kind, objects-tuple) triples with the kind as its
+# string value, and every kept one draws a context; each prompt comes back as
+# (clauses, context), every clause a triple.
 
 NAIVE_KIND_ORDER = ("right", "left", "top", "bottom", "next", "between", "front", "behind")
 NAIVE_OPPOSITE = {"right": "left", "left": "right", "top": "bottom", "bottom": "top",
@@ -290,12 +290,10 @@ class NaivePoolTooSmall(Exception):
 def naive_sample_prompt_set(relations, simple_counts, complex_counts, seed, contexts):
     rng = random.Random(seed)
     pool = []
-    for subject, kind, objects, context in relations:
+    for subject, kind, objects in relations:
         if kind in (RIGHT, LEFT, TOP, BOTTOM) and subject in objects:
             continue
-        if context is None:
-            context = rng.choice(contexts)
-        pool.append((subject, kind, objects, context))
+        pool.append((subject, kind, objects, rng.choice(contexts)))
 
     def shares_phrase(a, b):
         a_phrases = set([a[0]]) | set(a[2])

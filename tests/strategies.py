@@ -49,12 +49,12 @@ def quadruples(draw) -> RelationQuadruple:
     subject = draw(st.sampled_from(OBJECTS))
     n = 2 if kind is RelationKind.BETWEEN else 1
     objects = tuple(draw(st.sampled_from(OBJECTS)) for _ in range(n))
-    return RelationQuadruple(subject, kind, objects, draw(st.sampled_from(CONTEXTS)))
+    return RelationQuadruple(subject, kind, objects)
 
 
 @st.composite
 def simple_specs(draw) -> PromptSpec:
-    return PromptSpec((draw(quadruples()),))
+    return PromptSpec((draw(quadruples()),), draw(st.sampled_from(CONTEXTS)))
 
 
 @st.composite
@@ -68,7 +68,7 @@ def complex_specs(draw) -> PromptSpec:
         anchor if i == slot else draw(st.sampled_from(OBJECTS)) for i in range(n + 1)
     ]
     q2 = RelationQuadruple(phrases[0], kind, tuple(phrases[1:]))
-    return PromptSpec((q1, q2), context=q1.context)
+    return PromptSpec((q1, q2), draw(st.sampled_from(CONTEXTS)))
 
 
 def prompt_specs() -> st.SearchStrategy[PromptSpec]:

@@ -212,7 +212,7 @@ def test_criterion_3_worked_example():
 # --------------------------------------------------------------------------
 # 4. grammar round trip at scale plus the published prompt list
 
-def _random_quadruple(rng, objects, contexts, with_context=True):
+def _random_quadruple(rng, objects):
     kind = rng.choice(list(RelationKind))
     subject = rng.choice(objects)
     if kind is RelationKind.BETWEEN:
@@ -222,14 +222,14 @@ def _random_quadruple(rng, objects, contexts, with_context=True):
         while target == subject:
             target = rng.choice(objects)
         targets = (target,)
-    context = rng.choice(contexts) if with_context else None
-    return RelationQuadruple(subject, kind, targets, context)
+    return RelationQuadruple(subject, kind, targets)
 
 
 def _random_spec(rng, objects, contexts) -> PromptSpec:
-    q1 = _random_quadruple(rng, objects, contexts)
+    q1 = _random_quadruple(rng, objects)
+    context = rng.choice(contexts)
     if rng.random() < 0.5:
-        return PromptSpec((q1,))
+        return PromptSpec((q1,), context)
     anchor = rng.choice(q1.phrases)
     kind = rng.choice(list(RelationKind))
     other = rng.choice(objects)
@@ -237,12 +237,12 @@ def _random_spec(rng, objects, contexts) -> PromptSpec:
         other = rng.choice(objects)
     if kind is RelationKind.BETWEEN:
         targets = (anchor, other) if rng.random() < 0.5 else (other, anchor)
-        q2 = RelationQuadruple(rng.choice(objects), kind, targets, q1.context)
+        q2 = RelationQuadruple(rng.choice(objects), kind, targets)
     elif rng.random() < 0.5:
-        q2 = RelationQuadruple(anchor, kind, (other,), q1.context)
+        q2 = RelationQuadruple(anchor, kind, (other,))
     else:
-        q2 = RelationQuadruple(other, kind, (anchor,), q1.context)
-    return PromptSpec((q1, q2))
+        q2 = RelationQuadruple(other, kind, (anchor,))
+    return PromptSpec((q1, q2), context)
 
 
 @criterion(4, "prompt grammar round trip")
@@ -297,7 +297,7 @@ def test_criterion_5_rewrite_semantics():
     rng = random.Random(5)
     for _ in range(1000):
         scene = _random_labeled_scene(rng)
-        clause = RelationQuadruple("a", rng.choice(FLIPPABLE), ("b",), "city")
+        clause = RelationQuadruple("a", rng.choice(FLIPPABLE), ("b",))
         assert (score_clause(clause, scene).satisfied
                 == score_clause(invert(clause), scene).satisfied)
 
@@ -323,9 +323,8 @@ def test_criterion_6_identities():
     rng = random.Random(6)
     for kind in (RelationKind.RIGHT, RelationKind.BOTTOM):
         prompts = [
-            PromptSpec((RelationQuadruple(
-                rng.choice(objects), kind,
-                (rng.choice(objects),), rng.choice(contexts)),))
+            PromptSpec((RelationQuadruple(rng.choice(objects), kind, (rng.choice(objects),)),),
+                       rng.choice(contexts))
             for _ in range(400)
         ]
         cfg = StubGeneratorConfig({kind: 0.5}, seed=60)
@@ -350,8 +349,8 @@ def test_criterion_7_stub_lift():
             target = rng.choice(objects)
             while target == subject:
                 target = rng.choice(objects)
-            out.append(PromptSpec((RelationQuadruple(
-                subject, kind, (target,), rng.choice(contexts)),)))
+            out.append(PromptSpec((RelationQuadruple(subject, kind, (target,)),),
+                                  rng.choice(contexts)))
         return out
 
     top_prompts = simple_prompts(RelationKind.TOP, 2000)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from spatialbench.cli import CONFIG_ENV_VAR, _build_parser, _check_object_phrase, main
+from spatialbench.cli import _build_parser, _check_object_phrase, main
 from spatialbench.evaluation import evaluate_records
 from spatialbench.lexicon import default_contexts, default_objects
 from spatialbench.prompts import _normalized_context, parse_prompt, render_prompt
@@ -172,17 +173,44 @@ class TestGenPrompts:
     STUB_PROBABILITIES = ["top=0.8", "bottom=0.5", "left=0.75", "right=0.55",
                           "front=0.7", "behind=0.45", "next=0.9", "between=0.6"]
 
-    def test_golden_stub_gen_bytes(self, tmp_path):
-        prompts, records, plans = (tmp_path / n for n in ("p.txt", "r.jsonl", "plans.jsonl"))
+    def stub_gen(self, tmp_path, *extra):
+        prompts, records = tmp_path / "p.txt", tmp_path / "r.jsonl"
         assert main([*self.EVAL_LOOP_ARGV, "--output", str(prompts)]) == 0
         assert main(["stub-gen", str(prompts), "--seed", "7",
                      *[arg for p in self.STUB_PROBABILITIES for arg in ("--p", p)],
-                     "--plans", str(plans), "--output", str(records)]) == 0
+                     *extra, "--output", str(records)]) == 0
+        return records
+
+    def test_golden_stub_gen_bytes(self, tmp_path):
+        plans = tmp_path / "plans.jsonl"
+        records = self.stub_gen(tmp_path, "--plans", str(plans))
         assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in (records, plans)} == {
             "r.jsonl": "6a9f4ee4b418616bba4cf3932e0fd1314c4bb84e58a850b1d90d3b28eaac928c",
             "plans.jsonl": "b5fa2bf931c7ce7472430a97a9c7e6a5fd30a0f687bfc47fa6aa9346c8fea083",
         }
+
+    # extract on those records' scenes, each with its prompt's context, plus
+    # one scene without a context. Stub boxes cover 0.6% of the image, below
+    # the default min_rel_area, so only the config run emits their relations
+    # (857 of them). The digests were recorded while every relation carried
+    # its own copy of the scene's context.
+    @pytest.mark.parametrize("config, digest", [
+        (None, "7971fb4863fc70604a48bf85d9bc777dcc9345ab1f0262946f1dca01eef114a8"),
+        ('{"min_rel_area": 0.005}',
+         "5a5469b0785a44fb2d9ece63196d78834db5b7ca4c7788f85a59f12978f4c0a7"),
+    ], ids=["default", "small-boxes"])
+    def test_golden_extract_bytes(self, tmp_path, config, digest):
+        records = self.stub_gen(tmp_path)
+        scenes = tmp_path / "scenes.jsonl"
+        with records.open(encoding="utf-8") as fh:
+            write_jsonl(scenes, [*(json.loads(line)["scene"] for line in fh), SCENE])
+        flags = []
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            flags = ["--config", str(cfg)]
+        assert hashlib.sha256(extract_bytes(tmp_path, scenes, *flags)).hexdigest() == digest
 
 
 class TestExtract:
@@ -305,45 +333,46 @@ class TestEvaluate:
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["tau"] == 2.0
 
-    # The config file (--config or SPATIALBENCH_CONFIG) reaches extract alone,
-    # since scoring reads tau only. Each case below runs its file through
-    # extract, then checks that evaluate, handed the same file through the env
-    # var, ignores it and writes the default report.
+    # The config file reaches extract alone, since scoring reads tau only.
+    # Each case below runs its file through extract, then checks that evaluate
+    # refuses the same file as a usage error.
 
     @staticmethod
-    def assert_ignores_config(monkeypatch, tmp_path, records_file, cfg):
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-        out = tmp_path / "report.json"
-        assert main(["evaluate", str(records_file), "--output", str(out)]) == 0
-        assert json.loads(out.read_text())["config"] == {"tau": 3.0, "seed": 0}
+    def assert_ignores_config(records_file, cfg):
+        with pytest.raises(SystemExit) as info, contextlib.redirect_stderr(io.StringIO()):
+            main(["evaluate", str(records_file), "--config", str(cfg)])
+        assert info.value.code == 2
 
-    def test_config_file(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
+    def test_config_file(self, tmp_path, offset_scenes_file, records_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tau": 5, "min_score": 0.5}')
         configured = extract_bytes(tmp_path, offset_scenes_file, "--config", str(cfg))
         assert configured == extract_bytes(tmp_path, offset_scenes_file, "--tau", "5")
         assert configured != extract_bytes(tmp_path, offset_scenes_file)
-        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+        self.assert_ignores_config(records_file, cfg)
 
-    def test_flag_beats_config(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
+    def test_flag_beats_config(self, tmp_path, offset_scenes_file, records_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tau": 5}')
         flagged = extract_bytes(tmp_path, offset_scenes_file, "--config", str(cfg), "--tau", "2")
         assert flagged == extract_bytes(tmp_path, offset_scenes_file, "--tau", "2")
         assert flagged != extract_bytes(tmp_path, offset_scenes_file, "--tau", "5")
-        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+        self.assert_ignores_config(records_file, cfg)
 
     def test_config_env_var(self, tmp_path, offset_scenes_file, records_file, monkeypatch):
+        # extract once also read its config from SPATIALBENCH_CONFIG; a set
+        # variable now changes nothing, and --config is the only way in
         default = extract_bytes(tmp_path, offset_scenes_file)
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"tau": 4}')
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-        configured = extract_bytes(tmp_path, offset_scenes_file)
+        configured = extract_bytes(tmp_path, offset_scenes_file, "--config", str(cfg))
         assert configured == extract_bytes(tmp_path, offset_scenes_file, "--tau", "4")
         assert configured != default
-        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+        monkeypatch.setenv("SPATIALBENCH_CONFIG", str(cfg))
+        assert extract_bytes(tmp_path, offset_scenes_file) == default
+        self.assert_ignores_config(records_file, cfg)
 
-    def test_unknown_config_key(self, tmp_path, scenes_file, records_file, capsys, monkeypatch):
+    def test_unknown_config_key(self, tmp_path, scenes_file, records_file, capsys):
         # a key no setting reads is rejected, never silently ignored
         for key in ("speed", "max_between_objects", "ambiguity_policy",
                     "emit_next_when_directional"):
@@ -352,8 +381,7 @@ class TestEvaluate:
             assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error: config {cfg}: unknown keys: {key}"]
-            self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
-            monkeypatch.delenv(CONFIG_ENV_VAR)
+            self.assert_ignores_config(records_file, cfg)
 
     def test_undecodable_config(self, tmp_path, scenes_file, capsys):
         # bytes that are not UTF-8 name the file, as any other unreadable config does
@@ -377,7 +405,7 @@ class TestEvaluate:
                      id="min_score-past-float-range"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, scenes_file, records_file, capsys,
-                                        monkeypatch, text, key):
+                                        text, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
@@ -385,7 +413,7 @@ class TestEvaluate:
         assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: ")
         assert err[0].endswith(f"(field {key})")
         assert "0" * 400 not in err[0]
-        self.assert_ignores_config(monkeypatch, tmp_path, records_file, cfg)
+        self.assert_ignores_config(records_file, cfg)
 
     @pytest.mark.parametrize("text, reason", [
         ('{"tau": 1%s}' % ("0" * 400), "tau must be finite and positive, got inf (field tau)"),
@@ -486,6 +514,18 @@ class TestFilterCaptions:
             "filter-captions", str(path), "--output", str(out),
         ])
         assert out_a == out_b
+
+    @pytest.mark.parametrize("bad, reason", [
+        (b"{oops", "invalid JSON: Expecting property name enclosed in double quotes"),
+        (b"\xff", "invalid UTF-8 byte 0xff at byte offset 0"),
+    ], ids=["json", "utf-8"])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, bad, reason):
+        path = tmp_path / "caps.jsonl"
+        path.write_bytes(b'{"caption": "a red bus on a street"}\n' + bad + b"\n")
+        assert main(["filter-captions", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {path}: {reason} (line 2)"]
+        assert captured.out == ""
 
 
 class TestStubGen:
@@ -660,6 +700,16 @@ class TestLexiconFiles:
 class TestExitCodes:
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["extract", str(tmp_path / "missing.jsonl")]) == 1
+
+    def test_bare_value_error_propagates(self, scenes_file, monkeypatch):
+        # every input error is a SpatialBenchError or an OSError; any other
+        # ValueError is a bug, and reads as a traceback, not as a user error
+        def broken(*args, **kwargs):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr("spatialbench.extraction.extract_scene", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["extract", str(scenes_file)])
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

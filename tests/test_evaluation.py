@@ -22,10 +22,10 @@ from spatialbench.prompts import PromptSpec, RelationQuadruple
 from spatialbench.relations import RelationKind, Strictness
 
 
-def quad(subject, kind, objects, context="city"):
+def quad(subject, kind, objects):
     if isinstance(objects, str):
         objects = (objects,)
-    return RelationQuadruple(subject, kind, objects, context)
+    return RelationQuadruple(subject, kind, objects)
 
 
 def make_scene(entries, width=200.0, height=200.0, depth=None, image_id="img"):
@@ -36,7 +36,7 @@ def make_scene(entries, width=200.0, height=200.0, depth=None, image_id="img"):
 
 
 def record(rid, clauses, scene):
-    return EvalRecord(rid, PromptSpec(tuple(clauses)), scene)
+    return EvalRecord(rid, PromptSpec(tuple(clauses), "city"), scene)
 
 
 # boxes a strict gap apart along one axis, exactly aligned on the other

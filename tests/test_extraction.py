@@ -22,6 +22,7 @@ from spatialbench.extraction import (
 )
 from spatialbench.geometry import BoundingBox, DepthMap
 from spatialbench.relations import RelationKind, invert
+from spatialbench.sceneio import relations_to_dict
 
 import naive_reference as ref
 
@@ -86,6 +87,10 @@ class TestSceneTypes:
         with pytest.raises(ValueError):
             RelationInstance(RelationKind.NEXT, 1, (1,))
 
+    def test_relation_instance_has_no_context(self):
+        # the context is the scene's, held once
+        assert "context" not in {f.name for f in fields(RelationInstance)}
+
 
 class TestExtractPairwise:
     def test_fewer_than_two_eligible_objects(self):
@@ -144,8 +149,10 @@ class TestExtractPairwise:
         }
 
     def test_context_is_attached(self):
-        relations = extract_pairwise(scene_of(EXAMPLE_A, context="Downtown  Area"))
-        assert {r.context for r in relations} == {"downtown area"}
+        # the scene holds its context once; each output fact repeats it
+        scene = scene_of(EXAMPLE_A, context="Downtown  Area")
+        relations = relations_to_dict(scene, extract_pairwise(scene))["relations"]
+        assert relations and {r["context"] for r in relations} == {"downtown area"}
 
 
 class TestAmbiguityPolicy:
@@ -218,8 +225,8 @@ class TestExtractScene:
 
 class TestInvertRelation:
     def test_directional_inversion(self):
-        r = RelationInstance(RelationKind.RIGHT, 0, (1,), "city")
-        assert invert(r) == RelationInstance(RelationKind.LEFT, 1, (0,), "city")
+        r = RelationInstance(RelationKind.RIGHT, 0, (1,))
+        assert invert(r) == RelationInstance(RelationKind.LEFT, 1, (0,))
 
     def test_next_is_self_inverse_kind(self):
         r = RelationInstance(RelationKind.NEXT, 2, (5,))
@@ -227,7 +234,7 @@ class TestInvertRelation:
 
     def test_involution(self):
         for kind in (RelationKind.RIGHT, RelationKind.TOP, RelationKind.FRONT, RelationKind.NEXT):
-            r = RelationInstance(kind, 3, (4,), "street")
+            r = RelationInstance(kind, 3, (4,))
             assert invert(invert(r)) == r
 
     def test_between_not_invertible(self):

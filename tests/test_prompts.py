@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from unittest.mock import patch
 
@@ -36,10 +37,10 @@ OBJECTS = default_objects()
 CONTEXTS = default_contexts()
 
 
-def quad(subject, kind, objects, context=None):
+def quad(subject, kind, objects):
     if isinstance(objects, str):
         objects = (objects,)
-    return RelationQuadruple(subject, kind, objects, context)
+    return RelationQuadruple(subject, kind, objects)
 
 
 class TestArticle:
@@ -58,11 +59,16 @@ class TestRelationQuadruple:
             quad("bench", RelationKind.RIGHT, ("tree", "car"))
 
     def test_normalization(self):
-        q = quad("  Fire   Hydrant ", "right", ("  Car ",), " City ")
+        q = quad("  Fire   Hydrant ", "right", ("  Car ",))
         assert q.subject == "fire hydrant"
         assert q.objects == ("car",)
-        assert q.context == "city"
         assert q.kind is RelationKind.RIGHT
+
+    def test_no_context_field(self):
+        # the context is the prompt's (PromptSpec.context), held once
+        assert "context" not in {f.name for f in dataclasses.fields(RelationQuadruple)}
+        with pytest.raises(TypeError):
+            RelationQuadruple("bench", "right", ("car",), "city")
 
     def test_empty_phrases_rejected(self):
         with pytest.raises(ValueError):
@@ -74,42 +80,37 @@ class TestRelationQuadruple:
         with pytest.raises(ValueError):
             quad("bench, red", RelationKind.RIGHT, ("car",))
 
-    def test_context_with_embedded_marker_rejected(self):
-        with pytest.raises(ValueError):
-            quad("bench", RelationKind.RIGHT, ("car",), "park in a city")
-
-
 class TestPromptSpec:
-    def test_context_derived_from_first_clause(self):
-        spec = PromptSpec((quad("bench", "right", "car", "city"),))
+    def test_context_normalized(self):
+        spec = PromptSpec((quad("bench", "right", "car"),), " City ")
         assert spec.context == "city"
         assert not spec.is_complex
 
-    def test_clause_contexts_are_normalized_to_shared_context(self):
-        q1 = quad("bench", "right", "car", "city")
-        q2 = quad("dog", "next", "car", "street")
-        spec = PromptSpec((q1, q2), context="city")
-        assert all(c.context == "city" for c in spec.clauses)
+    def test_context_with_embedded_marker_rejected(self):
+        with pytest.raises(ValueError):
+            PromptSpec((quad("bench", RelationKind.RIGHT, ("car",)),), "park in a city")
 
     def test_missing_context_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PromptSpec((quad("bench", "right", "car"),))
+        with pytest.raises(ValueError):
+            PromptSpec((quad("bench", "right", "car"),), "  ")
 
     def test_complex_requires_shared_phrase(self):
-        q1 = quad("bench", "right", "car", "city")
+        q1 = quad("bench", "right", "car")
         q2 = quad("dog", "next", "cat")
         with pytest.raises(ValueError):
-            PromptSpec((q1, q2))
+            PromptSpec((q1, q2), "city")
 
     def test_anchor_prefers_first_clause_objects(self):
-        q1 = quad("bench", "right", "car", "city")
+        q1 = quad("bench", "right", "car")
         q2 = quad("car", "next", "bench")
-        assert PromptSpec((q1, q2)).anchor == "car"
+        assert PromptSpec((q1, q2), "city").anchor == "car"
 
     def test_anchor_falls_back_to_subject(self):
-        q1 = quad("bench", "right", "car", "city")
+        q1 = quad("bench", "right", "car")
         q2 = quad("dog", "next", "bench")
-        assert PromptSpec((q1, q2)).anchor == "bench"
+        assert PromptSpec((q1, q2), "city").anchor == "bench"
 
 
 SIMPLE_RENDERS = [
@@ -163,7 +164,7 @@ class TestRender:
     @pytest.mark.parametrize("fields,text", SIMPLE_RENDERS)
     def test_simple_prompts(self, fields, text):
         subject, kind, obj, context = fields
-        spec = PromptSpec((quad(subject, kind, obj, context),))
+        spec = PromptSpec((quad(subject, kind, obj),), context)
         assert render_prompt(spec) == text
 
     @pytest.mark.parametrize("fields,text", COMPLEX_RENDERS)
@@ -173,20 +174,20 @@ class TestRender:
         assert render_prompt(spec) == text
 
     def test_between_distinct_flankers(self):
-        spec = PromptSpec((quad("bench", "between", ("car", "tree"), "city"),))
+        spec = PromptSpec((quad("bench", "between", ("car", "tree")),), "city")
         assert render_prompt(spec) == "A bench between a car and a tree in a city"
 
     def test_between_anchored_identical_flankers(self):
-        q1 = quad("bench", "next", "streetlight", "city")
+        q1 = quad("bench", "next", "streetlight")
         q2 = quad("lamp", "between", ("streetlight", "streetlight"))
-        spec = PromptSpec((q1, q2))
+        spec = PromptSpec((q1, q2), "city")
         assert render_prompt(spec) == (
             "A bench next to a streetlight, a lamp between the two streetlights in a city"
         )
 
     def test_unknown_kind_when_lexicon_partial(self):
         lex = PhraseLexicon({RelationKind.RIGHT: ("to the right of",)})
-        spec = PromptSpec((quad("bench", "top", "car", "city"),))
+        spec = PromptSpec((quad("bench", "top", "car"),), "city")
         with patch.object(prompts, "default_phrase_lexicon", lambda: lex):
             with pytest.raises(UnknownKind):
                 render_prompt(spec)
@@ -196,7 +197,7 @@ class TestParse:
     @pytest.mark.parametrize("fields,text", SIMPLE_RENDERS)
     def test_simple_round_trip_examples(self, fields, text):
         subject, kind, obj, context = fields
-        expected = PromptSpec((quad(subject, kind, obj, context),))
+        expected = PromptSpec((quad(subject, kind, obj),), context)
         assert parse_prompt(text) == expected
 
     @pytest.mark.parametrize("fields,text", COMPLEX_RENDERS)
@@ -207,7 +208,7 @@ class TestParse:
 
     def test_case_insensitive(self):
         assert parse_prompt("A MARKET BEHIND A BUILDING IN A CITY") == PromptSpec(
-            (quad("market", "behind", "building", "city"),)
+            (quad("market", "behind", "building"),), "city"
         )
 
     @pytest.mark.parametrize(
@@ -234,7 +235,7 @@ class TestParse:
 
     def test_in_between_variant(self):
         spec = parse_prompt("A dog in between a cat and a bird in a city")
-        assert spec.clauses[0] == quad("dog", "between", ("cat", "bird"), "city")
+        assert spec.clauses[0] == quad("dog", "between", ("cat", "bird"))
 
     def test_unmarked_shared_phrase_accepted(self):
         # detector-derived sets contain prompts that repeat the shared noun
@@ -242,17 +243,15 @@ class TestParse:
         text = ("A gate to the right of a garage door, a garage door between "
                 "a garage door and a stair in a residential area")
         spec = parse_prompt(text)
-        assert spec.clauses[0] == quad("gate", "right", "garage door", "residential area")
-        assert spec.clauses[1] == quad(
-            "garage door", "between", ("garage door", "stair"), "residential area"
-        )
-        assert spec.anchor == "garage door"
+        assert spec.clauses[0] == quad("gate", "right", "garage door")
+        assert spec.clauses[1] == quad("garage door", "between", ("garage door", "stair"))
+        assert spec.anchor == "garage door" and spec.context == "residential area"
 
     def test_multiword_tokens_with_hyphen_artifact(self):
         text = "A rooftop under a high - rise, a cloud next to the high - rise in a city"
         spec = parse_prompt(text)
-        assert spec.clauses[0] == quad("rooftop", "bottom", "high - rise", "city")
-        assert spec.clauses[1] == quad("cloud", "next", "high - rise", "city")
+        assert spec.clauses[0] == quad("rooftop", "bottom", "high - rise")
+        assert spec.clauses[1] == quad("cloud", "next", "high - rise")
 
     def test_optional_the_before_two(self):
         spec = parse_prompt(
@@ -330,7 +329,7 @@ def test_any_accepted_phrase_parses_to_same_spec(q, data):
     variant_lex = PhraseLexicon(
         {kind: (variant,) if kind is q.kind else phrases for kind, phrases in entries.items()}
     )
-    spec = PromptSpec((q,))
+    spec = PromptSpec((q,), data.draw(st.sampled_from(CONTEXTS)))
     with patch.object(prompts, "default_phrase_lexicon", lambda: variant_lex):
         text = render_prompt(spec)
     assert parse_prompt(text) == spec
@@ -338,7 +337,7 @@ def test_any_accepted_phrase_parses_to_same_spec(q, data):
 
 def _fields(spec: PromptSpec) -> tuple:
     return (type(spec), spec.context, [
-        (type(c), c.subject, c.kind, type(c.objects), c.objects, c.context)
+        (type(c), c.subject, c.kind, type(c.objects), c.objects)
         for c in spec.clauses
     ])
 
@@ -455,7 +454,7 @@ def test_rendered_article_matches_vowel_rule(spec):
 
 class TestInvertQuadruple:
     def test_next_inverts_to_next(self):
-        assert invert(quad("car", "next", "tree", "city")) == quad("tree", "next", "car", "city")
+        assert invert(quad("car", "next", "tree")) == quad("tree", "next", "car")
 
     @given(quadruples())
     @settings(max_examples=100, deadline=None)
@@ -482,12 +481,12 @@ def _is_converse(first, second) -> bool:
 class TestSamplePromptSet:
     def pool(self):
         return [
-            quad("car", "right", "tree", "city"),
-            quad("bench", "right", "car", "street"),
+            quad("car", "right", "tree"),
+            quad("bench", "right", "car"),
             quad("streetlight", "right", "bench"),
-            quad("dog", "left", "car", "city"),
-            quad("cat", "next", "dog", "street"),
-            quad("lamp", "between", ("car", "tree"), "city"),
+            quad("dog", "left", "car"),
+            quad("cat", "next", "dog"),
+            quad("lamp", "between", ("car", "tree")),
         ]
 
     def test_deterministic(self):
@@ -523,19 +522,19 @@ class TestSamplePromptSet:
         for spec in specs:
             assert spec.is_complex
             assert spec.anchor is not None
-            assert spec.context == spec.clauses[0].context
+            assert spec.context in CONTEXTS
 
     def test_degenerate_directional_facts_excluded(self):
         with pytest.raises(InsufficientPool):
-            sample_prompt_set([quad("car", "right", "car", "city")], {"right": 1}, seed=0)
+            sample_prompt_set([quad("car", "right", "car")], {"right": 1}, seed=0)
 
     def test_degenerate_next_fact_allowed(self):
-        specs = sample_prompt_set([quad("car", "next", "car", "city")], {"next": 1}, seed=0)
+        specs = sample_prompt_set([quad("car", "next", "car")], {"next": 1}, seed=0)
         assert specs[0].clauses[0].objects == ("car",)
 
     def test_complex_partner_is_never_the_converse(self):
         # with two phrases, every first clause has its converse in the pool
-        pool = [quad(a, kind, b, "city") for kind in ("right", "left", "top", "bottom",
+        pool = [quad(a, kind, b) for kind in ("right", "left", "top", "bottom",
                                                        "front", "behind", "next")
                 for a, b in (("car", "bus"), ("bus", "car"))]
         drawn = 0
@@ -546,9 +545,9 @@ class TestSamplePromptSet:
         assert drawn == 160
 
     def test_draws_change_only_from_a_rejected_partner_on(self):
-        pool = [quad("car", "right", "bus", "city"), quad("car", "next", "bus", "city"),
-                quad("bus", "top", "car", "city"), quad("bus", "right", "car", "city"),
-                quad("car", "left", "bus", "city"), quad("tree", "right", "bus", "city")]
+        pool = [quad("car", "right", "bus"), quad("car", "next", "bus"),
+                quad("bus", "top", "car"), quad("bus", "right", "car"),
+                quad("car", "left", "bus"), quad("tree", "right", "bus")]
         redrawn = 0
         for seed in range(60):
             got = sample_prompt_set(pool, {"next": 1}, {"right": 3}, seed=seed)
@@ -564,17 +563,17 @@ class TestSamplePromptSet:
         assert redrawn > 10
 
     def test_converse_alone_is_no_partner(self):
-        pool = [quad("car", "right", "bus", "city"), quad("bus", "right", "car", "city")]
+        pool = [quad("car", "right", "bus"), quad("bus", "right", "car")]
         with pytest.raises(InsufficientPool, match="not their converse"):
             sample_prompt_set(pool, {}, {"right": 1}, seed=0)
         # a phrase related to itself has no converse, repeated or reversed
         for partner in ("front", "behind"):
-            pool = [quad("car", "front", "car", "city"), quad("car", partner, "car", "city")]
+            pool = [quad("car", "front", "car"), quad("car", partner, "car")]
             (spec,) = sample_prompt_set(pool, {}, {"front": 1}, seed=0)
             assert spec.clauses[1] == pool[1]
 
     def test_complex_requires_partner(self):
-        lone = [quad("car", "right", "tree", "city")]
+        lone = [quad("car", "right", "tree")]
         with pytest.raises(InsufficientPool):
             sample_prompt_set(lone, {}, {"right": 1}, seed=0)
 
@@ -584,8 +583,8 @@ class TestSamplePromptSet:
             assert parse_prompt(render_prompt(spec)) == spec
 
     def test_bad_context_fails_even_when_never_drawn(self):
-        # every entry carries its own context, so no draw would pick one
-        pool = [quad("car", "right", "tree", "city")]
+        # the one entry draws one context, which need not be the bad one
+        pool = [quad("car", "right", "tree")]
         for bad in ("", "park, south", "lot in a city"):
             with pytest.raises(ValueError):
                 sample_prompt_set(pool, {"right": 1}, seed=0, contexts=["city", bad])
@@ -610,8 +609,7 @@ def sampling_cases(draw):
         subject = draw(st.sampled_from(phrases))
         n = 2 if kind == "between" else 1
         objects = tuple(draw(st.sampled_from(phrases)) for _ in range(n))
-        context = draw(st.none() | st.sampled_from(CONTEXTS))
-        rows.append((subject, kind, objects, context))
+        rows.append((subject, kind, objects))
     kinds = [row[1] for row in rows]
     # counts reach one past each kind's size, so both outcomes occur
     simple = draw(st.dictionaries(
@@ -632,14 +630,14 @@ def _plain(specs):
 
 _EDGE_CASE = (
     [
-        ("car", "right", ("tree",), None),
-        ("car", "right", ("tree",), None),  # duplicate quadruple
-        ("dog", "between", ("car", "car"), "city"),  # equal flankers
-        ("bench", "next", ("bench",), None),  # subject == object, kept
-        ("bench", "left", ("bench",), None),  # subject == object, dropped
-        ("tree", "top", ("dog",), "street"),  # carries its own context
-        ("bench", "right", ("dog",), None),
-        ("mailbox", "right", ("fountain",), None),  # shares no phrase
+        ("car", "right", ("tree",)),
+        ("car", "right", ("tree",)),  # duplicate quadruple
+        ("dog", "between", ("car", "car")),  # equal flankers
+        ("bench", "next", ("bench",)),  # subject == object, kept
+        ("bench", "left", ("bench",)),  # subject == object, dropped
+        ("tree", "top", ("dog",)),
+        ("bench", "right", ("dog",)),
+        ("mailbox", "right", ("fountain",)),  # shares no phrase
     ],
     {"right": 4, "next": 1, "top": 1},
     {"right": 3, "between": 1},  # every right entry but the last has a partner
@@ -649,12 +647,12 @@ _EDGE_CASE = (
 
 _CONVERSE_CASE = (
     [
-        ("car", "right", ("bus",), "city"),
-        ("bus", "right", ("car",), None),  # converse: same kind, roles swapped
-        ("car", "left", ("bus",), None),  # converse: opposite kind, same roles
-        ("bus", "front", ("car",), None),
-        ("car", "behind", ("bus",), None),  # converse of the front entry
-        ("car", "next", ("bus",), None),
+        ("car", "right", ("bus",)),
+        ("bus", "right", ("car",)),  # converse: same kind, roles swapped
+        ("car", "left", ("bus",)),  # converse: opposite kind, same roles
+        ("bus", "front", ("car",)),
+        ("car", "behind", ("bus",)),  # converse of the front entry
+        ("car", "next", ("bus",)),
     ],
     {},
     {"right": 2, "left": 1, "front": 1},

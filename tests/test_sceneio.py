@@ -25,7 +25,7 @@ from spatialbench.evaluation import EvalRecord
 from spatialbench.extraction import DetectedObject, RelationInstance, Scene
 from spatialbench.geometry import BoundingBox, DepthMap
 from spatialbench.lexicon import default_contexts, default_objects
-from spatialbench.prompts import PromptSpec, RelationQuadruple, parse_prompt
+from spatialbench.prompts import PromptSpec, RelationQuadruple, _normalized_context, parse_prompt
 from spatialbench.relations import RelationKind
 from spatialbench.sceneio import (
     eval_record_from_dict,
@@ -418,7 +418,7 @@ class TestSceneParsing:
 class TestRelationsOutput:
     def test_shape(self):
         scene = scene_from_dict(minimal_record(context="city"))
-        rels = [RelationInstance(RelationKind.RIGHT, 1, (0,), context="city")]
+        rels = [RelationInstance(RelationKind.RIGHT, 1, (0,))]
         out = relations_to_dict(scene, rels)
         assert out == {
             "image_id": "img-1",
@@ -479,7 +479,7 @@ def _record(record_id: str, depth: DepthMap | None, *, label: str = "bench",
             phrase: str = "tree", context: str | None = "city") -> EvalRecord:
     width, height = (depth.width, depth.height) if depth is not None else (4, 3)
     # a prompt needs a context; a scene may have none
-    spec = PromptSpec((RelationQuadruple(phrase, RelationKind.FRONT, (label,), context or "city"),))
+    spec = PromptSpec((RelationQuadruple(phrase, RelationKind.FRONT, (label,)),), context or "city")
     scene = Scene(record_id, float(width), float(height),
                   (DetectedObject(label, BoundingBox(0, 0, width, height), 0.5),),
                   depth=depth, context=context)
@@ -521,7 +521,7 @@ def record_lists(draw) -> list[EvalRecord]:
         phrase, label = draw(_TRICKY), draw(_TRICKY)
         context = draw(st.none() | _TRICKY)
         try:
-            RelationQuadruple(phrase, RelationKind.FRONT, (label,), context)
+            context = None if context is None else _normalized_context(context)
         except ValueError:  # an "in a" marker inside the context
             context = None
         records.append(_record(f"{draw(_TRICKY)}-{i}", draw(st.sampled_from(pool)),

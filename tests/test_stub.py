@@ -20,7 +20,7 @@ ALL_KINDS = list(RelationKind)
 
 def spec_for(kind: RelationKind) -> PromptSpec:
     objects = ("tree", "lamp") if kind is RelationKind.BETWEEN else ("tree",)
-    return PromptSpec((RelationQuadruple("bench", kind, objects, "city"),))
+    return PromptSpec((RelationQuadruple("bench", kind, objects),), "city")
 
 
 def all_probabilities(p: float) -> dict:
@@ -56,13 +56,13 @@ class TestSoundness:
 
     def test_identical_labels(self):
         clauses = [
-            RelationQuadruple("bench", RelationKind.NEXT, ("bench",), "city"),
-            RelationQuadruple("bench", RelationKind.BETWEEN, ("bench", "bench"), "city"),
-            RelationQuadruple("bench", RelationKind.FRONT, ("bench",), "city"),
+            RelationQuadruple("bench", RelationKind.NEXT, ("bench",)),
+            RelationQuadruple("bench", RelationKind.BETWEEN, ("bench", "bench")),
+            RelationQuadruple("bench", RelationKind.FRONT, ("bench",)),
         ]
         for p, want in ((1.0, True), (0.0, False)):
             cfg = StubGeneratorConfig(all_probabilities(p))
-            _, plans = stub_generate([PromptSpec((c,)) for c in clauses], cfg)
+            _, plans = stub_generate([PromptSpec((c,), "city") for c in clauses], cfg)
             assert all(plan.verdicts == (want,) for plan in plans)
 
 

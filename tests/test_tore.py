@@ -44,10 +44,10 @@ FRONT_BEHIND = OPPOSITE_PAIRS[2]
 _FLIPPABLE = tuple(k for k in RelationKind if k.is_directional_2d or k.is_3d)
 
 
-def quad(subject, kind, objects, context=None):
+def quad(subject, kind, objects):
     if isinstance(objects, str):
         objects = (objects,)
-    return RelationQuadruple(subject, kind, objects, context)
+    return RelationQuadruple(subject, kind, objects)
 
 
 def profile_preferring(*kinds, margin=0.1):
@@ -63,12 +63,12 @@ def profile_preferring(*kinds, margin=0.1):
 
 class TestFlipClause:
     def test_bottom_becomes_top(self):
-        q = quad("bench", "bottom", "tree", "street")
-        assert invert(q) == quad("tree", "top", "bench", "street")
+        q = quad("bench", "bottom", "tree")
+        assert invert(q) == quad("tree", "top", "bench")
 
     @pytest.mark.parametrize("kind", [k.value for k in _FLIPPABLE])
     def test_involution(self, kind):
-        q = quad("bench", kind, "tree", "city")
+        q = quad("bench", kind, "tree")
         assert invert(invert(q)) == q
 
     def test_next_and_between_not_flippable(self):
@@ -217,10 +217,10 @@ class TestTransformPrompt:
         ]
 
     def test_transform_spec_reports_change(self):
-        spec = PromptSpec((quad("bus", "right", "car", "city"),))
+        spec = PromptSpec((quad("bus", "right", "car"),), "city")
         out, changed = transform_spec(spec, self.cfg())
         assert changed
-        assert out.clauses[0] == quad("car", "left", "bus", "city")
+        assert out == PromptSpec((quad("car", "left", "bus"),), "city")
         same, changed = transform_spec(out, self.cfg())
         assert not changed
         assert same == out
@@ -279,7 +279,7 @@ def labeled_scenes(draw):
 )
 @settings(max_examples=400, deadline=None)
 def test_flip_preserves_clause_verdict(scene, kind):
-    clause = quad("a", kind, "b", "city")
+    clause = quad("a", kind, "b")
     original = score_clause(clause, scene).satisfied
     flipped = score_clause(invert(clause), scene).satisfied
     assert original == flipped
