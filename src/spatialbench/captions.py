@@ -1,7 +1,8 @@
-"""Caption filtering, and the JSON Lines reader and writer that sceneio shares.
+"""Caption filtering, and the JSON Lines writer that sceneio shares.
 
 Captions travel as JSONL, {"caption": ..., "image": ..., "source": ...} per
-line, with only caption required. Nothing here needs numpy.
+line, with only caption required; textutil reads the lines and decodes them.
+Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import FormatError
-from .textutil import ascii_fold, decode_line, normalize_phrase
+from .textutil import ascii_fold, json_value, jsonl_lines, normalize_phrase
 
 __all__ = [
     "CaptionRecord",
@@ -88,8 +89,8 @@ def filter_captions(records: Iterable[CaptionRecord], lex: ObjectLexicon) -> lis
 
 def load_captions(path: str | Path) -> list[CaptionRecord]:
     records = []
-    for line_no, text in _iter_lines(path):
-        obj = _loads(text, line_no)
+    for line_no, text in jsonl_lines(path):
+        obj = json_value(text, line_no)
         if not isinstance(obj, dict):
             raise FormatError("caption record must be a JSON object", line=line_no)
         caption = _req_str(obj, "caption", line_no)
@@ -112,28 +113,7 @@ def caption_to_dict(record: CaptionRecord) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSONL plumbing
-
-def _iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Each non-blank line of a JSONL file, decoded and stripped, with its number."""
-    # lines end at b"\n" as JSON Lines specifies; decoding line by line lets a
-    # bad byte be reported with its line number
-    with open(path, "rb") as fh:
-        for line_no, data in enumerate(fh, start=1):
-            text = decode_line(data, line_no).strip()
-            if text:
-                yield line_no, text
-
-
-def _loads(text: str, line_no: int) -> object:
-    """One line's JSON value; a line that does not decode is a FormatError naming it."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
-    except ValueError as exc:  # an integer past int's digit limit
-        raise FormatError(f"invalid JSON: {exc}", line=line_no) from None
-
+# JSONL writing
 
 def write_jsonl(dest: IO[str] | str | Path, objs: Iterable[Mapping | str]) -> None:
     """Write canonical JSON Lines: sorted keys, one object per line.

@@ -5,13 +5,18 @@ scenes, sample benchmark prompts, rewrite prompts against a bias profile,
 score generated scenes, derive bias tables and profiles, filter captions,
 and fabricate synthetic scenes for pipeline tests.
 
-Every subcommand takes --seed and --output. The commands that score or
-extract (extract, evaluate, bias-report) also take --tau, the strictness
-divisor, which is the one setting scoring reads. extract alone takes
---config: a file holding a JSON object whose keys are the ExtractionConfig
-fields and whose values are numbers, and an explicit --tau wins. evaluate
-and bias-report take --format; stub-gen has its own --tau. All randomness
-flows from --seed, and a fixed seed makes every subcommand byte-reproducible.
+Every subcommand takes --output. The commands that draw or record a seed
+(gen-prompts, stub-gen, evaluate, bias-report) take --seed; the other three
+read no randomness. The commands that score or extract (extract, evaluate,
+bias-report) also take --tau, the strictness divisor, which is the one
+setting scoring reads. extract alone takes --config: a file holding a JSON
+object whose keys are the ExtractionConfig fields and whose values are
+numbers, and an explicit --tau wins. evaluate and bias-report take
+--format; stub-gen has its own --tau. All randomness flows from --seed, and
+the same inputs and seed make every subcommand byte-reproducible.
+
+Every input file is split into lines and decoded as JSON by textutil, so a
+fault in any of them is one error line naming the file and the line.
 
 Every command runs without numpy on integer depth (inline JSON ints and PGM
 files): gen-prompts, tore, filter-captions, stub-gen, evaluate, bias-report,
@@ -34,7 +39,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import FormatError, ParseError, SpatialBenchError
+from .errors import FormatError, NoSamples, ParseError, SpatialBenchError
 from .lexicon import (
     _entries,
     default_contexts,
@@ -52,7 +57,7 @@ from .prompts import (
     sample_prompt_set,
 )
 from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness, invert
-from .textutil import split_lines
+from .textutil import json_value, read_lines
 from .tore import (
     PAIR_IDS,
     ToreConfig,
@@ -117,9 +122,10 @@ def _kind_probability(text: str) -> tuple[RelationKind, float]:
 def _build_parser() -> argparse.ArgumentParser:
     # flag groups; each command takes only the groups it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument("--output", type=Path, default=None,
                         help="output file (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--tau", type=float, default=None,
                          help="strictness divisor (default 3)")
@@ -141,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON extraction config file")
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("gen-prompts", parents=[common],
+    p = sub.add_parser("gen-prompts", parents=[common, seeded],
                        help="sample benchmark prompts from the object lexicon")
     p.add_argument("--simple", type=_kind_count, action="append", default=[],
                    metavar="KIND=N", help="simple prompts per kind (repeatable)")
@@ -164,12 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("prompts", help="prompt text file, one per line ('-' for stdin)")
     p.set_defaults(func=_cmd_tore)
 
-    p = sub.add_parser("evaluate", parents=[common, scoring, report],
+    p = sub.add_parser("evaluate", parents=[common, seeded, scoring, report],
                        help="score evaluation records into a benchmark report")
     p.add_argument("records", type=Path, help="evaluation record JSONL file")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("bias-report", parents=[common, scoring, report],
+    p = sub.add_parser("bias-report", parents=[common, seeded, scoring, report],
                        help="per-pair side accuracies, optionally saved as a profile")
     p.add_argument("records", type=Path, help="evaluation record JSONL file")
     p.add_argument("--emit-profile", type=Path, default=None,
@@ -183,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contexts", type=Path, default=None, help="context list file")
     p.set_defaults(func=_cmd_filter_captions)
 
-    p = sub.add_parser("stub-gen", parents=[common],
+    p = sub.add_parser("stub-gen", parents=[common, seeded],
                        help="fabricate synthetic scenes for prompts")
     p.add_argument("--tau", type=float, default=3.0,
                    help="strictness divisor the verdicts use, at least 1 (default 3)")
@@ -214,10 +220,8 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
     raw: dict = {}
     config_path = args.config
     if config_path is not None:
-        try:
-            raw = json.loads(config_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad bytes, JSON or digit count
-            raise SpatialBenchError(f"cannot read config {config_path}: {exc}") from None
+        with _naming(f"config {config_path}", (FormatError, OSError)):
+            raw = json_value(config_path.read_bytes())
         if not isinstance(raw, dict):
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")
         keys = {f.name for f in dataclasses.fields(extraction.ExtractionConfig)}
@@ -273,9 +277,9 @@ def _prompt_file(source: str):
 def _read_lines(source: str) -> list[str]:
     with _prompt_file(source):
         if source == "-":
-            return split_lines(sys.stdin.buffer)
+            return [line for _, line in read_lines(sys.stdin.buffer)]
         with open(source, "rb") as fh:
-            return split_lines(fh)
+            return [line for _, line in read_lines(fh)]
 
 
 def _check_object_phrase(phrase: str) -> None:
@@ -395,7 +399,7 @@ def _cmd_tore(args) -> int:
 
 def _evaluate(args) -> evaluation.BenchReport:
     strictness = _strictness(args)
-    with _naming(str(args.records)):
+    with _naming(str(args.records), (FormatError, NoSamples)):
         records = sceneio.load_eval_records(args.records)
         return evaluation.evaluate_records(records, strictness, seed=args.seed)
 

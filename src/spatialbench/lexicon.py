@@ -8,7 +8,6 @@ merely contain one of its words.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -18,7 +17,7 @@ from typing import Iterator, Mapping
 
 from .errors import FormatError, UnknownKind
 from .relations import RelationKind
-from .textutil import normalize_phrase, split_lines
+from .textutil import json_value, normalize_phrase, read_lines
 
 _IRREGULAR_PLURALS = {
     "person": "people",
@@ -122,21 +121,9 @@ def _data_path(name: str):
     return resources.files("spatialbench").joinpath("data", name)
 
 
-def _read_lines(path: str | Path | None, default_name: str) -> list[str]:
-    # a bad UTF-8 byte raises FormatError naming its line
-    with open(path, "rb") if path else _data_path(default_name).open("rb") as fh:
-        return split_lines(fh)
-
-
 def load_phrase_lexicon(path: str | Path | None = None) -> PhraseLexicon:
     """Read a kind -> {canonical, variants[]} JSON file."""
-    src = Path(path).read_text(encoding="utf-8") if path else _data_path(
-        "relation_phrases.json"
-    ).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(src)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"phrase lexicon is not valid JSON: {exc}") from exc
+    raw = json_value((Path(path) if path else _data_path("relation_phrases.json")).read_bytes())
     if not isinstance(raw, dict):
         raise FormatError("phrase lexicon must be a JSON object")
     entries: dict[RelationKind, tuple[str, ...]] = {}
@@ -156,10 +143,11 @@ def load_phrase_lexicon(path: str | Path | None = None) -> PhraseLexicon:
 
 def _entries(path: str | Path | None, default_name: str) -> Iterator[tuple[int, str]]:
     """Each non-blank line's normalized phrase, with its 1-based line number."""
-    for line_no, line in enumerate(_read_lines(path, default_name), start=1):
-        phrase = normalize_phrase(line)
-        if phrase:
-            yield line_no, phrase
+    with open(path, "rb") if path else _data_path(default_name).open("rb") as fh:
+        for line_no, line in read_lines(fh):
+            phrase = normalize_phrase(line)
+            if phrase:
+                yield line_no, phrase
 
 
 def load_object_list(path: str | Path | None = None) -> tuple[str, ...]:

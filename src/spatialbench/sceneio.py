@@ -27,9 +27,11 @@ record per line as it parses, so a caller that consumes them one at a time
 holds one depth map at a time. A malformed line raises when it is reached.
 Reading mirrors the encode splice: an inline plane is decoded once per run
 of lines that repeat its text, and those records share one read-only
-DepthMap; the reader keeps only the last plane. The JSONL line reader and
-writer live in the numpy-free captions module. Depth maps are decoded into
-and encoded from DepthMap's flat array without numpy.
+DepthMap; the reader keeps only the last plane. textutil splits the lines
+and decodes the JSON, so a scene or record file, a JSON depth file and every
+other input report a fault in their bytes alike; the JSONL writer lives in
+the numpy-free captions module. Depth maps are decoded into and encoded from
+DepthMap's flat array without numpy.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from array import array
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .captions import _iter_lines, _loads, write_jsonl
+from .captions import write_jsonl
 from .errors import DimensionMismatch, FormatError, ParseError
 from .evaluation import EvalRecord
 from .extraction import DetectedObject, RelationInstance, Scene
 from .geometry import BoundingBox, DepthMap
 from .prompts import parse_prompt, render_prompt
+from .textutil import json_value, jsonl_lines
 
 __all__ = [
     "read_depth",
@@ -72,10 +75,7 @@ def read_depth(path: str | Path) -> DepthMap:
     if data[:2] == b"P5":
         flat, shape = _parse_pgm(data)
         return DepthMap(flat, shape=shape)
-    try:
-        values = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"depth file is neither PGM nor JSON: {exc}") from None
+    values = json_value(data)
     try:
         return DepthMap(values)
     except ValueError as exc:
@@ -188,7 +188,7 @@ def scene_from_dict(
             except OSError as exc:
                 raise err(f"cannot read depth file: {exc}", "depth") from None
             except FormatError as exc:
-                raise err(exc.reason, "depth") from None
+                raise err(f"depth file {raw_depth}: {exc}", "depth") from None
         elif isinstance(raw_depth, DepthMap):
             depth = raw_depth
         elif isinstance(raw_depth, list):
@@ -331,7 +331,7 @@ def _iter_values(path: str | Path, scene_of: _SceneOf) -> Iterator[tuple[int, ob
     takes the plain decode, which reports any fault as it always has.
     """
     plane_text = plane = None
-    for line_no, text in _iter_lines(path):
+    for line_no, text in jsonl_lines(path):
         split = _split_plane(text, scene_of)
         if split is not None:
             value, scene, span = split
@@ -341,7 +341,7 @@ def _iter_values(path: str | Path, scene_of: _SceneOf) -> Iterator[tuple[int, ob
                 scene["depth"] = plane
                 yield line_no, value
                 continue
-        yield line_no, _loads(text, line_no)
+        yield line_no, json_value(text, line_no)
 
 
 def _split_plane(text: str, scene_of: _SceneOf) -> tuple[object, dict, str] | None:
@@ -365,8 +365,8 @@ def _split_plane(text: str, scene_of: _SceneOf) -> tuple[object, dict, str] | No
         return None
     head, tail = text[:start], text[end:]
     try:
-        zero, one = json.loads(head + "0" + tail), json.loads(head + "1" + tail)
-    except ValueError:  # a decode error, or an integer past the digit limit
+        zero, one = json_value(head + "0" + tail), json_value(head + "1" + tail)
+    except FormatError:
         return None
     scene, check = scene_of(zero), scene_of(one)
     if scene is None or check is None:
@@ -380,8 +380,8 @@ def _split_plane(text: str, scene_of: _SceneOf) -> tuple[object, dict, str] | No
 def _plane(text: str) -> DepthMap | None:
     """The plane text as a DepthMap; None for a fault, which the plain decode reports."""
     try:
-        return DepthMap(json.loads(text))
-    except ValueError:  # bad JSON, an integer past the digit limit, or a bad grid
+        return DepthMap(json_value(text))
+    except (FormatError, ValueError):  # ValueError: a bad grid
         return None
 
 

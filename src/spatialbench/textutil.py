@@ -1,9 +1,22 @@
-"""Small text normalization helpers used across modules."""
+"""Text helpers, and the one place an input file's bytes become lines and JSON values.
+
+Every reader of a file goes through read_lines or json_value, so lines are
+numbered one way and every decode fault reads one way:
+
+- A line ends at "\n", and a "\r" just before it belongs to the ending, as
+  JSON Lines specifies. No other character ends a line: a lone "\r", a form
+  feed or U+2028 stays inside its line.
+- A fault in the bytes or the JSON is a FormatError that names the line:
+  a bad UTF-8 byte (with its byte offset in the line), a JSON syntax error,
+  an integer past int's digit limit, and nesting too deep to decode.
+"""
 
 from __future__ import annotations
 
+import json
 import unicodedata
-from typing import BinaryIO
+from pathlib import Path
+from typing import BinaryIO, Iterator
 
 from .errors import FormatError
 
@@ -18,30 +31,47 @@ def ascii_fold(text: str) -> str:
     return unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode("ascii")
 
 
-def _bad_byte(value: int, offset: int, line: int) -> FormatError:
-    return FormatError(f"invalid UTF-8 byte 0x{value:02x} at byte offset {offset}", line=line)
+def _bad_byte(data: bytes, exc: UnicodeDecodeError, first_line: int) -> FormatError:
+    """The fault's line, counted from data's first line, and its byte offset in that line."""
+    line_start = data.rfind(b"\n", 0, exc.start) + 1
+    return FormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x} at byte offset "
+                       f"{exc.start - line_start}",
+                       line=first_line + data.count(b"\n", 0, exc.start))
 
 
-def decode_line(data: bytes, line: int) -> str:
-    """Decode one UTF-8 line of a file; a bad byte raises FormatError naming the line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _bad_byte(data[exc.start], exc.start, line) from None
+def read_lines(stream: BinaryIO) -> Iterator[tuple[int, str]]:
+    """Each line of a byte stream, decoded and without its ending, with its 1-based number."""
+    for line_no, data in enumerate(stream, start=1):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _bad_byte(data, exc, line_no) from None
+        if text.endswith("\n"):
+            text = text[:-2] if text.endswith("\r\n") else text[:-1]
+        yield line_no, text
 
 
-def split_lines(stream: BinaryIO) -> list[str]:
-    """The stream's text as str.splitlines() gives it.
+def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of a JSON Lines file, stripped, with its number."""
+    with open(path, "rb") as fh:
+        for line_no, text in read_lines(fh):
+            text = text.strip()
+            if text:
+                yield line_no, text
 
-    A bad byte raises FormatError naming its line and its byte offset in that
-    line, both counted by the same splitlines() rule, so a lone "\r" moves a
-    decode error's line number as it moves a line's.
+
+def json_value(data: str | bytes, line: int | None = None) -> object:
+    """One JSON value: a JSONL line's text with its number, or a whole file's bytes.
+
+    A whole file's fault names the line it is on where the fault has one.
     """
-    data = stream.read()
     try:
-        return data.decode("utf-8").splitlines()
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
-        # the text before the bad byte decodes; "|" stands in for the byte itself
-        lines = (data[: exc.start].decode("utf-8") + "|").splitlines()
-        offset = len(lines[-1].encode("utf-8")) - 1
-        raise _bad_byte(data[exc.start], offset, len(lines)) from None
+        raise _bad_byte(data, exc, 1) from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", line=line or exc.lineno) from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise FormatError(f"invalid JSON: {exc}", line=line) from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply", line=line) from None

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Mapping
 from .errors import FormatError, MissingRelation, ParseError
 from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
+from .textutil import json_value
 
 if TYPE_CHECKING:  # evaluation loads the scoring modules, which rewriting never needs
     from .evaluation import BenchReport
@@ -203,13 +204,9 @@ def _profile_from_raw(raw: object) -> BiasProfile:
 
 def load_bias_profile(path: str | Path) -> BiasProfile:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return _profile_from_raw(json_value(Path(path).read_bytes()))
     except OSError as exc:
         raise FormatError(f"cannot read bias profile {path}: {exc}") from None
-    except ValueError as exc:  # undecodable bytes, bad JSON, an int past the digit limit
-        raise FormatError(f"bias profile {path} is not valid JSON: {exc}") from exc
-    try:
-        return _profile_from_raw(raw)
     except FormatError as exc:
         raise FormatError(f"bias profile {path}: {exc.reason}", exc.line, exc.field) from None
 
@@ -219,10 +216,8 @@ def builtin_profile(name: str) -> BiasProfile:
         raise FormatError(
             f"unknown builtin profile {name!r}; available: {', '.join(BUILTIN_PROFILES)}"
         )
-    src = resources.files("spatialbench").joinpath(
-        "data", "profiles", f"{name}.json"
-    ).read_text(encoding="utf-8")
-    return _profile_from_raw(json.loads(src))
+    resource = resources.files("spatialbench").joinpath("data", "profiles", f"{name}.json")
+    return _profile_from_raw(json_value(resource.read_bytes()))
 
 
 def profile_to_json(profile: BiasProfile) -> str:

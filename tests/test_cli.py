@@ -389,8 +389,7 @@ class TestEvaluate:
         cfg.write_bytes(b"\xff\xfe{")
         assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
-                       "in position 0: invalid start byte"]
+        assert err == [f"error: config {cfg}: invalid UTF-8 byte 0xff at byte offset 0 (line 1)"]
 
     @pytest.mark.parametrize("text, key", [
         ('{"tau": "3"}', "tau"),
@@ -638,27 +637,41 @@ class TestPromptFiles:
 
     @pytest.mark.parametrize("break_", ["\r", "\x0c", "\u2028"], ids=["cr", "ff", "ls"])
     def test_decode_and_parse_errors_count_lines_alike(self, tmp_path, capsys, break_):
-        # a lone line break other than "\n" starts a line for both kinds of error
+        # only "\n" ends a line, so a line holding another break is one blank line
         good = "A bus to the right of a car in a city"
         src = tmp_path / "p.txt"
-        src.write_bytes(f"{good}{break_}not a prompt\n".encode("utf-8"))
+        src.write_bytes(f"{good}\n{break_}\nnot a prompt\n".encode("utf-8"))
         assert main(["stub-gen", str(src)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {src}: prompt does not parse: no relation phrase found (line 2)"]
-        src.write_bytes(f"{good}{break_}A caf".encode("utf-8") + b"\xe9\n")
+            f"error: {src}: prompt does not parse: no relation phrase found (line 3)"]
+        src.write_bytes(f"{good}\n{break_}\nA caf".encode("utf-8") + b"\xe9\n")
         assert main(["stub-gen", str(src)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {src}: invalid UTF-8 byte 0xe9 at byte offset 5 (line 2)"]
+            f"error: {src}: invalid UTF-8 byte 0xe9 at byte offset 5 (line 3)"]
 
-    def test_lines_split_as_str_splitlines(self, tmp_path):
-        # none of these lines parses, so tore passes each through unchanged
-        text = "not a prompt\r\nx\ry\x0cz\u2028w\x85v\n\nlast"
+    def test_lines_end_only_at_newline(self, tmp_path):
+        # none of these lines parses, so tore passes each through unchanged,
+        # with every break other than "\n" (and a "\r" before it) inside its line
+        lines = ["not a prompt", "foo\u2028bar", "x\ry\x0cz\x85w\x0bv", "", "last"]
         src = tmp_path / "p.txt"
-        src.write_bytes(text.encode("utf-8"))
+        src.write_bytes("\r\n".join(lines).encode("utf-8"))
         out = tmp_path / "out.txt"
         assert main(["tore", "--profile", "flux1", str(src), "--output", str(out)]) == 0
-        assert out.read_bytes().decode("utf-8") == "".join(
-            line + "\n" for line in text.splitlines())
+        assert out.read_bytes().decode("utf-8") == "".join(line + "\n" for line in lines)
+
+    def test_lf_and_crlf_files_read_alike(self, tmp_path):
+        lines = ["A bus to the right of a car in a city", "not a prompt", "",
+                 "A lamp below a bench in a park"]
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            src = tmp_path / "p.txt"
+            src.write_text("".join(line + ending for line in lines), newline="")
+            out = tmp_path / "out.txt"
+            assert main(["tore", "--profile", "flux1", str(src), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode().splitlines()[:2] == [
+            "A car to the left of a bus in a city", "not a prompt"]
 
 
 class TestLexiconFiles:
@@ -743,8 +756,12 @@ class TestExitCodes:
         ["stub-gen", "p.txt", "--config", "x"],
         ["evaluate", "r.jsonl", "--config", "x"],
         ["bias-report", "r.jsonl", "--config", "x"],
+        ["extract", "scenes.jsonl", "--seed", "1"],
+        ["tore", "--profile", "sdxl", "p.txt", "--seed", "1"],
+        ["filter-captions", "c.jsonl", "--seed", "1"],
     ], ids=["gen-prompts-tau", "tore-config", "extract-format", "stub-gen-config",
-            "evaluate-config", "bias-report-config"])
+            "evaluate-config", "bias-report-config", "extract-seed", "tore-seed",
+            "filter-captions-seed"])
     def test_removed_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -812,6 +829,13 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {src}: invalid JSON: ") and line.endswith(" (line 2)")
 
+    @pytest.mark.parametrize("command", ["evaluate", "bias-report"])
+    def test_empty_record_file_names_it(self, tmp_path, capsys, command):
+        src = tmp_path / "empty.jsonl"
+        src.write_text("\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {src}: no records"]
+
     @pytest.mark.parametrize("prompt, reason", [
         ("A bus in front of a car in a street, at night",
          "context 'street , at night' contains a comma"),
@@ -836,16 +860,61 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --tau must be finite and >= 1 for stub-gen, got 0.5\n"
 
 
+# JSON nested past the recursion limit
+DEEP = "[" * 5000 + "]" * 5000
+
+
+class TestDecodeFaults:
+    @pytest.mark.parametrize("command, line", [
+        ("extract", '{"image_id": "s", "width": 2, "height": 1, "objects": %s}'),
+        # the inline plane sends the line down the shared-plane path first
+        ("evaluate", '{"id": "r", "prompt": "A bus in front of a car in a city", "scene": '
+                     '{"image_id": "s", "width": 2, "height": 1, "depth": [[1, 2]], '
+                     '"objects": %s}}'),
+        ("filter-captions", '{"caption": %s}'),
+    ], ids=["extract", "evaluate", "filter-captions"])
+    def test_deep_jsonl_line_names_file_and_line(self, tmp_path, capsys, command, line):
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n" + line % DEEP + "\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: invalid JSON: nested too deeply (line 2)"]
+
+    def test_deep_config_names_it(self, tmp_path, capsys, scenes_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": %s}' % DEEP)
+        assert main(["extract", str(scenes_file), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config {cfg}: invalid JSON: nested too deeply"]
+
+    def test_deep_profile_names_it(self, tmp_path, capsys, prompts_file):
+        profile = tmp_path / "prof.json"
+        profile.write_text('{"top_bottom": %s}' % DEEP)
+        assert main(["tore", "--profile", str(profile), str(prompts_file)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bias profile {profile}: invalid JSON: nested too deeply"]
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+    def test_depth_file_past_digit_limit_names_it(self, tmp_path, capsys):
+        (tmp_path / "d.json").write_text("[[1%s, 2]]" % ("0" * sys.get_int_max_str_digits()))
+        src = tmp_path / "scenes.jsonl"
+        src.write_text('{"image_id": "s", "width": 2, "height": 1, "depth": "d.json"}\n')
+        assert main(["extract", str(src)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {src}: depth file d.json: invalid JSON: Exceeds the limit")
+        assert line.endswith("to increase the limit (line 1, field depth)")
+
+
 # Every option of every subcommand; a flag added to or dropped from any
 # command shows up here as a diff.
 OPTIONS = {
-    "extract": {"--seed", "--output", "--tau", "--config"},
+    "extract": {"--output", "--tau", "--config"},
     "gen-prompts": {"--seed", "--output", "--simple", "--complex", "--objects",
                     "--contexts", "--pool-size", "--invert"},
-    "tore": {"--seed", "--output", "--profile", "--pairs"},
+    "tore": {"--output", "--profile", "--pairs"},
     "evaluate": {"--seed", "--output", "--tau", "--format"},
     "bias-report": {"--seed", "--output", "--tau", "--format", "--emit-profile"},
-    "filter-captions": {"--seed", "--output", "--objects", "--contexts"},
+    "filter-captions": {"--output", "--objects", "--contexts"},
     "stub-gen": {"--seed", "--output", "--tau", "--p", "--width", "--height", "--plans"},
 }
 

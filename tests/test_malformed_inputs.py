@@ -1,0 +1,363 @@
+"""Malformed input of every kind ends in exit 1 and one error line, never a traceback.
+
+Each case starts from valid input files and breaks one of them: a bad UTF-8
+byte, a truncation, JSON nested past the recursion limit, an integer past
+int's digit limit, a syntax error, or a value of the wrong type or range.
+The command runs in process through main(), so an exception that escapes
+it fails the test with its traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spatialbench.cli import main
+
+PROMPTS = ["A bus to the right of a car in a city", "A lamp below a bench in a park",
+           "A tree in front of a kiosk in a street"]
+PLANE = [[(x * y) % 7 for x in range(8)] for y in range(6)]
+PGM = b"P5\n8 6\n255\n" + bytes(v for row in PLANE for v in row)
+
+# raw JSON text that no reader accepts in place of a value
+DEEP = "[" * 5000 + "]" * 5000
+DIGITS = "1" + "0" * 5000  # past int's default limit of 4300 digits
+SYNTAX = "{oops"
+BAD_BYTES = [b"\xff", b"\xe9", b"\xc3", b"\x80"]
+
+
+@dataclass
+class Case:
+    """Input files by name, the argv after the command, and what the error must name."""
+
+    files: dict[str, bytes]
+    argv: list[str]
+    names: tuple[str, ...]  # files the error line names
+    line: int | None = None  # the line it names, where the fault has one
+    label: str = field(default="")
+
+
+def _scene(i: int, depth) -> dict:
+    return {"image_id": f"s{i}", "width": 8, "height": 6, "depth": depth, "context": "city",
+            "objects": [{"label": "bus", "box": [0, 0, 3, 3], "score": 0.9},
+                        {"label": "car", "box": [4, 0, 7, 3], "score": 0.8}]}
+
+
+def _scenes() -> list[dict]:
+    return [_scene(0, PLANE), _scene(1, "d.pgm"), _scene(2, "d.json")]
+
+
+def _records() -> list[dict]:
+    return [{"id": f"r{i}", "prompt": PROMPTS[i], "scene": scene}
+            for i, scene in enumerate(_scenes())]
+
+
+def _captions() -> list[dict]:
+    return [{"caption": "a red bus on a street downtown", "image": "a.jpg", "source": "web"},
+            {"caption": "a car in a park"}]
+
+
+SIDE_FILES = {"d.pgm": PGM, "d.json": json.dumps(PLANE).encode()}
+
+# a value of the wrong type or out of range, per field path
+SCENE_VALUES = [
+    ("width", "x"), ("width", 0), ("height", -1), ("image_id", True), ("image_id", None),
+    ("objects", {}), ("objects.0", 5), ("objects.0.label", ""), ("objects.1.label", 3),
+    ("objects.0.box", [1, 2]), ("objects.0.box", [5, 0, 1, 3]),
+    ("objects.1.box", [100, 100, 200, 200]), ("objects.0.box", [0, 0, "3", 3]),
+    ("objects.0.score", 2), ("objects.1.score", "x"), ("objects.0.score", -0.5),
+    ("depth", 5), ("depth", [[1, 2], [3]]), ("depth", [[1, 2]]), ("depth", [[-1] * 8] * 6),
+    ("depth", [["1"] * 8] * 6), ("depth", []), ("depth", "missing.pgm"), ("context", 3),
+]
+RECORD_VALUES = [("id", None), ("id", 1.5), ("prompt", "not a prompt"), ("prompt", 5),
+                 ("scene", None), ("scene", [])]
+CAPTION_VALUES = [("caption", ""), ("caption", 5), ("image", 5), ("source", [])]
+NUMERIC_SCENE_PATHS = ["width", "height", "objects.0.box.2", "objects.1.score"]
+
+
+def _put(obj, path: str, value):
+    *head, last = path.split(".")
+    for key in head:
+        obj = obj[int(key)] if isinstance(obj, list) else obj[key]
+    if isinstance(obj, list):
+        obj[int(last)] = value
+    else:
+        obj[last] = value
+
+
+def _with_raw(obj, path: str, raw: str) -> str:
+    """obj's JSON text with the value at path replaced by raw text."""
+    marker = "\x00fault\x00"
+    _put(obj, path, marker)
+    return json.dumps(obj).replace(json.dumps(marker), raw)
+
+
+def _insert_byte(data: bytes, at: int, byte: bytes) -> bytes:
+    at %= len(data) + 1
+    return data[:at] + byte + data[at:]
+
+
+def _lines(objs: list) -> list[str]:
+    return [json.dumps(o) for o in objs]
+
+
+def _joined(lines: list[str]) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# ---------------------------------------------------------------------------
+# record files: scenes (extract), records (evaluate, bias-report), captions
+
+def jsonl_case(kind: str, fault: str, index: int, pick: int, at: int) -> Case:
+    """kind is scenes, records or captions; index picks the line and pick the fault's target."""
+    objs = {"scenes": _scenes, "records": _records, "captions": _captions}[kind]()
+    index %= len(objs)
+    prefix = "scene." if kind == "records" else ""
+    lines = _lines(objs)
+    if fault == "value":
+        values = {"scenes": SCENE_VALUES, "records": RECORD_VALUES + [
+            (prefix + path, value) for path, value in SCENE_VALUES],
+            "captions": CAPTION_VALUES}[kind]
+        path, value = values[pick % len(values)]
+        _put(objs[index], path, value)
+        lines[index] = json.dumps(objs[index])
+    elif fault in ("deep", "digits", "syntax"):
+        if kind == "captions":
+            paths = ["caption", "image"]
+        else:
+            paths = [prefix + p for p in NUMERIC_SCENE_PATHS]
+            if fault != "digits":
+                paths += [prefix + "objects", prefix + "depth", prefix + "image_id"]
+        raw = {"deep": DEEP, "digits": DIGITS, "syntax": SYNTAX}[fault]
+        lines[index] = _with_raw(objs[index], paths[pick % len(paths)], raw)
+    elif fault == "truncate":
+        lines[index] = lines[index][:1 + at % (len(lines[index]) - 1)]
+    data = _joined(lines)
+    if fault == "byte":
+        encoded = [line.encode() + b"\n" for line in lines]
+        encoded[index] = _insert_byte(encoded[index][:-1], at, BAD_BYTES[pick % 4]) + b"\n"
+        data = b"".join(encoded)
+    name = f"{kind}.jsonl"
+    command = {"scenes": ["extract"], "records": [("evaluate", "bias-report")[at % 2]],
+               "captions": ["filter-captions"]}[kind]
+    return Case({name: data, **SIDE_FILES}, [*command, name], (name,), index + 1,
+                f"{kind} {fault}")
+
+
+PGM_FAULTS = [b"P5\n8 6\n0\n" + PGM[11:], b"P5\n0 6\n255\n" + PGM[11:], b"P5\nx 6\n255\n" + PGM[11:],
+              b"P6\n8 6\n255\n" + PGM[11:], b"P5\n8 6\n70000\n"]
+DEPTH_JSON_FAULTS = ["[[1, 2], [3]]", "[[-1]]", "[[true, false]]", "[[]]", "[]", "{}", "3",
+                     "[[NaN, 1]]"]
+# a well-formed map of the wrong size: the error names the scene's line and field
+WRONG_SIZE = {"d.pgm": b"P5\n4 3\n255\n" + bytes(12), "d.json": b"[[1, 2]]"}
+
+
+def depth_file_case(fault: str, pick: int, at: int) -> Case:
+    """A broken PGM or JSON depth file, read through a scene or a record."""
+    files = dict(SIDE_FILES)
+    names: tuple[str, ...] = ()
+    if fault == "wrong-size":
+        name = ("d.pgm", "d.json")[pick % 2]
+        files[name] = WRONG_SIZE[name]
+    elif fault == "pgm-truncate":
+        name = "d.pgm"
+        files[name] = PGM[:at % len(PGM)]
+    elif fault == "pgm-header":
+        name = "d.pgm"
+        files[name] = PGM_FAULTS[pick % len(PGM_FAULTS)]
+    else:
+        name = "d.json"
+        text = json.dumps(PLANE)
+        if fault == "json-value":
+            text = DEPTH_JSON_FAULTS[pick % len(DEPTH_JSON_FAULTS)]
+        elif fault == "json-raw":
+            raw = (DEEP, DIGITS, SYNTAX)[pick % 3]
+            text = _with_raw(json.loads(text), f"{pick % 6}.{at % 8}", raw)
+        elif fault == "json-truncate":
+            text = text[:at % len(text)]
+        files[name] = text.encode()
+        if fault == "json-byte":
+            files[name] = _insert_byte(files[name], at, BAD_BYTES[pick % 4])
+    if fault != "wrong-size":
+        names = (name,)
+    line = 2 if name == "d.pgm" else 3
+    if at % 2:
+        files["records.jsonl"] = _joined(_lines(_records()))
+        return Case(files, ["evaluate", "records.jsonl"], ("records.jsonl", *names), line,
+                    f"depth {fault}")
+    files["scenes.jsonl"] = _joined(_lines(_scenes()))
+    return Case(files, ["extract", "scenes.jsonl"], ("scenes.jsonl", *names), line,
+                f"depth {fault}")
+
+
+# ---------------------------------------------------------------------------
+# whole-file JSON: --config and --profile
+
+CONFIG = {"tau": 2.5, "min_score": 0.2}
+CONFIG_FAULTS = [["tau", 1], {"speed": 1}, {"tau": "3"}, {"tau": True}, {"tau": None},
+                 {"tau": [1]}, {"tau": 0}, {"tau": -1}, {"tau": float("nan")},
+                 {"tau": float("inf")}, {"min_score": 2}, {"min_rel_area": -0.1},
+                 {"max_center_dist": 0}, "tau"]
+PROFILE = {"top_bottom": {"top": 0.4, "bottom": 0.3}, "left_right": {"left": 0.9, "right": 0.1}}
+PROFILE_FAULTS = [[0.4, 0.3], {"up_down": {"up": 1, "down": 0}}, {"top_bottom": {"top": 0.4}},
+                  {"top_bottom": [0.4, 0.3]}, {"top_bottom": {"top": "0.4", "bottom": 0.3}},
+                  {"top_bottom": {"top": 1.5, "bottom": 0.3}},
+                  {"top_bottom": {"top": None, "bottom": 0.3}},
+                  {"top_bottom": {"top": True, "bottom": 0.3}}, 0.5]
+
+
+def whole_file_case(kind: str, fault: str, pick: int, at: int) -> Case:
+    base, faults, number_path = {
+        "config": (CONFIG, CONFIG_FAULTS, "tau"),
+        "profile": (PROFILE, PROFILE_FAULTS, "top_bottom.top"),
+    }[kind]
+    text = json.dumps(base)
+    line = None
+    if fault == "value":
+        text = json.dumps(faults[pick % len(faults)])
+    elif fault == "raw":
+        text = _with_raw(json.loads(text), number_path, (DEEP, DIGITS, SYNTAX)[pick % 3])
+    elif fault == "truncate":
+        text = text[:at % len(text)]
+    data = text.encode()
+    if fault == "byte":
+        data = _insert_byte(data, at, BAD_BYTES[pick % 4])
+        line = 1
+    name = f"{kind}.json"
+    files = {name: data, "scenes.jsonl": _joined(_lines(_scenes())), "p.txt": _joined(PROMPTS),
+             **SIDE_FILES}
+    if kind == "config":
+        return Case(files, ["extract", "scenes.jsonl", "--config", name], (name,), line,
+                    f"config {fault}")
+    return Case(files, ["tore", "--profile", name, "p.txt"], (name,), line, f"profile {fault}")
+
+
+# ---------------------------------------------------------------------------
+# text files: prompts (stub-gen, tore) and object and context lists
+
+def prompt_case(command: str, fault: str, index: int, pick: int, at: int) -> Case:
+    lines = [line.encode() for line in PROMPTS]
+    index %= len(lines)
+    if fault == "byte" or command == "tore":
+        lines[index] = _insert_byte(lines[index], at, BAD_BYTES[pick % 4])
+    else:  # stub-gen: a line outside the grammar, with other line breaks inside it
+        lines[index] = ["not a prompt", "A bus\x0cto the right", "A bus beside a car",
+                        "\rnot a prompt"][pick % 4].encode()
+    data = b"".join(line + (b"\r\n" if at % 3 == 0 else b"\n") for line in lines)
+    argv = ["tore", "--profile", "flux1", "p.txt"] if command == "tore" else ["stub-gen", "p.txt"]
+    return Case({"p.txt": data}, argv, ("p.txt",), index + 1, f"{command} prompts {fault}")
+
+
+LISTS = {"--objects": [b"bus", b"car", b"lamp", b"bench"], "--contexts": [b"city", b"park"]}
+
+
+def list_case(command: str, flag: str, fault: str, index: int, pick: int, at: int) -> Case:
+    lines = list(LISTS[flag])
+    index %= len(lines)
+    line = index + 1
+    if fault == "byte":
+        lines[index] = _insert_byte(lines[index], at, BAD_BYTES[pick % 4])
+    elif fault == "duplicate" and flag == "--objects":
+        lines.append(lines[index])
+        line = len(lines)
+    elif fault == "comma" and command == "gen-prompts":
+        lines[index] += b", and more"
+    else:  # a list of blank lines only
+        lines, line = [b"", b" \t", b"\x0c"], None
+    files = {"list.txt": b"".join(x + b"\n" for x in lines),
+             "captions.jsonl": _joined(_lines(_captions()))}
+    argv = (["gen-prompts", "--simple", "right=1"] if command == "gen-prompts"
+            else ["filter-captions", "captions.jsonl"])
+    return Case(files, [*argv, flag, "list.txt"], ("list.txt",), line, f"{command} {flag} {fault}")
+
+
+def empty_case(command: str) -> Case:
+    return Case({"r.jsonl": b"\n \n"}, [command, "r.jsonl"], ("r.jsonl",), None, "no records")
+
+
+# ---------------------------------------------------------------------------
+
+_N = st.integers(0, 10_000)
+
+cases = st.one_of(
+    st.builds(jsonl_case, st.sampled_from(["scenes", "records", "captions"]),
+              st.sampled_from(["value", "deep", "digits", "syntax", "truncate", "byte"]),
+              _N, _N, _N),
+    st.builds(depth_file_case, st.sampled_from(["pgm-truncate", "pgm-header", "json-value",
+                                                "json-raw", "json-truncate", "json-byte",
+                                                "wrong-size"]),
+              _N, _N),
+    st.builds(whole_file_case, st.sampled_from(["config", "profile"]),
+              st.sampled_from(["value", "raw", "truncate", "byte"]), _N, _N),
+    st.builds(prompt_case, st.sampled_from(["stub-gen", "tore"]),
+              st.sampled_from(["byte", "parse"]), _N, _N, _N),
+    st.builds(list_case, st.sampled_from(["gen-prompts", "filter-captions"]),
+              st.sampled_from(["--objects", "--contexts"]),
+              st.sampled_from(["byte", "duplicate", "comma", "empty"]), _N, _N, _N),
+    st.builds(empty_case, st.sampled_from(["evaluate", "bias-report"])),
+)
+
+
+def _run(case: Case) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in case.files.items():
+            (root / name).write_bytes(data)
+        argv = [str(root / a) if a in case.files else a for a in case.argv]
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(argv)
+        return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases)
+# the faults that each ended in a traceback: nesting in a scene line, in a
+# record line with an inline plane, in a caption line, in --config and in
+# --profile, and a depth JSON file past the digit limit
+@example(jsonl_case("scenes", "deep", 0, 4, 0))
+@example(jsonl_case("records", "deep", 0, 4, 0))
+@example(jsonl_case("captions", "deep", 1, 0, 0))
+@example(whole_file_case("config", "raw", 0, 0))
+@example(whole_file_case("profile", "raw", 0, 0))
+@example(depth_file_case("json-raw", 1, 0))
+# a bad UTF-8 byte, and a PGM cut short in its raster
+@example(jsonl_case("records", "byte", 1, 0, 7))
+@example(depth_file_case("pgm-truncate", 0, 40))
+def test_malformed_input_is_one_error_line(case):
+    code, err = _run(case)
+    lines = err.splitlines()
+    assert code == 1, (case.label, err)
+    assert len(lines) == 1 and lines[0].startswith("error: "), (case.label, err)
+    for name in case.names:
+        assert name in lines[0], (case.label, name, lines[0])
+    if case.line is not None:
+        assert f"(line {case.line}" in lines[0], (case.label, lines[0])
+
+
+def test_fuzz_cases_are_valid_before_the_fault():
+    # each base input runs clean, so the fault alone makes a case fail
+    files = {"scenes.jsonl": _joined(_lines(_scenes())),
+             "records.jsonl": _joined(_lines(_records())),
+             "captions.jsonl": _joined(_lines(_captions())),
+             "config.json": json.dumps(CONFIG).encode(),
+             "profile.json": json.dumps(PROFILE).encode(),
+             "p.txt": _joined(PROMPTS),
+             "objects.txt": b"\n".join(LISTS["--objects"]),
+             "contexts.txt": b"\n".join(LISTS["--contexts"]),
+             **SIDE_FILES}
+    for argv in (["extract", "scenes.jsonl", "--config", "config.json"],
+                 ["evaluate", "records.jsonl"], ["bias-report", "records.jsonl"],
+                 ["filter-captions", "captions.jsonl", "--objects", "objects.txt",
+                  "--contexts", "contexts.txt"],
+                 ["tore", "--profile", "profile.json", "p.txt"], ["stub-gen", "p.txt"],
+                 ["gen-prompts", "--simple", "right=1", "--objects", "objects.txt",
+                  "--contexts", "contexts.txt"]):
+        assert _run(Case(files, argv, ())) == (0, ""), argv

@@ -7,6 +7,7 @@ depth, and importing spatialbench.cli registers every package module
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -114,6 +115,20 @@ def test_exports_resolve_to_their_home_module():
             assert getattr(spatialbench, name) is getattr(module, name), name
             assert name in listed, name
             assert star[name] is getattr(module, name), name
+
+
+def test_json_is_decoded_only_in_textutil():
+    # textutil maps every decode fault to one FormatError; a module that calls
+    # json.loads itself would answer a fault with its own set of exceptions
+    uses = []
+    for path in sorted((ROOT / "src" / "spatialbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                uses.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                uses.append((path.name, node.lineno))
+    assert {name for name, _ in uses} == {"textutil.py"}, uses
 
 
 def test_unknown_name_raises_attribute_error():

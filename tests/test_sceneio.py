@@ -182,7 +182,7 @@ class TestDepthFiles:
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "d.bin"
         p.write_bytes(b"\x89PNG not really")
-        with pytest.raises(FormatError, match="neither PGM nor JSON"):
+        with pytest.raises(FormatError, match="invalid UTF-8 byte 0x89 at byte offset 0"):
             read_depth(p)
 
 
@@ -615,6 +615,8 @@ def _plain_load(path, from_dict):
                 raise FormatError(f"invalid JSON: {exc.msg}", line=line_no) from None
             except ValueError as exc:
                 raise FormatError(f"invalid JSON: {exc}", line=line_no) from None
+            except RecursionError:
+                raise FormatError("invalid JSON: nested too deeply", line=line_no) from None
             yield from_dict(value, base_dir=path.parent, line=line_no)
 
 
@@ -634,7 +636,8 @@ _PROMPT = json.dumps("A bench in front of a tree in a city")
 # next characters make the line invalid JSON, though a digit in the plane's
 # place would read as a float
 _BAD_PLANES = ["[[1, 2], [3]]", "[[-1, 2]]", "[[NaN, 1]]", "[[1%s, 2]]" % ("0" * 4400),
-               "[[true, false]]", '[[1, "2"]]', "[[]]", "[[1, 2]]]"]
+               "[[true, false]]", '[[1, "2"]]', "[[]]", "[[1, 2]]]",
+               "[[%s1, 2%s]]" % ("[" * 3000, "]" * 3000)]
 _FLOAT_TAILS = ["[[1, 2]].0", "[[1, 2]]e1", "[[1, 2]]E0"]
 
 
@@ -699,6 +702,8 @@ class TestSharedPlaneReading:
               '{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]]}'])
     @example(['{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]]}',
               '{"image_id": "img", "width": 2, "height": 1, "depth": %s}' % _BAD_PLANES[3]])
+    # a plane nested past the recursion limit
+    @example(['{"image_id": "img", "width": 2, "height": 1, "depth": %s}' % _BAD_PLANES[-1]])
     @example(['{"image_id": "img", "width": 2, "height": 1, "depth": [[1, 2]].0}'])
     @settings(deadline=None)
     def test_readers_agree_with_a_plain_decode(self, tmp_path_factory, lines):
