@@ -2,7 +2,6 @@
 
 Captions travel as JSONL, {"caption": ..., "image": ..., "source": ...} per
 line, with only caption required; textutil reads the lines and decodes them.
-Nothing here needs numpy.
 """
 
 from __future__ import annotations

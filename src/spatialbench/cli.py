@@ -18,13 +18,10 @@ the same inputs and seed make every subcommand byte-reproducible.
 Every input file is split into lines and decoded as JSON by textutil, so a
 fault in any of them is one error line naming the file and the line.
 
-Every command runs without numpy on integer depth (inline JSON ints and PGM
-files): gen-prompts, tore, filter-captions, stub-gen, evaluate, bias-report,
-extract and --help. A float depth map loads it. The prompt-side modules
-(errors, relations, textutil, lexicon, prompts, tore) are imported normally;
-the scoring modules (evaluation, extraction, geometry, sceneio, stub) and
-captions are registered as lazy modules and run when a command first reads
-one of their attributes.
+The prompt-side modules (errors, relations, textutil, lexicon, prompts, tore)
+are imported normally; the scoring modules (evaluation, extraction,
+geometry, sceneio, stub) and captions are registered as lazy modules and run
+when a command first reads one of their attributes.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from .prompts import (
     sample_prompt_set,
 )
 from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness, invert
-from .textutil import json_value, read_lines
+from .textutil import json_echo, json_value, read_lines
 from .tore import (
     PAIR_IDS,
     ToreConfig,
@@ -232,7 +229,7 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
             # JSON true/false are Python bools, which are also ints
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"config {config_path}: expected a number, "
-                                  f"got {json.dumps(value)}", field=key)
+                                  f"got {json_echo(value)}", field=key)
             # every other setting is at its valid default, so a range error is this
             # key's; an int past the float range reads as inf, as in a scene
             try:

@@ -11,10 +11,6 @@ directional predicates.
 Each predicate formula is written once, in one per-pair kernel that gives
 every directional verdict and the depth-overlap gate of an ordered box pair.
 The public checks read it for scoring, and extraction calls it once per pair.
-
-Only DepthMap.values and depth grids other than integers (float maps, numpy
-input) load numpy, so scoring and extracting integer-depth scenes runs
-without it.
 """
 
 from __future__ import annotations
@@ -200,55 +196,41 @@ class DepthMap:
 
     Metric depth (larger = farther) must be inverted before construction.
 
-    values is a 2D grid: nested lists, as JSON decodes them, or a numpy
-    array. With shape=(height, width), values is instead the flat row-major
-    grid as an array.array of an integer type. The map keeps its own copy.
+    values is a 2D grid: nested lists or tuple rows, as JSON decodes them.
+    An object with tolist() (a numpy array or scalar among them), as the grid,
+    a row or a value, is read through it. With shape=(height, width), values
+    is instead the flat row-major grid as an array.array of an integer type.
+    The map keeps its own copy.
 
-    The grid is stored flat in an array.array. An integer grid keeps integer
-    storage while max * size < 2**53, so every box sum is exact in float64
-    and average_depth gives the same bits as over float64 values; any other
-    grid is stored as float64. values builds the read-only numpy grid on
-    first read; its dtype is the input's (native byte order), int64 for
-    nested lists of ints, float64 once stored as float. Equality and hashing
-    go by value, across dtypes.
-
-    Nested lists of ints (bools among them count as 0 and 1) and flat arrays
-    are read without numpy; every other grid goes through numpy.asarray,
-    which decides what it holds.
+    A grid of numbers is accepted: bools count as 0 and 1, unless the grid
+    holds bools alone, and an int must fit int64 or uint64. The grid is
+    stored flat in an array.array. An integer grid keeps integer storage
+    while max * size < 2**53, so every box sum is exact in float64; any other
+    grid, and one that holds a float, is stored as float64. Equality and
+    hashing go by value, across storage types.
     """
 
     def __init__(self, values, *, shape: tuple[int, int] | None = None):
         if shape is not None:
             data, shape = _flat_grid(values, shape)
-            dtype = data.typecode  # the dtype of values
         elif (data := _int_rows(values)) is not None:
-            # numpy reads Python ints as int64; the storage may be narrower
-            shape, dtype = (len(values), len(values[0])), "q"
+            shape = (len(values), len(values[0]))
         else:
-            data, shape = _numpy_grid(values)
-            dtype = data.typecode
+            data, shape = _grid(values)
         if data.typecode == "d" and not all(map(math.isfinite, data)):
             raise ValueError("depth values must be finite")
         if not data.typecode.isupper() and min(data) < 0:
             raise ValueError("depth values must be >= 0")
         if data.typecode != "d" and not _sums_exact(data):
-            data, dtype = array("d", data), "d"
+            data = array("d", data)
         self._data = data
         self._shape = shape
-        self._dtype = dtype
-        self._values = None
 
     @property
-    def values(self):
-        """The grid as a read-only numpy array of shape (height, width)."""
-        if self._values is None:
-            import numpy as np
-
-            arr = np.frombuffer(self._data, dtype=self._data.typecode).astype(self._dtype)
-            arr = arr.reshape(self._shape)
-            arr.setflags(write=False)
-            self._values = arr
-        return self._values
+    def values(self) -> list[list[int | float]]:
+        """The grid as a fresh list of height row lists; floats for a float map."""
+        w = self.width
+        return [self._data[i:i + w].tolist() for i in range(0, len(self._data), w)]
 
     @property
     def flat(self) -> memoryview:
@@ -299,13 +281,46 @@ def _int_rows(rows) -> array | None:
         break
     else:
         return None  # past int64
-    # numpy reads a grid of bools alone as booleans, not numbers
+    # a grid of bools alone is not a grid of numbers
     if type(rows[0][0]) is bool and all(type(v) is bool for row in rows for v in row):
         return None
     return data
 
 
-_INT_TYPECODES = {("u" if t.isupper() else "i", array(t).itemsize): t for t in "bBhHiIlLqQ"}
+_PLAIN = (float, int, list, tuple, bool)  # plain values: no tolist() to look up
+
+
+def _grid(values) -> tuple[array, tuple[int, int]]:
+    """Any grid _int_rows does not take, as flat storage and its (height, width).
+
+    A list or tuple nests, and an object with tolist() is read through it;
+    anything else is one value. The checks go in order: every level the same
+    length and all nested or all values (else ragged), numbers only, then two
+    non-empty dimensions. An integer grid takes _int_rows' storage.
+    """
+    def some(types, kinds) -> bool:
+        return any(issubclass(t, kinds) for t in types)
+
+    shape, level = [], [values]
+    while True:
+        level = [v if type(v) in _PLAIN or not hasattr(v, "tolist") else v.tolist()
+                 for v in level]
+        types = set(map(type, level))
+        if not some(types, (list, tuple)):
+            break
+        if not all(issubclass(t, (list, tuple)) for t in types) or len(set(map(len, level))) > 1:
+            raise ValueError("depth values must form a non-empty 2D grid, got ragged rows")
+        shape.append(len(level[0]))
+        level = [x for v in level for x in v]
+    if (not all(issubclass(t, (int, float)) for t in types) or types == {bool}
+            or some(types, int) and not all(-2**63 <= v < 2**64 for v in level
+                                            if isinstance(v, int))):
+        raise ValueError("depth values must be numbers")
+    if len(shape) != 2 or not level:
+        raise ValueError(f"depth values must form a non-empty 2D grid, got shape {tuple(shape)}")
+    if some(types, float) or (data := _int_rows([level])) is None:
+        data = array("d", level)  # past int64: no sum of it is exact in float64 anyway
+    return data, (shape[0], shape[1])
 
 
 def _flat_grid(values, shape: tuple[int, int]) -> tuple[array, tuple[int, int]]:
@@ -316,33 +331,6 @@ def _flat_grid(values, shape: tuple[int, int]) -> tuple[array, tuple[int, int]]:
         raise ValueError(f"depth values must form a non-empty 2D grid, got {len(values)} "
                          f"values for shape {(height, width)}")
     return values[:], (height, width)
-
-
-def _numpy_grid(values) -> tuple[array, tuple[int, int]]:
-    import numpy as np
-
-    # infer the dtype first, so bools, strings and objects are rejected
-    # instead of coerced; a bool mixed among ints is upcast and accepted
-    try:
-        arr = np.asarray(values)
-    except TypeError:
-        raise ValueError("depth values must be numbers") from None
-    except ValueError:  # numpy refuses rows of unequal length
-        raise ValueError("depth values must form a non-empty 2D grid, got ragged rows") from None
-    kind = arr.dtype.kind
-    if kind not in "iuf":
-        raise ValueError("depth values must be numbers")
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"depth values must form a non-empty 2D grid, got shape {arr.shape}")
-    if kind == "f":
-        arr = arr.astype(np.float64)
-        typecode = "d"
-    else:
-        arr = arr.astype(arr.dtype.newbyteorder("="))
-        typecode = _INT_TYPECODES[kind, arr.itemsize]
-    data = array(typecode)
-    data.frombytes(arr.tobytes())
-    return data, arr.shape
 
 
 def _sums_exact(data: array) -> bool:
@@ -360,9 +348,10 @@ def average_depth(d: DepthMap, b: BoundingBox) -> float:
     [floor(x_min), ceil(x_max)) x [floor(y_min), ceil(y_max)) clipped to the
     map; raises EmptyRegion when nothing remains.
 
-    An integer map sums each row of the footprint as Python ints and divides
-    once. The sum is exact and the division correctly rounded, so the result
-    has the bits of numpy's float64 mean. A float map takes numpy's mean.
+    The mean is math.fsum of the footprint, correctly rounded, divided once
+    by the pixel count. On an integer map that sum is exact, so equal values
+    give the same bits whatever their storage. Where the sum passes the float
+    range, the mean is taken exactly in fractions and rounded once.
     """
     x0 = max(0, math.floor(b.x_min))
     x1 = min(d.width, math.ceil(b.x_max))
@@ -370,14 +359,17 @@ def average_depth(d: DepthMap, b: BoundingBox) -> float:
     y1 = min(d.height, math.ceil(b.y_max))
     if x1 <= x0 or y1 <= y0:
         raise EmptyRegion(f"box {b.as_tuple()} covers no pixels of a {d.width}x{d.height} map")
-    data = d._data
-    if data.typecode == "d":
-        return float(d.values[y0:y1, x0:x1].mean())
-    w = d.width
-    total = 0
+    data, w, n = d._data, d.width, x1 - x0
+    footprint = array(data.typecode)
     for start in range(y0 * w + x0, y1 * w, w):
-        total += sum(data[start:start + x1 - x0])
-    return total / ((y1 - y0) * (x1 - x0))
+        footprint += data[start:start + n]
+    count = (y1 - y0) * n
+    try:
+        return math.fsum(footprint) / count
+    except OverflowError:  # the sum passes the float range; the mean never does
+        from fractions import Fraction
+
+        return float(sum(map(Fraction, footprint)) / count)
 
 
 def check_depth_relation(

@@ -3,9 +3,6 @@
 RelationKind is the one relation vocabulary: its four 2D kinds select the
 case of the directional predicates, and invert() restates any relation from
 the other side of its pair ("A under B" is "B on top of A").
-
-This module imports no numpy, so the prompt-side commands (gen-prompts, tore)
-and the prompt, lexicon and rewrite modules load without the array code.
 """
 
 from __future__ import annotations

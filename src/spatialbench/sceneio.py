@@ -30,8 +30,7 @@ of lines that repeat its text, and those records share one read-only
 DepthMap; the reader keeps only the last plane. textutil splits the lines
 and decodes the JSON, so a scene or record file, a JSON depth file and every
 other input report a fault in their bytes alike; the JSONL writer lives in
-the numpy-free captions module. Depth maps are decoded into and encoded from
-DepthMap's flat array without numpy.
+the captions module.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def write_depth_pgm(path: str | Path, depth: DepthMap) -> None:
     """Write a closeness map as 16-bit big-endian binary PGM."""
     values = depth.flat
     if values.format == "d":
-        values = [round(v) for v in values]  # half to even, as numpy.rint
+        values = [round(v) for v in values]  # half to even
     if min(values) < 0 or max(values) > 65535:
         raise ValueError("depth values must round into [0, 65535] for PGM output")
     raster = array("H", values)
@@ -207,7 +206,10 @@ def scene_from_dict(
         return Scene(str(image_id), float(width), float(height), tuple(objects),
                      depth=depth, context=context)
     except DimensionMismatch as exc:
-        raise DimensionMismatch(exc.reason, line=line, field=field_prefix + "depth") from None
+        reason = exc.reason
+        if isinstance(raw_depth, str):
+            reason = f"depth file {raw_depth}: {reason}"
+        raise DimensionMismatch(reason, line=line, field=field_prefix + "depth") from None
     except ValueError as exc:
         raise FormatError(str(exc), line=line, field=field_prefix or None) from None
 
@@ -287,11 +289,8 @@ def _depth_rows(depth: DepthMap) -> list[list[int | float]]:
     """The grid as nested lists; a float grid of whole numbers as exact ints."""
     flat = depth.flat
     if flat.format == "d" and all(v.is_integer() for v in flat):
-        values = [int(v) for v in flat]  # int(-0.0) is 0
-        w = depth.width
-        return [values[i:i + w] for i in range(0, len(values), w)]
-    # a flat view casts to 2D only by way of bytes
-    return flat.cast("B").cast(flat.format, (depth.height, depth.width)).tolist()
+        return [[int(v) for v in row] for row in depth.values]  # int(-0.0) is 0
+    return depth.values
 
 
 def _plain_number(value: float) -> int | float:

@@ -75,3 +75,9 @@ def json_value(data: str | bytes, line: int | None = None) -> object:
         raise FormatError(f"invalid JSON: {exc}", line=line) from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply", line=line) from None
+
+
+def json_echo(value: object) -> str:
+    """A decoded value as JSON text for an error message, cut to at most 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping
 from .errors import FormatError, MissingRelation, ParseError
 from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
-from .textutil import json_value
+from .textutil import json_echo, json_value
 
 if TYPE_CHECKING:  # evaluation loads the scoring modules, which rewriting never needs
     from .evaluation import BenchReport
@@ -196,7 +196,7 @@ def _profile_from_raw(raw: object) -> BiasProfile:
             value = sides[kind.value]
             # JSON true/false are Python bools, which are also ints
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
-                raise FormatError(f"accuracy must be a number in [0, 1], got {json.dumps(value)}",
+                raise FormatError(f"accuracy must be a number in [0, 1], got {json_echo(value)}",
                                   field=f"{key}.{kind.value}")
             acc[kind] = float(value)
     return BiasProfile(acc)

@@ -4,18 +4,21 @@ Everything here is transcribed longhand from the distance definitions and
 constraint inequalities, on plain (x_min, y_min, x_max, y_max) tuples. It
 deliberately shares no code with the package so agreement is meaningful.
 
-Five layers:
+Six layers:
   * scalar predicates (the primary oracle),
   * numpy transcriptions of the same formulas for exhaustive grid sweeps,
   * a dead-simple scene extractor mirroring the extraction rules,
   * the quadratic pool scan for prompt sampling,
-  * the numpy depth grid that DepthMap stored before its flat storage.
+  * the numpy depth grid and box mean that DepthMap's pure-Python reader
+    and mean are checked against,
+  * the exact Fraction box mean that bounds a float map's rounding.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -386,4 +389,16 @@ def numpy_average_depth(grid, b):
     y0, y1 = max(0, math.floor(b[1])), min(height, math.ceil(b[3]))
     if x1 <= x0 or y1 <= y0:
         return None
-    return float(grid[y0:y1, x0:x1].mean())
+    with np.errstate(over="ignore"):  # a float sum past the float range reads inf
+        return float(grid[y0:y1, x0:x1].mean())
+
+
+def exact_average_depth(rows, b):
+    """The exact Fraction mean over the clipped footprint of rows; None when it is empty."""
+    height, width = len(rows), len(rows[0])
+    x0, x1 = max(0, math.floor(b[0])), min(width, math.ceil(b[2]))
+    y0, y1 = max(0, math.floor(b[1])), min(height, math.ceil(b[3]))
+    if x1 <= x0 or y1 <= y0:
+        return None
+    cells = [Fraction(rows[y][x]) for y in range(y0, y1) for x in range(x0, x1)]
+    return sum(cells) / len(cells)

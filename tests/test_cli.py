@@ -295,7 +295,8 @@ class TestTore:
         src.write_text("x\n")
         assert main(["tore", "--profile", "nosuch", str(src)]) == 1
 
-    @pytest.mark.parametrize("accuracy", ["null", '"x"', '"0.9"', "true", "1.5"])
+    @pytest.mark.parametrize("accuracy", ["null", '"x"', '"0.9"', "true", "1.5",
+                                          pytest.param("[" * 500 + "]" * 500, id="nested-list")])
     def test_profile_accuracy_must_be_a_number_in_unit_range(self, tmp_path, capsys, accuracy):
         profile = tmp_path / "prof.json"
         profile.write_text(f'{{"top_bottom": {{"top": {accuracy}, "bottom": 0.3}}}}')
@@ -306,6 +307,7 @@ class TestTore:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "field top_bottom.top" in err[0]
         assert str(profile) in err[0]
+        assert len(err[0]) < 200 + len(str(profile))
 
     def test_deterministic(self, tmp_path, prompts_file):
         out_a, out_b = run_twice(tmp_path, lambda out: [
@@ -402,6 +404,7 @@ class TestEvaluate:
         pytest.param('{"tau": 1%s}' % ("0" * 400), "tau", id="tau-past-float-range"),
         pytest.param('{"min_score": -1%s}' % ("0" * 400), "min_score",
                      id="min_score-past-float-range"),
+        pytest.param('{"tau": %s}' % ("[" * 500 + "]" * 500), "tau", id="tau-nested-list"),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, scenes_file, records_file, capsys,
                                         text, key):
@@ -412,6 +415,7 @@ class TestEvaluate:
         assert len(err) == 1 and err[0].startswith(f"error: config {cfg}: ")
         assert err[0].endswith(f"(field {key})")
         assert "0" * 400 not in err[0]
+        assert len(err[0]) < 200 + len(str(cfg))
         self.assert_ignores_config(records_file, cfg)
 
     @pytest.mark.parametrize("text, reason", [
@@ -782,14 +786,34 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, field", [("extract", "depth"), ("evaluate", "scene.depth")])
     def test_depth_size_mismatch_names_line_and_field(self, tmp_path, capsys, command, field):
-        scene = {"image_id": "s", "width": 4, "height": 3, "depth": [[1, 2], [3, 4]]}
+        # a depth file of the wrong size is named too
+        (tmp_path / "d.json").write_text("[[1, 2], [3, 4]]")
+        for depth, named in (([[1, 2], [3, 4]], ""), ("d.json", "depth file d.json: ")):
+            scene = {"image_id": "s", "width": 4, "height": 3, "depth": depth}
+            if command == "evaluate":
+                scene = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}
+            src = tmp_path / "in.jsonl"
+            src.write_text("\n" + json.dumps(scene) + "\n")
+            assert main([command, str(src)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {src}: {named}depth map is 2x2, scene is 4.0x3.0 (line 2, field {field})"]
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate"])
+    def test_depth_sums_past_float_range_still_score(self, tmp_path, capsys, command):
+        # each box sums past the float maximum; its mean does not
+        plane = [[1e308] + [1.7e308] * 7 for _ in range(8)]
+        scene = {"image_id": "s", "width": 8, "height": 8, "depth": plane, "objects": [
+            {"label": "bus", "box": [1, 1, 5, 5]}, {"label": "car", "box": [0, 1, 4, 5]}]}
         if command == "evaluate":
             scene = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}
         src = tmp_path / "in.jsonl"
-        src.write_text("\n" + json.dumps(scene) + "\n")
-        assert main([command, str(src)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {src}: depth map is 2x2, scene is 4.0x3.0 (line 2, field {field})"]
+        src.write_text(json.dumps(scene) + "\n")
+        assert main([command, str(src)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        if command == "evaluate":
+            assert out["soft_accuracy"] == {"front": 1.0}
+        else:
+            assert {(r["kind"], r["subject"]) for r in out["relations"]} >= {("front", 0)}
 
     # 1 followed by 400 zeros overflows a float; every such number is one error line
     @pytest.mark.parametrize("command, prefix", [("extract", ""), ("evaluate", "scene.")])

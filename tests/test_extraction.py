@@ -290,7 +290,7 @@ _GRID_BOX = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
 
 
 def _to_ref_scene(scene: Scene):
-    rows = scene.depth.values.tolist() if scene.depth is not None else None
+    rows = scene.depth.values if scene.depth is not None else None
     return {
         "width": scene.width,
         "height": scene.height,

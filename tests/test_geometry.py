@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,8 +85,8 @@ class TestConstruction:
             DepthMap([[-1.0]])
         d = DepthMap([[1.0, 2.0], [3.0, 4.0]])
         assert (d.width, d.height) == (2, 2)
-        with pytest.raises(ValueError):
-            d.values[0, 0] = 9.0
+        d.values[0][0] = 9.0  # values is a fresh copy each read
+        assert d.values == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestAxisDistances:
@@ -269,6 +271,13 @@ class TestAverageDepth:
         # x columns 8, 9 only after clipping
         assert average_depth(d, BoundingBox(8, 0, 25, 10)) == 8.5
 
+    def test_sum_past_float_range_gives_finite_mean(self):
+        big = sys.float_info.max
+        rows = [[big, big, big], [big / 2, 1.0, 0.0]]
+        d = DepthMap(rows)
+        for b in (BoundingBox(0, 0, 3, 1), BoundingBox(0, 0, 2, 2), BoundingBox(0, 0, 3, 2)):
+            assert within_two_ulps(average_depth(d, b), rows, b)
+
     @given(boxes(), st.integers(0, 1000))
     @settings(max_examples=50)
     def test_translation_equivariance(self, b, shift):
@@ -281,6 +290,29 @@ class TestAverageDepth:
         d1 = average_depth(DepthMap(base + shift), box)
         assert math.isclose(d1, d0 + shift, rel_tol=1e-12, abs_tol=1e-9)
 
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_means_within_two_ulps_of_exact(self, height, width, data):
+        cells = st.floats(0, 1e6) | st.floats(0, 1e-3) | st.floats(0, 2.0**1000)
+        rows = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                  min_size=height, max_size=height))
+        d = DepthMap(rows)
+        for b in data.draw(st.lists(integer_boxes(grid=8), min_size=1, max_size=6)):
+            if b.x_min < width and b.y_min < height:
+                assert within_two_ulps(average_depth(d, b), rows, b)
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**20), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_whole_number_float_grid_gives_integer_bits(self, height, width, top, data):
+        flat = data.draw(st.lists(st.integers(0, top), min_size=height * width,
+                                  max_size=height * width))
+        rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+        ints, floats = DepthMap(rows), DepthMap([[float(v) for v in row] for row in rows])
+        assert (ints.flat.format, floats.flat.format) == ("I", "d")
+        for b in data.draw(st.lists(integer_boxes(grid=30), min_size=1, max_size=6)):
+            if b.x_min < width and b.y_min < height:
+                assert average_depth(floats, b).hex() == average_depth(ints, b).hex()
+
 
 class TestIntegerDepthMaps:
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 65535), st.integers(0, 2**32 - 1),
@@ -289,7 +321,7 @@ class TestIntegerDepthMaps:
     def test_means_are_bit_identical_across_dtypes(self, height, width, top, seed, bs):
         grid = np.random.default_rng(seed).integers(0, top, size=(height, width), endpoint=True)
         maps = [DepthMap(grid.astype(t)) for t in (np.uint16, np.int64, np.float64)]
-        assert [m.values.dtype for m in maps] == [np.uint16, np.int64, np.float64]
+        assert [m.flat.format for m in maps] == ["I", "I", "d"]
         for b in bs:
             if b.x_min >= width or b.y_min >= height:
                 continue  # covers no pixel of this map
@@ -299,7 +331,7 @@ class TestIntegerDepthMaps:
     def test_equal_values_compare_and_hash_equal(self):
         grid = np.arange(12).reshape(3, 4)
         maps = [DepthMap(grid.astype(t)) for t in (np.uint8, ">u2", np.int64, np.float64)]
-        assert maps[1].values.dtype == np.uint16  # stored in native byte order
+        assert maps[1].values == grid.tolist()  # read in native byte order
         assert all(m == maps[0] for m in maps)
         assert len({hash(m) for m in maps}) == 1
         assert DepthMap(grid) != DepthMap(grid + 1)
@@ -307,9 +339,9 @@ class TestIntegerDepthMaps:
 
     def test_sums_past_2_to_53_take_the_float64_path(self):
         # max * size must stay below 2**53 for every box sum to be exact
-        assert DepthMap(np.full((2, 2), 2**51 - 1)).values.dtype == np.int64
-        assert DepthMap(np.full((2, 2), 2**51)).values.dtype == np.float64
-        assert DepthMap([[2**60, 1]]).values.dtype == np.float64
+        assert DepthMap(np.full((2, 2), 2**51 - 1)).flat.format == "q"
+        assert DepthMap(np.full((2, 2), 2**51)).flat.format == "d"
+        assert DepthMap([[2**60, 1]]).flat.format == "d"
 
     def test_negative_integers_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -317,7 +349,7 @@ class TestIntegerDepthMaps:
 
 
 # ---------------------------------------------------------------------------
-# DepthMap against the numpy grid it stored before (naive_reference)
+# DepthMap against the numpy grid (naive_reference)
 
 _EDGE_INTS = st.sampled_from([2**31, 2**32 - 1, 2**32, 2**51, 2**53, 2**63 - 1, 2**63,
                               2**64 - 1, 2**64, 10**30, -1, -(2**63), -(2**63) - 1])
@@ -364,19 +396,28 @@ def _agreeing_map(make, values) -> tuple[DepthMap, np.ndarray] | None:
         assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         return None
     got = make()
-    assert got.values.dtype == want.dtype
-    assert got.values.shape == want.shape == (got.height, got.width)
-    assert np.array_equal(got.values, want)
-    assert not got.values.flags.writeable
+    assert want.shape == (got.height, got.width)
+    assert got.values == want.tolist()
+    value_type = float if want.dtype.kind == "f" else int
+    assert all(type(v) is value_type for row in got.values for v in row)
+    assert (got.flat.format == "d") == (value_type is float)
     return got, want
 
 
+def within_two_ulps(mean: float, rows, b: BoundingBox) -> bool:
+    exact = ref.exact_average_depth(rows, b.as_tuple())
+    return abs(Fraction(mean) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+
 def _same_means(got: DepthMap, want: np.ndarray, bs) -> None:
+    """Integer maps give numpy's bits; float maps stay within 2 ulps of the exact mean."""
     for b in bs:
         mean = ref.numpy_average_depth(want, b.as_tuple())
         if mean is None:
             with pytest.raises(EmptyRegion):
                 average_depth(got, b)
+        elif want.dtype.kind == "f":
+            assert within_two_ulps(average_depth(got, b), want.tolist(), b)
         else:
             assert average_depth(got, b).hex() == mean.hex()
 
@@ -392,6 +433,7 @@ class TestDepthMapAgainstNumpy:
     @example([[True, 1], [0, 2]], [])
     @example([[1, 2.5]], [])
     @example([[-1, 2]], [])
+    @example([[1.7e308, 1.7e308]], [BoundingBox(0, 0, 2, 1)])  # the sum passes the float range
     @settings(max_examples=250, deadline=None)
     def test_nested_lists(self, grid, bs):
         found = _agreeing_map(lambda: DepthMap(grid), grid)
@@ -403,9 +445,12 @@ class TestDepthMapAgainstNumpy:
            st.lists(integer_boxes(grid=6), max_size=6))
     @settings(max_examples=250, deadline=None)
     def test_numpy_arrays(self, arr, bs):
-        found = _agreeing_map(lambda: DepthMap(arr), arr)
+        # tolist() drops the dimensions after an empty one: (0, 3) reads as (0,)
+        found = _agreeing_map(lambda: DepthMap(arr), arr.tolist() if arr.size == 0 else arr)
         if found is not None:
             _same_means(*found, bs)
+        if arr.size:  # numpy rows, or a row of numpy scalars, read as the array does
+            _agreeing_map(lambda: DepthMap(list(arr)), arr)
 
     @given(st.sampled_from("bBhHiIlLqQ"), st.integers(1, 5), st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
@@ -452,14 +497,14 @@ class TestDepthMapAgainstNumpy:
         big = array("I", bytes(4 * n))
         big[-1] = 2**32 - 1
         assert not geometry._sums_exact(big)
-        assert DepthMap(big, shape=(3, n // 3)).values.dtype == np.float64
-        assert DepthMap(big[:-1] + array("I", [1]), shape=(3, n // 3)).values.dtype == np.uint32
+        assert DepthMap(big, shape=(3, n // 3)).flat.format == "d"
+        assert DepthMap(big[:-1] + array("I", [1]), shape=(3, n // 3)).flat.format == "I"
 
     def test_flat_input_is_copied_and_checked(self):
         flat = array("H", [1, 2, 3, 4, 5, 6])
         d = DepthMap(flat, shape=(2, 3))
         flat[0] = 9
-        assert d.values[0, 0] == 1 and d.flat.readonly
+        assert d.values[0][0] == 1 and d.flat.readonly
         with pytest.raises(ValueError, match="non-empty 2D grid"):
             DepthMap(flat, shape=(4, 2))
         with pytest.raises(TypeError):
@@ -498,6 +543,18 @@ class TestCheckDepthRelation:
             assert rev is RelationKind.FRONT
         else:
             assert rev is None
+
+    @given(st.integers(0, 2**32 - 1), integer_boxes(grid=23), integer_boxes(grid=23), strictness())
+    @settings(max_examples=150, deadline=None)
+    def test_float_maps_agree_with_numpy_means_apart(self, seed, a, b, s):
+        # the verdict may differ only where numpy's own means are within 8 ulps
+        grid = np.random.default_rng(seed).uniform(0, 1000, size=(24, 24))
+        d = DepthMap(grid)
+        means = [ref.numpy_average_depth(grid, box.as_tuple()) for box in (a, b)]
+        if not check_depth_overlap(a, b, s) or abs(means[0] - means[1]) <= 8 * math.ulp(max(means)):
+            return
+        want = RelationKind.FRONT if means[0] > means[1] else RelationKind.BEHIND
+        assert check_depth_relation(a, b, d, s) is want
 
 
 class TestPairKernel:

@@ -155,14 +155,13 @@ PGM_FAULTS = [b"P5\n8 6\n0\n" + PGM[11:], b"P5\n0 6\n255\n" + PGM[11:], b"P5\nx 
               b"P6\n8 6\n255\n" + PGM[11:], b"P5\n8 6\n70000\n"]
 DEPTH_JSON_FAULTS = ["[[1, 2], [3]]", "[[-1]]", "[[true, false]]", "[[]]", "[]", "{}", "3",
                      "[[NaN, 1]]"]
-# a well-formed map of the wrong size: the error names the scene's line and field
+# a well-formed map of the wrong size: the error names the file, the scene's line and field
 WRONG_SIZE = {"d.pgm": b"P5\n4 3\n255\n" + bytes(12), "d.json": b"[[1, 2]]"}
 
 
 def depth_file_case(fault: str, pick: int, at: int) -> Case:
     """A broken PGM or JSON depth file, read through a scene or a record."""
     files = dict(SIDE_FILES)
-    names: tuple[str, ...] = ()
     if fault == "wrong-size":
         name = ("d.pgm", "d.json")[pick % 2]
         files[name] = WRONG_SIZE[name]
@@ -185,15 +184,13 @@ def depth_file_case(fault: str, pick: int, at: int) -> Case:
         files[name] = text.encode()
         if fault == "json-byte":
             files[name] = _insert_byte(files[name], at, BAD_BYTES[pick % 4])
-    if fault != "wrong-size":
-        names = (name,)
     line = 2 if name == "d.pgm" else 3
     if at % 2:
         files["records.jsonl"] = _joined(_lines(_records()))
-        return Case(files, ["evaluate", "records.jsonl"], ("records.jsonl", *names), line,
+        return Case(files, ["evaluate", "records.jsonl"], ("records.jsonl", name), line,
                     f"depth {fault}")
     files["scenes.jsonl"] = _joined(_lines(_scenes()))
-    return Case(files, ["extract", "scenes.jsonl"], ("scenes.jsonl", *names), line,
+    return Case(files, ["extract", "scenes.jsonl"], ("scenes.jsonl", name), line,
                 f"depth {fault}")
 
 

@@ -1,7 +1,8 @@
 """Package surface: every exported name resolves, and the demo scripts run.
 
-Also how the CLI starts: every command runs without numpy on integer
-depth, and importing spatialbench.cli registers every package module
+Also how the package depends and starts: no module imports numpy and
+pyproject.toml lists no runtime dependency, every command runs with numpy
+refused, and importing spatialbench.cli registers every package module
 (the benchmark's tracer rebinds functions across all of them).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.abc
 import importlib.util
 import json
 import os
@@ -131,6 +133,75 @@ def test_json_is_decoded_only_in_textutil():
     assert {name for name, _ in uses} == {"textutil.py"}, uses
 
 
+def test_no_module_imports_numpy():
+    imports = []
+    for path in sorted((ROOT / "src" / "spatialbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                imports.append((path.name, node.lineno))
+    assert imports == []
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert "\ndependencies = []\n" in text
+    else:
+        assert tomllib.loads(text)["project"]["dependencies"] == []
+
+
+class _RefuseNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+class _Grid:
+    def tolist(self):
+        return [[0.5, 2], [3.25, 4]]
+
+
+@pytest.fixture
+def fresh_imports(monkeypatch):
+    """numpy and spatialbench unloaded; the test's own imports of them go at teardown."""
+
+    def ours():
+        return [m for m in sys.modules if m.partition(".")[0] in ("numpy", "spatialbench")]
+
+    loaded = {name: sys.modules.pop(name) for name in ours()}
+    yield
+    for name in ours():
+        del sys.modules[name]
+    sys.modules.update(loaded)
+
+
+def test_float_depth_runs_with_numpy_refused(tmp_path, monkeypatch, capsys, fresh_imports):
+    # the package is imported afresh under a finder that refuses numpy
+    monkeypatch.setattr(sys, "meta_path", [_RefuseNumpy(), *sys.meta_path])
+    from spatialbench.cli import main
+    from spatialbench.geometry import DepthMap
+
+    assert DepthMap(_Grid()) == DepthMap([[0.5, 2.0], [3.25, 4.0]])
+    assert DepthMap(_Grid()).flat.format == "d"
+    plane = [[x + 0.5 for x in range(8)] for _ in range(8)]
+    record = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": {
+        "image_id": "s", "width": 8, "height": 8, "depth": plane, "objects": [
+            {"label": "bus", "box": [1, 1, 5, 5]}, {"label": "car", "box": [0, 1, 4, 5]}]}}
+    (tmp_path / "r.jsonl").write_text(json.dumps(record) + "\n")
+    assert main(["evaluate", str(tmp_path / "r.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out)["soft_accuracy"] == {"front": 1.0}
+    assert not any(m.partition(".")[0] == "numpy" for m in sys.modules)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         spatialbench.no_such_name  # noqa: B018
@@ -202,7 +273,7 @@ def _write_inputs(tmp_path: Path) -> None:
     (tmp_path / "scenes_pgm.jsonl").write_text("".join(json.dumps(x["scene"]) + "\n" for x in lines))
     (tmp_path / "scenes.jsonl").write_text("".join(
         json.dumps(json.loads(line)["scene"]) + "\n" for line in records.read_text().splitlines()))
-    assert read_depth(tmp_path / "d8.pgm").values.dtype == "uint8"
+    assert read_depth(tmp_path / "d8.pgm").flat.format == "B"
 
 
 @pytest.mark.parametrize("argv", [

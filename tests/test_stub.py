@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spatialbench.errors import SpatialBenchError
 from spatialbench.evaluation import evaluate_records, score_clause, score_record
+from spatialbench.extraction import ExtractionConfig, extract_scene
 from spatialbench.prompts import PromptSpec, RelationQuadruple, parse_prompt, sample_prompt_set
 from spatialbench.relations import RelationKind, Strictness
 from spatialbench.stub import StubGeneratorConfig, StubPlan, stub_generate
@@ -75,15 +75,14 @@ class TestScenes:
         assert records[0].scene.depth is None
         depth = records[1].scene.depth
         assert depth is not None and depth.width == 128 and depth.height == 128
-        assert np.all(depth.values == np.rint(depth.values))
+        assert all(type(v) is int for row in depth.values for v in row)
 
     def test_3d_scenes_share_one_depth_map(self):
         records, _ = stub_generate([spec_for(RelationKind.FRONT), spec_for(RelationKind.TOP),
                                     spec_for(RelationKind.BEHIND)])
         first, _, last = (r.scene.depth for r in records)
         assert first is last
-        assert first.values.dtype == np.int64
-        assert first.values.tolist() == [list(range(128))] * 128
+        assert first.values == [list(range(128))] * 128
 
     def test_context_and_ids(self):
         records, plans = stub_generate([spec_for(RelationKind.TOP)] * 3)
@@ -177,18 +176,43 @@ def test_extreme_probabilities_force_verdicts(spec, p):
     assert plans[0].verdicts == tuple(p == 1.0 for _ in spec.clauses)
 
 
+def small_pool(n_objects: int) -> list[RelationQuadruple]:
+    """Every fact of every kind over the first n_objects objects, subject apart from object."""
+    objects = OBJECTS[:n_objects]
+    return [RelationQuadruple(a, kind, (b, c) if kind is RelationKind.BETWEEN else (b,))
+            for kind in ALL_KINDS for a in objects for b in objects for c in objects
+            if a != b and (kind is RelationKind.BETWEEN or b == c)]
+
+
 @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_sampled_complex_prompts_are_satisfiable(n_objects, seed):
     # a small lexicon makes every pairwise first clause meet its converse in
     # the pool, which the sampler must never chain onto it
-    objects = OBJECTS[:n_objects]
-    pool = [RelationQuadruple(a, kind, (b, c) if kind is RelationKind.BETWEEN else (b,))
-            for kind in ALL_KINDS for a in objects for b in objects for c in objects
-            if a != b and (kind is RelationKind.BETWEEN or b == c)]
-    specs = sample_prompt_set(pool, {}, {kind: 2 for kind in ALL_KINDS}, seed=seed)
+    specs = sample_prompt_set(small_pool(n_objects), {}, {kind: 2 for kind in ALL_KINDS},
+                              seed=seed)
     assert all(spec.is_complex for spec in specs)
     records, plans = stub_generate(specs, StubGeneratorConfig(all_probabilities(1.0)))
     for record, plan in zip(records, plans):
         assert plan.verdicts == (True, True), record.prompt
         assert all(v.satisfied for v in score_record(record))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.dictionaries(st.sampled_from(ALL_KINDS), st.floats(0.0, 1.0)))
+@settings(max_examples=25, deadline=None)
+def test_extraction_agrees_with_scoring_on_stub_scenes(sample_seed, stub_seed, probabilities):
+    # a clause holds exactly when extraction emits a fact with its labels and
+    # kind; the stub's boxes are under the default area gate, hence 0.001
+    specs = sample_prompt_set(small_pool(5), {kind: 2 for kind in ALL_KINDS},
+                              {kind: 1 for kind in ALL_KINDS}, seed=sample_seed)
+    records, _ = stub_generate(specs, StubGeneratorConfig(probabilities, seed=stub_seed))
+    cfg = ExtractionConfig(min_rel_area=0.001)
+    for record in records:
+        labels = [obj.label for obj in record.scene.objects]
+        facts = {(f.kind, labels[f.subject], tuple(labels[i] for i in f.objects))
+                 for f in extract_scene(record.scene, cfg)}
+        for clause, verdict in zip(record.prompt.clauses, score_record(record)):
+            keys = {(clause.kind, clause.subject, clause.objects),
+                    (clause.kind, clause.subject, clause.objects[::-1])}
+            assert bool(keys & facts) == verdict.satisfied, (record.prompt, clause)
