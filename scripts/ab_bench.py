@@ -8,13 +8,16 @@ Run from the repository root:
 The revision is unpacked with ``git archive REV | tar -x`` into a temporary
 directory under the ignored ``.bench_work/``, so both sides write their
 outputs to the same file system; no tracked file is touched and no worktree
-is added. Each pair
-runs ``bench/run.py --trace 0`` once on the revision and once on the working
-tree, each from its own root; which side runs first alternates by pair. Per metric the table gives the median
-and quartiles of each side and how many pairs the working tree won, where
-"won" follows the metric's ``better`` direction in BENCHMARK.json. The last
-line says whether the two sides' chain outputs had the same SHA-256 digests,
-and the exit code is 1 when they differ, 0 when they are identical.
+is added. Each pair runs ``bench/run.py --trace 0`` once on the revision and
+once on the working tree, each from its own root; which side runs first
+alternates by pair. Per metric the table gives the median and quartiles of each side, the median
+over pairs of the working tree's value divided by the revision's, and how
+many pairs the working tree won, where "won" follows the metric's ``better``
+direction in BENCHMARK.json. The two runs of a pair share the machine's
+state at that time, so the per-pair ratio cancels most of the drift that
+moves whole runs. The last line says whether the two sides' chain outputs
+had the same SHA-256 digests, and the exit code is 1 when they differ, 0
+when they are identical.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ def summary(values: list[float]) -> str:
     return f"{median:.3g} [{q1:.3g}–{q3:.3g}]"
 
 
+def pair_ratio(old: list[float], new: list[float]) -> str:
+    """Median over pairs of new / old; "n/a" when a revision value is 0."""
+    if not all(old):
+        return "n/a"
+    return f"{statistics.median(b / a for a, b in zip(old, new)):.3f}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD")
@@ -77,13 +87,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
     print(f"{args.workload} seed {args.seed}: {args.rev} → working tree, "
-          f"median [q1–q3] (working-tree wins of {args.pairs} pairs)")
+          f"median [q1–q3], median per-pair ratio tree/rev "
+          f"(working-tree wins of {args.pairs} pairs)")
     for name in runs["tree"][0]:
         old = [run[name] for run in runs["rev"]]
         new = [run[name] for run in runs["tree"]]
         sign = 1 if higher_wins.get(name, False) else -1
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        print(f"  {name}: {summary(old)} → {summary(new)} ({wins}/{args.pairs})")
+        print(f"  {name}: {summary(old)} → {summary(new)}, ratio {pair_ratio(old, new)} "
+              f"({wins}/{args.pairs})")
     before, after = digests["rev"], digests["tree"]
     changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
     print("chain outputs: " + (f"differ in {', '.join(changed)}" if changed else "identical"))

@@ -18,18 +18,17 @@ the same inputs and seed make every subcommand byte-reproducible.
 Every input file is split into lines and decoded as JSON by textutil, so a
 fault in any of them is one error line naming the file and the line.
 
-The prompt-side modules (errors, relations, textutil, lexicon, prompts, tore)
-are imported normally; the scoring modules (evaluation, extraction,
-geometry, sceneio, stub) and captions are registered as lazy modules and run
-when a command first reads one of their attributes.
+Only errors is imported normally. Every other package module is registered
+as a lazy module and runs when a command first reads one of its
+attributes, so --help runs none of them, extract runs no prompt rewriting
+or scoring module (tore, evaluation, stub), and the prompt commands run no
+scoring module.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
-import json
 import math
 import random
 import sys
@@ -37,33 +36,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import FormatError, NoSamples, ParseError, SpatialBenchError
-from .lexicon import (
-    _entries,
-    default_contexts,
-    default_objects,
-    load_context_list,
-    load_object_list,
-)
-from .prompts import (
-    PromptSpec,
-    RelationQuadruple,
-    _normalized_context,
-    _trusted_quadruple,
-    parse_prompt,
-    render_prompt,
-    sample_prompt_set,
-)
-from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness, invert
-from .textutil import json_echo, json_value, read_lines
-from .tore import (
-    PAIR_IDS,
-    ToreConfig,
-    builtin_profile,
-    compute_bias_profile,
-    load_bias_profile,
-    profile_to_json,
-    transform_prompt,
-)
 
 
 def _lazy_module(name: str):
@@ -80,36 +52,40 @@ def _lazy_module(name: str):
     return module
 
 
-# The prompt and caption commands never need the scoring modules, and
-# captions builds dataclasses that gen-prompts and tore never need.
-# Commands call them through the module (sceneio.load_scenes(...)), so that a
-# function rebound in its home module is what runs. geometry is unused here
-# but registered too: importing this module puts every package module in
-# sys.modules, which bench/tracing.py relies on.
+# Commands call functions through their module (sceneio.load_scenes(...)),
+# so that a function rebound in its home module is what runs. geometry is
+# unused here but registered too: importing this module puts every package
+# module in sys.modules, which bench/tracing.py relies on.
 captions = _lazy_module("captions")
 evaluation = _lazy_module("evaluation")
 extraction = _lazy_module("extraction")
+lexicon = _lazy_module("lexicon")
+prompts = _lazy_module("prompts")
+relations = _lazy_module("relations")
 sceneio = _lazy_module("sceneio")
 stub = _lazy_module("stub")
+textutil = _lazy_module("textutil")
+tore = _lazy_module("tore")
 _lazy_module("geometry")
 
 __all__ = ["main"]
 
 
-def _kind_count(text: str) -> tuple[RelationKind, int]:
+def _kind_count(text: str) -> tuple[relations.RelationKind, int]:
     try:
         name, _, value = text.partition("=")
-        return RelationKind(name.strip().lower()), int(value)
+        return relations.RelationKind(name.strip().lower()), int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected KIND=N with KIND one of {[k.value for k in RelationKind]}, got {text!r}"
+            f"expected KIND=N with KIND one of {[k.value for k in relations.RelationKind]}, "
+            f"got {text!r}"
         ) from None
 
 
-def _kind_probability(text: str) -> tuple[RelationKind, float]:
+def _kind_probability(text: str) -> tuple[relations.RelationKind, float]:
     try:
         name, _, value = text.partition("=")
-        return RelationKind(name.strip().lower()), float(value)
+        return relations.RelationKind(name.strip().lower()), float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected KIND=P with P a probability, got {text!r}"
@@ -205,23 +181,25 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _strictness(args) -> Strictness:
+def _strictness(args) -> relations.Strictness:
     if args.tau is None:
-        return DEFAULT_STRICTNESS
+        return relations.DEFAULT_STRICTNESS
     if not (math.isfinite(args.tau) and args.tau > 0):
         raise SpatialBenchError(f"--tau must be finite and positive, got {args.tau}")
-    return Strictness(args.tau)
+    return relations.Strictness(args.tau)
 
 
 def _extraction_config(args) -> extraction.ExtractionConfig:
+    from dataclasses import fields  # loaded with extraction; --help never needs it
+
     raw: dict = {}
     config_path = args.config
     if config_path is not None:
         with _naming(f"config {config_path}", (FormatError, OSError)):
-            raw = json_value(config_path.read_bytes())
+            raw = textutil.json_value(config_path.read_bytes())
         if not isinstance(raw, dict):
             raise SpatialBenchError(f"config {config_path} must hold a JSON object")
-        keys = {f.name for f in dataclasses.fields(extraction.ExtractionConfig)}
+        keys = {f.name for f in fields(extraction.ExtractionConfig)}
         unknown = sorted(set(raw) - keys)
         if unknown:
             raise SpatialBenchError(f"config {config_path}: unknown keys: {', '.join(unknown)}")
@@ -229,7 +207,7 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
             # JSON true/false are Python bools, which are also ints
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"config {config_path}: expected a number, "
-                                  f"got {json_echo(value)}", field=key)
+                                  f"got {textutil.json_echo(value)}", field=key)
             # every other setting is at its valid default, so a range error is this
             # key's; an int past the float range reads as inf, as in a scene
             try:
@@ -274,20 +252,22 @@ def _prompt_file(source: str):
 def _read_lines(source: str) -> list[str]:
     with _prompt_file(source):
         if source == "-":
-            return [line for _, line in read_lines(sys.stdin.buffer)]
+            return [line for _, line in textutil.read_lines(sys.stdin.buffer)]
         with open(source, "rb") as fh:
-            return [line for _, line in read_lines(fh)]
+            return [line for _, line in textutil.read_lines(fh)]
 
 
 def _check_object_phrase(phrase: str) -> None:
-    RelationQuadruple(phrase, RelationKind.NEXT, (phrase,))
+    prompts.RelationQuadruple(phrase, relations.RelationKind.NEXT, (phrase,))
 
 
 def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:
     with _lexicon_file("--objects", args.objects):
-        objects = load_object_list(args.objects) if args.objects else default_objects()
+        objects = (lexicon.load_object_list(args.objects) if args.objects
+                   else lexicon.default_objects())
     with _lexicon_file("--contexts", args.contexts):
-        contexts = load_context_list(args.contexts) if args.contexts else default_contexts()
+        contexts = (lexicon.load_context_list(args.contexts) if args.contexts
+                    else lexicon.default_contexts())
     return objects, contexts
 
 
@@ -296,7 +276,7 @@ def _check_grammar(flag: str, path: Path | None, check) -> None:
     if path is None:
         return
     with _lexicon_file(flag, path):
-        for line_no, phrase in _entries(path, ""):
+        for line_no, phrase in lexicon._entries(path, ""):
             try:
                 check(phrase)
             except ValueError as exc:
@@ -305,7 +285,7 @@ def _check_grammar(flag: str, path: Path | None, check) -> None:
 
 def _resolve_profile(name: str):
     path = Path(name)
-    return load_bias_profile(path) if path.exists() else builtin_profile(name)
+    return tore.load_bias_profile(path) if path.exists() else tore.builtin_profile(name)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +314,9 @@ def _cmd_gen_prompts(args) -> int:
     objects, contexts = _load_lexicon(args)
     # the prompt grammar's rules (no comma; no "in a" in a context), which captions need not follow
     _check_grammar("--objects", args.objects, _check_object_phrase)
-    _check_grammar("--contexts", args.contexts, _normalized_context)
+    _check_grammar("--contexts", args.contexts, prompts._normalized_context)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
-    needed = 3 if RelationKind.BETWEEN in kinds else 2
+    needed = 3 if relations.RelationKind.BETWEEN in kinds else 2
     if len(objects) < needed:
         raise SpatialBenchError(
             f"--objects {args.objects} lists {len(objects)} object(s); "
@@ -346,50 +326,51 @@ def _cmd_gen_prompts(args) -> int:
         raise SpatialBenchError(f"--pool-size must be at least 1, got {args.pool_size}")
     pool_size = args.pool_size or max(1000, 4 * largest)
     pool = _candidate_pool(kinds, objects, pool_size, args.seed)
-    specs = sample_prompt_set(pool, simple, complex_counts or None,
-                              seed=args.seed, contexts=contexts)
+    specs = prompts.sample_prompt_set(pool, simple, complex_counts or None,
+                                      seed=args.seed, contexts=contexts)
     if args.invert:
         # between has no inverse form, so such prompts are kept as-is
         specs = specs + [
-            PromptSpec(tuple(invert(c) for c in spec.clauses), spec.context)
+            prompts.PromptSpec(tuple(relations.invert(c) for c in spec.clauses), spec.context)
             for spec in specs
             if all(c.kind.has_opposite for c in spec.clauses)
         ]
-    _write_output(args, "".join(render_prompt(spec) + "\n" for spec in specs))
+    _write_output(args, "".join(prompts.render_prompt(spec) + "\n" for spec in specs))
     return 0
 
 
 def _candidate_pool(
     kinds, objects, pool_size: int, seed: int
-) -> list[RelationQuadruple]:
+) -> list[prompts.RelationQuadruple]:
     """Draw a deduplicated random pool of candidate facts per kind.
 
     objects already passed the grammar check, so the entries skip it.
     """
     rng = random.Random(seed)
-    pool: list[RelationQuadruple] = []
+    between = relations.RelationKind.BETWEEN
+    pool: list[prompts.RelationQuadruple] = []
     for kind in kinds:
         seen = set()
         ceiling = len(objects) * max(1, len(objects) - 1)
         budget = min(pool_size, ceiling)
         while len(seen) < budget:
-            picked = tuple(rng.sample(objects, 3 if kind is RelationKind.BETWEEN else 2))
+            picked = tuple(rng.sample(objects, 3 if kind is between else 2))
             if picked in seen:
                 continue
             seen.add(picked)
-            pool.append(_trusted_quadruple(picked[0], kind, picked[1:]))
+            pool.append(prompts._trusted_quadruple(picked[0], kind, picked[1:]))
     return pool
 
 
 def _cmd_tore(args) -> int:
     profile = _resolve_profile(args.profile)
-    pairs = PAIR_IDS if args.pairs is None else (p.strip() for p in args.pairs.split(","))
+    pairs = tore.PAIR_IDS if args.pairs is None else (p.strip() for p in args.pairs.split(","))
     try:
-        cfg = ToreConfig(profile, frozenset(p for p in pairs if p))
+        cfg = tore.ToreConfig(profile, frozenset(p for p in pairs if p))
     except ValueError as exc:
         raise SpatialBenchError(f"--pairs {args.pairs!r}: {exc}") from None
     lines = _read_lines(args.prompts)
-    out = [transform_prompt(line, cfg) for line in lines]
+    out = [tore.transform_prompt(line, cfg) for line in lines]
     _write_output(args, "".join(line + "\n" for line in out))
     return 0
 
@@ -409,14 +390,16 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bias_report(args) -> int:
     report = _evaluate(args)
-    profile = compute_bias_profile(report) if args.emit_profile is not None else None
+    profile = tore.compute_bias_profile(report) if args.emit_profile is not None else None
     if args.format == "json":
+        import json  # loaded with textutil; --help never needs it
+
         text = json.dumps(report.bias, sort_keys=True, indent=2) + "\n"
     else:
         text = report.bias_text()
     _write_output(args, text)
     if profile is not None:
-        args.emit_profile.write_text(profile_to_json(profile), encoding="utf-8")
+        args.emit_profile.write_text(tore.profile_to_json(profile), encoding="utf-8")
     return 0
 
 
@@ -461,7 +444,7 @@ def _cmd_stub_gen(args) -> int:
             if not line.strip():
                 continue
             try:
-                specs.append(parse_prompt(line))
+                specs.append(prompts.parse_prompt(line))
             except ParseError as exc:
                 raise FormatError(f"prompt does not parse: {exc}", line=line_no) from None
     records, plans = stub.stub_generate(specs, cfg)

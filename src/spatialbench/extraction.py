@@ -4,16 +4,18 @@ A Scene is a set of scored, labeled boxes (plus optional depth). Extraction
 filters out weak or tiny detections, applies a proximity gate to pairs, and
 runs the geometry predicates under one rule: a pair that hits a horizontal
 and a vertical direction at once emits no directional relation, and every
-horizontal hit emits Next. Output lists are deterministically ordered so
-identical inputs give identical outputs.
+horizontal hit emits Next. Output lists come out in one canonical order
+(subject, objects, kind), so identical inputs give identical outputs.
 
-Both extractors call geometry's per-pair kernel once for each ordered pair
-they consider, the same formula scoring reads.
+geometry's per-pair kernel, the same formula scoring reads, runs once per
+ordered eligible pair of a scene, into one table that both extractors read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
@@ -51,7 +53,11 @@ class DetectedObject:
 
 @dataclass(frozen=True)
 class Scene:
-    """Detections for one image, optionally with depth and an urban context."""
+    """Detections for one image, optionally with depth and an urban context.
+
+    Extraction keeps its pair table on the instance, outside the fields, so
+    equality, hashing and repr never see it.
+    """
 
     image_id: str
     width: float
@@ -151,6 +157,52 @@ def _eligible(scene: Scene, cfg: ExtractionConfig) -> list[int]:
     ]
 
 
+def _pair_table(scene: Scene, cfg: ExtractionConfig) -> tuple[list[int], list[list]]:
+    """The eligible indices and the kernel's verdicts for every ordered eligible pair.
+
+    rows[a][b] is _verdicts of eligible object a against b, None on the
+    diagonal. The scene keeps the table of the last config it was built for,
+    out of its fields as functools.cached_property would, so both extractors
+    read one table and no scene reads another's.
+    """
+    kept = scene.__dict__.get("_pair_table")
+    if kept is not None and kept[0] == cfg:
+        return kept[1]
+    eligible = _eligible(scene, cfg)
+    corners = [scene.objects[i].box.as_tuple() for i in eligible]
+    tau = cfg.tau
+    rows = [[None if a == b else _verdicts(p, q, tau) for b, q in enumerate(corners)]
+            for a, p in enumerate(corners)]
+    scene.__dict__["_pair_table"] = cfg, (eligible, rows)
+    return eligible, rows
+
+
+def _relation(kind: RelationKind, subject: int, objects: tuple[int, ...]) -> RelationInstance:
+    """A RelationInstance from parts that already pass its checks.
+
+    The indices must be distinct and >= 0, with one object, or two for
+    Between; nothing is checked again.
+    """
+    rel = object.__new__(RelationInstance)
+    rel.__dict__.update(kind=kind, subject=subject, objects=objects)
+    return rel
+
+
+def _pair_kinds(right: bool, left: bool, top: bool, bottom: bool) -> tuple[RelationKind, ...]:
+    """The 2D kinds a pair with these verdicts emits, in canonical order."""
+    next_to = right or left
+    kinds = []
+    if not (next_to and (top or bottom)):  # not ambiguous
+        kinds = [kind for kind, hit in zip(_DIRECTIONS, (right, left, top, bottom)) if hit]
+    if next_to:
+        kinds.append(RelationKind.NEXT)
+    return tuple(kinds)
+
+
+# the 2D kinds of every verdict pattern (RIGHT, LEFT, TOP, BOTTOM)
+_KINDS = {hits: _pair_kinds(*hits) for hits in itertools.product((False, True), repeat=4)}
+
+
 def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[RelationInstance]:
     """All pairwise relations (directional, Next, Front/Behind) in the scene.
 
@@ -158,38 +210,34 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
     of the image diagonal is checked. A pair that hits both a horizontal and
     a vertical direction is ambiguous and emits no directional relation at
     all; Next (either horizontal hit) and the depth relations are emitted
-    regardless.
+    regardless. The list comes out in canonical order.
     """
-    eligible = _eligible(scene, cfg)
+    eligible, rows = _pair_table(scene, cfg)
     boxes = [scene.objects[i].box for i in eligible]
-    corners = [b.as_tuple() for b in boxes]
     centers = [b.center for b in boxes]
     limit = cfg.max_center_dist * math.hypot(scene.width, scene.height)
+    depth = scene.depth
     means: dict[int, float] = {}
     out: list[RelationInstance] = []
     for a, subject in enumerate(eligible):
+        row, center = rows[a], centers[a]
         for b, obj in enumerate(eligible):
-            if a == b or not math.dist(centers[a], centers[b]) <= limit:
+            if a == b or not math.dist(center, centers[b]) <= limit:
                 continue
-            right, left, top, bottom, overlap = _verdicts(corners[a], corners[b], cfg.tau)
-            next_to = right or left
-            kinds = []
-            if not (next_to and (top or bottom)):  # not ambiguous
-                kinds = [kind for kind, hit in zip(_DIRECTIONS, (right, left, top, bottom)) if hit]
-            if next_to:
-                kinds.append(RelationKind.NEXT)
-            if overlap and scene.depth is not None:
+            right, left, top, bottom, overlap = row[b]
+            kinds = _KINDS[right, left, top, bottom]
+            if overlap and depth is not None:
                 # one mean per object that a gated pair compares; the comparisons
                 # are exact, so a tie decides neither side
                 for i in (a, b):
                     if i not in means:
-                        means[i] = average_depth(scene.depth, boxes[i])
+                        means[i] = average_depth(depth, boxes[i])
                 if means[a] > means[b]:
-                    kinds.append(RelationKind.FRONT)
+                    kinds += (RelationKind.FRONT,)
                 elif means[a] < means[b]:
-                    kinds.append(RelationKind.BEHIND)
-            out.extend(RelationInstance(kind, subject, (obj,)) for kind in kinds)
-    out.sort(key=RelationInstance.sort_key)
+                    kinds += (RelationKind.BEHIND,)
+            objects = (obj,)
+            out.extend(_relation(kind, subject, objects) for kind in kinds)
     return out
 
 
@@ -198,28 +246,31 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
 
     The middle object m sits between a and c when a is left of m and c right
     of it. Each ordered pair is checked once, with no proximity gate, so the
-    cost is O(n^2) plus the output.
+    cost is O(n^2) plus the output. The list comes out in canonical order.
     """
-    eligible = _eligible(scene, cfg)
-    corners = [scene.objects[i].box.as_tuple() for i in eligible]
+    eligible, rows = _pair_table(scene, cfg)
     out: list[RelationInstance] = []
     for m, mid in enumerate(eligible):
         lefts, rights = [], []
         for a, flank in enumerate(eligible):
             if a != m:
-                right, left, _, _, _ = _verdicts(corners[a], corners[m], cfg.tau)
+                right, left, _, _, _ = rows[a][m]
                 if left:
                     lefts.append(flank)
                 if right:
                     rights.append(flank)
-        out.extend(RelationInstance(RelationKind.BETWEEN, mid, (a, c))
+        out.extend(_relation(RelationKind.BETWEEN, mid, (a, c))
                    for a in lefts for c in rights if a != c)
-    out.sort(key=RelationInstance.sort_key)
     return out
 
 
 def extract_scene(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> list[RelationInstance]:
-    """Pairwise and Between relations merged into one canonical ordering."""
+    """Pairwise and Between relations merged into one canonical ordering.
+
+    Both lists are in canonical order already, and a pairwise fact (one
+    object) never ties a Between fact (two) on subject and objects, so a
+    stable sort on those two alone merges them.
+    """
     out = extract_pairwise(scene, cfg) + extract_between(scene, cfg)
-    out.sort(key=RelationInstance.sort_key)
+    out.sort(key=operator.attrgetter("subject", "objects"))
     return out

@@ -72,6 +72,16 @@ class BoundingBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
+def _trusted_box(x_min: float, y_min: float, x_max: float, y_max: float) -> BoundingBox:
+    """A BoundingBox from coordinates that already passed its checks.
+
+    They must be finite, >= 0 and of positive extent; nothing is checked again.
+    """
+    box = object.__new__(BoundingBox)
+    box.__dict__.update(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
+    return box
+
+
 # ---------------------------------------------------------------------------
 # predicate formulas
 #
@@ -208,6 +218,9 @@ class DepthMap:
     while max * size < 2**53, so every box sum is exact in float64; any other
     grid, and one that holds a float, is stored as float64. Equality and
     hashing go by value, across storage types.
+
+    A map made by _pending reads its storage when its values are first
+    needed: by a box mean, values, flat, == or hash.
     """
 
     def __init__(self, values, *, shape: tuple[int, int] | None = None):
@@ -225,6 +238,32 @@ class DepthMap:
             data = array("d", data)
         self._data = data
         self._shape = shape
+
+    @classmethod
+    def _pending(cls, read, typecode: str, shape: tuple[int, int]) -> DepthMap:
+        """A map whose flat storage read() returns on first use, or a map read now.
+
+        shape is (height, width), both positive. read takes no argument and
+        returns an array.array of typecode with height * width values, or
+        raises. Unsigned storage holds no negative value, and where its range
+        keeps every box sum exact the values need no other check, so only
+        such a map waits; any other is read now.
+        """
+        if not _range_sums_exact(typecode, shape[0] * shape[1]):
+            return cls(read(), shape=shape)
+        depth = object.__new__(cls)
+        depth._read = read
+        depth._shape = shape
+        return depth
+
+    def __getattr__(self, name):
+        # only a pending map lacks _data; the first read of it stores the values
+        read = self.__dict__.get("_read") if name == "_data" else None
+        if read is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._data = data = read()
+        self.__dict__.pop("_read", None)
+        return data
 
     @property
     def values(self) -> list[list[int | float]]:
@@ -333,12 +372,14 @@ def _flat_grid(values, shape: tuple[int, int]) -> tuple[array, tuple[int, int]]:
     return values[:], (height, width)
 
 
+def _range_sums_exact(typecode: str, size: int) -> bool:
+    """Unsigned storage of typecode and size whose range alone keeps max * size < 2**53."""
+    return typecode.isupper() and 2 ** (8 * array(typecode).itemsize) - 1 <= (2**53 - 1) // size
+
+
 def _sums_exact(data: array) -> bool:
     """max * size < 2**53, read off the storage's range where that suffices."""
-    bound = (2**53 - 1) // len(data)
-    if data.typecode.isupper() and 2 ** (8 * data.itemsize) - 1 <= bound:
-        return True
-    return max(data) <= bound
+    return _range_sums_exact(data.typecode, len(data)) or max(data) <= (2**53 - 1) // len(data)
 
 
 def average_depth(d: DepthMap, b: BoundingBox) -> float:

@@ -12,15 +12,19 @@ Boxes are absolute pixels and get clipped to the image before the Scene is
 built. Depth files are binary PGM (P5) holding closeness values, written
 16-bit big-endian (8-bit accepted on read); anywhere a path is allowed, an
 inline JSON 2D array works too, and relative paths resolve against the JSONL
-file's directory. Evaluation records wrap a scene with a prompt:
+file's directory. A PGM file is checked when its scene loads: its header,
+and its length against the raster the header declares. Its raster is read
+when the map's values are first needed, so a scene whose depth takes no box
+mean never reads it; a file cut short in between raises a FormatError that
+names it at that first use. Evaluation records wrap a scene with a prompt:
 
     {"id": ..., "prompt": "A bench under a tree in a city", "scene": {...}}
 
 The prompt is stored as text and parsed on load, so record files stay
 readable and auditable by hand. eval_record_lines gives each record's line
 with its depth plane inline; a plane shared by many records (stub-gen shares
-one across its 3D scenes) has its rows encoded once per call, and the bytes
-are those of encoding every record on its own.
+one across its 3D scenes) has its rows built and encoded once per call, and
+the bytes are those of encoding every record on its own.
 
 load_scenes and load_eval_records are generators: they yield one scene or
 record per line as it parses, so a caller that consumes them one at a time
@@ -35,20 +39,27 @@ the captions module.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import os
 import sys
 from array import array
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from stat import S_ISREG
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .captions import write_jsonl
 from .errors import DimensionMismatch, FormatError, ParseError
-from .evaluation import EvalRecord
 from .extraction import DetectedObject, RelationInstance, Scene
-from .geometry import BoundingBox, DepthMap
+from .geometry import DepthMap, _trusted_box
 from .prompts import parse_prompt, render_prompt
 from .textutil import json_value, jsonl_lines
+
+if TYPE_CHECKING:
+    from .evaluation import EvalRecord
 
 __all__ = [
     "read_depth",
@@ -69,11 +80,22 @@ __all__ = [
 # depth maps
 
 def read_depth(path: str | Path) -> DepthMap:
-    """Read a closeness map from a binary PGM (P5) or a JSON 2D array."""
-    data = Path(path).read_bytes()
+    """Read a closeness map from a binary PGM (P5) or a JSON 2D array.
+
+    A PGM file's header and length are checked here, and its raster is read
+    when the map's values are first needed (see _pending_pgm).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read(_PGM_HEAD)
+        if data[:2] == b"P5":
+            depth = _pending_pgm(path, data, os.fstat(fh.fileno()))
+            if depth is not None:
+                return depth
+        data += fh.read()
     if data[:2] == b"P5":
-        flat, shape = _parse_pgm(data)
-        return DepthMap(flat, shape=shape)
+        tokens, pos = _pgm_header(data)
+        typecode, shape, start, nbytes = _pgm_layout(tokens, pos, len(data))
+        return DepthMap(_raster(memoryview(data)[start:start + nbytes], typecode), shape=shape)
     values = json_value(data)
     try:
         return DepthMap(values)
@@ -95,9 +117,44 @@ def write_depth_pgm(path: str | Path, depth: DepthMap) -> None:
     Path(path).write_bytes(header + raster.tobytes())
 
 
-def _parse_pgm(data: bytes) -> tuple[array, tuple[int, int]]:
-    """The raster as a flat array of native-order values, and its (height, width)."""
-    tokens, pos = _pgm_header(data)
+# the bytes read at load; a PGM header longer than this is read with its raster
+_PGM_HEAD = 512
+
+
+def _pending_pgm(path: str | Path, head: bytes, stat: os.stat_result) -> DepthMap | None:
+    """A regular PGM file whose header ends within head, as a map read on first use.
+
+    The header and the file's length are checked now, with the messages of a
+    whole read; the raster's length is the file's size past the header. None
+    for any other file, which is then read whole.
+    """
+    tokens, pos = _pgm_header(head)
+    if pos >= len(head) or not S_ISREG(stat.st_mode):
+        return None
+    typecode, shape, start, nbytes = _pgm_layout(tokens, pos, stat.st_size)
+    return DepthMap._pending(functools.partial(_pgm_raster, path, start, nbytes, typecode),
+                             typecode, shape)
+
+
+def _pgm_raster(path: str | Path, start: int, nbytes: int, typecode: str) -> array:
+    """The raster of a PGM file checked at load, read now; a FormatError if it is gone."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            data = fh.read(nbytes)
+    except OSError as exc:
+        raise FormatError(f"cannot read depth file: {exc}") from None
+    if len(data) < nbytes:
+        raise FormatError(f"depth file {path}: PGM raster truncated: "
+                          f"need {nbytes} bytes, have {len(data)}")
+    return _raster(data, typecode)
+
+
+def _pgm_layout(tokens: list[bytes], pos: int, size: int) -> tuple[str, tuple[int, int], int, int]:
+    """Storage typecode, (height, width), raster offset and raster bytes of a PGM file.
+
+    tokens and pos are _pgm_header's, and size is the file's length in bytes.
+    """
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise FormatError("not a binary PGM (P5) file")
     try:
@@ -106,17 +163,22 @@ def _parse_pgm(data: bytes) -> tuple[array, tuple[int, int]]:
         raise FormatError("PGM header fields must be integers") from None
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise FormatError(f"bad PGM header: {width}x{height}, maxval {maxval}")
-    flat = array("H" if maxval > 255 else "B")
+    typecode = "H" if maxval > 255 else "B"
     start = pos + 1  # a single whitespace byte separates header and raster
-    expected = width * height * flat.itemsize
-    have = max(0, len(data) - start)
-    if have < expected:
-        raise FormatError(f"PGM raster truncated: need {expected} bytes, have {have}")
-    # a memoryview slice reads the raster in place; a bytes slice would copy it
-    flat.frombytes(memoryview(data)[start:start + expected])
+    nbytes = width * height * (2 if typecode == "H" else 1)
+    have = max(0, size - start)
+    if have < nbytes:
+        raise FormatError(f"PGM raster truncated: need {nbytes} bytes, have {have}")
+    return typecode, (height, width), start, nbytes
+
+
+def _raster(data, typecode: str) -> array:
+    """Raster bytes as a flat array of native-order values."""
+    flat = array(typecode)
+    flat.frombytes(data)
     if flat.itemsize > 1 and sys.byteorder == "little":
         flat.byteswap()  # PGM stores 16-bit values big-endian
-    return flat, (height, width)
+    return flat
 
 
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:
@@ -179,9 +241,8 @@ def scene_from_dict(
     raw_depth = record.get("depth")
     if raw_depth is not None:
         if isinstance(raw_depth, str):
-            depth_path = Path(raw_depth)
-            if base_dir is not None and not depth_path.is_absolute():
-                depth_path = Path(base_dir) / depth_path
+            # an absolute raw_depth stands alone
+            depth_path = raw_depth if base_dir is None else os.path.join(base_dir, raw_depth)
             try:
                 depth = read_depth(depth_path)
             except OSError as exc:
@@ -216,12 +277,20 @@ def scene_from_dict(
 
 def _positive_number(record: Mapping, name: str, err) -> float:
     value = record.get(name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise err(f"{name} must be a number", name)
     value = _float(value)
     if not (math.isfinite(value) and value > 0):
         raise err(f"{name} must be positive and finite", name)
     return value
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
 def _float(value: int | float) -> float:
@@ -239,24 +308,31 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     if not isinstance(label, str) or not label.strip():
         raise err("label must be a non-empty string")
     box = raw.get("box")
+    # plain ints and floats pass on their type alone, and a box inside the
+    # image needs no clipping: most boxes take neither slower path
     if (not isinstance(box, list) or len(box) != 4
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in box)):
+            or not (_PLAIN_NUMBERS.issuperset(map(type, box)) or all(map(_is_number, box)))):
         raise err("box must be a list of four numbers")
-    x_min, y_min, x_max, y_max = (_float(c) for c in box)
-    if not all(math.isfinite(c) for c in (x_min, y_min, x_max, y_max)):
+    try:
+        x_min, y_min, x_max, y_max = map(float, box)
+    except OverflowError:
+        x_min, y_min, x_max, y_max = map(_float, box)
+    if not all(map(math.isfinite, (x_min, y_min, x_max, y_max))):
         raise err("box coordinates must be finite")
     if x_min >= x_max or y_min >= y_max:
         raise err(f"box must have positive extent, got {box}")
-    # clip to the image; a box entirely outside it has no valid clipped form
-    x_min, x_max = max(0.0, min(x_min, width)), max(0.0, min(x_max, width))
-    y_min, y_max = max(0.0, min(y_min, height)), max(0.0, min(y_max, height))
-    if x_min >= x_max or y_min >= y_max:
-        raise err(f"box {box} lies outside the image")
+    if not (0 < x_min and x_max <= width and 0 < y_min and y_max <= height):
+        # clip to the image; a box entirely outside it has no valid clipped form
+        x_min, x_max = max(0.0, min(x_min, width)), max(0.0, min(x_max, width))
+        y_min, y_max = max(0.0, min(y_min, height)), max(0.0, min(y_max, height))
+        if x_min >= x_max or y_min >= y_max:
+            raise err(f"box {box} lies outside the image")
     score = raw.get("score", 1.0)
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
+    if not _is_number(score):
         raise err("score must be a number")
+    # the checks above are BoundingBox's, so the box is built without them
     try:
-        return DetectedObject(label, BoundingBox(x_min, y_min, x_max, y_max), _float(score))
+        return DetectedObject(label, _trusted_box(x_min, y_min, x_max, y_max), _float(score))
     except ValueError as exc:
         raise err(str(exc)) from None
 
@@ -423,6 +499,8 @@ def eval_record_from_dict(
     if scene_obj is None:
         raise FormatError("scene is required", line=line, field="scene")
     scene = scene_from_dict(scene_obj, base_dir=base_dir, line=line, field_prefix="scene.")
+    from .evaluation import EvalRecord  # here, so that extract never runs the scoring module
+
     return EvalRecord(str(record_id), prompt, scene)
 
 
@@ -444,19 +522,24 @@ _NULL_DEPTH = '"depth": null'
 def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
     """Each record's JSONL line, json.dumps(eval_record_to_dict(record), sort_keys=True).
 
-    A depth map's rows are encoded once per call, and that text is spliced into
-    every record whose scene holds the same map (stub scenes share one). The
-    memo keys by id and keeps each map it keys, so no id is reused while it lives.
+    A depth map's rows are built and encoded once per call, and that text is
+    spliced into every record whose scene holds the same map (stub scenes
+    share one); a later such record is encoded from a copy without the map.
+    The memo keys by id and keeps each map it keys, so no id is reused while
+    it lives.
     """
     rows_text: dict[int, tuple[DepthMap, str]] = {}
     for record in records:
-        obj = eval_record_to_dict(record)
         depth = record.scene.depth
         if depth is None:
-            yield json.dumps(obj, sort_keys=True)
+            yield json.dumps(eval_record_to_dict(record), sort_keys=True)
             continue
-        scene = obj["scene"]
         entry = rows_text.get(id(depth))
+        if entry is not None:
+            record = dataclasses.replace(
+                record, scene=dataclasses.replace(record.scene, depth=None))
+        obj = eval_record_to_dict(record)
+        scene = obj["scene"]
         if entry is None:
             entry = rows_text[id(depth)] = (depth, json.dumps(scene["depth"]))
         scene["depth"] = None

@@ -8,12 +8,18 @@ numbered one way and every decode fault reads one way:
   feed or U+2028 stays inside its line.
 - A fault in the bytes or the JSON is a FormatError that names the line:
   a bad UTF-8 byte (with its byte offset in the line), a JSON syntax error,
-  an integer past int's digit limit, and nesting too deep to decode.
+  an integer past int's digit limit, and nesting past MAX_NESTING.
+
+Whether a value decodes does not depend on how deep the caller's stack is:
+nesting past MAX_NESTING is refused wherever it is decoded, and a value
+within it that the caller's stack has no room for is decoded, or echoed in
+an error message, on a fresh one.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -60,13 +66,25 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield line_no, text
 
 
+# The deepest nesting of arrays and objects a JSON value may have.
+MAX_NESTING = 512
+
+# a JSON string, or one bracket outside strings, and how a bracket moves the depth
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def json_value(data: str | bytes, line: int | None = None) -> object:
     """One JSON value: a JSONL line's text with its number, or a whole file's bytes.
 
     A whole file's fault names the line it is on where the fault has one.
     """
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        # only a text with more opening brackets than the bound can nest past it
+        if text.count("[") + text.count("{") > MAX_NESTING:
+            _check_nesting(text)
+        return _stack_safe(json.loads, text)
     except UnicodeDecodeError as exc:
         raise _bad_byte(data, exc, 1) from None
     except json.JSONDecodeError as exc:
@@ -77,7 +95,61 @@ def json_value(data: str | bytes, line: int | None = None) -> object:
         raise FormatError("invalid JSON: nested too deeply", line=line) from None
 
 
+def _check_nesting(text: str) -> None:
+    """Raise RecursionError if decoding text would nest past MAX_NESTING.
+
+    A fault that the decode meets before that point is raised instead, as
+    json.loads raises it, so the first fault in the text is the one reported.
+    """
+    depth = 0
+    for match in _STRING_OR_BRACKET.finditer(text):
+        depth += _DEPTH_STEP.get(match.group(), 0)
+        if depth > MAX_NESTING:
+            break
+    else:
+        return
+    start = match.start()
+    try:
+        _stack_safe(json.loads, text[:start])  # nests MAX_NESTING deep at most
+    except json.JSONDecodeError as exc:
+        # the bracket opens a value only where the text before it runs out
+        # waiting for one; an earlier fault, or another wait, is the text's own
+        if exc.pos < start or exc.msg != "Expecting value":
+            raise
+        raise RecursionError from None
+    # a whole value and white space come before the bracket
+    raise json.JSONDecodeError("Extra data", text, start)
+
+
+def _stack_safe(convert, value):
+    """convert(value), json.loads or json.dumps, whatever the caller's depth.
+
+    value nests MAX_NESTING deep at most. When the caller's stack has no room
+    for it, convert runs on a new thread, whose stack starts empty.
+    """
+    try:
+        return convert(value)
+    except RecursionError:
+        pass
+    import threading
+
+    out: list = []
+
+    def run() -> None:
+        try:
+            out.append(convert(value))
+        except BaseException as exc:  # raised again on the caller's thread
+            out.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
 def json_echo(value: object) -> str:
     """A decoded value as JSON text for an error message, cut to at most 40 characters."""
-    text = json.dumps(value)
+    text = _stack_safe(json.dumps, value)
     return text if len(text) <= 40 else text[:37] + "..."

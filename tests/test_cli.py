@@ -12,10 +12,12 @@ import sys
 import pytest
 
 from spatialbench.cli import _build_parser, _check_object_phrase, main
+from spatialbench.errors import FormatError
 from spatialbench.evaluation import evaluate_records
 from spatialbench.lexicon import default_contexts, default_objects
 from spatialbench.prompts import _normalized_context, parse_prompt, render_prompt
 from spatialbench.sceneio import load_eval_records, write_jsonl
+from spatialbench.textutil import MAX_NESTING, json_value
 from spatialbench.tore import load_bias_profile
 
 SCENE = {
@@ -888,6 +890,11 @@ class TestExitCodes:
 DEEP = "[" * 5000 + "]" * 5000
 
 
+def _frames_deeper(frames: int, call):
+    """call() made from `frames` more Python frames down the stack."""
+    return call() if frames == 0 else _frames_deeper(frames - 1, call)
+
+
 class TestDecodeFaults:
     @pytest.mark.parametrize("command, line", [
         ("extract", '{"image_id": "s", "width": 2, "height": 1, "objects": %s}'),
@@ -917,6 +924,31 @@ class TestDecodeFaults:
         assert main(["tore", "--profile", str(profile), str(prompts_file)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: bias profile {profile}: invalid JSON: nested too deeply"]
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 980])
+    def test_nesting_bound_does_not_depend_on_the_stack(self, depth):
+        text = "[" * depth + "]" * depth
+
+        def outcome():
+            try:
+                return json_value(text)
+            except FormatError as exc:
+                return str(exc)
+
+        shallow = outcome()
+        assert _frames_deeper(500, outcome) == shallow
+        assert (shallow == "invalid JSON: nested too deeply") == (depth > MAX_NESTING)
+
+    def test_deep_config_reads_alike_from_a_deep_caller(self, tmp_path, capsys, scenes_file):
+        cfg = tmp_path / "cfg.json"
+        argv = ["extract", str(scenes_file), "--config", str(cfg)]
+        for depth, last in ((MAX_NESTING - 1, "(field tau)"), (980, "nested too deeply")):
+            cfg.write_text('{"tau": %s}' % ("[" * depth + "]" * depth))
+            assert main(argv) == 1
+            shallow = capsys.readouterr().err
+            assert _frames_deeper(500, lambda: main(argv)) == 1
+            assert capsys.readouterr().err == shallow
+            assert shallow.endswith(last + "\n")
 
     @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
     def test_depth_file_past_digit_limit_names_it(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spatialbench import extraction
 from spatialbench.errors import DimensionMismatch, NotInvertible
 from spatialbench.extraction import (
     DetectedObject,
@@ -20,9 +21,9 @@ from spatialbench.extraction import (
     extract_pairwise,
     extract_scene,
 )
-from spatialbench.geometry import BoundingBox, DepthMap
+from spatialbench.geometry import BoundingBox, DepthMap, _verdicts
 from spatialbench.relations import RelationKind, invert
-from spatialbench.sceneio import relations_to_dict
+from spatialbench.sceneio import relations_to_dict, scene_from_dict, write_depth_pgm
 
 import naive_reference as ref
 
@@ -393,3 +394,95 @@ def test_closure_under_inversion(scene):
 def test_determinism(scene, tau):
     cfg = ExtractionConfig(tau=tau)
     assert extract_scene(scene, cfg) == extract_scene(scene, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one verdict table per scene
+
+LABELS = ("car", "bus", "lamp")
+
+
+@st.composite
+def labeled_scenes(draw, max_objects=9):
+    """Scenes of boxes on an 8x8 canvas whose labels repeat, with a 16-bit PGM depth plane."""
+    n = draw(st.integers(1, max_objects))
+    boxes = []
+    for _ in range(n):
+        if boxes and draw(st.integers(0, 3)) == 0:
+            boxes.append(draw(st.sampled_from(boxes)))
+        else:
+            boxes.append(draw(_GRID_BOX))
+    objects = [{"label": draw(st.sampled_from(LABELS)), "box": list(box),
+                "score": draw(st.sampled_from([0.1, 0.4, 1.0]))} for box in boxes]
+    levels = draw(st.sampled_from([2, 64, 65536]))
+    rows = [[draw(st.integers(0, levels - 1)) for _ in range(8)] for _ in range(8)]
+    return objects, rows
+
+
+@given(labeled_scenes(), st.sampled_from([2.0, 3.0, 1.2, 0.7]))
+@settings(max_examples=150, deadline=None)
+def test_scenes_with_repeated_labels_and_pgm_depth_match_oracle(tmp_path_factory, drawn, tau):
+    objects, rows = drawn
+    folder = tmp_path_factory.mktemp("pgm")
+    write_depth_pgm(folder / "d.pgm", DepthMap(rows))
+    scene = scene_from_dict({"image_id": "img", "width": 8, "height": 8, "objects": objects,
+                             "depth": "d.pgm"}, base_dir=folder)
+    cfg = ExtractionConfig(tau=tau)
+    got = extract_scene(scene, cfg)
+    want = ref.naive_extract(
+        {"width": 8, "height": 8, "depth": rows,
+         "objects": [(tuple(o["box"]), o["score"]) for o in objects]}, tau=tau)
+    assert len(got) == len(want) and as_triples(got) == want
+    assert got == sorted(got, key=RelationInstance.sort_key)
+
+
+class TestOneTablePerScene:
+    # the middle box sits 10 px low: aligned with its flanks at tau 3, not at tau 10
+    BOXES = [(0, 0, 20, 40), (30, 10, 50, 50), (60, 0, 80, 40), (30, 60, 50, 100)]
+    SCENE = scene_of(BOXES, width=100, height=100)
+    CONFIGS = (ExtractionConfig(), ExtractionConfig(tau=10.0))
+
+    def test_alone_in_either_order_and_across_configs(self):
+        for cfg in self.CONFIGS:
+            alone = [extract_pairwise(self.SCENE, cfg), extract_between(self.SCENE, cfg)]
+            # each call that follows another reads that call's table
+            assert extract_between(self.SCENE, cfg) == alone[1]
+            assert extract_pairwise(self.SCENE, cfg) == alone[0]
+            assert extract_scene(self.SCENE, cfg) == sorted(
+                alone[0] + alone[1], key=RelationInstance.sort_key)
+        results = {cfg: (extract_pairwise(self.SCENE, cfg), extract_between(self.SCENE, cfg))
+                   for cfg in self.CONFIGS}
+        strict = results[self.CONFIGS[1]]
+        assert results[self.CONFIGS[0]][1] == [RelationInstance(RelationKind.BETWEEN, 1, (0, 2))]
+        assert strict[1] == [] and strict[0] != results[self.CONFIGS[0]][0]
+        # two configs in turn on one scene: no call reads the other config's table
+        for cfg in self.CONFIGS * 2:
+            assert extract_between(self.SCENE, cfg) == results[cfg][1]
+            assert extract_pairwise(self.SCENE, cfg) == results[cfg][0]
+
+    def test_an_equal_scene_gets_its_own_table(self):
+        cfg = self.CONFIGS[0]
+        first = extract_scene(self.SCENE, cfg)
+        other = scene_of([(0, 0, 20, 40), (30, 0, 50, 40)], width=100, height=100)
+        assert extract_scene(other, cfg) == extract_pairwise(other, cfg) != first
+        assert extract_scene(scene_of(self.BOXES, width=100, height=100), cfg) == first
+
+    def test_kernel_runs_once_per_ordered_eligible_pair(self, monkeypatch):
+        calls = []
+
+        def counted(p, q, tau):
+            calls.append((p, q))
+            return _verdicts(p, q, tau)
+
+        monkeypatch.setattr(extraction, "_verdicts", counted)
+        # 12 detections, 2 below the score floor; all pairs pass the proximity gate
+        boxes = [(10 * i, 10 * (i % 3), 10 * i + 8, 10 * (i % 3) + 8) for i in range(12)]
+        scores = [1.0] * 10 + [0.1] * 2
+        scene = scene_of(boxes, width=120, height=40, scores=scores)
+        cfg = ExtractionConfig(min_rel_area=0.001, max_center_dist=1.0)
+        relations = extract_scene(scene, cfg)
+        assert {r.kind for r in relations} >= {RelationKind.RIGHT, RelationKind.BETWEEN}
+        assert len(calls) == len(set(calls)) == 10 * 9
+        extract_between(scene, cfg)
+        extract_pairwise(scene, cfg)
+        assert len(calls) == 90

@@ -16,10 +16,13 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spatialbench import sceneio
 from spatialbench.cli import main
+from spatialbench.errors import FormatError
 
 PROMPTS = ["A bus to the right of a car in a city", "A lamp below a bench in a park",
            "A tree in front of a kiosk in a street"]
@@ -358,3 +361,98 @@ def test_fuzz_cases_are_valid_before_the_fault():
                  ["gen-prompts", "--simple", "right=1", "--objects", "objects.txt",
                   "--contexts", "contexts.txt"]):
         assert _run(Case(files, argv, ())) == (0, ""), argv
+
+
+# ---------------------------------------------------------------------------
+# PGM depth files: checked at load, raster read on first use
+
+def _pgm_files() -> list[bytes]:
+    """Each malformed PGM case, every cut of two valid files, and headers that
+    end around the last byte the reader takes at load."""
+    wide = b"P5\n3 2\n65535\n" + bytes(range(12))
+    files = [*PGM_FAULTS, *(PGM[:n] for n in range(len(PGM) + 1)),
+             *(wide[:n] for n in range(len(wide) + 1))]
+    tail = b"\n8 6\n255\n"
+    for end in range(sceneio._PGM_HEAD - 8, sceneio._PGM_HEAD + 8):
+        # a comment pads the header so that the raster starts at byte end
+        padded = b"P5\n#" + b"x" * (end - 4 - len(tail)) + tail + PGM[11:]
+        files += [padded, padded[:end - 1], padded[:end], padded[:end + 5]]
+    # a file that does not start with the magic number is read as JSON
+    return [data for data in files if data[:2] == b"P5"]
+
+
+def _whole_read_pgm(data: bytes) -> list[list[int]]:
+    """A binary PGM file's rows, from all its bytes at once: the reader's oracle.
+
+    A bad file raises ValueError with the message the package's reader gives.
+    Header tokens are separated by space, tab, CR or LF, and a '#' comments
+    out the rest of its line; one whitespace byte ends the header.
+    """
+    tokens, pos = [], 0
+    while len(tokens) < 4 and pos < len(data):
+        if data[pos] in b" \t\r\n":
+            pos += 1
+        elif data[pos] == ord("#"):
+            while pos < len(data) and data[pos] != ord("\n"):
+                pos += 1
+            pos += 1
+        else:
+            start = pos
+            while pos < len(data) and data[pos] not in b" \t\r\n#":
+                pos += 1
+            tokens.append(data[start:pos])
+    if len(tokens) < 4 or tokens[0] != b"P5":
+        raise ValueError("not a binary PGM (P5) file")
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValueError("PGM header fields must be integers") from None
+    if width <= 0 or height <= 0 or not 0 < maxval < 65536:
+        raise ValueError(f"bad PGM header: {width}x{height}, maxval {maxval}")
+    size = 2 if maxval > 255 else 1
+    raster, need = data[pos + 1:], width * height * size
+    if len(raster) < need:
+        raise ValueError(f"PGM raster truncated: need {need} bytes, have {len(raster)}")
+    values = [int.from_bytes(raster[i:i + size], "big") for i in range(0, need, size)]
+    return [values[r * width:(r + 1) * width] for r in range(height)]
+
+
+def test_pgm_is_checked_at_load_as_a_whole_read_checks_it(tmp_path):
+    path = tmp_path / "d.pgm"
+    for data in _pgm_files():
+        path.write_bytes(data)
+        try:
+            want = "read", _whole_read_pgm(data)
+        except ValueError as exc:
+            want = "refused at load", str(exc)
+        try:
+            depth = sceneio.read_depth(path)
+        except FormatError as exc:
+            got = "refused at load", str(exc)
+        else:
+            got = "read", depth.values
+        assert got == want, data[:24]
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+def test_pgm_shortened_after_load_is_one_error_line(tmp_path, monkeypatch, capsys, command):
+    # the file is cut between its load and the first box mean, as by another writer
+    load = sceneio.read_depth
+
+    def read_then_cut(path):
+        depth = load(path)
+        Path(path).write_bytes(PGM[:20])
+        return depth
+
+    monkeypatch.setattr(sceneio, "read_depth", read_then_cut)
+    (tmp_path / "d.pgm").write_bytes(PGM)
+    scene = {"image_id": "s", "width": 8, "height": 6, "depth": "d.pgm", "objects": [
+        {"label": "bus", "box": [1, 1, 5, 5]}, {"label": "car", "box": [0, 1, 4, 5]}]}
+    if command == "evaluate":
+        scene = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(scene) + "\n")
+    assert main([command, str(src)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {src}: depth file {tmp_path / 'd.pgm'}: PGM raster truncated: "
+        f"need 48 bytes, have 9"]

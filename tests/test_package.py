@@ -217,10 +217,12 @@ def _run_python(code: str, tmp_path) -> subprocess.CompletedProcess:
     return result
 
 
-# Runs the CLI as `python -m spatialbench.cli` does, then reports the exit
-# code and whether numpy was imported.
+# Runs the CLI as `python -m spatialbench.cli` does, then names the package
+# modules that ran (a registered lazy module that never ran is still of a
+# ModuleType subclass), and reports the exit code and whether numpy was
+# imported.
 _RUN_CLI = """
-import runpy, sys
+import runpy, sys, types
 sys.argv = ["spatialbench"] + {argv!r}
 try:
     runpy.run_module("spatialbench.cli", run_name="__main__", alter_sys=True)
@@ -228,6 +230,9 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = 0
+print("RAN", *sorted(name.partition(".")[2] for name, module in sys.modules.items()
+                     if name.startswith("spatialbench.") and type(module) is types.ModuleType),
+      file=sys.stderr)
 print("RESULT", code, "numpy" in sys.modules, file=sys.stderr)
 """
 
@@ -297,6 +302,26 @@ def test_prompt_commands_start_without_numpy(tmp_path, argv):
     result = _run_python(_RUN_CLI.format(argv=argv), tmp_path)
     assert result.stderr.splitlines()[-1] == "RESULT 0 False"
     assert result.stdout
+
+
+_SCORING = {"evaluation", "extraction", "geometry", "sceneio", "stub"}
+
+
+@pytest.mark.parametrize("argv, never", [
+    (["--help"], {"prompts", "lexicon", "tore"} | _SCORING),
+    (["extract", "scenes_pgm.jsonl"], {"tore", "evaluation", "stub"}),
+    (["extract", "scenes.jsonl", "--tau", "2"], {"tore", "evaluation", "stub"}),
+    (["gen-prompts", "--simple", "right=3", "--complex", "top=2", "--invert"], _SCORING),
+    (["tore", "--profile", "profile.json", "prompts.txt"], _SCORING),
+    (["tore", "--profile", "sdxl", "prompts.txt"], _SCORING),
+], ids=["help", "extract-pgm", "extract-inline", "gen-prompts", "tore-file", "tore-sdxl"])
+def test_commands_run_only_the_modules_they_read(tmp_path, argv, never):
+    _write_inputs(tmp_path)
+    result = _run_python(_RUN_CLI.format(argv=argv), tmp_path)
+    *_, ran, outcome = result.stderr.splitlines()
+    assert outcome.startswith("RESULT 0 ") and result.stdout
+    ran = set(ran.split()[1:])
+    assert "errors" in ran and not never & ran, ran
 
 
 def test_depth_files_and_inline_depth_score_alike(tmp_path):

@@ -23,7 +23,7 @@ from spatialbench.captions import (
 from spatialbench.errors import DimensionMismatch, FormatError
 from spatialbench.evaluation import EvalRecord
 from spatialbench.extraction import DetectedObject, RelationInstance, Scene
-from spatialbench.geometry import BoundingBox, DepthMap
+from spatialbench.geometry import BoundingBox, DepthMap, average_depth
 from spatialbench.lexicon import default_contexts, default_objects
 from spatialbench.prompts import PromptSpec, RelationQuadruple, _normalized_context, parse_prompt
 from spatialbench.relations import RelationKind
@@ -183,6 +183,65 @@ class TestDepthFiles:
         p.write_bytes(b"\x89PNG not really")
         with pytest.raises(FormatError, match="invalid UTF-8 byte 0x89 at byte offset 0"):
             read_depth(p)
+
+
+class TestPgmReadOnFirstUse:
+    ROWS = [[(x * y) % 7 for x in range(4)] for y in range(3)]
+
+    def _load(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        write_depth_pgm(path, DepthMap(self.ROWS))
+        return path, read_depth(path)
+
+    def test_raster_is_read_on_first_use(self, tmp_path):
+        path, depth = self._load(tmp_path)
+        assert (depth.width, depth.height, repr(depth)) == (4, 3, "DepthMap(4x3)")
+        # the raster changes after load and before first use: the new one is read
+        data = path.read_bytes()
+        path.write_bytes(data[:-24] + b"".join(v.to_bytes(2, "big") for v in range(100, 112)))
+        assert depth.values == [[x + 4 * y for x in range(100, 104)] for y in range(3)]
+        # once read, the map no longer reads its file
+        path.write_bytes(b"")
+        assert depth.flat.tolist() == list(range(100, 112))
+
+    @pytest.mark.parametrize("use", [
+        lambda d, rows: d.values,
+        lambda d, rows: d.flat,
+        lambda d, rows: hash(d),
+        lambda d, rows: d == DepthMap(rows),
+        lambda d, rows: DepthMap(rows) == d,
+        lambda d, rows: average_depth(d, BoundingBox(0, 0, 2, 2)),
+    ], ids=["values", "flat", "hash", "eq", "eq-reflected", "average_depth"])
+    def test_every_use_reads_the_raster(self, tmp_path, use):
+        path, depth = self._load(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError) as info:
+            use(depth, self.ROWS)
+        assert str(info.value) == (f"depth file {path}: PGM raster truncated: "
+                                   f"need 24 bytes, have 23")
+        # the same file read whole again is refused at load
+        with pytest.raises(FormatError, match="truncated"):
+            read_depth(path)
+
+    def test_read_maps_compare_and_hash_by_value(self, tmp_path):
+        _, depth = self._load(tmp_path)
+        assert depth == DepthMap(self.ROWS) and hash(depth) == hash(DepthMap(self.ROWS))
+        assert depth.flat.format == "H"
+
+    def test_removed_file_names_it(self, tmp_path):
+        path, depth = self._load(tmp_path)
+        path.unlink()
+        with pytest.raises(FormatError, match=f"cannot read depth file: .*{path.name}"):
+            depth.values
+
+    def test_scene_holds_a_map_read_on_first_use(self, tmp_path):
+        path, _ = self._load(tmp_path)
+        record = minimal_record(width=4, height=3, depth="d.pgm",
+                                objects=[{"label": "bench", "box": [0, 0, 2, 2]}])
+        scene = scene_from_dict(record, base_dir=tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError, match=f"depth file {path}: PGM raster truncated"):
+            scene_to_dict(scene)
 
 
 def minimal_record(**extra):
