@@ -5,25 +5,28 @@ Run from the repository root:
 
     python3 scripts/ab_bench.py HEAD --workload eval_loop --seed 7 --seconds 8 --pairs 10
 
-The revision is unpacked with ``git archive REV | tar -x`` into a temporary
-directory under the ignored ``.bench_work/``, so both sides write their
-outputs to the same file system; no tracked file is touched and no worktree
-is added. Each pair runs ``bench/run.py --trace 0`` once on the revision and
-once on the working tree, each from its own root; which side runs first
-alternates by pair. Per metric the table gives the median and quartiles of each side, the median
-over pairs of the working tree's value divided by the revision's, and how
-many pairs the working tree won, where "won" follows the metric's ``better``
-direction in BENCHMARK.json. The two runs of a pair share the machine's
-state at that time, so the per-pair ratio cancels most of the drift that
-moves whole runs. The last line says whether the two sides' chain outputs
-had the same SHA-256 digests, and the exit code is 1 when they differ, 0
-when they are identical.
+Both sides run from fresh copies, side by side in one temporary directory
+under the ignored ``.bench_work/``: the revision unpacked with ``git archive
+REV | tar -x`` into ``old/``, and the working tree's files (tracked and
+untracked, not ignored, as ``git ls-files -co --exclude-standard`` lists
+them) copied into ``new/``. So neither side reads a bytecode cache the other
+lacks, both run from the same path depth, and no tracked file is touched and
+no worktree is added. Each pair runs ``bench/run.py --trace 0`` once on each
+copy; which side runs first alternates by pair. Per metric the table gives
+the median and quartiles of each side, the median over pairs of the working
+tree's value divided by the revision's, and how many pairs the working tree
+won, where "won" follows the metric's ``better`` direction in BENCHMARK.json.
+The two runs of a pair share the machine's state at that time, so the
+per-pair ratio cancels most of the drift that moves whole runs. The last
+line says whether the two sides' chain outputs had the same SHA-256
+digests, and the exit code is 1 when they differ, 0 when they are identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,17 @@ def bench_run(root: Path, args) -> tuple[dict[str, float], dict[str, str]]:
         sys.exit(f"bench run in {root} reported failed commands:\n{done.stdout}")
     record = json.loads((root / ".bench_work" / args.workload / "result.json").read_text())
     return {name: entry["value"] for name, entry in result["metrics"].items()}, record["digests"]
+
+
+def copy_tree_files(tree: Path, dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into dest."""
+    listed = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=tree,
+                            capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = tree / name
+        if source.is_file():  # a tracked file deleted on disk is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def summary(values: list[float]) -> str:
@@ -73,13 +87,16 @@ def main(argv: list[str] | None = None) -> int:
     higher_wins = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     (tree / ".bench_work").mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="ab_bench_", dir=tree / ".bench_work") as tmp:
-        base = Path(tmp)
+        old_root, new_root = Path(tmp) / "old", Path(tmp) / "new"
+        old_root.mkdir()
+        new_root.mkdir()
         archive = subprocess.run(["git", "archive", args.rev], cwd=tree,
                                  capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(old_root)], input=archive, check=True)
+        copy_tree_files(tree, new_root)
         runs: dict[str, list[dict[str, float]]] = {"rev": [], "tree": []}
         digests: dict[str, dict[str, str]] = {}
-        sides = (("rev", base), ("tree", tree))
+        sides = (("rev", old_root), ("tree", new_root))
         for i in range(args.pairs):
             for side, root in sides if i % 2 == 0 else sides[::-1]:
                 metrics, digests[side] = bench_run(root, args)

@@ -20,6 +20,12 @@ lexicon, and the context is whatever follows the last "in a|an" marker. Both
 rules keep arbitrary multiword noun phrases parseable without a noun
 inventory.
 
+parse_prompt makes one pass over one token tuple: it finds the marker,
+splits the tokens before it at commas by index, and scans each clause once
+for its relation phrase. A scan of the whole prompt runs only when the parse
+fails, and only picks the message: with no relation phrase anywhere, that is
+the error, before any other fault.
+
 The public constructors validate and normalize every field. parse_prompt
 and the rewriter (tore.transform_spec) build through _trusted_quadruple and
 _trusted_spec instead, and relations.invert copies its input; none of them
@@ -28,7 +34,8 @@ parser, its own checks imply each __post_init__ check:
 
   - normalized phrases: the prompt is lower-cased and whitespace-split once,
     and every phrase and the context are single-space joins of its tokens
-  - no comma in a noun phrase: clauses are split at every comma token
+  - no comma in a noun phrase: clause ranges end at every comma token, and
+    each noun phrase lies inside one clause range
   - non-empty noun phrases: an article must be followed by a token, and
     "two PLURAL" needs a plural that singularizes to a non-empty phrase
   - one object, or two for between: the relation phrase decides the slots
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InsufficientPool, ParseError
 from .lexicon import default_contexts, default_phrase_lexicon, pluralize, singularize
@@ -204,122 +211,49 @@ def render_prompt(spec: PromptSpec) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _scan_relation(
-    tokens: tuple[str, ...],
-    index: Mapping[tuple[str, ...], RelationKind],
-    longest: int,
-    start: int,
-) -> tuple[int, int, RelationKind] | None:
-    """Leftmost-longest relation phrase at position >= start."""
+_Index = Mapping[tuple[str, ...], RelationKind]
+
+
+def _scan(tokens: tuple[str, ...], lo: int, hi: int, index: _Index,
+          longest: int) -> tuple[int, int, RelationKind] | None:
+    """Leftmost-longest relation phrase in tokens[lo:hi], as (start, stop, kind)."""
     get = index.get
-    end = len(tokens)
-    for p in range(start, end):
-        for stop in range(min(p + longest, end), p, -1):
+    for p in range(lo, hi):
+        for stop in range(min(p + longest, hi), p, -1):
             kind = get(tokens[p:stop])
             if kind is not None:
-                return p, stop - p, kind
+                return p, stop, kind
     return None
 
 
-def _find_context_marker(tokens: tuple[str, ...]) -> int | None:
-    for i in range(len(tokens) - 3, -1, -1):
-        if tokens[i] == "in" and tokens[i + 1] in ("a", "an"):
-            return i
-    return None
+def _slot(tokens: tuple[str, ...], lo: int, hi: int) -> tuple[str, bool, int]:
+    """The noun phrase tokens[lo:hi] as (phrase, definite, position)."""
+    if hi - lo < 2 or tokens[lo] not in _ARTICLES:
+        raise ParseError("expected an article ('a', 'an' or 'the') starting a noun phrase",
+                         position=lo)
+    return " ".join(tokens[lo + 1 : hi]), tokens[lo] == "the", lo
 
 
-class _Slot(NamedTuple):
-    phrase: str
-    definite: bool
-    position: int
-
-
-def _parse_noun_phrase(tokens: tuple[str, ...], offset: int) -> _Slot:
-    if len(tokens) < 2 or tokens[0] not in _ARTICLES:
-        raise ParseError(
-            "expected an article ('a', 'an' or 'the') starting a noun phrase",
-            position=offset,
-        )
-    return _Slot(" ".join(tokens[1:]), tokens[0] == "the", offset)
-
-
-def _parse_between_objects(tokens: tuple[str, ...], offset: int) -> list[_Slot]:
-    if not tokens:
-        raise ParseError("missing objects after 'between'", position=offset)
-    head = 2 if tokens[:2] == ("the", "two") else 1 if tokens[0] == "two" else 0
+def _between_slots(tokens: tuple[str, ...], lo: int, hi: int) -> list[tuple[str, bool, int]]:
+    """The flankers in tokens[lo:hi]: "ART X and ART Y", or "[the] two PLURAL"."""
+    if lo == hi:
+        raise ParseError("missing objects after 'between'", position=lo)
+    # tokens[hi] is "," or the marker's "in", so the pair test stays inside the range
+    head = 2 if tokens[lo : lo + 2] == ("the", "two") else 1 if tokens[lo] == "two" else 0
     if head:
-        plural = " ".join(tokens[head:])
+        plural = " ".join(tokens[lo + head : hi])
         if not plural:
-            raise ParseError("missing plural object after 'two'", position=offset + head)
+            raise ParseError("missing plural object after 'two'", position=lo + head)
         phrase = singularize(plural)
         if phrase is None:
-            raise ParseError(
-                f"cannot read {plural!r} as a plural noun", position=offset + head
-            )
-        slot = _Slot(phrase, head == 2, offset)
-        return [slot, slot]
-    for i, tok in enumerate(tokens):
-        if tok != "and":
-            continue
-        try:
-            first = _parse_noun_phrase(tokens[:i], offset)
-            second = _parse_noun_phrase(tokens[i + 1 :], offset + i + 1)
-        except ParseError:
-            continue
-        return [first, second]
-    raise ParseError("expected 'X and Y' after 'between'", position=offset)
-
-
-def _parse_clause(
-    tokens: tuple[str, ...],
-    offset: int,
-    index: Mapping[tuple[str, ...], RelationKind],
-    longest: int,
-    found: tuple[int, int, RelationKind] | None = None,
-) -> tuple[RelationKind, list[_Slot]]:
-    """Parse one clause; found, when given, is its relation phrase as a scan would find it."""
-    if found is None:
-        # subject needs an article plus at least one token, so the relation
-        # phrase cannot start before position 2
-        found = _scan_relation(tokens, index, longest, start=2)
-    if found is None:
-        raise ParseError("no relation phrase in clause", position=offset)
-    p, n, kind = found
-    slots = [_parse_noun_phrase(tokens[:p], offset)]
-    tail = tokens[p + n :]
-    if kind is RelationKind.BETWEEN:
-        slots.extend(_parse_between_objects(tail, offset + p + n))
-    else:
-        slots.append(_parse_noun_phrase(tail, offset + p + n))
-    return kind, slots
-
-
-def _split_clauses(tokens: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
-    segments: list[tuple[int, tuple[str, ...]]] = []
-    start = 0
-    for i, tok in enumerate(tokens):
-        if tok == ",":
-            segments.append((start, tokens[start:i]))
-            start = i + 1
-    segments.append((start, tokens[start:]))
-    if len(segments) > 2:
-        raise ParseError("more than two clauses", position=segments[2][0] - 1)
-    for offset, segment in segments:
-        if not segment:
-            raise ParseError("empty clause", position=offset)
-    return segments
-
-
-def _check_context(tokens: tuple[str, ...], start: int) -> None:
-    """The context check of the constructors, as a ParseError at the offending token."""
-    context = tokens[start:]
-    if "," in context:
-        raise ParseError(f"context {' '.join(context)!r} contains a comma",
-                         position=start + context.index(","))
-    # an "in a|an" with a token after it would have been the marker
-    if context[-2:] in (("in", "a"), ("in", "an")):
-        raise ParseError(f"context {' '.join(context)!r} contains an 'in a' marker",
-                         position=len(tokens) - 2)
+            raise ParseError(f"cannot read {plural!r} as a plural noun", position=lo + head)
+        return [(phrase, head == 2, lo)] * 2
+    # the first "and" with a noun phrase on each side
+    if tokens[lo] in _ARTICLES:
+        for i in range(lo + 2, hi - 2):
+            if tokens[i] == "and" and tokens[i + 1] in _ARTICLES:
+                return [_slot(tokens, lo, i), _slot(tokens, i + 1, hi)]
+    raise ParseError("expected 'X and Y' after 'between'", position=lo)
 
 
 def parse_prompt(text: str) -> PromptSpec:
@@ -329,51 +263,66 @@ def parse_prompt(text: str) -> PromptSpec:
         raise ParseError("empty prompt")
     index = lex.token_index()
     longest = lex.max_phrase_tokens()
-    first = _scan_relation(tokens, index, longest, start=0)
-    if first is None:
-        raise ParseError("no relation phrase found")
-    marker = _find_context_marker(tokens)
-    if marker is None:
-        raise ParseError(
-            "no trailing context ('in a ...') found", position=len(tokens) - 1
-        )
+    try:
+        return _parse(tokens, index, longest)
+    except ParseError:
+        # a prompt with no relation phrase anywhere says so before any other fault
+        if _scan(tokens, 0, len(tokens), index, longest) is None:
+            raise ParseError("no relation phrase found") from None
+        raise
 
-    segments = _split_clauses(tokens[:marker])
-    # No phrase starts before the first hit, so a hit at position 2 or later
-    # that ends inside the first clause is also that clause's own scan result.
-    p, n, _ = first
-    reuse = first if p >= 2 and p + n <= len(segments[0][1]) else None
-    parsed = [
-        _parse_clause(segment, offset, index, longest, reuse if offset == 0 else None)
-        for offset, segment in segments
-    ]
 
-    first_slots = parsed[0][1]
-    for slot in first_slots:
-        if slot.definite:
-            raise ParseError(
-                f"'the {slot.phrase}' has no antecedent in the first clause",
-                position=slot.position,
-            )
-    if len(parsed) == 2:
-        antecedents = {slot.phrase for slot in first_slots}
-        second_slots = parsed[1][1]
-        for slot in second_slots:
-            if slot.definite and slot.phrase not in antecedents:
-                raise ParseError(
-                    f"'the {slot.phrase}' does not refer to the first clause",
-                    position=slot.position,
-                )
-        if not antecedents & {slot.phrase for slot in second_slots}:
-            raise ParseError("clauses share no noun phrase", position=parsed[1][1][0].position)
-    _check_context(tokens, marker + 2)
+def _parse(tokens: tuple[str, ...], index: _Index, longest: int) -> PromptSpec:
+    end = len(tokens)
+    # the context follows the last "in a|an" that has a token after it
+    marker = end - 3
+    while marker >= 0 and not (tokens[marker] == "in" and tokens[marker + 1] in ("a", "an")):
+        marker -= 1
+    if marker < 0:
+        raise ParseError("no trailing context ('in a ...') found", position=end - 1)
+    commas = [i for i in range(marker) if tokens[i] == ","]
+    if len(commas) > 1:
+        raise ParseError("more than two clauses", position=commas[1])
+    bounds = [(0, commas[0]), (commas[0] + 1, marker)] if commas else [(0, marker)]
+    for lo, hi in bounds:
+        if lo == hi:
+            raise ParseError("empty clause", position=lo)
+
+    parsed = []
+    for lo, hi in bounds:
+        # the subject takes an article and a token, so the phrase starts at lo + 2 or later
+        found = _scan(tokens, lo + 2, hi, index, longest)
+        if found is None:
+            raise ParseError("no relation phrase in clause", position=lo)
+        p, stop, kind = found
+        subject = _slot(tokens, lo, p)
+        objects = (_between_slots(tokens, stop, hi) if kind is RelationKind.BETWEEN
+                   else [_slot(tokens, stop, hi)])
+        parsed.append((kind, [subject, *objects]))
+
+    # "the X" refers back to the first clause; the first clause has nothing to refer to
+    antecedents: set[str] = set()
+    for second, (_, slots) in enumerate(parsed):
+        for phrase, definite, position in slots:
+            if definite and phrase not in antecedents:
+                fault = "does not refer to" if second else "has no antecedent in"
+                raise ParseError(f"'the {phrase}' {fault} the first clause", position=position)
+        if second and antecedents.isdisjoint(slot[0] for slot in slots):
+            raise ParseError("clauses share no noun phrase", position=slots[0][2])
+        antecedents = {slot[0] for slot in slots}
+
+    # the constructors' context check, as a ParseError at the offending token
+    context = " ".join(tokens[marker + 2 :])
+    if "," in tokens[marker + 2 :]:
+        raise ParseError(f"context {context!r} contains a comma",
+                         position=tokens.index(",", marker + 2))
+    # an "in a|an" with a token after it would have been the marker
+    if tokens[-2:] in (("in", "a"), ("in", "an")):
+        raise ParseError(f"context {context!r} contains an 'in a' marker", position=end - 2)
 
     # every constructor check holds here (see the module docstring)
-    context = " ".join(tokens[marker + 2 :])
-    clauses = tuple(
-        _trusted_quadruple(slots[0].phrase, kind, tuple(s.phrase for s in slots[1:]))
-        for kind, slots in parsed
-    )
+    clauses = tuple(_trusted_quadruple(slots[0][0], kind, tuple(s[0] for s in slots[1:]))
+                    for kind, slots in parsed)
     return _trusted_spec(clauses, context)
 
 

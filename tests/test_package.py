@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.abc
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -97,12 +98,34 @@ def test_ab_bench_exit_code_follows_the_digests(tmp_path, monkeypatch, capsys,
         json.dumps({"end_to_end": [{"name": "evaluate_s", "better": "lower"}]}))
     monkeypatch.setattr(ab_bench.subprocess, "run",
                         lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, b""))
-    monkeypatch.setattr(ab_bench, "bench_run", lambda root, args: (
+    roots = []
+    monkeypatch.setattr(ab_bench, "bench_run", lambda root, args: roots.append(root) or (
         {"evaluate_s": 1.0},
-        {"records.jsonl": digest if root == tmp_path else "same", "report.json": "r"},
+        {"records.jsonl": digest if root.name == "new" else "same", "report.json": "r"},
     ))
     assert ab_bench.main(["HEAD", "--workload", "eval_loop", "--pairs", "2"]) == code
     assert capsys.readouterr().out.splitlines()[-1] == last_line
+    # both sides run from sibling copies under .bench_work/, never from the tree itself
+    assert {root.name for root in roots} == {"old", "new"}
+    assert {root.parent.parent for root in roots} == {tmp_path / ".bench_work"}
+
+
+def test_bench_trace_points_resolve():
+    # bench/tracing.py wraps these names; a refactor that drops one breaks the bench
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, *_ in (*tracing.SPANS, *tracing.COUNTERS):
+        module = importlib.import_module(f"spatialbench.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            target = vars(getattr(module, cls_name)).get(method)
+        else:
+            target = vars(module).get(attr)
+        assert inspect.isfunction(target), f"{module_name}.{attr}"
+    sceneio = importlib.import_module("spatialbench.sceneio")
+    prompts = importlib.import_module("spatialbench.prompts")
+    assert sceneio.parse_prompt is prompts.parse_prompt
 
 
 def test_exports_resolve_to_their_home_module():
