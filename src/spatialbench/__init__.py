@@ -63,8 +63,7 @@ _HOMES = {
         "render_prompt",
         "sample_prompt_set",
     ), "prompts"),
-    **dict.fromkeys(("ObjectLexicon", "filter_captions", "load_captions", "write_jsonl"),
-                    "captions"),
+    **dict.fromkeys(("ObjectLexicon", "filter_captions", "load_captions"), "captions"),
     **dict.fromkeys(("load_eval_records", "load_scenes", "read_depth", "write_depth_pgm"),
                     "sceneio"),
     **dict.fromkeys(("StubGeneratorConfig", "StubPlan", "stub_generate"), "stub"),
@@ -77,6 +76,7 @@ _HOMES = {
         "transform_prompt",
         "transform_spec",
     ), "tore"),
+    "write_jsonl": "textutil",
 }
 
 __all__ = list(_HOMES)

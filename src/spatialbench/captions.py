@@ -1,16 +1,16 @@
-"""Caption filtering, and the JSON Lines writer that sceneio shares.
+"""Caption filtering.
 
 Captions travel as JSONL, {"caption": ..., "image": ..., "source": ...} per
-line, with only caption required; textutil reads the lines and decodes them.
+line, with only caption required; textutil reads the lines and decodes them,
+and its write_jsonl writes them.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FormatError
 from .textutil import ascii_fold, json_value, jsonl_lines, normalize_phrase
@@ -21,7 +21,6 @@ __all__ = [
     "filter_captions",
     "load_captions",
     "caption_to_dict",
-    "write_jsonl",
 ]
 
 
@@ -109,23 +108,6 @@ def caption_to_dict(record: CaptionRecord) -> dict:
     if record.source:
         out["source"] = record.source
     return out
-
-
-# ---------------------------------------------------------------------------
-# JSONL writing
-
-def write_jsonl(dest: IO[str] | str | Path, objs: Iterable[Mapping | str]) -> None:
-    """Write canonical JSON Lines: sorted keys, one object per line.
-
-    A str item is a line already encoded that way, and is written as it is.
-    """
-    if hasattr(dest, "write"):
-        for obj in objs:
-            line = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
-            dest.write(line + "\n")
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_jsonl(fh, objs)
 
 
 def _req_str(obj: Mapping, key: str, line_no: int) -> str:

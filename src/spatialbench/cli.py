@@ -16,7 +16,8 @@ numbers, and an explicit --tau wins. evaluate and bias-report take
 the same inputs and seed make every subcommand byte-reproducible.
 
 Every input file is split into lines and decoded as JSON by textutil, so a
-fault in any of them is one error line naming the file and the line.
+fault in any of them is one error line naming the file and the line; every
+output, on stdout or in a file, is written by textutil as UTF-8.
 
 Only errors is imported normally. Every other package module is registered
 as a lazy module and runs when a command first reads one of its
@@ -71,25 +72,21 @@ _lazy_module("geometry")
 __all__ = ["main"]
 
 
-def _kind_count(text: str) -> tuple[relations.RelationKind, int]:
-    try:
-        name, _, value = text.partition("=")
-        return relations.RelationKind(name.strip().lower()), int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected KIND=N with KIND one of {[k.value for k in relations.RelationKind]}, "
-            f"got {text!r}"
-        ) from None
+def _kind_and(convert, form: str):
+    """An argparse type for KIND=value; form, with {kinds} for the kinds, names it in an error."""
+    def parse(text: str) -> tuple[relations.RelationKind, int | float]:
+        try:
+            name, _, value = text.partition("=")
+            return relations.RelationKind(name.strip().lower()), convert(value)
+        except ValueError:
+            kinds = [k.value for k in relations.RelationKind]
+            raise argparse.ArgumentTypeError(
+                f"expected {form.format(kinds=kinds)}, got {text!r}") from None
+    return parse
 
 
-def _kind_probability(text: str) -> tuple[relations.RelationKind, float]:
-    try:
-        name, _, value = text.partition("=")
-        return relations.RelationKind(name.strip().lower()), float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected KIND=P with P a probability, got {text!r}"
-        ) from None
+_kind_count = _kind_and(int, "KIND=N with KIND one of {kinds}")
+_kind_probability = _kind_and(float, "KIND=P with P a probability")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,11 +179,22 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 def _strictness(args) -> relations.Strictness:
-    if args.tau is None:
-        return relations.DEFAULT_STRICTNESS
-    if not (math.isfinite(args.tau) and args.tau > 0):
-        raise SpatialBenchError(f"--tau must be finite and positive, got {args.tau}")
-    return relations.Strictness(args.tau)
+    try:
+        return relations.DEFAULT_STRICTNESS if args.tau is None else relations.Strictness(args.tau)
+    except ValueError as exc:  # "tau must be ...": the flag's name without its dashes
+        raise SpatialBenchError(f"--{exc}") from None
+
+
+def _per_kind(flag: str, pairs, valid, rule: str) -> dict:
+    """A repeatable KIND=value flag's pairs as a dict, each value valid and each kind once."""
+    values: dict = {}
+    for kind, value in pairs:
+        if kind in values:
+            raise SpatialBenchError(f"{flag} {kind.value} given twice")
+        if not valid(value):
+            raise SpatialBenchError(f"{flag} {kind.value}={value}: {rule}")
+        values[kind] = value
+    return values
 
 
 def _extraction_config(args) -> extraction.ExtractionConfig:
@@ -204,30 +212,18 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
         if unknown:
             raise SpatialBenchError(f"config {config_path}: unknown keys: {', '.join(unknown)}")
         for key, value in raw.items():
-            # JSON true/false are Python bools, which are also ints
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not textutil.is_number(value):
                 raise FormatError(f"config {config_path}: expected a number, "
                                   f"got {textutil.json_echo(value)}", field=key)
             # every other setting is at its valid default, so a range error is this
             # key's; an int past the float range reads as inf, as in a scene
             try:
-                extraction.ExtractionConfig(**{key: sceneio._float(value)})
+                extraction.ExtractionConfig(**{key: textutil.as_float(value)})
             except ValueError as exc:
                 raise FormatError(f"config {config_path}: {exc}", field=key) from None
     if args.tau is not None:
         raw["tau"] = _strictness(args).tau
     return extraction.ExtractionConfig(**raw)
-
-
-def _write_output(args, text: str) -> None:
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        args.output.write_text(text, encoding="utf-8")
-
-
-def _write_records(args, dicts) -> None:
-    captions.write_jsonl(sys.stdout if args.output is None else args.output, dicts)
 
 
 @contextmanager
@@ -283,11 +279,6 @@ def _check_grammar(flag: str, path: Path | None, check) -> None:
                 raise FormatError(str(exc), line=line_no) from None
 
 
-def _resolve_profile(name: str):
-    path = Path(name)
-    return tore.load_bias_profile(path) if path.exists() else tore.builtin_profile(name)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -298,19 +289,16 @@ def _cmd_extract(args) -> int:
     with _naming(str(args.scenes)):
         dicts = [sceneio.relations_to_dict(scene, extraction.extract_scene(scene, cfg))
                  for scene in sceneio.load_scenes(args.scenes)]
-    _write_records(args, dicts)
+    textutil.write_jsonl(args.output, dicts)
     return 0
 
 
 def _cmd_gen_prompts(args) -> int:
-    simple = dict(args.simple)
-    complex_counts = dict(getattr(args, "complex"))
+    simple, complex_counts = (
+        _per_kind(flag, pairs, lambda n: n >= 0, "count must not be negative")
+        for flag, pairs in (("--simple", args.simple), ("--complex", getattr(args, "complex"))))
     if not simple and not complex_counts:
         raise SpatialBenchError("nothing to generate: pass --simple and/or --complex")
-    for flag, counts in (("--simple", simple), ("--complex", complex_counts)):
-        for kind, n in counts.items():
-            if n < 0:
-                raise SpatialBenchError(f"{flag} {kind.value}={n}: count must not be negative")
     objects, contexts = _load_lexicon(args)
     # the prompt grammar's rules (no comma; no "in a" in a context), which captions need not follow
     _check_grammar("--objects", args.objects, _check_object_phrase)
@@ -335,7 +323,8 @@ def _cmd_gen_prompts(args) -> int:
             for spec in specs
             if all(c.kind.has_opposite for c in spec.clauses)
         ]
-    _write_output(args, "".join(prompts.render_prompt(spec) + "\n" for spec in specs))
+    text = "".join(prompts.render_prompt(spec) + "\n" for spec in specs)
+    textutil.write_utf8(args.output, text)
     return 0
 
 
@@ -363,15 +352,16 @@ def _candidate_pool(
 
 
 def _cmd_tore(args) -> int:
-    profile = _resolve_profile(args.profile)
+    path = Path(args.profile)
+    profile = tore.load_bias_profile(path) if path.exists() else tore.builtin_profile(args.profile)
     pairs = tore.PAIR_IDS if args.pairs is None else (p.strip() for p in args.pairs.split(","))
     try:
         cfg = tore.ToreConfig(profile, frozenset(p for p in pairs if p))
     except ValueError as exc:
         raise SpatialBenchError(f"--pairs {args.pairs!r}: {exc}") from None
     lines = _read_lines(args.prompts)
-    out = [tore.transform_prompt(line, cfg) for line in lines]
-    _write_output(args, "".join(line + "\n" for line in out))
+    textutil.write_utf8(args.output, "".join(tore.transform_prompt(line, cfg) + "\n"
+                                             for line in lines))
     return 0
 
 
@@ -384,22 +374,18 @@ def _evaluate(args) -> evaluation.BenchReport:
 
 def _cmd_evaluate(args) -> int:
     report = _evaluate(args)
-    _write_output(args, report.to_json() if args.format == "json" else report.to_text())
+    textutil.write_utf8(args.output,
+                        report.to_json() if args.format == "json" else report.to_text())
     return 0
 
 
 def _cmd_bias_report(args) -> int:
     report = _evaluate(args)
     profile = tore.compute_bias_profile(report) if args.emit_profile is not None else None
-    if args.format == "json":
-        import json  # loaded with textutil; --help never needs it
-
-        text = json.dumps(report.bias, sort_keys=True, indent=2) + "\n"
-    else:
-        text = report.bias_text()
-    _write_output(args, text)
+    textutil.write_utf8(args.output, textutil.json_document(report.bias)
+                        if args.format == "json" else report.bias_text())
     if profile is not None:
-        args.emit_profile.write_text(tore.profile_to_json(profile), encoding="utf-8")
+        textutil.write_utf8(args.emit_profile, tore.profile_to_json(profile))
     return 0
 
 
@@ -409,7 +395,7 @@ def _cmd_filter_captions(args) -> int:
     with _naming(str(args.captions)):
         records = captions.load_captions(args.captions)
     kept = captions.filter_captions(records, lex)
-    _write_records(args, (captions.caption_to_dict(r) for r in kept))
+    textutil.write_jsonl(args.output, (captions.caption_to_dict(r) for r in kept))
     return 0
 
 
@@ -423,15 +409,14 @@ def _cmd_stub_gen(args) -> int:
             raise SpatialBenchError(f"{flag} must be at least 1, got {size}")
         if size > stub.MAX_SIDE:
             raise SpatialBenchError(f"{flag} must be at most {stub.MAX_SIDE}, "
-                                    f"got {sceneio._float(size):g}")
+                                    f"got {textutil.as_float(size):g}")
     if args.width * args.height > stub.MAX_CELLS:
         raise SpatialBenchError(f"scene {args.width}x{args.height} (--width/--height) "
                                 f"has more than {stub.MAX_CELLS} cells")
-    for kind, prob in args.p:
-        if not 0.0 <= prob <= 1.0:
-            raise SpatialBenchError(f"--p {kind.value}={prob}: probability must be in [0, 1]")
+    probabilities = _per_kind("--p", args.p, lambda p: 0.0 <= p <= 1.0,
+                              "probability must be in [0, 1]")
     cfg = stub.StubGeneratorConfig(
-        probabilities=dict(args.p),
+        probabilities=probabilities,
         seed=args.seed,
         width=args.width,
         height=args.height,
@@ -448,9 +433,9 @@ def _cmd_stub_gen(args) -> int:
             except ParseError as exc:
                 raise FormatError(f"prompt does not parse: {exc}", line=line_no) from None
     records, plans = stub.stub_generate(specs, cfg)
-    _write_records(args, sceneio.eval_record_lines(records))
+    textutil.write_jsonl(args.output, sceneio.eval_record_lines(records))
     if args.plans is not None:
-        captions.write_jsonl(args.plans, (
+        textutil.write_jsonl(args.plans, (
             {"id": plan.record_id, "verdicts": list(plan.verdicts)} for plan in plans
         ))
     return 0

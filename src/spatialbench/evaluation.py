@@ -15,7 +15,6 @@ read off the clause and hit counts of that pass.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -25,6 +24,7 @@ from .extraction import Scene
 from .geometry import check_between, check_depth_relation, check_directional, check_next
 from .prompts import PromptSpec, RelationQuadruple
 from .relations import DEFAULT_STRICTNESS, OPPOSITE_PAIRS, RelationKind, Strictness, pair_id
+from .textutil import json_document
 
 __all__ = [
     "EvalRecord",
@@ -130,14 +130,13 @@ class BenchReport:
                 raise ValueError(f"accuracy {name}={value} outside [0, 1]")
 
     def to_json(self) -> str:
-        payload = {
+        return json_document({
             "soft_accuracy": self.soft,
             "strict_accuracy": self.strict,
             "sample_counts": self.counts,
             "bias": self.bias,
             "config": self.config,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
 
     def to_text(self) -> str:
         lines = [f"{'relation':<12}{'samples':>8}{'soft':>8}"]

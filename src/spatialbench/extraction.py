@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .geometry import _DIRECTIONS, BoundingBox, DepthMap, _verdicts, average_depth
-from .relations import KIND_ORDER, RelationKind
+from .relations import KIND_ORDER, RelationKind, Strictness
 from .textutil import normalize_phrase
 
 __all__ = [
@@ -135,8 +135,7 @@ class ExtractionConfig:
     min_score: float = 0.3
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        Strictness(self.tau)  # tau's rule and message are the strictness divisor's
         if not (0 < self.min_rel_area <= 1):
             raise ValueError(f"min_rel_area must be in (0, 1], got {self.min_rel_area}")
         if not (0 < self.max_center_dist <= 1):

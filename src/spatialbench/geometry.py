@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import EmptyRegion
-from .relations import DEFAULT_STRICTNESS, RelationKind, Strictness
+from .relations import _DIRECTIONAL_2D as _DIRECTIONS, DEFAULT_STRICTNESS, RelationKind, Strictness
 
 __all__ = [
     "BoundingBox",
@@ -86,9 +86,9 @@ def _trusted_box(x_min: float, y_min: float, x_max: float, y_max: float) -> Boun
 # predicate formulas
 #
 # A box enters as its four coordinates (x_min, y_min, x_max, y_max). _verdicts
-# is the one kernel; the public checks below and extraction read it.
+# is the one kernel; the public checks below and extraction read it. Its four
+# directional verdicts come in the order of relations' 2D kinds, _DIRECTIONS.
 
-_DIRECTIONS = (RelationKind.RIGHT, RelationKind.LEFT, RelationKind.TOP, RelationKind.BOTTOM)
 _DIRECTION_INDEX = {kind: index for index, kind in enumerate(_DIRECTIONS)}
 
 

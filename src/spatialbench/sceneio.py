@@ -33,15 +33,14 @@ Reading mirrors the encode splice: an inline plane is decoded once per run
 of lines that repeat its text, and those records share one read-only
 DepthMap; the reader keeps only the last plane. textutil splits the lines
 and decodes the JSON, so a scene or record file, a JSON depth file and every
-other input report a fault in their bytes alike; the JSONL writer lives in
-the captions module.
+other input report a fault in their bytes alike. textutil also encodes each
+line, and write_jsonl, re-exported here, is its writer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -51,12 +50,11 @@ from pathlib import Path
 from stat import S_ISREG
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .captions import write_jsonl
 from .errors import DimensionMismatch, FormatError, ParseError
 from .extraction import DetectedObject, RelationInstance, Scene
 from .geometry import DepthMap, _trusted_box
 from .prompts import parse_prompt, render_prompt
-from .textutil import json_value, jsonl_lines
+from .textutil import as_float, is_number, json_line, json_value, jsonl_lines, write_jsonl
 
 if TYPE_CHECKING:
     from .evaluation import EvalRecord
@@ -277,28 +275,15 @@ def scene_from_dict(
 
 def _positive_number(record: Mapping, name: str, err) -> float:
     value = record.get(name)
-    if not _is_number(value):
+    if not is_number(value):
         raise err(f"{name} must be a number", name)
-    value = _float(value)
+    value = as_float(value)
     if not (math.isfinite(value) and value > 0):
         raise err(f"{name} must be positive and finite", name)
     return value
 
 
 _PLAIN_NUMBERS = frozenset((int, float))
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
-def _float(value: int | float) -> float:
-    """value as a float; an int past the float range becomes the infinity of its sign."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
@@ -311,12 +296,12 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     # plain ints and floats pass on their type alone, and a box inside the
     # image needs no clipping: most boxes take neither slower path
     if (not isinstance(box, list) or len(box) != 4
-            or not (_PLAIN_NUMBERS.issuperset(map(type, box)) or all(map(_is_number, box)))):
+            or not (_PLAIN_NUMBERS.issuperset(map(type, box)) or all(map(is_number, box)))):
         raise err("box must be a list of four numbers")
     try:
         x_min, y_min, x_max, y_max = map(float, box)
     except OverflowError:
-        x_min, y_min, x_max, y_max = map(_float, box)
+        x_min, y_min, x_max, y_max = map(as_float, box)
     if not all(map(math.isfinite, (x_min, y_min, x_max, y_max))):
         raise err("box coordinates must be finite")
     if x_min >= x_max or y_min >= y_max:
@@ -328,17 +313,17 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
         if x_min >= x_max or y_min >= y_max:
             raise err(f"box {box} lies outside the image")
     score = raw.get("score", 1.0)
-    if not _is_number(score):
+    if not is_number(score):
         raise err("score must be a number")
     # the checks above are BoundingBox's, so the box is built without them
     try:
-        return DetectedObject(label, _trusted_box(x_min, y_min, x_max, y_max), _float(score))
+        return DetectedObject(label, _trusted_box(x_min, y_min, x_max, y_max), as_float(score))
     except ValueError as exc:
         raise err(str(exc)) from None
 
 
-def scene_to_dict(scene: Scene, *, depth_ref: str | None = None) -> dict:
-    """Serialize a Scene; depth goes inline unless depth_ref names a file."""
+def scene_to_dict(scene: Scene) -> dict:
+    """Serialize a Scene, its depth inline."""
     out: dict = {
         "image_id": scene.image_id,
         "width": _plain_number(scene.width),
@@ -352,9 +337,7 @@ def scene_to_dict(scene: Scene, *, depth_ref: str | None = None) -> dict:
             for obj in scene.objects
         ],
     }
-    if depth_ref is not None:
-        out["depth"] = depth_ref
-    elif scene.depth is not None:
+    if scene.depth is not None:
         out["depth"] = _depth_rows(scene.depth)
     if scene.context is not None:
         out["context"] = scene.context
@@ -388,7 +371,7 @@ def relations_to_dict(scene: Scene, relations: Sequence[RelationInstance]) -> di
 # ---------------------------------------------------------------------------
 # JSONL reading: a repeated inline plane is decoded once
 
-# json.dumps writes a scene's inline plane after this text, and the plane's
+# json_line writes a scene's inline plane after this text, and the plane's
 # last row closes at the first "]]" after it
 _INLINE_PLANE = '"depth": ['
 
@@ -520,7 +503,7 @@ _NULL_DEPTH = '"depth": null'
 
 
 def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
-    """Each record's JSONL line, json.dumps(eval_record_to_dict(record), sort_keys=True).
+    """Each record's JSONL line, json_line(eval_record_to_dict(record)).
 
     A depth map's rows are built and encoded once per call, and that text is
     spliced into every record whose scene holds the same map (stub scenes
@@ -532,7 +515,7 @@ def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
     for record in records:
         depth = record.scene.depth
         if depth is None:
-            yield json.dumps(eval_record_to_dict(record), sort_keys=True)
+            yield json_line(eval_record_to_dict(record))
             continue
         entry = rows_text.get(id(depth))
         if entry is not None:
@@ -541,9 +524,9 @@ def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
         obj = eval_record_to_dict(record)
         scene = obj["scene"]
         if entry is None:
-            entry = rows_text[id(depth)] = (depth, json.dumps(scene["depth"]))
+            entry = rows_text[id(depth)] = (depth, json_line(scene["depth"]))
         scene["depth"] = None
-        yield json.dumps(obj, sort_keys=True).replace(_NULL_DEPTH, '"depth": ' + entry[1], 1)
+        yield json_line(obj).replace(_NULL_DEPTH, '"depth": ' + entry[1], 1)
 
 
 def load_eval_records(path: str | Path) -> Iterator[EvalRecord]:

@@ -1,4 +1,4 @@
-"""Text helpers, and the one place an input file's bytes become lines and JSON values.
+"""Text helpers, and the one place bytes become values and values become bytes.
 
 Every reader of a file goes through read_lines or json_value, so lines are
 numbered one way and every decode fault reads one way:
@@ -14,15 +14,20 @@ Whether a value decodes does not depend on how deep the caller's stack is:
 nesting past MAX_NESTING is refused wherever it is decoded, and a value
 within it that the caller's stack has no room for is decoded, or echoed in
 an error message, on a fresh one.
+
+Every output is encoded here too: JSON with sorted keys, and text as UTF-8
+with "\n" line ends, whatever the locale or the stream's encoding.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 import unicodedata
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import IO, BinaryIO, Iterable, Iterator, Mapping
 
 from .errors import FormatError
 
@@ -149,7 +154,59 @@ def _stack_safe(convert, value):
     return out[0]
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def as_float(value: int | float) -> float:
+    """value as a float; an int past the float range becomes the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def json_echo(value: object) -> str:
     """A decoded value as JSON text for an error message, cut to at most 40 characters."""
     text = _stack_safe(json.dumps, value)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def json_line(value: object) -> str:
+    """value as one canonical JSON Lines line, without its newline: sorted keys."""
+    return json.dumps(value, sort_keys=True)
+
+
+def json_document(value: object) -> str:
+    """value as a JSON document: sorted keys, indent 2 and a trailing newline."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def write_jsonl(dest: IO[str] | str | Path | None, objs: Iterable[Mapping | str]) -> None:
+    """Write one json_line per item to a text stream, a path or stdout (None).
+
+    A str item is a line already encoded that way, and is written as it is.
+    JSON text is ASCII, so a stream's encoding does not change its bytes.
+    """
+    if dest is not None and not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            return write_jsonl(fh, objs)
+    write = (sys.stdout if dest is None else dest).write
+    for obj in objs:
+        write((obj if isinstance(obj, str) else json_line(obj)) + "\n")
+
+
+def write_utf8(dest: str | Path | None, text: str) -> None:
+    """Write text as UTF-8, with no newline translation, to a path or stdout (None).
+
+    stdout takes the bytes on its buffer, after its pending text; a stdout
+    without a buffer, such as an io.StringIO, takes the text as it is.
+    """
+    if dest is not None:
+        Path(dest).write_bytes(text.encode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)

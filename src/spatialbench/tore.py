@@ -11,7 +11,6 @@ phrases are untouched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping
 from .errors import FormatError, MissingRelation, ParseError
 from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
-from .textutil import json_echo, json_value
+from .textutil import is_number, json_document, json_echo, json_value
 
 if TYPE_CHECKING:  # evaluation loads the scoring modules, which rewriting never needs
     from .evaluation import BenchReport
@@ -73,8 +72,7 @@ class BiasProfile:
                 raise ValueError(f"accuracy for {kind.value} outside [0, 1]: {value}")
             acc[kind] = value
         for kind in acc:
-            a, b = pair_of(kind)
-            partner = b if kind is a else a
+            partner = kind.opposite()
             if partner not in acc:
                 raise ValueError(
                     f"{kind.value} given without its opposite {partner.value}"
@@ -99,10 +97,7 @@ class BiasProfile:
 
     def dispreferred(self, pair: tuple[RelationKind, RelationKind]) -> RelationKind | None:
         best = self.preferred(pair)
-        if best is None:
-            return None
-        a, b = pair
-        return b if best is a else a
+        return None if best is None else best.opposite()
 
 
 @dataclass(frozen=True)
@@ -194,8 +189,7 @@ def _profile_from_raw(raw: object) -> BiasProfile:
             if kind.value not in sides:
                 raise FormatError(f"pair {key!r} lacks side {kind.value!r}", field=key)
             value = sides[kind.value]
-            # JSON true/false are Python bools, which are also ints
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+            if not is_number(value) or not 0 <= value <= 1:
                 raise FormatError(f"accuracy must be a number in [0, 1], got {json_echo(value)}",
                                   field=f"{key}.{kind.value}")
             acc[kind] = float(value)
@@ -221,8 +215,7 @@ def builtin_profile(name: str) -> BiasProfile:
 
 
 def profile_to_json(profile: BiasProfile) -> str:
-    payload = {
+    return json_document({
         pair_id(pair): {kind.value: profile.accuracy(kind) for kind in pair}
         for pair in profile.pairs()
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    })

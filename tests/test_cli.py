@@ -7,7 +7,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +216,48 @@ class TestGenPrompts:
             cfg.write_text(config)
             flags = ["--config", str(cfg)]
         assert hashlib.sha256(extract_bytes(tmp_path, scenes, *flags)).hexdigest() == digest
+
+    # The chain's later steps on those records: evaluate and bias-report in
+    # both formats, the profile bias-report emits, and tore on the prompts
+    # with that profile. The digests were recorded while each command wrote
+    # its output through its own mechanism.
+    def test_golden_report_bytes(self, tmp_path):
+        records = self.stub_gen(tmp_path)
+        profile = tmp_path / "profile.json"
+        runs = {
+            "evaluate.json": ["evaluate", str(records), "--seed", "7"],
+            "evaluate.txt": ["evaluate", str(records), "--seed", "7", "--format", "text"],
+            "bias.json": ["bias-report", str(records), "--seed", "7",
+                          "--emit-profile", str(profile)],
+            "bias.txt": ["bias-report", str(records), "--seed", "7", "--format", "text"],
+            "tore.txt": ["tore", "--profile", str(profile), str(tmp_path / "p.txt")],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--output", str(tmp_path / name)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in [*runs, profile.name]} == {
+            "evaluate.json": "24258ed588dc01870cd70e4347e08170099d91f6d3b692a2e6257974de703d0e",
+            "evaluate.txt": "b88cce8ad544fa2b03cda9a480b4d7a19b2c36c89d715459e4ebc43c3db644c5",
+            "bias.json": "463b37f080c74678a25ae6ccb71b4c2dd160066407060c3e1d59e67665e84e41",
+            "bias.txt": "5ed2a839c09d9b7f5df4068af0f3bf82b3e33fd2fdf7e53799a69028b9cbd1dc",
+            "tore.txt": "20589259d4c5f3aa0be12f59bf59047438c0f8d1626760d423b5780d1b1cff7d",
+            "profile.json": "463b37f080c74678a25ae6ccb71b4c2dd160066407060c3e1d59e67665e84e41",
+        }
+
+    def test_golden_filter_captions_bytes(self, tmp_path):
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(
+            '{"caption": "A red bus parked on a street downtown", "image": "a.jpg"}\n'
+            '{"caption": "a business meeting", "source": "x"}\n'
+            '{"caption": "Caf\\u00e9 umbrella by a bench in the city", "source": "y"}\n'
+            '{"caption": "a tree", "image": "b.jpg", "source": "z"}\n'
+            '{"caption": "a Fire Hydrant in a residential area", '
+            '"image": "c.jpg", "source": "w"}\n',
+            encoding="utf-8")
+        out = tmp_path / "kept.jsonl"
+        assert main(["filter-captions", str(captions), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4538c8700136b5e4f065089b1e3a742289d19f6297cd1adad9a9ec679e07f086")
 
 
 class TestExtract:
@@ -720,6 +765,21 @@ class TestExitCodes:
     def test_missing_file_is_validation_error(self, tmp_path):
         assert main(["extract", str(tmp_path / "missing.jsonl")]) == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (["gen-prompts", "--simple", "right=2", "--simple", "right=0"], "--simple right"),
+        (["gen-prompts", "--simple", "top=1", "--complex", "left=1", "--complex", "left=1"],
+         "--complex left"),
+        (["stub-gen", "p.txt", "--p", "front=0.5", "--p", "behind=1", "--p", "front=1"],
+         "--p front"),
+    ], ids=["simple", "complex", "p"])
+    def test_kind_given_twice_is_an_error(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.txt").write_text("A bus in front of a car in a city\n")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {named} given twice"]
+        assert captured.out == ""
+
     def test_bare_value_error_propagates(self, scenes_file, monkeypatch):
         # every input error is a SpatialBenchError or an OSError; any other
         # ValueError is a bug, and reads as a traceback, not as a user error
@@ -983,3 +1043,33 @@ def test_option_strings_per_command():
         for name, sub in commands.choices.items()
     }
     assert found == OPTIONS
+
+
+class TestOutputEncoding:
+    """Output is UTF-8 with "\\n" line ends whatever stdout's encoding."""
+
+    @staticmethod
+    def run(tmp_path, argv, encoding):
+        env = dict(os.environ, PYTHONIOENCODING=encoding)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "spatialbench.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=120)
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    @pytest.mark.parametrize("argv", [
+        ["gen-prompts", "--objects", "objects.txt", "--simple", "right=6", "--seed", "2"],
+        ["tore", "--profile", "sdxl", "prompts.txt"],
+    ], ids=["gen-prompts", "tore"])
+    def test_stdout_bytes_equal_output_bytes(self, tmp_path, argv, encoding):
+        (tmp_path / "objects.txt").write_text("café kiosk\nbench\nbus\n", encoding="utf-8")
+        (tmp_path / "prompts.txt").write_text(
+            "A café kiosk below a bench in a city\n"
+            "A bus on top of a café kiosk in a city\n"
+            "déjà vu, not a prompt\n", encoding="utf-8")
+        printed = self.run(tmp_path, argv, encoding)
+        assert printed.returncode == 0, printed.stderr
+        written = self.run(tmp_path, [*argv, "--output", "out.txt"], encoding)
+        assert written.returncode == 0, written.stderr
+        assert printed.stdout == (tmp_path / "out.txt").read_bytes()
+        assert "café kiosk".encode() in printed.stdout

@@ -46,11 +46,12 @@ EXPORTED = {
     "lexicon": ["default_contexts", "default_objects"],
     "prompts": ["PromptSpec", "RelationQuadruple", "parse_prompt", "render_prompt",
                 "sample_prompt_set"],
-    "captions": ["ObjectLexicon", "filter_captions", "load_captions", "write_jsonl"],
+    "captions": ["ObjectLexicon", "filter_captions", "load_captions"],
     "sceneio": ["load_eval_records", "load_scenes", "read_depth", "write_depth_pgm"],
     "stub": ["StubGeneratorConfig", "StubPlan", "stub_generate"],
     "tore": ["BiasProfile", "ToreConfig", "builtin_profile", "compute_bias_profile",
              "load_bias_profile", "transform_prompt", "transform_spec"],
+    "textutil": ["write_jsonl"],
 }
 
 
@@ -143,15 +144,18 @@ def test_exports_resolve_to_their_home_module():
 
 
 def test_json_is_decoded_only_in_textutil():
-    # textutil maps every decode fault to one FormatError; a module that calls
-    # json.loads itself would answer a fault with its own set of exceptions
+    # textutil maps every decode fault to one FormatError, and encodes every
+    # output one way; a module that calls json.loads or json.dumps itself
+    # would answer a fault with its own exceptions, or write its own bytes
     uses = []
     for path in sorted((ROOT / "src" / "spatialbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("load", "loads", "dump", "dumps")
                     and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 uses.append((path.name, node.lineno))
-            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+                  or isinstance(node, ast.Import) and "json" in [a.name for a in node.names]):
                 uses.append((path.name, node.lineno))
     assert {name for name, _ in uses} == {"textutil.py"}, uses
 
@@ -330,14 +334,19 @@ def test_prompt_commands_start_without_numpy(tmp_path, argv):
 _SCORING = {"evaluation", "extraction", "geometry", "sceneio", "stub"}
 
 
+# captions, the caption filter, runs for filter-captions alone
 @pytest.mark.parametrize("argv, never", [
     (["--help"], {"prompts", "lexicon", "tore"} | _SCORING),
-    (["extract", "scenes_pgm.jsonl"], {"tore", "evaluation", "stub"}),
-    (["extract", "scenes.jsonl", "--tau", "2"], {"tore", "evaluation", "stub"}),
+    (["extract", "scenes_pgm.jsonl"], {"tore", "evaluation", "stub", "captions"}),
+    (["extract", "scenes.jsonl", "--tau", "2"], {"tore", "evaluation", "stub", "captions"}),
+    (["evaluate", "records_pgm.jsonl"], {"tore", "stub", "captions"}),
+    (["bias-report", "records.jsonl", "--emit-profile", "emitted.json"], {"stub", "captions"}),
+    (["stub-gen", "sides.txt", "--plans", "plans.jsonl"], {"tore", "captions"}),
     (["gen-prompts", "--simple", "right=3", "--complex", "top=2", "--invert"], _SCORING),
     (["tore", "--profile", "profile.json", "prompts.txt"], _SCORING),
     (["tore", "--profile", "sdxl", "prompts.txt"], _SCORING),
-], ids=["help", "extract-pgm", "extract-inline", "gen-prompts", "tore-file", "tore-sdxl"])
+], ids=["help", "extract-pgm", "extract-inline", "evaluate", "bias-report", "stub-gen",
+        "gen-prompts", "tore-file", "tore-sdxl"])
 def test_commands_run_only_the_modules_they_read(tmp_path, argv, never):
     _write_inputs(tmp_path)
     result = _run_python(_RUN_CLI.format(argv=argv), tmp_path)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spatialbench import captions, sceneio
+from spatialbench import sceneio, textutil
 from spatialbench.captions import (
     CaptionRecord,
     ObjectLexicon,
@@ -101,9 +101,9 @@ class TestCaptionFilter:
         with pytest.raises(FormatError):
             load_captions(p)
 
-    def test_sceneio_writes_through_the_caption_module(self):
+    def test_sceneio_writes_through_textutil(self):
         # sceneio re-exports the writer rather than a copy of it
-        assert sceneio.write_jsonl is captions.write_jsonl
+        assert sceneio.write_jsonl is textutil.write_jsonl
 
 
 class TestDepthFiles:
