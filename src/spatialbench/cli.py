@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import math
 import random
 import sys
 from contextlib import contextmanager
@@ -360,8 +359,10 @@ def _cmd_tore(args) -> int:
     except ValueError as exc:
         raise SpatialBenchError(f"--pairs {args.pairs!r}: {exc}") from None
     lines = _read_lines(args.prompts)
-    textutil.write_utf8(args.output, "".join(tore.transform_prompt(line, cfg) + "\n"
-                                             for line in lines))
+    # a prompt file repeats each prompt once per image to generate: a line's
+    # rewrite depends on its exact text alone, so each distinct text is rewritten once
+    rewritten = {line: tore.transform_prompt(line, cfg) + "\n" for line in dict.fromkeys(lines)}
+    textutil.write_utf8(args.output, "".join([rewritten[line] for line in lines]))
     return 0
 
 
@@ -381,11 +382,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bias_report(args) -> int:
     report = _evaluate(args)
-    profile = tore.compute_bias_profile(report) if args.emit_profile is not None else None
-    textutil.write_utf8(args.output, textutil.json_document(report.bias)
-                        if args.format == "json" else report.bias_text())
-    if profile is not None:
-        textutil.write_utf8(args.emit_profile, tore.profile_to_json(profile))
+    if args.emit_profile is not None:
+        tore.compute_bias_profile(report)  # refuses a table no profile can be read from
+    # a profile file is the bias table itself, so one encoding serves both
+    table = textutil.json_document(report.bias)
+    textutil.write_utf8(args.output, table if args.format == "json" else report.bias_text())
+    if args.emit_profile is not None:
+        textutil.write_utf8(args.emit_profile, table)
     return 0
 
 
@@ -400,28 +403,14 @@ def _cmd_filter_captions(args) -> int:
 
 
 def _cmd_stub_gen(args) -> int:
-    # StubGeneratorConfig's ranges, checked here to name the flag; nan fails too
-    if not 1.0 <= args.tau < math.inf:
-        raise SpatialBenchError(f"--tau must be finite and >= 1 for stub-gen, got {args.tau}")
-    # before any allocation: a plane is width x height int64 cells
-    for flag, size in (("--width", args.width), ("--height", args.height)):
-        if size < 1:
-            raise SpatialBenchError(f"{flag} must be at least 1, got {size}")
-        if size > stub.MAX_SIDE:
-            raise SpatialBenchError(f"{flag} must be at most {stub.MAX_SIDE}, "
-                                    f"got {textutil.as_float(size):g}")
-    if args.width * args.height > stub.MAX_CELLS:
-        raise SpatialBenchError(f"scene {args.width}x{args.height} (--width/--height) "
-                                f"has more than {stub.MAX_CELLS} cells")
     probabilities = _per_kind("--p", args.p, lambda p: 0.0 <= p <= 1.0,
                               "probability must be in [0, 1]")
-    cfg = stub.StubGeneratorConfig(
-        probabilities=probabilities,
-        seed=args.seed,
-        width=args.width,
-        height=args.height,
-        tau=args.tau,
-    )
+    # the config checks tau and the scene size before any plane is allocated
+    try:
+        cfg = stub.StubGeneratorConfig(probabilities=probabilities, seed=args.seed,
+                                       width=args.width, height=args.height, tau=args.tau)
+    except ValueError as exc:  # "width must be ...": the flag's name without its dashes
+        raise SpatialBenchError(f"--{exc}") from None
     lines = _read_lines(args.prompts)
     specs = []
     with _prompt_file(args.prompts):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .geometry import _DIRECTIONS, BoundingBox, DepthMap, _verdicts, average_depth
-from .relations import KIND_ORDER, RelationKind, Strictness
+from .relations import RelationKind, Strictness
 from .textutil import normalize_phrase
 
 __all__ = [
@@ -115,9 +115,6 @@ class RelationInstance:
             raise ValueError(f"object indices must be >= 0, got {indices}")
         if len(set(indices)) != len(indices):
             raise ValueError(f"relation indices must be distinct, got {indices}")
-
-    def sort_key(self) -> tuple:
-        return (self.subject, self.objects, KIND_ORDER[self.kind])
 
 
 @dataclass(frozen=True)

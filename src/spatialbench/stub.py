@@ -28,6 +28,7 @@ from .extraction import DetectedObject, Scene
 from .geometry import BoundingBox, DepthMap
 from .prompts import PromptSpec, RelationQuadruple, render_prompt
 from .relations import RelationKind, Strictness
+from .textutil import as_float
 
 __all__ = ["StubGeneratorConfig", "StubPlan", "stub_generate"]
 
@@ -56,12 +57,17 @@ class StubGeneratorConfig:
                 raise ValueError(f"probability for {kind.value} must be in [0, 1], got {p}")
             coerced[kind] = float(p)
         object.__setattr__(self, "probabilities", coerced)
-        if not (0 < self.width <= MAX_SIDE and 0 < self.height <= MAX_SIDE
-                and self.width * self.height <= MAX_CELLS):
-            raise ValueError(f"scene dimensions must be in [1, {MAX_SIDE}], "
-                             f"with at most {MAX_CELLS} cells")
+        # a tau or size message starts with its field's name, which the CLI makes its flag
         if not 1.0 <= self.tau < math.inf:
             raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
+        for name, size in (("width", self.width), ("height", self.height)):
+            if size < 1:
+                raise ValueError(f"{name} must be at least 1, got {size}")
+            if size > MAX_SIDE:  # as a float, a side of 400 digits reads inf
+                raise ValueError(f"{name} must be at most {MAX_SIDE}, got {as_float(size):g}")
+        if self.width * self.height > MAX_CELLS:
+            raise ValueError(f"height must be at most {MAX_CELLS // self.width} for width "
+                             f"{self.width} (at most {MAX_CELLS} cells), got {self.height}")
 
     def probability(self, kind: RelationKind) -> float:
         """Satisfaction probability for a kind; unlisted kinds always satisfy."""

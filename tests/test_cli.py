@@ -8,12 +8,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from spatialbench import textutil, tore
 from spatialbench.cli import _build_parser, _check_object_phrase, main
 from spatialbench.errors import FormatError
 from spatialbench.evaluation import evaluate_records
@@ -362,6 +364,50 @@ class TestTore:
         ])
         assert out_a == out_b
 
+    # one of each kind of line, each repeated as a generation prompt file does
+    REPEATED_KINDS = [
+        b"A bus to the right of a car in a city\n",  # flipped
+        b"A hedge to the left of a ticket booth, the ticket booth on top of a lantern "
+        b"in a downtown area\n",  # complex, right-side clause flipped
+        b"A bus shelter on top of a pothole in a residential area\n",  # nothing to flip
+        b"not a benchmark prompt\n",
+        b"\n",
+        b"   \t \n",
+        "A caf\u00e9 kiosk to the right of a bench in a city\n".encode(),
+        "d\u00e9j\u00e0 vu, not a prompt\n".encode(),
+        b"A tree to the right of a lamp in a park\r\n",  # CRLF-ended
+        b"A tree to the right of a lamp in a park\n",  # the same text, LF-ended
+        b"A pond under a mirror in a street\n",
+        b" A pond under a mirror in a street\n",  # differs only by a leading space
+        b"A pond under a mirror in a street \n",  # and by a trailing one
+        b"not a benchmark prompt \n",
+    ]
+
+    def test_each_distinct_line_rewritten_once(self, tmp_path, monkeypatch):
+        data = self.REPEATED_KINDS * 5
+        random.Random(3).shuffle(data)
+        src = tmp_path / "p.txt"
+        src.write_bytes(b"".join(data))
+        with open(src, "rb") as fh:
+            lines = [line for _, line in textutil.read_lines(fh)]
+        cfg = tore.ToreConfig(tore.builtin_profile("flux1"))
+        want = "".join(tore.transform_prompt(line, cfg) + "\n" for line in lines)
+        calls: dict[str, int] = {}
+        transform = tore.transform_prompt
+
+        def counted(text, config):
+            calls[text] = calls.get(text, 0) + 1
+            return transform(text, config)
+
+        monkeypatch.setattr(tore, "transform_prompt", counted)
+        out = tmp_path / "out.txt"
+        assert main(["tore", "--profile", "flux1", str(src), "--output", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+        assert calls == dict.fromkeys(lines, 1)
+        # the CRLF line and its LF twin read alike; the five simple flips came out
+        assert len(calls) == len(self.REPEATED_KINDS) - 1
+        assert want.count("A car to the left of a bus in a city\n") == 5
+
 
 class TestEvaluate:
     def test_json_report(self, tmp_path, records_file):
@@ -647,7 +693,7 @@ class TestStubGen:
         (["--width", "1" + "0" * 400], "--width must be at most 65535, got inf"),
         (["--height", "65536"], "--height must be at most 65535, got 65536"),
         (["--width", "65535", "--height", "257"],
-         "scene 65535x257 (--width/--height) has more than 16777216 cells"),
+         "--height must be at most 256 for width 65535 (at most 16777216 cells), got 257"),
     ], ids=["width-401-digits", "height", "cells"])
     def test_oversized_scene_refused_before_any_plane(self, prompts_file, capsys, monkeypatch,
                                                       flag, message):
@@ -943,7 +989,7 @@ class TestExitCodes:
 
     def test_stub_gen_tau_below_one_names_the_flag(self, prompts_file, capsys):
         assert main(["stub-gen", str(prompts_file), "--tau", "0.5"]) == 1
-        assert capsys.readouterr().err == "error: --tau must be finite and >= 1 for stub-gen, got 0.5\n"
+        assert capsys.readouterr().err == "error: --tau must be finite and >= 1, got 0.5\n"
 
 
 # JSON nested past the recursion limit
@@ -1073,3 +1119,46 @@ class TestOutputEncoding:
         assert written.returncode == 0, written.stderr
         assert printed.stdout == (tmp_path / "out.txt").read_bytes()
         assert "café kiosk".encode() in printed.stdout
+
+
+def test_chain_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The prompt-to-relations chain writes the same bytes under two string hash seeds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    chain = [
+        ["gen-prompts", "--simple", "right=3", "--simple", "top=2", "--simple", "front=2",
+         "--simple", "between=1", "--complex", "behind=2", "--invert", "--seed", "5",
+         "--output", "prompts.txt"],
+        ["stub-gen", "prompts.txt", "--p", "front=0.5", "--p", "top=0.5", "--seed", "5",
+         "--output", "records.jsonl", "--plans", "plans.jsonl"],
+        ["evaluate", "records.jsonl", "--seed", "5", "--output", "report.json"],
+        ["bias-report", "records.jsonl", "--seed", "5", "--emit-profile", "profile.json",
+         "--output", "bias.json"],
+        ["tore", "--profile", "profile.json", "tore_in.txt", "--output", "tore_out.txt"],
+        ["extract", "scenes.jsonl", "--config", "config.json", "--output", "relations.jsonl"],
+    ]
+    digests = []
+    for seed in ("0", "1"):
+        work = tmp_path / seed
+        work.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for argv in chain:
+            if argv[0] == "tore":  # each prompt three times, as for three images each
+                (work / "tore_in.txt").write_bytes((work / "prompts.txt").read_bytes() * 3)
+            if argv[0] == "extract":  # the stub scenes, with a floor their small boxes pass
+                (work / "scenes.jsonl").write_text("".join(
+                    json.dumps(json.loads(line)["scene"]) + "\n"
+                    for line in (work / "records.jsonl").read_text().splitlines()))
+                (work / "config.json").write_text('{"min_rel_area": 0.001}')
+            done = subprocess.run([sys.executable, "-m", "spatialbench.cli", *argv], cwd=work,
+                                  env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        outputs = [argv[argv.index(flag) + 1] for argv in chain
+                   for flag in ("--output", "--plans", "--emit-profile") if flag in argv]
+        digests.append({name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+                        for name in outputs})
+    assert digests[0] == digests[1] and len(digests[0]) == 8
+    # tore flipped lines and extract found Between facts, so both steps did work
+    first = tmp_path / "0"
+    assert (first / "tore_out.txt").read_bytes() != (first / "tore_in.txt").read_bytes()
+    assert b'"kind": "between"' in (first / "relations.jsonl").read_bytes()

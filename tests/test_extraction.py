@@ -22,7 +22,7 @@ from spatialbench.extraction import (
     extract_scene,
 )
 from spatialbench.geometry import BoundingBox, DepthMap, _verdicts
-from spatialbench.relations import RelationKind, invert
+from spatialbench.relations import KIND_ORDER, RelationKind, invert
 from spatialbench.sceneio import relations_to_dict, scene_from_dict, write_depth_pgm
 
 import naive_reference as ref
@@ -419,6 +419,11 @@ def labeled_scenes(draw, max_objects=9):
     return objects, rows
 
 
+def canonical_order(rel: RelationInstance) -> tuple:
+    """The full canonical key of an extracted relation: subject, objects, then kind order."""
+    return (rel.subject, rel.objects, KIND_ORDER[rel.kind])
+
+
 @given(labeled_scenes(), st.sampled_from([2.0, 3.0, 1.2, 0.7]))
 @settings(max_examples=150, deadline=None)
 def test_scenes_with_repeated_labels_and_pgm_depth_match_oracle(tmp_path_factory, drawn, tau):
@@ -433,7 +438,7 @@ def test_scenes_with_repeated_labels_and_pgm_depth_match_oracle(tmp_path_factory
         {"width": 8, "height": 8, "depth": rows,
          "objects": [(tuple(o["box"]), o["score"]) for o in objects]}, tau=tau)
     assert len(got) == len(want) and as_triples(got) == want
-    assert got == sorted(got, key=RelationInstance.sort_key)
+    assert got == sorted(got, key=canonical_order)
 
 
 class TestOneTablePerScene:
@@ -449,7 +454,7 @@ class TestOneTablePerScene:
             assert extract_between(self.SCENE, cfg) == alone[1]
             assert extract_pairwise(self.SCENE, cfg) == alone[0]
             assert extract_scene(self.SCENE, cfg) == sorted(
-                alone[0] + alone[1], key=RelationInstance.sort_key)
+                alone[0] + alone[1], key=canonical_order)
         results = {cfg: (extract_pairwise(self.SCENE, cfg), extract_between(self.SCENE, cfg))
                    for cfg in self.CONFIGS}
         strict = results[self.CONFIGS[1]]

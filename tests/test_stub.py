@@ -122,13 +122,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             StubGeneratorConfig(tau=0.5)
 
-    @pytest.mark.parametrize("size", [
-        {"width": 0}, {"height": 65536}, {"width": 10 ** 400}, {"width": 65535, "height": 257},
+    @pytest.mark.parametrize("size, message", [
+        ({"width": 0}, "width must be at least 1, got 0"),
+        ({"height": 65536}, "height must be at most 65535, got 65536"),
+        ({"width": 10 ** 400}, "width must be at most 65535, got inf"),
+        ({"width": 65535, "height": 257},
+         "height must be at most 256 for width 65535 (at most 16777216 cells), got 257"),
     ], ids=["zero", "side", "401-digits", "cells"])
-    def test_scene_size_bounded(self, size):
-        # the config is checked before any plane is built
-        with pytest.raises(ValueError, match="scene dimensions"):
+    def test_scene_size_bounded(self, size, message):
+        # the config is checked before any plane is built; each message starts with its field
+        with pytest.raises(ValueError) as caught:
             StubGeneratorConfig(**size)
+        assert str(caught.value) == message
 
     def test_largest_scene_accepted(self):
         cfg = StubGeneratorConfig(width=65535, height=256)
