@@ -125,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=Path, default=None, help="object list file")
     p.add_argument("--contexts", type=Path, default=None, help="context list file")
     p.add_argument("--pool-size", type=int, default=None,
-                   help="candidate pool size per kind (default 4x the largest count)")
+                   help="candidate pool size per kind (default 4x the largest count, "
+                        "at least 1000)")
     p.add_argument("--invert", action="store_true",
                    help="append the opposite-side version of every prompt")
     p.set_defaults(func=_cmd_gen_prompts)
@@ -184,13 +185,13 @@ def _strictness(args) -> relations.Strictness:
         raise SpatialBenchError(f"--{exc}") from None
 
 
-def _per_kind(flag: str, pairs, valid, rule: str) -> dict:
-    """A repeatable KIND=value flag's pairs as a dict, each value valid and each kind once."""
+def _per_kind(flag: str, pairs, valid=None, rule: str = "") -> dict:
+    """A repeatable KIND=value flag's pairs as a dict, each kind once and each value valid."""
     values: dict = {}
     for kind, value in pairs:
         if kind in values:
             raise SpatialBenchError(f"{flag} {kind.value} given twice")
-        if not valid(value):
+        if valid is not None and not valid(value):
             raise SpatialBenchError(f"{flag} {kind.value}={value}: {rule}")
         values[kind] = value
     return values
@@ -403,9 +404,8 @@ def _cmd_filter_captions(args) -> int:
 
 
 def _cmd_stub_gen(args) -> int:
-    probabilities = _per_kind("--p", args.p, lambda p: 0.0 <= p <= 1.0,
-                              "probability must be in [0, 1]")
-    # the config checks tau and the scene size before any plane is allocated
+    probabilities = _per_kind("--p", args.p)
+    # the config checks the probabilities, tau and the scene size before any plane is allocated
     try:
         cfg = stub.StubGeneratorConfig(probabilities=probabilities, seed=args.seed,
                                        width=args.width, height=args.height, tau=args.tau)

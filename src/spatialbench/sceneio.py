@@ -43,6 +43,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 from array import array
 from collections.abc import Mapping
@@ -179,24 +180,22 @@ def _raster(data, typecode: str) -> array:
     return flat
 
 
+# Up to four header fields, each after any whitespace and "#" comments. A
+# comment runs to its newline or to the end, so no field is read from inside
+# one, and a missing field gives up its separators once: the match is linear.
+_PGM_FIELD = rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n#]+)"
+_PGM_FIELDS = re.compile(rb"(?:%s(?:%s(?:%s(?:%s)?)?)?)?" % ((_PGM_FIELD,) * 4))
+
+
 def _pgm_header(data: bytes) -> tuple[list[bytes], int]:
-    """First four header tokens and the offset just past the last one."""
-    tokens: list[bytes] = []
-    pos, n = 0, len(data)
-    while pos < n and len(tokens) < 4:
-        c = data[pos:pos + 1]
-        if c in b" \t\r\n":
-            pos += 1
-        elif c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < n and data[end:end + 1] not in b" \t\r\n#":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    return tokens, pos
+    """First four header tokens and the offset just past the last one.
+
+    With fewer than four tokens the offset is len(data): the header does not
+    end within data.
+    """
+    match = _PGM_FIELDS.match(data)
+    tokens = [token for token in match.groups() if token is not None]
+    return tokens, match.end() if len(tokens) == 4 else len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,11 @@ class StubGeneratorConfig:
         for kind, p in dict(self.probabilities).items():
             if isinstance(kind, str):
                 kind = RelationKind(kind)
+            # each message starts with the name the CLI gives its flag: p, tau, width, height
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability for {kind.value} must be in [0, 1], got {p}")
+                raise ValueError(f"p {kind.value}={p}: probability must be in [0, 1]")
             coerced[kind] = float(p)
         object.__setattr__(self, "probabilities", coerced)
-        # a tau or size message starts with its field's name, which the CLI makes its flag
         if not 1.0 <= self.tau < math.inf:
             raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
         for name, size in (("width", self.width), ("height", self.height)):

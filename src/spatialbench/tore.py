@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping
 from .errors import FormatError, MissingRelation, ParseError
 from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
 from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
-from .textutil import is_number, json_document, json_echo, json_value
+from .textutil import is_number, json_echo, json_value
 
 if TYPE_CHECKING:  # evaluation loads the scoring modules, which rewriting never needs
     from .evaluation import BenchReport
@@ -28,70 +28,58 @@ __all__ = [
     "BiasProfile",
     "ToreConfig",
     "PAIR_IDS",
-    "pair_of",
     "transform_spec",
     "transform_prompt",
     "compute_bias_profile",
     "load_bias_profile",
     "builtin_profile",
-    "profile_to_json",
 ]
 
 PAIR_IDS = tuple(pair_id(pair) for pair in OPPOSITE_PAIRS)
 
 BUILTIN_PROFILES = ("flux1", "sdxl")
 
-
-def pair_of(kind: RelationKind) -> tuple[RelationKind, RelationKind] | None:
-    for pair in OPPOSITE_PAIRS:
-        if kind in pair:
-            return pair
-    return None
+_PAIRS_BY_ID = dict(zip(PAIR_IDS, OPPOSITE_PAIRS))
 
 
 @dataclass(frozen=True)
 class BiasProfile:
-    """Measured accuracy per side of each covered opposite pair.
+    """A bias table, {pair_id: {side: accuracy}}, as bias-report writes it.
 
-    A pair is covered only with both sides present. The preferred side is the
-    strictly greater one; equal accuracies leave the pair without a
-    preference, which disables flipping for it.
+    The table is checked once, here: every key names an opposite pair, and
+    every pair gives both of its sides an accuracy in [0, 1]. A profile's
+    text is json_document(profile.table). The preferred side of a pair is
+    the strictly greater one; a pair not in the table, or with equal
+    accuracies, has no preference, which disables flipping for it.
     """
 
-    accuracies: Mapping[RelationKind, float]
+    table: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self) -> None:
-        acc: dict[RelationKind, float] = {}
-        for kind, value in self.accuracies.items():
-            if isinstance(kind, str):
-                kind = RelationKind(kind)
-            value = float(value)
-            if pair_of(kind) is None:
-                raise ValueError(f"{kind.value} is not a side of an opposite pair")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"accuracy for {kind.value} outside [0, 1]: {value}")
-            acc[kind] = value
-        for kind in acc:
-            partner = kind.opposite()
-            if partner not in acc:
-                raise ValueError(
-                    f"{kind.value} given without its opposite {partner.value}"
-                )
-        object.__setattr__(self, "accuracies", acc)
-
-    def pairs(self) -> tuple[tuple[RelationKind, RelationKind], ...]:
-        return tuple(p for p in OPPOSITE_PAIRS if p[0] in self.accuracies)
-
-    def accuracy(self, kind: RelationKind) -> float:
-        return self.accuracies[kind]
+        if not isinstance(self.table, dict):
+            raise FormatError("bias profile must be a JSON object")
+        for key, sides in self.table.items():
+            pair = _PAIRS_BY_ID.get(key)
+            if pair is None:
+                raise FormatError(f"unknown opposite pair {key!r}", field=key)
+            if not isinstance(sides, dict):
+                raise FormatError("pair entry must map sides to accuracies", field=key)
+            for kind in pair:
+                if kind.value not in sides:
+                    raise FormatError(f"pair {key!r} lacks side {kind.value!r}", field=key)
+                value = sides[kind.value]
+                if not is_number(value) or not 0 <= value <= 1:
+                    raise FormatError(f"accuracy must be a number in [0, 1], got {json_echo(value)}",
+                                      field=f"{key}.{kind.value}")
 
     def preferred(self, pair: tuple[RelationKind, RelationKind]) -> RelationKind | None:
-        a, b = pair
-        if a not in self.accuracies or b not in self.accuracies:
+        sides = self.table.get(pair_id(pair))
+        if sides is None:
             return None
-        if self.accuracies[a] > self.accuracies[b]:
+        a, b = pair
+        if sides[a.value] > sides[b.value]:
             return a
-        if self.accuracies[b] > self.accuracies[a]:
+        if sides[b.value] > sides[a.value]:
             return b
         return None
 
@@ -168,37 +156,12 @@ def compute_bias_profile(report: BenchReport) -> BiasProfile:
             )
     if not report.bias:
         raise MissingRelation("report covers no opposite pair")
-    return _profile_from_raw(report.bias)
-
-
-# ---------------------------------------------------------------------------
-# profile files: {"top_bottom": {"top": 0.41, "bottom": 0.33}, ...}
-
-def _profile_from_raw(raw: object) -> BiasProfile:
-    if not isinstance(raw, dict):
-        raise FormatError("bias profile must be a JSON object")
-    by_id = {pair_id(p): p for p in OPPOSITE_PAIRS}
-    acc: dict[RelationKind, float] = {}
-    for key, sides in raw.items():
-        pair = by_id.get(key)
-        if pair is None:
-            raise FormatError(f"unknown opposite pair {key!r}", field=key)
-        if not isinstance(sides, dict):
-            raise FormatError("pair entry must map sides to accuracies", field=key)
-        for kind in pair:
-            if kind.value not in sides:
-                raise FormatError(f"pair {key!r} lacks side {kind.value!r}", field=key)
-            value = sides[kind.value]
-            if not is_number(value) or not 0 <= value <= 1:
-                raise FormatError(f"accuracy must be a number in [0, 1], got {json_echo(value)}",
-                                  field=f"{key}.{kind.value}")
-            acc[kind] = float(value)
-    return BiasProfile(acc)
+    return BiasProfile(report.bias)
 
 
 def load_bias_profile(path: str | Path) -> BiasProfile:
     try:
-        return _profile_from_raw(json_value(Path(path).read_bytes()))
+        return BiasProfile(json_value(Path(path).read_bytes()))
     except OSError as exc:
         raise FormatError(f"cannot read bias profile {path}: {exc}") from None
     except FormatError as exc:
@@ -211,11 +174,4 @@ def builtin_profile(name: str) -> BiasProfile:
             f"unknown builtin profile {name!r}; available: {', '.join(BUILTIN_PROFILES)}"
         )
     resource = resources.files("spatialbench").joinpath("data", "profiles", f"{name}.json")
-    return _profile_from_raw(json_value(resource.read_bytes()))
-
-
-def profile_to_json(profile: BiasProfile) -> str:
-    return json_document({
-        pair_id(pair): {kind.value: profile.accuracy(kind) for kind in pair}
-        for pair in profile.pairs()
-    })
+    return BiasProfile(json_value(resource.read_bytes()))

@@ -41,6 +41,7 @@ from spatialbench.relations import (
     RelationKind,
     Strictness,
     invert,
+    pair_id,
 )
 from spatialbench.sceneio import write_jsonl
 from spatialbench.stub import StubGeneratorConfig, stub_generate
@@ -284,12 +285,11 @@ def _random_labeled_scene(rng: random.Random) -> Scene:
 
 def _random_profile(rng: random.Random) -> BiasProfile:
     levels = (0.0, 0.2, 0.4, 0.4, 0.8, 1.0)
-    acc = {}
+    table = {}
     for pair in OPPOSITE_PAIRS:
         if rng.random() < 0.75:
-            for kind in pair:
-                acc[kind] = rng.choice(levels)
-    return BiasProfile(acc)
+            table[pair_id(pair)] = {kind.value: rng.choice(levels) for kind in pair}
+    return BiasProfile(table)
 
 
 @criterion(5, "rewrite preserves meaning and is idempotent")
@@ -389,9 +389,9 @@ def test_criterion_7_stub_lift():
 @criterion(8, "published bias row ingestion")
 def test_criterion_8_published_row():
     row = BiasProfile({
-        RelationKind.TOP: 0.41, RelationKind.BOTTOM: 0.33,
-        RelationKind.LEFT: 0.32, RelationKind.RIGHT: 0.31,
-        RelationKind.FRONT: 0.31, RelationKind.BEHIND: 0.28,
+        "top_bottom": {"top": 0.41, "bottom": 0.33},
+        "left_right": {"left": 0.32, "right": 0.31},
+        "front_behind": {"front": 0.31, "behind": 0.28},
     })
     for profile in (row, builtin_profile("flux1")):
         preferred = {profile.preferred(pair) for pair in OPPOSITE_PAIRS}

@@ -130,6 +130,19 @@ class TestGenPrompts:
         assert main(["gen-prompts", "--simple", "right=100",
                      "--objects", str(objs)]) == 1
 
+    @pytest.mark.parametrize("counts, size", [
+        (["--simple", "right=3", "--complex", "top=2"], "1000"),
+        (["--simple", "left=300"], "1200"),
+    ], ids=["floor", "four-times"])
+    def test_default_pool_size_is_the_one_the_help_states(self, tmp_path, counts, size):
+        # 4x the largest count, at least 1000: the floor gives small --complex
+        # requests partners that share a phrase
+        default, given = tmp_path / "default.txt", tmp_path / "given.txt"
+        assert main(["gen-prompts", *counts, "--seed", "3", "--output", str(default)]) == 0
+        assert main(["gen-prompts", *counts, "--seed", "3", "--pool-size", size,
+                     "--output", str(given)]) == 0
+        assert default.read_bytes() == given.read_bytes()
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_pool_size_below_one(self, capsys, size):
         assert main(["gen-prompts", "--simple", "right=3", "--pool-size", size]) == 1
@@ -554,7 +567,15 @@ class TestBiasReport:
         bias = json.loads(out.read_text())
         assert bias["top_bottom"]["top"] == 1.0
         profile = load_bias_profile(prof)
-        assert profile.pairs() != ()
+        assert profile.table != {}
+
+    def test_emitted_profile_is_the_reports_bias_table(self, tmp_path, paired_records):
+        prof = tmp_path / "profile.json"
+        assert main(["bias-report", str(paired_records), "--emit-profile", str(prof)]) == 0
+        report = evaluate_records(load_eval_records(paired_records), seed=0)
+        profile = tore.BiasProfile(report.bias)
+        assert tore.compute_bias_profile(report) == load_bias_profile(prof) == profile
+        assert prof.read_text(encoding="utf-8") == textutil.json_document(profile.table)
 
     def test_one_sided_records_fail_profile_emission(self, tmp_path, records_file):
         # these records cover right but never left, so no profile can be derived

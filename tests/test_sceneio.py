@@ -185,6 +185,36 @@ class TestDepthFiles:
             read_depth(p)
 
 
+
+def _pgm_header_by_bytes(data: bytes) -> tuple[list[bytes], int]:
+    """The header scan as a byte-at-a-time loop: the oracle for sceneio._pgm_header."""
+    tokens: list[bytes] = []
+    pos, n = 0, len(data)
+    while pos < n and len(tokens) < 4:
+        c = data[pos:pos + 1]
+        if c in b" \t\r\n":
+            pos += 1
+        elif c == b"#":
+            nl = data.find(b"\n", pos)
+            pos = n if nl < 0 else nl + 1
+        else:
+            end = pos
+            while end < n and data[end:end + 1] not in b" \t\r\n#":
+                end += 1
+            tokens.append(data[pos:end])
+            pos = end
+    return tokens, pos
+
+
+@given(st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"#", b"P5", b"12", b"\x0b",
+                                 b"\x0c", b"\xff", b"\x00"]), max_size=24).map(b"".join))
+@settings(max_examples=2000, deadline=None)
+@example(b"P5 #4 4 255")  # a field-like run inside a final comment is not a field
+@example(b"P5\n4 4\n255\n" + bytes(4))
+def test_pgm_header_pattern_equals_the_byte_scan(data):
+    assert sceneio._pgm_header(data) == _pgm_header_by_bytes(data)
+
+
 class TestPgmReadOnFirstUse:
     ROWS = [[(x * y) % 7 for x in range(4)] for y in range(3)]
 

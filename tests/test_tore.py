@@ -22,6 +22,7 @@ from spatialbench.prompts import (
     sample_prompt_set,
 )
 from spatialbench.relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
+from spatialbench.textutil import json_document
 from spatialbench.tore import (
     PAIR_IDS,
     BiasProfile,
@@ -29,8 +30,6 @@ from spatialbench.tore import (
     builtin_profile,
     compute_bias_profile,
     load_bias_profile,
-    pair_of,
-    profile_to_json,
     transform_prompt,
     transform_spec,
 )
@@ -51,14 +50,14 @@ def quad(subject, kind, objects):
 
 
 def profile_preferring(*kinds, margin=0.1):
-    acc = {}
+    table = {}
     for pair in OPPOSITE_PAIRS:
         a, b = pair
         if a in kinds:
-            acc[a], acc[b] = 0.5 + margin, 0.5
+            table[pair_id(pair)] = {a.value: 0.5 + margin, b.value: 0.5}
         elif b in kinds:
-            acc[a], acc[b] = 0.5, 0.5 + margin
-    return BiasProfile(acc)
+            table[pair_id(pair)] = {a.value: 0.5, b.value: 0.5 + margin}
+    return BiasProfile(table)
 
 
 class TestFlipClause:
@@ -78,34 +77,30 @@ class TestFlipClause:
 
 class TestBiasProfile:
     def test_preferred_side(self):
-        p = BiasProfile({RelationKind.TOP: 0.41, RelationKind.BOTTOM: 0.33})
+        p = BiasProfile({"top_bottom": {"top": 0.41, "bottom": 0.33}})
         assert p.preferred(TOP_BOTTOM) is RelationKind.TOP
         assert p.dispreferred(TOP_BOTTOM) is RelationKind.BOTTOM
 
     def test_tie_gives_no_preference(self):
-        p = BiasProfile({RelationKind.LEFT: 0.16, RelationKind.RIGHT: 0.16})
+        p = BiasProfile({"left_right": {"left": 0.16, "right": 0.16}})
         assert p.preferred(LEFT_RIGHT) is None
         assert p.dispreferred(LEFT_RIGHT) is None
 
     def test_uncovered_pair_has_no_preference(self):
-        p = BiasProfile({RelationKind.TOP: 0.5, RelationKind.BOTTOM: 0.4})
+        p = BiasProfile({"top_bottom": {"top": 0.5, "bottom": 0.4}})
         assert p.preferred(FRONT_BEHIND) is None
 
-    def test_string_keys_coerced(self):
-        p = BiasProfile({"top": 0.5, "bottom": 0.4})
-        assert p.accuracy(RelationKind.TOP) == 0.5
-
     def test_partner_required(self):
-        with pytest.raises(ValueError):
-            BiasProfile({RelationKind.TOP: 0.5})
+        with pytest.raises(FormatError):
+            BiasProfile({"top_bottom": {"top": 0.5}})
 
     def test_range_checked(self):
-        with pytest.raises(ValueError):
-            BiasProfile({RelationKind.TOP: 1.5, RelationKind.BOTTOM: 0.4})
+        with pytest.raises(FormatError):
+            BiasProfile({"top_bottom": {"top": 1.5, "bottom": 0.4}})
 
     def test_unpaired_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BiasProfile({RelationKind.NEXT: 0.5})
+        with pytest.raises(FormatError):
+            BiasProfile({"next": {"next": 0.5}})
 
     def test_builtin_flux1_prefers_top_left_front(self):
         p = builtin_profile("flux1")
@@ -232,12 +227,11 @@ class TestTransformPrompt:
 @st.composite
 def bias_profiles(draw):
     levels = [0.0, 0.2, 0.4, 0.4, 0.8, 1.0]
-    acc = {}
+    table = {}
     for pair in OPPOSITE_PAIRS:
         if draw(st.booleans()):
-            for kind in pair:
-                acc[kind] = draw(st.sampled_from(levels))
-    return BiasProfile(acc)
+            table[pair_id(pair)] = {kind.value: draw(st.sampled_from(levels)) for kind in pair}
+    return BiasProfile(table)
 
 
 @given(prompt_specs(), bias_profiles())
@@ -321,7 +315,7 @@ class TestComputeBiasProfile:
             {"top": 0.6, "bottom": 0.4},
             bias={"top_bottom": {"top": 0.6, "bottom": 0.4}},
         ))
-        assert profile.pairs() == (TOP_BOTTOM,)
+        assert list(profile.table) == [pair_id(TOP_BOTTOM)]
 
     def test_bias_table_preferred_over_soft(self):
         report = report_with(
@@ -329,7 +323,7 @@ class TestComputeBiasProfile:
             bias={"top_bottom": {"top": 0.8, "bottom": 0.4}},
         )
         profile = compute_bias_profile(report)
-        assert profile.accuracy(RelationKind.TOP) == 0.8
+        assert profile.table["top_bottom"]["top"] == 0.8
 
     def test_no_pairs_at_all(self):
         with pytest.raises(MissingRelation):
@@ -340,7 +334,7 @@ class TestProfileFiles:
     def test_round_trip(self, tmp_path):
         profile = builtin_profile("flux1")
         p = tmp_path / "prof.json"
-        p.write_text(profile_to_json(profile))
+        p.write_text(json_document(profile.table))
         assert load_bias_profile(p) == profile
 
     def test_bad_pair_key(self, tmp_path):
@@ -360,6 +354,25 @@ class TestProfileFiles:
         p.write_text("accuracy: high")
         with pytest.raises(FormatError):
             load_bias_profile(p)
+
+    @pytest.mark.parametrize("table", [
+        [0.4, 0.3],
+        {"up_down": {"up": 1, "down": 0}},
+        {"top_bottom": [0.4, 0.3]},
+        {"top_bottom": {"top": 0.4}},
+        {"top_bottom": {"top": "0.4", "bottom": 0.3}},
+        {"top_bottom": {"top": 0.4, "bottom": True}},
+    ], ids=["array", "pair", "entry", "side", "string", "bool"])
+    def test_file_and_in_memory_tables_fail_alike(self, tmp_path, table):
+        # one check serves both: a file's error is the table's, prefixed with the path
+        p = tmp_path / "prof.json"
+        p.write_text(json_document(table))
+        with pytest.raises(FormatError) as in_memory:
+            BiasProfile(table)
+        with pytest.raises(FormatError) as from_file:
+            load_bias_profile(p)
+        assert from_file.value.reason == f"bias profile {p}: {in_memory.value.reason}"
+        assert (from_file.value.line, from_file.value.field) == (None, in_memory.value.field)
 
 
 @given(bias_profiles(), st.sets(st.sampled_from(PAIR_IDS), min_size=1))
@@ -407,10 +420,3 @@ def _pool() -> list[RelationQuadruple]:
             or kind is RelationKind.NEXT for a, b in permutations(objects, 2)]
     return pool + [RelationQuadruple(a, RelationKind.BETWEEN, (b, c))
                    for a, b, c in permutations(objects, 3)]
-
-
-def test_pair_of():
-    assert pair_of(RelationKind.TOP) == TOP_BOTTOM
-    assert pair_of(RelationKind.RIGHT) == LEFT_RIGHT
-    assert pair_of(RelationKind.NEXT) is None
-    assert pair_of(RelationKind.BETWEEN) is None
