@@ -18,13 +18,17 @@ tree's value divided by the revision's, and how many pairs the working tree
 won, where "won" follows the metric's ``better`` direction in BENCHMARK.json.
 The two runs of a pair share the machine's state at that time, so the
 per-pair ratio cancels most of the drift that moves whole runs. The last
-line says whether the two sides' chain outputs had the same SHA-256
-digests, and the exit code is 1 when they differ, 0 when they are identical.
+two lines say whether the two copies hold the same benchmark
+(``BENCHMARK.json`` and the files under ``bench/``, by SHA-256 digest), so
+that both sides ran one harness, and whether their chain outputs had the
+same digests. The exit code is 1 when either differs, 0 when both are
+identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 import statistics
@@ -57,6 +61,19 @@ def copy_tree_files(tree: Path, dest: Path) -> None:
         if source.is_file():  # a tracked file deleted on disk is skipped
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
+
+
+def bench_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of BENCHMARK.json and of each file under bench/ in root, by relative path."""
+    files = [root / "BENCHMARK.json", *(root / "bench").rglob("*")]
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in files if path.is_file()}
+
+
+def verdict(before: dict[str, str], after: dict[str, str]) -> str:
+    """'identical', or 'differ in' and each name whose digest is not the same on both sides."""
+    names = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    return f"differ in {', '.join(names)}" if names else "identical"
 
 
 def summary(values: list[float]) -> str:
@@ -94,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(old_root)], input=archive, check=True)
         copy_tree_files(tree, new_root)
+        bench_files = verdict(bench_digests(old_root), bench_digests(new_root))
         runs: dict[str, list[dict[str, float]]] = {"rev": [], "tree": []}
         digests: dict[str, dict[str, str]] = {}
         sides = (("rev", old_root), ("tree", new_root))
@@ -113,10 +131,10 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         print(f"  {name}: {summary(old)} → {summary(new)}, ratio {pair_ratio(old, new)} "
               f"({wins}/{args.pairs})")
-    before, after = digests["rev"], digests["tree"]
-    changed = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
-    print("chain outputs: " + (f"differ in {', '.join(changed)}" if changed else "identical"))
-    return 1 if changed else 0
+    chain_outputs = verdict(digests["rev"], digests["tree"])
+    print(f"bench files: {bench_files}")
+    print(f"chain outputs: {chain_outputs}")
+    return 0 if bench_files == chain_outputs == "identical" else 1
 
 
 if __name__ == "__main__":

@@ -10,34 +10,19 @@ prompts onto the preferred side. Everything is seeded, so reruns match.
 from __future__ import annotations
 
 import argparse
-import random
 
 from spatialbench import (
-    PromptSpec,
-    RelationQuadruple,
     StubGeneratorConfig,
     ToreConfig,
+    candidate_pool,
     compute_bias_profile,
-    default_contexts,
     default_objects,
     evaluate_records,
+    sample_prompt_set,
     stub_generate,
     transform_spec,
 )
 from spatialbench.relations import OPPOSITE_PAIRS, RelationKind
-
-
-def simple_prompts(kind: RelationKind, count: int, rng: random.Random) -> list[PromptSpec]:
-    objects, contexts = default_objects(), default_contexts()
-    out = []
-    for _ in range(count):
-        subject = rng.choice(objects)
-        target = rng.choice(objects)
-        while target == subject:
-            target = rng.choice(objects)
-        clause = RelationQuadruple(subject, kind, (target,))
-        out.append(PromptSpec((clause,), rng.choice(contexts)))
-    return out
 
 
 def main() -> int:
@@ -56,10 +41,11 @@ def main() -> int:
 
     first = RelationKind(args.pair.split("_")[0])
     second = first.opposite()
-    rng = random.Random(args.seed)
-
-    strong_prompts = simple_prompts(first, args.count, rng)
-    weak_prompts = simple_prompts(second, args.count, rng)
+    # a pool of exactly count facts per side, each drawn into one simple prompt
+    pool = candidate_pool((first, second), default_objects(), args.count, seed=args.seed)
+    specs = sample_prompt_set(pool, {first: args.count, second: args.count}, seed=args.seed)
+    strong_prompts = [spec for spec in specs if spec.clauses[0].kind is first]
+    weak_prompts = [spec for spec in specs if spec.clauses[0].kind is second]
     stub = StubGeneratorConfig({first: args.strong, second: args.weak},
                                seed=args.seed)
     records, _ = stub_generate(strong_prompts + weak_prompts, stub)

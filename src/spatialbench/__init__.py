@@ -59,6 +59,7 @@ _HOMES = {
     **dict.fromkeys((
         "PromptSpec",
         "RelationQuadruple",
+        "candidate_pool",
         "parse_prompt",
         "render_prompt",
         "sample_prompt_set",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -185,14 +184,12 @@ def _strictness(args) -> relations.Strictness:
         raise SpatialBenchError(f"--{exc}") from None
 
 
-def _per_kind(flag: str, pairs, valid=None, rule: str = "") -> dict:
-    """A repeatable KIND=value flag's pairs as a dict, each kind once and each value valid."""
+def _per_kind(flag: str, pairs) -> dict:
+    """A repeatable KIND=value flag's pairs as a dict, each kind once."""
     values: dict = {}
     for kind, value in pairs:
         if kind in values:
             raise SpatialBenchError(f"{flag} {kind.value} given twice")
-        if valid is not None and not valid(value):
-            raise SpatialBenchError(f"{flag} {kind.value}={value}: {rule}")
         values[kind] = value
     return values
 
@@ -253,10 +250,6 @@ def _read_lines(source: str) -> list[str]:
             return [line for _, line in textutil.read_lines(fh)]
 
 
-def _check_object_phrase(phrase: str) -> None:
-    prompts.RelationQuadruple(phrase, relations.RelationKind.NEXT, (phrase,))
-
-
 def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:
     with _lexicon_file("--objects", args.objects):
         objects = (lexicon.load_object_list(args.objects) if args.objects
@@ -294,28 +287,28 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_gen_prompts(args) -> int:
-    simple, complex_counts = (
-        _per_kind(flag, pairs, lambda n: n >= 0, "count must not be negative")
-        for flag, pairs in (("--simple", args.simple), ("--complex", getattr(args, "complex"))))
+    simple, complex_counts = (_per_kind(flag, pairs) for flag, pairs in (
+        ("--simple", args.simple), ("--complex", getattr(args, "complex"))))
     if not simple and not complex_counts:
         raise SpatialBenchError("nothing to generate: pass --simple and/or --complex")
     objects, contexts = _load_lexicon(args)
     # the prompt grammar's rules (no comma; no "in a" in a context), which captions need not follow
-    _check_grammar("--objects", args.objects, _check_object_phrase)
+    _check_grammar("--objects", args.objects, prompts._normalized_object)
     _check_grammar("--contexts", args.contexts, prompts._normalized_context)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
-    needed = 3 if relations.RelationKind.BETWEEN in kinds else 2
-    if len(objects) < needed:
-        raise SpatialBenchError(
-            f"--objects {args.objects} lists {len(objects)} object(s); "
-            f"{needed} are needed" + (" for between" if needed == 3 else ""))
     largest = max([*simple.values(), *complex_counts.values()])
-    if args.pool_size is not None and args.pool_size < 1:
-        raise SpatialBenchError(f"--pool-size must be at least 1, got {args.pool_size}")
-    pool_size = args.pool_size or max(1000, 4 * largest)
-    pool = _candidate_pool(kinds, objects, pool_size, args.seed)
-    specs = prompts.sample_prompt_set(pool, simple, complex_counts or None,
-                                      seed=args.seed, contexts=contexts)
+    pool_size = max(1000, 4 * largest) if args.pool_size is None else args.pool_size
+    # the prompt-set rules are prompts' own; each message starts with the
+    # argument's name, and the flag that gave the argument takes its place
+    flags = {"size": "--pool-size", "objects": f"--objects {args.objects}",
+             "simple": "--simple", "complex": "--complex"}
+    try:
+        pool = prompts.candidate_pool(kinds, objects, pool_size, seed=args.seed)
+        specs = prompts.sample_prompt_set(pool, simple, complex_counts or None,
+                                          seed=args.seed, contexts=contexts)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise SpatialBenchError(f"{flags.get(name, name)} {rest}") from None
     if args.invert:
         # between has no inverse form, so such prompts are kept as-is
         specs = specs + [
@@ -326,29 +319,6 @@ def _cmd_gen_prompts(args) -> int:
     text = "".join(prompts.render_prompt(spec) + "\n" for spec in specs)
     textutil.write_utf8(args.output, text)
     return 0
-
-
-def _candidate_pool(
-    kinds, objects, pool_size: int, seed: int
-) -> list[prompts.RelationQuadruple]:
-    """Draw a deduplicated random pool of candidate facts per kind.
-
-    objects already passed the grammar check, so the entries skip it.
-    """
-    rng = random.Random(seed)
-    between = relations.RelationKind.BETWEEN
-    pool: list[prompts.RelationQuadruple] = []
-    for kind in kinds:
-        seen = set()
-        ceiling = len(objects) * max(1, len(objects) - 1)
-        budget = min(pool_size, ceiling)
-        while len(seen) < budget:
-            picked = tuple(rng.sample(objects, 3 if kind is between else 2))
-            if picked in seen:
-                continue
-            seen.add(picked)
-            pool.append(prompts._trusted_quadruple(picked[0], kind, picked[1:]))
-    return pool
 
 
 def _cmd_tore(args) -> int:

@@ -15,6 +15,7 @@ The public checks read it for scoring, and extraction calls it once per pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -256,13 +257,12 @@ class DepthMap:
         depth._shape = shape
         return depth
 
-    def __getattr__(self, name):
-        # only a pending map lacks _data; the first read of it stores the values
-        read = self.__dict__.get("_read") if name == "_data" else None
-        if read is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._data = data = read()
-        self.__dict__.pop("_read", None)
+    @functools.cached_property
+    def _data(self) -> array:
+        # only a pending map gets here: __init__ stores every other map's values;
+        # a read that raises caches nothing, so the next use reads again
+        data = self._read()
+        del self._read
         return data
 
     @property

@@ -26,8 +26,9 @@ for its relation phrase. A scan of the whole prompt runs only when the parse
 fails, and only picks the message: with no relation phrase anywhere, that is
 the error, before any other fault.
 
-The public constructors validate and normalize every field. parse_prompt
-and the rewriter (tore.transform_spec) build through _trusted_quadruple and
+The public constructors validate and normalize every field. parse_prompt,
+the rewriter (tore.transform_spec) and candidate_pool, which checks each
+object phrase once before its draws, build through _trusted_quadruple and
 _trusted_spec instead, and relations.invert copies its input; none of them
 checks anything, so their parts must already pass those checks. For the
 parser, its own checks imply each __post_init__ check:
@@ -127,6 +128,11 @@ def _trusted_quadruple(
     q = object.__new__(RelationQuadruple)
     q.__dict__.update(subject=subject, kind=kind, objects=objects)
     return q
+
+
+def _normalized_object(phrase: str) -> str:
+    """phrase normalized as RelationQuadruple leaves it; a ValueError if that refuses it."""
+    return RelationQuadruple(phrase, RelationKind.NEXT, (phrase,)).subject
 
 
 @dataclass(frozen=True)
@@ -329,8 +335,55 @@ def _parse(tokens: tuple[str, ...], index: _Index, longest: int) -> PromptSpec:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _kind_key(key: RelationKind | str) -> RelationKind:
-    return key if isinstance(key, RelationKind) else RelationKind(key)
+# Each rule's ValueError starts with the name of the argument it is about
+# (size, objects, simple, complex), for a caller to put its own name there.
+
+def _counts(what: str, counts: Mapping[RelationKind | str, int]) -> list[tuple[RelationKind, int]]:
+    """counts as (kind, n) pairs in kind order; what names the mapping in an error."""
+    items = [(RelationKind(k), int(n)) for k, n in counts.items()]
+    for kind, n in items:
+        if n < 0:
+            raise ValueError(f"{what} {kind.value}={n}: count must not be negative")
+    return sorted(items, key=lambda kn: KIND_ORDER[kn[0]])
+
+
+def candidate_pool(
+    kinds: Iterable[RelationKind | str],
+    objects: Sequence[str],
+    size: int,
+    *,
+    seed: int,
+) -> list[RelationQuadruple]:
+    """Draw, per kind in order, up to size distinct facts over distinct phrases of objects.
+
+    The phrases must be distinct and pass RelationQuadruple's checks, two of
+    them or, with between among the kinds, three; a kind stops at size facts
+    or at as many as there are pairs of objects.
+    """
+    kinds = [RelationKind(k) for k in kinds]
+    objects = [_normalized_object(o) for o in objects]
+    if len(set(objects)) < len(objects):
+        raise ValueError("objects must be distinct phrases")
+    needed = 3 if RelationKind.BETWEEN in kinds else 2
+    if len(objects) < needed:
+        raise ValueError(f"objects lists {len(objects)} object(s); {needed} are needed"
+                         + (" for between" if needed == 3 else ""))
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
+    rng = random.Random(seed)
+    between = RelationKind.BETWEEN
+    pool: list[RelationQuadruple] = []
+    for kind in kinds:
+        seen = set()
+        ceiling = len(objects) * max(1, len(objects) - 1)
+        budget = min(size, ceiling)
+        while len(seen) < budget:
+            picked = tuple(rng.sample(objects, 3 if kind is between else 2))
+            if picked in seen:
+                continue
+            seen.add(picked)
+            pool.append(_trusted_quadruple(picked[0], kind, picked[1:]))
+    return pool
 
 
 def _contradicts(first: RelationQuadruple, second: RelationQuadruple) -> bool:
@@ -371,9 +424,9 @@ def sample_prompt_set(
     the first clause's converse: when such a partner is drawn, the partner is
     drawn again among the rest. Each kept pool entry draws a context from
     `contexts`, in pool order, and a prompt takes the one drawn for its first
-    clause; every context is checked before the first draw. Subject == object
-    is rejected for the four planar directional kinds, where such facts are
-    degenerate.
+    clause; every context and count is checked before the first draw.
+    Subject == object is rejected for the four planar directional kinds,
+    where such facts are degenerate.
 
     Candidates and partners are listed in ascending pool order, so a seed
     fixes the output.
@@ -383,6 +436,8 @@ def sample_prompt_set(
     if not contexts:
         raise ValueError("contexts must be non-empty")
     contexts = tuple(_normalized_context(c) for c in contexts)
+    simple = _counts("simple", simple_counts)
+    complex_ = _counts("complex", complex_counts or {})
 
     pool = [q for q in relations if not (q.kind.is_directional_2d and q.subject in q.objects)]
     context_of = [rng.choice(contexts) for _ in pool]
@@ -395,15 +450,8 @@ def sample_prompt_set(
         for phrase in set(q.phrases):
             holders.setdefault(phrase, []).append(i)
 
-    def ordered(counts: Mapping[RelationKind | str, int]) -> list[tuple[RelationKind, int]]:
-        items = [(_kind_key(k), int(n)) for k, n in counts.items()]
-        for kind, n in items:
-            if n < 0:
-                raise ValueError(f"negative count for {kind.value}")
-        return sorted(items, key=lambda kn: KIND_ORDER[kn[0]])
-
     specs: list[PromptSpec] = []
-    for kind, n in ordered(simple_counts):
+    for kind, n in simple:
         members = by_kind.get(kind, [])
         if len(members) < n:
             raise InsufficientPool(
@@ -412,7 +460,7 @@ def sample_prompt_set(
         for i in sorted(rng.sample(members, n)):
             specs.append(PromptSpec((pool[i],), context=context_of[i]))
 
-    for kind, n in ordered(complex_counts or {}):
+    for kind, n in complex_:
         members = by_kind.get(kind, [])
         eligible = [
             i for i in members

@@ -16,7 +16,10 @@ file's directory. A PGM file is checked when its scene loads: its header,
 and its length against the raster the header declares. Its raster is read
 when the map's values are first needed, so a scene whose depth takes no box
 mean never reads it; a file cut short in between raises a FormatError that
-names it at that first use. Evaluation records wrap a scene with a prompt:
+names it at that first use. As Netpbm requires, every sample lies in 0 ..
+maxval: a raster is scanned for that when it is read, unless maxval is 255
+or 65535, which its 8- or 16-bit samples cannot pass. Evaluation records
+wrap a scene with a prompt:
 
     {"id": ..., "prompt": "A bench under a tree in a city", "scene": {...}}
 
@@ -81,8 +84,9 @@ __all__ = [
 def read_depth(path: str | Path) -> DepthMap:
     """Read a closeness map from a binary PGM (P5) or a JSON 2D array.
 
-    A PGM file's header and length are checked here, and its raster is read
-    when the map's values are first needed (see _pending_pgm).
+    A PGM file's header and length are checked here, and its raster, with
+    each sample at most maxval, when the map's values are first needed (see
+    _pending_pgm).
     """
     with open(path, "rb") as fh:
         data = fh.read(_PGM_HEAD)
@@ -93,8 +97,9 @@ def read_depth(path: str | Path) -> DepthMap:
         data += fh.read()
     if data[:2] == b"P5":
         tokens, pos = _pgm_header(data)
-        typecode, shape, start, nbytes = _pgm_layout(tokens, pos, len(data))
-        return DepthMap(_raster(memoryview(data)[start:start + nbytes], typecode), shape=shape)
+        typecode, shape, start, nbytes, maxval = _pgm_layout(tokens, pos, len(data))
+        raster = memoryview(data)[start:start + nbytes]
+        return DepthMap(_raster(raster, typecode, maxval), shape=shape)
     values = json_value(data)
     try:
         return DepthMap(values)
@@ -130,13 +135,13 @@ def _pending_pgm(path: str | Path, head: bytes, stat: os.stat_result) -> DepthMa
     tokens, pos = _pgm_header(head)
     if pos >= len(head) or not S_ISREG(stat.st_mode):
         return None
-    typecode, shape, start, nbytes = _pgm_layout(tokens, pos, stat.st_size)
-    return DepthMap._pending(functools.partial(_pgm_raster, path, start, nbytes, typecode),
+    typecode, shape, start, nbytes, maxval = _pgm_layout(tokens, pos, stat.st_size)
+    return DepthMap._pending(functools.partial(_pgm_raster, path, start, nbytes, typecode, maxval),
                              typecode, shape)
 
 
-def _pgm_raster(path: str | Path, start: int, nbytes: int, typecode: str) -> array:
-    """The raster of a PGM file checked at load, read now; a FormatError if it is gone."""
+def _pgm_raster(path: str | Path, start: int, nbytes: int, typecode: str, maxval: int) -> array:
+    """The raster of a PGM file checked at load, read now; a FormatError naming a bad file."""
     try:
         with open(path, "rb") as fh:
             fh.seek(start)
@@ -146,11 +151,15 @@ def _pgm_raster(path: str | Path, start: int, nbytes: int, typecode: str) -> arr
     if len(data) < nbytes:
         raise FormatError(f"depth file {path}: PGM raster truncated: "
                           f"need {nbytes} bytes, have {len(data)}")
-    return _raster(data, typecode)
+    try:
+        return _raster(data, typecode, maxval)
+    except FormatError as exc:
+        raise FormatError(f"depth file {path}: {exc}") from None
 
 
-def _pgm_layout(tokens: list[bytes], pos: int, size: int) -> tuple[str, tuple[int, int], int, int]:
-    """Storage typecode, (height, width), raster offset and raster bytes of a PGM file.
+def _pgm_layout(tokens: list[bytes], pos: int,
+                size: int) -> tuple[str, tuple[int, int], int, int, int]:
+    """Storage typecode, (height, width), raster offset, raster bytes and maxval of a PGM file.
 
     tokens and pos are _pgm_header's, and size is the file's length in bytes.
     """
@@ -168,15 +177,18 @@ def _pgm_layout(tokens: list[bytes], pos: int, size: int) -> tuple[str, tuple[in
     have = max(0, size - start)
     if have < nbytes:
         raise FormatError(f"PGM raster truncated: need {nbytes} bytes, have {have}")
-    return typecode, (height, width), start, nbytes
+    return typecode, (height, width), start, nbytes, maxval
 
 
-def _raster(data, typecode: str) -> array:
-    """Raster bytes as a flat array of native-order values."""
+def _raster(data, typecode: str, maxval: int) -> array:
+    """Raster bytes as a flat array of native-order values; one above maxval is a FormatError."""
     flat = array(typecode)
     flat.frombytes(data)
     if flat.itemsize > 1 and sys.byteorder == "little":
         flat.byteswap()  # PGM stores 16-bit values big-endian
+    # a maxval of 255 or 65535 is the storage's own range: no value can pass it
+    if maxval not in (255, 65535) and (top := max(flat)) > maxval:
+        raise FormatError(f"PGM value {top} above maxval {maxval}")
     return flat
 
 

@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 from spatialbench import textutil, tore
-from spatialbench.cli import _build_parser, _check_object_phrase, main
+from spatialbench.cli import _build_parser, main
 from spatialbench.errors import FormatError
 from spatialbench.evaluation import evaluate_records
 from spatialbench.lexicon import default_contexts, default_objects
-from spatialbench.prompts import _normalized_context, parse_prompt, render_prompt
+from spatialbench.prompts import (
+    _normalized_context, _normalized_object, parse_prompt, render_prompt,
+)
 from spatialbench.sceneio import load_eval_records, write_jsonl
 from spatialbench.textutil import MAX_NESTING, json_value
 from spatialbench.tore import load_bias_profile
@@ -823,7 +825,7 @@ class TestLexiconFiles:
     def test_shipped_lists_keep_the_prompt_grammar(self):
         # gen-prompts checks the grammar of a given list file only
         for phrase in default_objects():
-            _check_object_phrase(phrase)
+            assert _normalized_object(phrase) == phrase
         for context in default_contexts():
             assert _normalized_context(context) == context
 

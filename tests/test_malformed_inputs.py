@@ -456,3 +456,25 @@ def test_pgm_shortened_after_load_is_one_error_line(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.splitlines() == [
         f"error: {src}: depth file {tmp_path / 'd.pgm'}: PGM raster truncated: "
         f"need 48 bytes, have 9"]
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+@pytest.mark.parametrize("pad", [0, sceneio._PGM_HEAD], ids=["first-use", "whole-read"])
+def test_pgm_sample_above_maxval_is_one_error_line(tmp_path, capsys, command, pad):
+    # maxval 100 and a first sample of 200; a comment of pad bytes decides
+    # whether the raster is read at its first use or with the header at load
+    (tmp_path / "d.pgm").write_bytes(b"P5\n#" + b"x" * pad + b"\n8 6\n100\n"
+                                     + bytes([200]) + PGM[12:])
+    scene = {"image_id": "s", "width": 8, "height": 6, "depth": "d.pgm", "objects": [
+        {"label": "bus", "box": [1, 1, 5, 5]}, {"label": "car", "box": [0, 1, 4, 5]}]}
+    field = "depth"
+    if command == "evaluate":
+        scene = {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}
+        field = "scene.depth"
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(scene) + "\n")
+    assert main([command, str(src)]) == 1
+    message = "PGM value 200 above maxval 100"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {src}: depth file {tmp_path / 'd.pgm'}: {message}" if not pad else
+        f"error: {src}: depth file d.pgm: {message} (line 1, field {field})"]

@@ -30,7 +30,8 @@ MODULES = ["spatialbench"] + [
     f"spatialbench.{m.name}" for m in pkgutil.iter_modules(spatialbench.__path__)
 ]
 
-# The names the package exported when its __init__ imported them eagerly.
+# The names the package exported when its __init__ imported them eagerly,
+# and candidate_pool, exported since.
 EXPORTED = {
     "errors": ["DimensionMismatch", "EmptyRegion", "FormatError", "InsufficientPool",
                "MissingRelation", "NoSamples", "NotInvertible", "ParseError",
@@ -44,8 +45,8 @@ EXPORTED = {
                  "check_next"],
     "relations": ["RelationKind", "Strictness", "invert"],
     "lexicon": ["default_contexts", "default_objects"],
-    "prompts": ["PromptSpec", "RelationQuadruple", "parse_prompt", "render_prompt",
-                "sample_prompt_set"],
+    "prompts": ["PromptSpec", "RelationQuadruple", "candidate_pool", "parse_prompt",
+                "render_prompt", "sample_prompt_set"],
     "captions": ["ObjectLexicon", "filter_captions", "load_captions"],
     "sceneio": ["load_eval_records", "load_scenes", "read_depth", "write_depth_pgm"],
     "stub": ["StubGeneratorConfig", "StubPlan", "stub_generate"],
@@ -84,12 +85,13 @@ def test_demo_script_runs(argv, first_line):
     assert result.stdout.splitlines()[0] == first_line
 
 
-@pytest.mark.parametrize("digest, code, last_line", [
-    ("same", 0, "chain outputs: identical"),
-    ("other", 1, "chain outputs: differ in records.jsonl"),
-], ids=["identical", "differ"])
+@pytest.mark.parametrize("digest, bench, code, last_lines", [
+    ("same", "same", 0, ["bench files: identical", "chain outputs: identical"]),
+    ("other", "same", 1, ["bench files: identical", "chain outputs: differ in records.jsonl"]),
+    ("same", "other", 1, ["bench files: differ in bench/run.py", "chain outputs: identical"]),
+], ids=["identical", "differ", "bench-differs"])
 def test_ab_bench_exit_code_follows_the_digests(tmp_path, monkeypatch, capsys,
-                                               digest, code, last_line):
+                                               digest, bench, code, last_lines):
     # the two sides' runs are stood in for, so only the comparison runs
     spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
     ab_bench = importlib.util.module_from_spec(spec)
@@ -99,13 +101,22 @@ def test_ab_bench_exit_code_follows_the_digests(tmp_path, monkeypatch, capsys,
         json.dumps({"end_to_end": [{"name": "evaluate_s", "better": "lower"}]}))
     monkeypatch.setattr(ab_bench.subprocess, "run",
                         lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, b""))
+
+    def copy_bench(tree, dest):
+        # each side's copy holds one benchmark file; the new side's text is bench's
+        (dest / "bench").mkdir()
+        (dest / "bench" / "run.py").write_text(bench)
+        (dest.parent / "old" / "bench").mkdir()
+        (dest.parent / "old" / "bench" / "run.py").write_text("same")
+
+    monkeypatch.setattr(ab_bench, "copy_tree_files", copy_bench)
     roots = []
     monkeypatch.setattr(ab_bench, "bench_run", lambda root, args: roots.append(root) or (
         {"evaluate_s": 1.0},
         {"records.jsonl": digest if root.name == "new" else "same", "report.json": "r"},
     ))
     assert ab_bench.main(["HEAD", "--workload", "eval_loop", "--pairs", "2"]) == code
-    assert capsys.readouterr().out.splitlines()[-1] == last_line
+    assert capsys.readouterr().out.splitlines()[-2:] == last_lines
     # both sides run from sibling copies under .bench_work/, never from the tree itself
     assert {root.name for root in roots} == {"old", "new"}
     assert {root.parent.parent for root in roots} == {tmp_path / ".bench_work"}
@@ -131,7 +142,7 @@ def test_bench_trace_points_resolve():
 
 def test_exports_resolve_to_their_home_module():
     assert sorted(spatialbench.__all__) == sorted(n for names in EXPORTED.values() for n in names)
-    assert len(spatialbench.__all__) == 58
+    assert len(spatialbench.__all__) == 59
     listed = dir(spatialbench)
     star: dict = {}
     exec("from spatialbench import *", star)

@@ -160,6 +160,33 @@ class TestDepthFiles:
         with pytest.raises(FormatError):
             read_depth(p)
 
+    @pytest.mark.parametrize("maxval, raster, top", [
+        (1000, (5000).to_bytes(2, "big") + (7).to_bytes(2, "big"), 5000),
+        (100, bytes([200, 7]), 200),
+    ], ids=["16-bit", "8-bit"])
+    def test_sample_above_maxval_refused(self, tmp_path, maxval, raster, top):
+        p = tmp_path / "d.pgm"
+        message = f"PGM value {top} above maxval {maxval}"
+        # the header fits the bytes read at load: the raster is checked at first use,
+        # and a failed read is not kept, so the next use fails alike
+        p.write_bytes(b"P5\n2 1\n%d\n" % maxval + raster)
+        depth = read_depth(p)
+        for _ in range(2):
+            with pytest.raises(FormatError) as info:
+                depth.values
+            assert str(info.value) == f"depth file {p}: {message}"
+        # a comment pads the header past them: the whole file is read, and refused at load
+        p.write_bytes(b"P5\n#" + b"x" * sceneio._PGM_HEAD + b"\n2 1\n%d\n" % maxval + raster)
+        with pytest.raises(FormatError) as info:
+            read_depth(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("pad", [0, sceneio._PGM_HEAD], ids=["first-use", "whole-read"])
+    def test_sample_at_maxval_read(self, tmp_path, pad):
+        p = tmp_path / "d.pgm"
+        p.write_bytes(b"P5\n#" + b"x" * pad + b"\n2 1\n1000\n" + bytes([3, 232, 0, 7]))
+        assert read_depth(p).values == [[1000, 7]]
+
     def test_json_array_file(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text("[[1, 2], [3, 4]]")
