@@ -195,9 +195,9 @@ def _per_kind(flag: str, pairs) -> dict:
 
 
 def _extraction_config(args) -> extraction.ExtractionConfig:
-    from dataclasses import fields  # loaded with extraction; --help never needs it
+    from dataclasses import fields, replace  # loaded with extraction; --help never needs it
 
-    raw: dict = {}
+    cfg = extraction.DEFAULT_CONFIG
     config_path = args.config
     if config_path is not None:
         with _naming(f"config {config_path}", (FormatError, OSError)):
@@ -212,15 +212,14 @@ def _extraction_config(args) -> extraction.ExtractionConfig:
             if not textutil.is_number(value):
                 raise FormatError(f"config {config_path}: expected a number, "
                                   f"got {textutil.json_echo(value)}", field=key)
-            # every other setting is at its valid default, so a range error is this
-            # key's; an int past the float range reads as inf, as in a scene
-            try:
-                extraction.ExtractionConfig(**{key: textutil.as_float(value)})
-            except ValueError as exc:
-                raise FormatError(f"config {config_path}: {exc}", field=key) from None
+        # an int past the float range reads as inf, as in a scene
+        try:
+            cfg = extraction.ExtractionConfig(**{k: textutil.as_float(v) for k, v in raw.items()})
+        except ValueError as exc:  # "min_score must be ...": the field's name comes first
+            raise FormatError(f"config {config_path}: {exc}", field=str(exc).split()[0]) from None
     if args.tau is not None:
-        raw["tau"] = _strictness(args).tau
-    return extraction.ExtractionConfig(**raw)
+        cfg = replace(cfg, tau=_strictness(args).tau)
+    return cfg
 
 
 @contextmanager

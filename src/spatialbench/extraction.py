@@ -9,6 +9,8 @@ horizontal hit emits Next. Output lists come out in one canonical order
 
 geometry's per-pair kernel, the same formula scoring reads, runs once per
 ordered eligible pair of a scene, into one table that both extractors read.
+Their facts pass RelationInstance's checks by construction, so each is
+built through relations._unchecked.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .geometry import _DIRECTIONS, BoundingBox, DepthMap, _verdicts, average_depth
-from .relations import RelationKind, Strictness
+from .relations import RelationKind, Strictness, _unchecked
 from .textutil import normalize_phrase
 
 __all__ = [
@@ -173,17 +175,6 @@ def _pair_table(scene: Scene, cfg: ExtractionConfig) -> tuple[list[int], list[li
     return eligible, rows
 
 
-def _relation(kind: RelationKind, subject: int, objects: tuple[int, ...]) -> RelationInstance:
-    """A RelationInstance from parts that already pass its checks.
-
-    The indices must be distinct and >= 0, with one object, or two for
-    Between; nothing is checked again.
-    """
-    rel = object.__new__(RelationInstance)
-    rel.__dict__.update(kind=kind, subject=subject, objects=objects)
-    return rel
-
-
 def _pair_kinds(right: bool, left: bool, top: bool, bottom: bool) -> tuple[RelationKind, ...]:
     """The 2D kinds a pair with these verdicts emits, in canonical order."""
     next_to = right or left
@@ -233,7 +224,8 @@ def extract_pairwise(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> li
                 elif means[a] < means[b]:
                     kinds += (RelationKind.BEHIND,)
             objects = (obj,)
-            out.extend(_relation(kind, subject, objects) for kind in kinds)
+            out.extend(_unchecked(RelationInstance, kind=kind, subject=subject, objects=objects)
+                       for kind in kinds)
     return out
 
 
@@ -255,7 +247,8 @@ def extract_between(scene: Scene, cfg: ExtractionConfig = DEFAULT_CONFIG) -> lis
                     lefts.append(flank)
                 if right:
                     rights.append(flank)
-        out.extend(_relation(RelationKind.BETWEEN, mid, (a, c))
+        out.extend(_unchecked(RelationInstance, kind=RelationKind.BETWEEN, subject=mid,
+                              objects=(a, c))
                    for a in lefts for c in rights if a != c)
     return out
 

@@ -73,16 +73,6 @@ class BoundingBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-def _trusted_box(x_min: float, y_min: float, x_max: float, y_max: float) -> BoundingBox:
-    """A BoundingBox from coordinates that already passed its checks.
-
-    They must be finite, >= 0 and of positive extent; nothing is checked again.
-    """
-    box = object.__new__(BoundingBox)
-    box.__dict__.update(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
-    return box
-
-
 # ---------------------------------------------------------------------------
 # predicate formulas
 #
@@ -241,17 +231,13 @@ class DepthMap:
         self._shape = shape
 
     @classmethod
-    def _pending(cls, read, typecode: str, shape: tuple[int, int]) -> DepthMap:
-        """A map whose flat storage read() returns on first use, or a map read now.
+    def _pending(cls, read, shape: tuple[int, int]) -> DepthMap:
+        """A map whose flat storage read() returns on first use.
 
         shape is (height, width), both positive. read takes no argument and
-        returns an array.array of typecode with height * width values, or
-        raises. Unsigned storage holds no negative value, and where its range
-        keeps every box sum exact the values need no other check, so only
-        such a map waits; any other is read now.
+        returns an array.array of height * width values, or raises; values of
+        its unsigned range need no check, as it keeps box sums exact (_range_sums_exact).
         """
-        if not _range_sums_exact(typecode, shape[0] * shape[1]):
-            return cls(read(), shape=shape)
         depth = object.__new__(cls)
         depth._read = read
         depth._shape = shape

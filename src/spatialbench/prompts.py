@@ -27,11 +27,11 @@ fails, and only picks the message: with no relation phrase anywhere, that is
 the error, before any other fault.
 
 The public constructors validate and normalize every field. parse_prompt,
-the rewriter (tore.transform_spec) and candidate_pool, which checks each
-object phrase once before its draws, build through _trusted_quadruple and
-_trusted_spec instead, and relations.invert copies its input; none of them
-checks anything, so their parts must already pass those checks. For the
-parser, its own checks imply each __post_init__ check:
+the rewriter (tore.transform_spec), candidate_pool, which checks each object
+phrase once before its draws, and relations.invert build through
+relations._unchecked instead, the one way to build a value without its
+checks: their parts must already pass those checks. For the parser, its
+own checks imply each __post_init__ check:
 
   - normalized phrases: the prompt is lower-cased and whitespace-split once,
     and every phrase and the context are single-space joins of its tokens
@@ -56,7 +56,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InsufficientPool, ParseError
 from .lexicon import default_contexts, default_phrase_lexicon, pluralize, singularize
-from .relations import KIND_ORDER, RelationKind
+from .relations import KIND_ORDER, RelationKind, _unchecked
 from .textutil import normalize_phrase
 
 _ARTICLES = ("a", "an", "the")
@@ -117,19 +117,6 @@ class RelationQuadruple:
         return (self.subject, *self.objects)
 
 
-def _trusted_quadruple(
-    subject: str, kind: RelationKind, objects: tuple[str, ...]
-) -> RelationQuadruple:
-    """A RelationQuadruple from parts that already passed its checks.
-
-    The phrases must be normalized and valid, as __post_init__ would leave
-    them; nothing is checked or normalized again.
-    """
-    q = object.__new__(RelationQuadruple)
-    q.__dict__.update(subject=subject, kind=kind, objects=objects)
-    return q
-
-
 def _normalized_object(phrase: str) -> str:
     """phrase normalized as RelationQuadruple leaves it; a ValueError if that refuses it."""
     return RelationQuadruple(phrase, RelationKind.NEXT, (phrase,)).subject
@@ -170,17 +157,6 @@ class PromptSpec:
             if phrase in present:
                 return phrase
         return None
-
-
-def _trusted_spec(clauses: tuple[RelationQuadruple, ...], context: str) -> PromptSpec:
-    """A PromptSpec from clauses and a context that already passed its checks.
-
-    A second clause must share a noun phrase with the first; nothing is
-    checked again.
-    """
-    spec = object.__new__(PromptSpec)
-    spec.__dict__.update(clauses=clauses, context=context)
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +303,10 @@ def _parse(tokens: tuple[str, ...], index: _Index, longest: int) -> PromptSpec:
         raise ParseError(f"context {context!r} contains an 'in a' marker", position=end - 2)
 
     # every constructor check holds here (see the module docstring)
-    clauses = tuple(_trusted_quadruple(slots[0][0], kind, tuple(s[0] for s in slots[1:]))
+    clauses = tuple(_unchecked(RelationQuadruple, subject=slots[0][0], kind=kind,
+                               objects=tuple(s[0] for s in slots[1:]))
                     for kind, slots in parsed)
-    return _trusted_spec(clauses, context)
+    return _unchecked(PromptSpec, clauses=clauses, context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +359,8 @@ def candidate_pool(
             if picked in seen:
                 continue
             seen.add(picked)
-            pool.append(_trusted_quadruple(picked[0], kind, picked[1:]))
+            pool.append(_unchecked(RelationQuadruple, subject=picked[0], kind=kind,
+                                   objects=picked[1:]))
     return pool
 
 

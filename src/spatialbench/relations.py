@@ -3,6 +3,9 @@
 RelationKind is the one relation vocabulary: its four 2D kinds select the
 case of the directional predicates, and invert() restates any relation from
 the other side of its pair ("A under B" is "B on top of A").
+
+A value is checked once, where it enters the package: _unchecked is the one
+way to build a frozen dataclass value from parts that already pass its checks.
 """
 
 from __future__ import annotations
@@ -97,10 +100,18 @@ def invert(relation: _R) -> _R:
     """
     if not relation.kind.has_opposite:
         raise NotInvertible(f"{relation.kind.value} relations have no inverse form")
-    inverted = object.__new__(type(relation))
-    inverted.__dict__.update(relation.__dict__, subject=relation.objects[0],
-                             kind=relation.kind.opposite(), objects=(relation.subject,))
-    return inverted
+    return _unchecked(type(relation), subject=relation.objects[0],
+                      kind=relation.kind.opposite(), objects=(relation.subject,))
+
+
+def _unchecked(cls: type[_R], **fields) -> _R:
+    """A value of the frozen dataclass cls from fields that already pass its checks.
+
+    The fields, as __init__ would leave them, go in __dict__ with no check.
+    """
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def pair_id(pair: tuple[RelationKind, RelationKind]) -> str:

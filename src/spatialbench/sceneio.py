@@ -13,13 +13,13 @@ built. Depth files are binary PGM (P5) holding closeness values, written
 16-bit big-endian (8-bit accepted on read); anywhere a path is allowed, an
 inline JSON 2D array works too, and relative paths resolve against the JSONL
 file's directory. A PGM file is checked when its scene loads: its header,
-and its length against the raster the header declares. Its raster is read
+and its length against the raster the header declares. As Netpbm requires,
+every sample lies in 0 .. maxval, so a file whose maxval is not 255 or 65535
+is read whole at load and a sample above it is an error there. The raster
+of any other file, whose 8- or 16-bit samples cannot pass maxval, is read
 when the map's values are first needed, so a scene whose depth takes no box
 mean never reads it; a file cut short in between raises a FormatError that
-names it at that first use. As Netpbm requires, every sample lies in 0 ..
-maxval: a raster is scanned for that when it is read, unless maxval is 255
-or 65535, which its 8- or 16-bit samples cannot pass. Evaluation records
-wrap a scene with a prompt:
+names it at that first use. Evaluation records wrap a scene with a prompt:
 
     {"id": ..., "prompt": "A bench under a tree in a city", "scene": {...}}
 
@@ -56,8 +56,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, FormatError, ParseError
 from .extraction import DetectedObject, RelationInstance, Scene
-from .geometry import DepthMap, _trusted_box
+from .geometry import BoundingBox, DepthMap, _range_sums_exact
 from .prompts import parse_prompt, render_prompt
+from .relations import _unchecked
 from .textutil import as_float, is_number, json_line, json_value, jsonl_lines, write_jsonl
 
 if TYPE_CHECKING:
@@ -84,9 +85,9 @@ __all__ = [
 def read_depth(path: str | Path) -> DepthMap:
     """Read a closeness map from a binary PGM (P5) or a JSON 2D array.
 
-    A PGM file's header and length are checked here, and its raster, with
-    each sample at most maxval, when the map's values are first needed (see
-    _pending_pgm).
+    A PGM file's header and length are checked here, and so is each sample
+    against a maxval other than 255 or 65535; the raster of any other file
+    is read when the map's values are first needed (see _pending_pgm).
     """
     with open(path, "rb") as fh:
         data = fh.read(_PGM_HEAD)
@@ -130,14 +131,17 @@ def _pending_pgm(path: str | Path, head: bytes, stat: os.stat_result) -> DepthMa
 
     The header and the file's length are checked now, with the messages of a
     whole read; the raster's length is the file's size past the header. None
-    for any other file, which is then read whole.
+    for any other file, which is then read whole, as is one whose samples a
+    maxval other than 255 or 65535 bounds or whose box sums could pass 2**53.
     """
     tokens, pos = _pgm_header(head)
     if pos >= len(head) or not S_ISREG(stat.st_mode):
         return None
     typecode, shape, start, nbytes, maxval = _pgm_layout(tokens, pos, stat.st_size)
+    if maxval not in (255, 65535) or not _range_sums_exact(typecode, shape[0] * shape[1]):
+        return None
     return DepthMap._pending(functools.partial(_pgm_raster, path, start, nbytes, typecode, maxval),
-                             typecode, shape)
+                             shape)
 
 
 def _pgm_raster(path: str | Path, start: int, nbytes: int, typecode: str, maxval: int) -> array:
@@ -151,10 +155,7 @@ def _pgm_raster(path: str | Path, start: int, nbytes: int, typecode: str, maxval
     if len(data) < nbytes:
         raise FormatError(f"depth file {path}: PGM raster truncated: "
                           f"need {nbytes} bytes, have {len(data)}")
-    try:
-        return _raster(data, typecode, maxval)
-    except FormatError as exc:
-        raise FormatError(f"depth file {path}: {exc}") from None
+    return _raster(data, typecode, maxval)
 
 
 def _pgm_layout(tokens: list[bytes], pos: int,
@@ -327,8 +328,9 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     if not is_number(score):
         raise err("score must be a number")
     # the checks above are BoundingBox's, so the box is built without them
+    box = _unchecked(BoundingBox, x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
     try:
-        return DetectedObject(label, _trusted_box(x_min, y_min, x_max, y_max), as_float(score))
+        return DetectedObject(label, box, as_float(score))
     except ValueError as exc:
         raise err(str(exc)) from None
 

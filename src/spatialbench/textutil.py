@@ -27,7 +27,7 @@ import re
 import sys
 import unicodedata
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, Mapping
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .errors import FormatError
 
@@ -187,26 +187,32 @@ def write_jsonl(dest: IO[str] | str | Path | None, objs: Iterable[Mapping | str]
     """Write one json_line per item to a text stream, a path or stdout (None).
 
     A str item is a line already encoded that way, and is written as it is.
-    JSON text is ASCII, so a stream's encoding does not change its bytes.
+    Each line is written as it comes, so no output is held whole.
     """
     if dest is not None and not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             return write_jsonl(fh, objs)
-    write = (sys.stdout if dest is None else dest).write
+    write = _stdout_writer() if dest is None else dest.write
     for obj in objs:
         write((obj if isinstance(obj, str) else json_line(obj)) + "\n")
 
 
 def write_utf8(dest: str | Path | None, text: str) -> None:
-    """Write text as UTF-8, with no newline translation, to a path or stdout (None).
+    """Write text as UTF-8, with no newline translation, to a path or stdout (None)."""
+    if dest is not None:
+        Path(dest).write_bytes(text.encode("utf-8"))
+    else:
+        _stdout_writer()(text)
+
+
+def _stdout_writer() -> Callable[[str], object]:
+    """A write of text to stdout as UTF-8, whatever its encoding.
 
     stdout takes the bytes on its buffer, after its pending text; a stdout
     without a buffer, such as an io.StringIO, takes the text as it is.
     """
-    if dest is not None:
-        Path(dest).write_bytes(text.encode("utf-8"))
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    if not hasattr(sys.stdout, "buffer"):
+        return sys.stdout.write
+    sys.stdout.flush()
+    write = sys.stdout.buffer.write
+    return lambda text: write(text.encode("utf-8"))

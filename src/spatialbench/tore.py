@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import FormatError, MissingRelation, ParseError
-from .prompts import PromptSpec, _trusted_spec, parse_prompt, render_prompt
-from .relations import OPPOSITE_PAIRS, RelationKind, invert, pair_id
+from .prompts import PromptSpec, parse_prompt, render_prompt
+from .relations import OPPOSITE_PAIRS, RelationKind, _unchecked, invert, pair_id
 from .textutil import is_number, json_echo, json_value
 
 if TYPE_CHECKING:  # evaluation loads the scoring modules, which rewriting never needs
@@ -121,7 +121,7 @@ def transform_spec(spec: PromptSpec, cfg: ToreConfig) -> tuple[PromptSpec, bool]
     if not any(q.kind in flip for q in spec.clauses):
         return spec, False
     clauses = tuple(invert(q) if q.kind in flip else q for q in spec.clauses)
-    return _trusted_spec(clauses, spec.context), True
+    return _unchecked(PromptSpec, clauses=clauses, context=spec.context), True
 
 
 def transform_prompt(text: str, cfg: ToreConfig) -> str:

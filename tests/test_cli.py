@@ -1125,23 +1125,34 @@ class TestOutputEncoding:
         return subprocess.run([sys.executable, "-m", "spatialbench.cli", *argv], cwd=tmp_path,
                               env=env, capture_output=True, timeout=120)
 
-    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
-    @pytest.mark.parametrize("argv", [
-        ["gen-prompts", "--objects", "objects.txt", "--simple", "right=6", "--seed", "2"],
-        ["tore", "--profile", "sdxl", "prompts.txt"],
-    ], ids=["gen-prompts", "tore"])
-    def test_stdout_bytes_equal_output_bytes(self, tmp_path, argv, encoding):
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii", "utf-16", "cp037"])
+    @pytest.mark.parametrize("argv, phrase", [
+        (["gen-prompts", "--objects", "objects.txt", "--simple", "right=6", "--seed", "2"],
+         "café kiosk"),
+        (["tore", "--profile", "sdxl", "prompts.txt"], "café kiosk"),
+        (["extract", "scenes.jsonl"], "caf\\u00e9 kiosk"),
+        (["stub-gen", "parsed.txt", "--seed", "2"], "caf\\u00e9 kiosk"),
+        (["filter-captions", "captions.jsonl", "--objects", "objects.txt"], "caf\\u00e9 kiosk"),
+    ], ids=["gen-prompts", "tore", "extract", "stub-gen", "filter-captions"])
+    def test_stdout_bytes_equal_output_bytes(self, tmp_path, argv, phrase, encoding):
+        # text is printed as it is, and JSON Lines with its non-ASCII escaped
         (tmp_path / "objects.txt").write_text("café kiosk\nbench\nbus\n", encoding="utf-8")
-        (tmp_path / "prompts.txt").write_text(
-            "A café kiosk below a bench in a city\n"
-            "A bus on top of a café kiosk in a city\n"
-            "déjà vu, not a prompt\n", encoding="utf-8")
+        parsed = "A café kiosk below a bench in a city\nA bus on top of a café kiosk in a city\n"
+        (tmp_path / "parsed.txt").write_text(parsed, encoding="utf-8")
+        (tmp_path / "prompts.txt").write_text(parsed + "déjà vu, not a prompt\n",
+                                              encoding="utf-8")
+        (tmp_path / "scenes.jsonl").write_text(json.dumps(
+            {"image_id": "café kiosk", "width": 100, "height": 100, "context": "city",
+             "objects": [{"label": "bus", "box": [10, 40, 30, 60]},
+                         {"label": "bench", "box": [60, 40, 80, 60]}]}) + "\n")
+        (tmp_path / "captions.jsonl").write_text(json.dumps(
+            {"caption": "A café kiosk next to a bench in a city"}) + "\n")
         printed = self.run(tmp_path, argv, encoding)
         assert printed.returncode == 0, printed.stderr
         written = self.run(tmp_path, [*argv, "--output", "out.txt"], encoding)
         assert written.returncode == 0, written.stderr
         assert printed.stdout == (tmp_path / "out.txt").read_bytes()
-        assert "café kiosk".encode() in printed.stdout
+        assert phrase.encode() in printed.stdout
 
 
 def test_chain_bytes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -259,13 +259,31 @@ def test_bias_report_swaps_left_right_on_mirrored_stub_records(tmp_path):
     write_jsonl(mirrored, eval_record_lines(
         EvalRecord(r.record_id, _mirror_spec(r.prompt), _mirror_x(r.scene))
         for r in load_eval_records(records_file)))
-    tables = []
+    tables, profiles = [], []
     for source in (records_file, mirrored):
-        out = tmp_path / f"{source.stem}.bias.json"
-        assert main(["bias-report", str(source), "--output", str(out)]) == 0
+        out, profile = (tmp_path / f"{source.stem}.{n}.json" for n in ("bias", "profile"))
+        assert main(["bias-report", str(source), "--emit-profile", str(profile),
+                     "--output", str(out)]) == 0
         tables.append(json.loads(out.read_text()))
+        profiles.append(profile)
     table, image = tables
     left_right = table["left_right"]
     assert left_right["left"] != left_right["right"]  # the stub is biased toward left
     assert image == {**table, "left_right": {"left": left_right["right"],
                                              "right": left_right["left"]}}
+
+    # tore with the mirrored profile rewrites the mirrored prompts to the mirror of its rewrite
+    def mirror(lines: list[str]) -> list[str]:
+        return [render_prompt(_mirror_spec(parse_prompt(line))) for line in lines]
+
+    mirrored_prompts = tmp_path / "m.txt"
+    mirrored_prompts.write_text("".join(f"{line}\n" for line in
+                                        mirror(prompts.read_text().splitlines())))
+    rewrites = []
+    for source, profile in zip((prompts, mirrored_prompts), profiles):
+        out = tmp_path / f"{source.stem}.tore.txt"
+        assert main(["tore", "--profile", str(profile), str(source), "--output", str(out)]) == 0
+        rewrites.append(out.read_text().splitlines())
+    rewritten, image_rewritten = rewrites
+    assert rewritten != prompts.read_text().splitlines()  # the profile flips some clauses
+    assert image_rewritten == mirror(rewritten)

@@ -462,7 +462,8 @@ def test_pgm_shortened_after_load_is_one_error_line(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("pad", [0, sceneio._PGM_HEAD], ids=["first-use", "whole-read"])
 def test_pgm_sample_above_maxval_is_one_error_line(tmp_path, capsys, command, pad):
     # maxval 100 and a first sample of 200; a comment of pad bytes decides
-    # whether the raster is read at its first use or with the header at load
+    # whether the header ends within the bytes read at load, and either way a
+    # maxval other than 255 or 65535 has the raster read and refused at load
     (tmp_path / "d.pgm").write_bytes(b"P5\n#" + b"x" * pad + b"\n8 6\n100\n"
                                      + bytes([200]) + PGM[12:])
     scene = {"image_id": "s", "width": 8, "height": 6, "depth": "d.pgm", "objects": [
@@ -474,7 +475,16 @@ def test_pgm_sample_above_maxval_is_one_error_line(tmp_path, capsys, command, pa
     src = tmp_path / "in.jsonl"
     src.write_text(json.dumps(scene) + "\n")
     assert main([command, str(src)]) == 1
-    message = "PGM value 200 above maxval 100"
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {src}: depth file {tmp_path / 'd.pgm'}: {message}" if not pad else
-        f"error: {src}: depth file d.pgm: {message} (line 1, field {field})"]
+        f"error: {src}: depth file d.pgm: PGM value 200 above maxval 100 (line 1, field {field})"]
+
+
+def test_pgm_sample_above_maxval_is_refused_where_no_box_mean_reads_it(tmp_path, capsys):
+    # a lone object takes no depth mean, yet the file is refused when its scene loads
+    (tmp_path / "d.pgm").write_bytes(b"P5\n8 6\n100\n" + bytes([200]) + PGM[12:])
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"image_id": "s", "width": 8, "height": 6, "depth": "d.pgm",
+                               "objects": [{"label": "bus", "box": [1, 1, 5, 5]}]}) + "\n")
+    assert main(["extract", str(src)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {src}: depth file d.pgm: PGM value 200 above maxval 100 (line 1, field depth)"]

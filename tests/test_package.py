@@ -171,6 +171,25 @@ def test_json_is_decoded_only_in_textutil():
     assert {name for name, _ in uses} == {"textutil.py"}, uses
 
 
+def test_values_skip_their_checks_only_through_relations_unchecked():
+    # relations._unchecked is the one builder of a frozen dataclass value that
+    # does not run its checks; DepthMap._pending makes a plain class's map
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from calls(child, (*scope, child.name))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__" and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "object"):
+                yield ".".join(scope)
+            yield from calls(child, scope)
+
+    found = [where for path in sorted((ROOT / "src" / "spatialbench").glob("*.py"))
+             for where in calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))]
+    assert found == ["geometry.DepthMap._pending", "relations._unchecked"]
+
+
 def test_no_module_imports_numpy():
     imports = []
     for path in sorted((ROOT / "src" / "spatialbench").glob("*.py")):

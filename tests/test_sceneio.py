@@ -166,20 +166,13 @@ class TestDepthFiles:
     ], ids=["16-bit", "8-bit"])
     def test_sample_above_maxval_refused(self, tmp_path, maxval, raster, top):
         p = tmp_path / "d.pgm"
-        message = f"PGM value {top} above maxval {maxval}"
-        # the header fits the bytes read at load: the raster is checked at first use,
-        # and a failed read is not kept, so the next use fails alike
-        p.write_bytes(b"P5\n2 1\n%d\n" % maxval + raster)
-        depth = read_depth(p)
-        for _ in range(2):
+        # whether or not the header fits the bytes read at load, the raster of a
+        # maxval other than 255 or 65535 is read and refused at load
+        for pad in (b"", b"#" + b"x" * sceneio._PGM_HEAD + b"\n"):
+            p.write_bytes(b"P5\n" + pad + b"2 1\n%d\n" % maxval + raster)
             with pytest.raises(FormatError) as info:
-                depth.values
-            assert str(info.value) == f"depth file {p}: {message}"
-        # a comment pads the header past them: the whole file is read, and refused at load
-        p.write_bytes(b"P5\n#" + b"x" * sceneio._PGM_HEAD + b"\n2 1\n%d\n" % maxval + raster)
-        with pytest.raises(FormatError) as info:
-            read_depth(p)
-        assert str(info.value) == message
+                read_depth(p)
+            assert str(info.value) == f"PGM value {top} above maxval {maxval}"
 
     @pytest.mark.parametrize("pad", [0, sceneio._PGM_HEAD], ids=["first-use", "whole-read"])
     def test_sample_at_maxval_read(self, tmp_path, pad):
@@ -272,10 +265,12 @@ class TestPgmReadOnFirstUse:
     def test_every_use_reads_the_raster(self, tmp_path, use):
         path, depth = self._load(tmp_path)
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(FormatError) as info:
-            use(depth, self.ROWS)
-        assert str(info.value) == (f"depth file {path}: PGM raster truncated: "
-                                   f"need 24 bytes, have 23")
+        # a failed read is not kept, so the next use fails alike
+        for _ in range(2):
+            with pytest.raises(FormatError) as info:
+                use(depth, self.ROWS)
+            assert str(info.value) == (f"depth file {path}: PGM raster truncated: "
+                                       f"need 24 bytes, have 23")
         # the same file read whole again is refused at load
         with pytest.raises(FormatError, match="truncated"):
             read_depth(path)
