@@ -16,6 +16,9 @@ copy; which side runs first alternates by pair. Per metric the table gives
 the median and quartiles of each side, the median over pairs of the working
 tree's value divided by the revision's, and how many pairs the working tree
 won, where "won" follows the metric's ``better`` direction in BENCHMARK.json.
+A metric whose median per-pair ratio is worse than its ``bound`` there, as a
+fraction of the revision's value, is marked ``over bound``; a metric with no
+bound is never marked.
 The two runs of a pair share the machine's state at that time, so the
 per-pair ratio cancels most of the drift that moves whole runs. The last
 two lines say whether the two copies hold the same benchmark
@@ -81,11 +84,18 @@ def summary(values: list[float]) -> str:
     return f"{median:.3g} [{q1:.3g}–{q3:.3g}]"
 
 
-def pair_ratio(old: list[float], new: list[float]) -> str:
-    """Median over pairs of new / old; "n/a" when a revision value is 0."""
+def pair_ratio(old: list[float], new: list[float]) -> float | None:
+    """Median over pairs of new / old; None when a revision value is 0."""
     if not all(old):
-        return "n/a"
-    return f"{statistics.median(b / a for a, b in zip(old, new)):.3f}"
+        return None
+    return statistics.median(b / a for a, b in zip(old, new))
+
+
+def over_bound(ratio: float | None, higher_wins: bool, bound: float | None) -> bool:
+    """Whether the ratio tree/rev is worse than 1 by more than bound."""
+    if ratio is None or bound is None:
+        return False
+    return ratio < 1 - bound if higher_wins else ratio > 1 + bound
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,6 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     tree = Path.cwd()
     spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher_wins = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     (tree / ".bench_work").mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="ab_bench_", dir=tree / ".bench_work") as tmp:
         old_root, new_root = Path(tmp) / "old", Path(tmp) / "new"
@@ -129,8 +140,10 @@ def main(argv: list[str] | None = None) -> int:
         new = [run[name] for run in runs["tree"]]
         sign = 1 if higher_wins.get(name, False) else -1
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        print(f"  {name}: {summary(old)} → {summary(new)}, ratio {pair_ratio(old, new)} "
-              f"({wins}/{args.pairs})")
+        ratio = pair_ratio(old, new)
+        marker = " over bound" if over_bound(ratio, sign > 0, bounds.get(name)) else ""
+        print(f"  {name}: {summary(old)} → {summary(new)}, "
+              f"ratio {'n/a' if ratio is None else f'{ratio:.3f}'} ({wins}/{args.pairs}){marker}")
     chain_outputs = verdict(digests["rev"], digests["tree"])
     print(f"bench files: {bench_files}")
     print(f"chain outputs: {chain_outputs}")

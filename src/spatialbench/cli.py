@@ -249,26 +249,16 @@ def _read_lines(source: str) -> list[str]:
             return [line for _, line in textutil.read_lines(fh)]
 
 
-def _load_lexicon(args) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _load_lexicon(args, object_check=None,
+                  context_check=None) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The --objects and --contexts lists, or the shipped ones; a check runs on each given entry."""
     with _lexicon_file("--objects", args.objects):
-        objects = (lexicon.load_object_list(args.objects) if args.objects
+        objects = (lexicon._phrase_list(args.objects, "object", object_check) if args.objects
                    else lexicon.default_objects())
     with _lexicon_file("--contexts", args.contexts):
-        contexts = (lexicon.load_context_list(args.contexts) if args.contexts
-                    else lexicon.default_contexts())
+        contexts = (lexicon._phrase_list(args.contexts, "context", context_check)
+                    if args.contexts else lexicon.default_contexts())
     return objects, contexts
-
-
-def _check_grammar(flag: str, path: Path | None, check) -> None:
-    """Run check on each entry of a given list file; a ValueError names the entry's line."""
-    if path is None:
-        return
-    with _lexicon_file(flag, path):
-        for line_no, phrase in lexicon._entries(path, ""):
-            try:
-                check(phrase)
-            except ValueError as exc:
-                raise FormatError(str(exc), line=line_no) from None
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +280,8 @@ def _cmd_gen_prompts(args) -> int:
         ("--simple", args.simple), ("--complex", getattr(args, "complex"))))
     if not simple and not complex_counts:
         raise SpatialBenchError("nothing to generate: pass --simple and/or --complex")
-    objects, contexts = _load_lexicon(args)
     # the prompt grammar's rules (no comma; no "in a" in a context), which captions need not follow
-    _check_grammar("--objects", args.objects, prompts._normalized_object)
-    _check_grammar("--contexts", args.contexts, prompts._normalized_context)
+    objects, contexts = _load_lexicon(args, prompts._normalized_object, prompts._normalized_context)
     kinds = sorted(set(simple) | set(complex_counts), key=lambda k: k.value)
     largest = max([*simple.values(), *complex_counts.values()])
     pool_size = max(1000, 4 * largest) if args.pool_size is None else args.pool_size

@@ -79,18 +79,22 @@ class BoundingBox:
 # A box enters as its four coordinates (x_min, y_min, x_max, y_max). _verdicts
 # is the one kernel; the public checks below and extraction read it. Its four
 # directional verdicts come in the order of relations' 2D kinds, _DIRECTIONS.
+#
+# Each axis picks the minuend of its two edge distances independently: the
+# wider box for the horizontal distances, the taller box for the vertical
+# ones (ties keep input order). That choice makes the directional checks
+# exactly symmetric under argument swap. A direction's gap is the signed
+# distance between the facing edges in that direction; < 0 is overlap.
 
 _DIRECTION_INDEX = {kind: index for index, kind in enumerate(_DIRECTIONS)}
 
 
-def _pair(p, q):
-    """Axis distances of boxes p and q, their smaller width and height, then their gaps.
+def _verdicts(p, q, tau: float) -> tuple[bool, bool, bool, bool, bool]:
+    """RIGHT, LEFT, TOP and BOTTOM verdicts of p against q, then their depth-overlap gate.
 
-    Each axis picks its minuend independently: the wider box for the
-    horizontal distances, the taller box for the vertical ones (ties keep
-    input order). That choice makes the directional checks exactly symmetric
-    under argument swap. The gaps are the signed distances between the facing
-    edges in the RIGHT, LEFT, TOP and BOTTOM directions; < 0 is overlap.
+    A direction holds when its facing-edge gap stays above -min_extent/tau
+    along its axis and the other axis is aligned: both its edge distances
+    inside the +-min_extent/tau band. The gate needs both axes aligned.
     """
     px0, py0, px1, py1 = p
     qx0, qy0, qx1, qy1 = q
@@ -103,30 +107,14 @@ def _pair(p, q):
         y_max, y_min, min_h = qy1 - py1, qy0 - py0, ph
     else:
         y_max, y_min, min_h = py1 - qy1, py0 - qy0, qh
-    return (x_max, x_min, y_max, y_min, min_w, min_h,
-            px0 - qx1, qx0 - px1, qy0 - py1, py0 - qy1)
-
-
-def _within(max_dist, min_dist, extent, tau: float) -> bool:
-    """Both edge distances of one axis inside the +-extent/tau band."""
-    return max_dist < extent / tau and min_dist > -extent / tau
-
-
-def _verdicts(p, q, tau: float) -> tuple[bool, bool, bool, bool, bool]:
-    """RIGHT, LEFT, TOP and BOTTOM verdicts of p against q, then their depth-overlap gate.
-
-    A direction holds when its facing-edge gap stays above -min_extent/tau
-    along its axis and the other axis is aligned inside the +-min_extent/tau
-    band; the gate needs both axes aligned.
-    """
-    x_max, x_min, y_max, y_min, min_w, min_h, right, left, top, bottom = _pair(p, q)
-    rows = _within(y_max, y_min, min_h, tau)
-    columns = _within(x_max, x_min, min_w, tau)
+    w_floor, h_floor = -min_w / tau, -min_h / tau
+    rows = y_max < min_h / tau and y_min > h_floor
+    columns = x_max < min_w / tau and x_min > w_floor
     return (
-        rows and right > -min_w / tau,
-        rows and left > -min_w / tau,
-        columns and top > -min_h / tau,
-        columns and bottom > -min_h / tau,
+        rows and px0 - qx1 > w_floor,
+        rows and qx0 - px1 > w_floor,
+        columns and qy0 - py1 > h_floor,
+        columns and py0 - qy1 > h_floor,
         rows and columns,
     )
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import FormatError, UnknownKind
 from .relations import RelationKind
@@ -141,32 +141,44 @@ def load_phrase_lexicon(path: str | Path | None = None) -> PhraseLexicon:
     return PhraseLexicon(entries)
 
 
-def _entries(path: str | Path | None, default_name: str) -> Iterator[tuple[int, str]]:
-    """Each non-blank line's normalized phrase, with its 1-based line number."""
-    with open(path, "rb") if path else _data_path(default_name).open("rb") as fh:
-        for line_no, line in read_lines(fh):
-            phrase = normalize_phrase(line)
-            if phrase:
-                yield line_no, phrase
-
-
 def load_object_list(path: str | Path | None = None) -> tuple[str, ...]:
     """Read a newline-delimited noun-phrase list; blank lines are skipped."""
-    phrases: dict[str, None] = {}
-    for line_no, phrase in _entries(path, "urban_objects.txt"):
-        if phrase in phrases:
-            raise FormatError(f"duplicate object phrase {phrase!r}", line=line_no)
-        phrases[phrase] = None
-    if not phrases:
-        raise FormatError("object list is empty")
-    return tuple(phrases)
+    return _phrase_list(path, "object")
 
 
 def load_context_list(path: str | Path | None = None) -> tuple[str, ...]:
-    contexts = tuple(phrase for _, phrase in _entries(path, "contexts.txt"))
-    if not contexts:
-        raise FormatError("context list is empty")
-    return contexts
+    return _phrase_list(path, "context")
+
+
+_SHIPPED_LISTS = {"object": "urban_objects.txt", "context": "contexts.txt"}
+
+
+def _phrase_list(path: str | Path | None, kind: str, check=None) -> tuple[str, ...]:
+    """Each non-blank line's normalized phrase in the kind's list; the shipped one for no path.
+
+    kind is "object" or "context", and an object phrase may not repeat. check,
+    when not None, runs on each phrase as it is read. Each fault, a ValueError
+    from check among them, is a FormatError that names its line.
+    """
+    phrases: list[str] = []
+    seen: set[str] = set()
+    with open(path, "rb") if path else _data_path(_SHIPPED_LISTS[kind]).open("rb") as fh:
+        for line_no, line in read_lines(fh):
+            phrase = normalize_phrase(line)
+            if not phrase:
+                continue
+            try:
+                if check is not None:
+                    check(phrase)
+            except ValueError as exc:
+                raise FormatError(str(exc), line=line_no) from None
+            if kind == "object" and phrase in seen:
+                raise FormatError(f"duplicate object phrase {phrase!r}", line=line_no)
+            seen.add(phrase)
+            phrases.append(phrase)
+    if not phrases:
+        raise FormatError(f"{kind} list is empty")
+    return tuple(phrases)
 
 
 @lru_cache(maxsize=None)

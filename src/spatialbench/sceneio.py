@@ -32,12 +32,13 @@ the bytes are those of encoding every record on its own.
 load_scenes and load_eval_records are generators: they yield one scene or
 record per line as it parses, so a caller that consumes them one at a time
 holds one depth map at a time. A malformed line raises when it is reached.
-Reading mirrors the encode splice: an inline plane is decoded once per run
-of lines that repeat its text, and those records share one read-only
-DepthMap; the reader keeps only the last plane. textutil splits the lines
-and decodes the JSON, so a scene or record file, a JSON depth file and every
-other input report a fault in their bytes alike. textutil also encodes each
-line, and write_jsonl, re-exported here, is its writer.
+load_scenes decodes each line once, on its own. load_eval_records mirrors
+the encode splice: an inline plane is decoded once per run of record lines
+that repeat its text, and those records share one read-only DepthMap; the
+reader keeps only the last plane. textutil splits the lines and decodes the
+JSON, so a scene or record file, a JSON depth file and every other input
+report a fault in their bytes alike. textutil also encodes each line, and
+write_jsonl, re-exported here, is its writer.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from array import array
 from collections.abc import Mapping
 from pathlib import Path
 from stat import S_ISREG
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, FormatError, ParseError
 from .extraction import DetectedObject, RelationInstance, Scene
@@ -381,19 +382,26 @@ def relations_to_dict(scene: Scene, relations: Sequence[RelationInstance]) -> di
     ]}
 
 
+def load_scenes(path: str | Path) -> Iterator[Scene]:
+    """Yield the file's scenes one at a time, reading each depth map as it goes.
+
+    Each line is decoded once, on its own; only record files share a plane.
+    """
+    base_dir = Path(path).parent
+    for line_no, text in jsonl_lines(path):
+        yield scene_from_dict(json_value(text, line_no), base_dir=base_dir, line=line_no)
+
+
 # ---------------------------------------------------------------------------
-# JSONL reading: a repeated inline plane is decoded once
+# record reading: a repeated inline plane is decoded once
 
 # json_line writes a scene's inline plane after this text, and the plane's
 # last row closes at the first "]]" after it
 _INLINE_PLANE = '"depth": ['
 
-# the dict of a decoded line that holds its scene's depth key, or None
-_SceneOf = Callable[[object], dict | None]
 
-
-def _iter_values(path: str | Path, scene_of: _SceneOf) -> Iterator[tuple[int, object]]:
-    """Yield each line's number and JSON value, decoding a repeated inline plane once.
+def _iter_values(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield each record line's number and JSON value, decoding a repeated inline plane once.
 
     When _split_plane proves a line's plane, that depth becomes a
     DepthMap: the previous line's map when the plane text is the same, so a
@@ -403,7 +411,7 @@ def _iter_values(path: str | Path, scene_of: _SceneOf) -> Iterator[tuple[int, ob
     """
     plane_text = plane = None
     for line_no, text in jsonl_lines(path):
-        split = _split_plane(text, scene_of)
+        split = _split_plane(text)
         if split is not None:
             value, scene, span = split
             if span != plane_text:
@@ -415,8 +423,8 @@ def _iter_values(path: str | Path, scene_of: _SceneOf) -> Iterator[tuple[int, ob
         yield line_no, json_value(text, line_no)
 
 
-def _split_plane(text: str, scene_of: _SceneOf) -> tuple[object, dict, str] | None:
-    """The line's value with its scene depth set to 0, that scene, and the plane text.
+def _split_plane(text: str) -> tuple[object, dict, str] | None:
+    """The record line's value with its scene depth set to 0, that scene, and the plane text.
 
     The candidate plane runs from the first '"depth": [' to the first "]]"
     after it. It is the scene's depth value exactly when the line with 0 in
@@ -439,7 +447,7 @@ def _split_plane(text: str, scene_of: _SceneOf) -> tuple[object, dict, str] | No
         zero, one = json_value(head + "0" + tail), json_value(head + "1" + tail)
     except FormatError:
         return None
-    scene, check = scene_of(zero), scene_of(one)
+    scene, check = _record_scene(zero), _record_scene(one)
     if scene is None or check is None:
         return None
     depths = scene.get("depth"), check.get("depth")
@@ -456,20 +464,9 @@ def _plane(text: str) -> DepthMap | None:
         return None
 
 
-def _scene_itself(value: object) -> dict | None:
-    return value if isinstance(value, dict) else None
-
-
 def _record_scene(value: object) -> dict | None:
     scene = value.get("scene") if isinstance(value, dict) else None
     return scene if isinstance(scene, dict) else None
-
-
-def load_scenes(path: str | Path) -> Iterator[Scene]:
-    """Yield the file's scenes one at a time, reading each depth map as it goes."""
-    base_dir = Path(path).parent
-    for line_no, obj in _iter_values(path, _scene_itself):
-        yield scene_from_dict(obj, base_dir=base_dir, line=line_no)
 
 
 # ---------------------------------------------------------------------------
@@ -545,5 +542,5 @@ def eval_record_lines(records: Iterable[EvalRecord]) -> Iterator[str]:
 def load_eval_records(path: str | Path) -> Iterator[EvalRecord]:
     """Yield the file's evaluation records one at a time."""
     base_dir = Path(path).parent
-    for line_no, obj in _iter_values(path, _record_scene):
+    for line_no, obj in _iter_values(path):
         yield eval_record_from_dict(obj, base_dir=base_dir, line=line_no)

@@ -6,6 +6,9 @@ numbered one way and every decode fault reads one way:
 - A line ends at "\n", and a "\r" just before it belongs to the ending, as
   JSON Lines specifies. No other character ends a line: a lone "\r", a form
   feed or U+2028 stays inside its line.
+- A byte-order mark (U+FEFF) that opens a file is not content: it is
+  dropped from the first line, and from a whole file's text, after the
+  bytes decode, so a bad byte's offset counts it as the file holds it.
 - A fault in the bytes or the JSON is a FormatError that names the line:
   a bad UTF-8 byte (with its byte offset in the line), a JSON syntax error,
   an integer past int's digit limit, and nesting past MAX_NESTING.
@@ -59,6 +62,8 @@ def read_lines(stream: BinaryIO) -> Iterator[tuple[int, str]]:
             raise _bad_byte(data, exc, line_no) from None
         if text.endswith("\n"):
             text = text[:-2] if text.endswith("\r\n") else text[:-1]
+        if line_no == 1:
+            text = text.removeprefix("\ufeff")
         yield line_no, text
 
 
@@ -85,7 +90,7 @@ def json_value(data: str | bytes, line: int | None = None) -> object:
     A whole file's fault names the line it is on where the fault has one.
     """
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = data.decode("utf-8").removeprefix("\ufeff") if isinstance(data, bytes) else data
         # only a text with more opening brackets than the bound can nest past it
         if text.count("[") + text.count("{") > MAX_NESTING:
             _check_nesting(text)

@@ -822,6 +822,30 @@ class TestLexiconFiles:
         assert main([*argv, flag, str(lexicon)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {flag} {lexicon}: {message}"]
 
+    def test_gen_prompts_reads_each_list_file_once(self, tmp_path, monkeypatch):
+        objects, contexts = tmp_path / "objects.txt", tmp_path / "contexts.txt"
+        objects.write_text("bus\ncar\nlamp\n")
+        contexts.write_text("city\npark\n")
+        opened = []
+        real_open = open
+
+        def spy(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        assert main(["gen-prompts", "--simple", "right=1", "--objects", str(objects),
+                     "--contexts", str(contexts)]) == 0
+        assert [path for path in opened if path in (objects, contexts)] == [objects, contexts]
+
+    def test_first_faulty_line_of_a_list_wins(self, tmp_path, capsys):
+        # a comma on line 2 is met before the duplicate on line 4
+        lexicon = tmp_path / "list.txt"
+        lexicon.write_bytes(b"bus\ncar, van\nlamp\nbus\n")
+        assert main(["gen-prompts", "--simple", "right=1", "--objects", str(lexicon)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --objects {lexicon}: noun phrase 'car, van' contains a comma (line 2)"]
+
     def test_shipped_lists_keep_the_prompt_grammar(self):
         # gen-prompts checks the grammar of a given list file only
         for phrase in default_objects():
@@ -1088,6 +1112,59 @@ class TestDecodeFaults:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {src}: depth file d.json: invalid JSON: Exceeds the limit")
         assert line.endswith("to increase the limit (line 1, field depth)")
+
+
+_BOM_SCENE = ('{"image_id": "s", "width": 10, "height": 2, "depth": %s, "objects": ['
+              '{"label": "bus", "box": [0, 0, 8, 2]}, {"label": "car", "box": [1, 0, 8, 2]}, '
+              '{"label": "lamp", "box": [8, 0, 10, 2]}]}')
+_BOM_PLANE = "[[9, 1, 1, 1, 1, 1, 1, 1, 1, 1], [9, 1, 1, 1, 1, 1, 1, 1, 1, 1]]"
+_BOM_PROMPT = "A bus in front of a car in a city"
+# each case: its files, its argv (a file's name stands for its path), and the
+# file that takes a byte-order mark
+_BOM_CASES = {
+    "objects-list": ({"o.txt": "bus\ncar\nlamp\n"},
+                     ["gen-prompts", "--simple", "right=2", "--objects", "o.txt"], "o.txt"),
+    "contexts-list": ({"c.txt": "city\n"},
+                      ["gen-prompts", "--simple", "right=2", "--contexts", "c.txt"], "c.txt"),
+    "stub-gen-prompts": ({"p.txt": _BOM_PROMPT + "\n"}, ["stub-gen", "p.txt"], "p.txt"),
+    "tore-prompts": ({"p.txt": _BOM_PROMPT + "\n"},
+                     ["tore", "--profile", "flux1", "p.txt"], "p.txt"),
+    "scenes": ({"s.jsonl": _BOM_SCENE % "null" + "\n"}, ["extract", "s.jsonl"], "s.jsonl"),
+    "records": ({"r.jsonl": '{"id": "r", "prompt": "%s", "scene": %s}\n'
+                            % (_BOM_PROMPT, _BOM_SCENE % _BOM_PLANE)},
+                ["evaluate", "r.jsonl"], "r.jsonl"),
+    "captions": ({"k.jsonl": '{"caption": "a bus next to a car in a city"}\n'},
+                 ["filter-captions", "k.jsonl"], "k.jsonl"),
+    "config": ({"s.jsonl": _BOM_SCENE % "null" + "\n", "cfg.json": '{"tau": 2}'},
+               ["extract", "s.jsonl", "--config", "cfg.json"], "cfg.json"),
+    "profile": ({"p.txt": _BOM_PROMPT + "\n", "prof.json": json.dumps(
+                    {"front_behind": {"front": 0.2, "behind": 0.4}})},
+                ["tore", "--profile", "prof.json", "p.txt"], "prof.json"),
+    "depth-json": ({"s.jsonl": _BOM_SCENE % '"d.json"' + "\n",
+                    "d.json": _BOM_PLANE}, ["extract", "s.jsonl"], "d.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOM_CASES))
+def test_byte_order_mark_is_not_content(tmp_path, case):
+    files, argv, marked = _BOM_CASES[case]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        for name, text in files.items():
+            (tmp_path / name).write_bytes((bom if name == marked else b"") + text.encode())
+        out = tmp_path / "out"
+        assert main([str(tmp_path / a) if a in files else a for a in argv]
+                    + ["--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert "\ufeff" not in outputs[0].decode()
+
+
+def test_byte_order_mark_counts_in_a_bad_byte_offset():
+    with pytest.raises(FormatError, match="0xff at byte offset 4 \\(line 1\\)"):
+        json_value(b"\xef\xbb\xbf[\xff]")
+    with pytest.raises(FormatError, match="0xff at byte offset 5 \\(line 1\\)"):
+        list(textutil.read_lines(io.BytesIO(b"\xef\xbb\xbfab\xff\n")))
 
 
 # Every option of every subcommand; a flag added to or dropped from any

@@ -92,13 +92,44 @@ def test_demo_script_runs(argv, first_line):
 ], ids=["identical", "differ", "bench-differs"])
 def test_ab_bench_exit_code_follows_the_digests(tmp_path, monkeypatch, capsys,
                                                digest, bench, code, last_lines):
-    # the two sides' runs are stood in for, so only the comparison runs
+    roots = []
+    ab_bench = _stub_ab_bench(tmp_path, monkeypatch, [{"name": "evaluate_s", "better": "lower"}],
+                              bench, lambda root: roots.append(root) or (
+        {"evaluate_s": 1.0},
+        {"records.jsonl": digest if root.name == "new" else "same", "report.json": "r"},
+    ))
+    assert ab_bench.main(["HEAD", "--workload", "eval_loop", "--pairs", "2"]) == code
+    assert capsys.readouterr().out.splitlines()[-2:] == last_lines
+    # both sides run from sibling copies under .bench_work/, never from the tree itself
+    assert {root.name for root in roots} == {"old", "new"}
+    assert {root.parent.parent for root in roots} == {tmp_path / ".bench_work"}
+
+
+def test_ab_bench_marks_a_median_ratio_over_its_bound(tmp_path, monkeypatch, capsys):
+    end_to_end = [{"name": "evaluate_s", "better": "lower", "bound": 0.25},
+                  {"name": "tore_s", "better": "lower", "bound": 0.25},
+                  {"name": "items_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.25},
+                  {"name": "setup_s", "better": "lower"}]
+    rev = {"evaluate_s": 1.0, "tore_s": 1.0, "items_per_s": 100.0, "rate": 100.0, "setup_s": 1.0}
+    tree = {"evaluate_s": 1.3, "tore_s": 1.2, "items_per_s": 70.0, "rate": 80.0, "setup_s": 2.0}
+    ab_bench = _stub_ab_bench(tmp_path, monkeypatch, end_to_end, "same", lambda root: (
+        tree if root.name == "new" else rev, {"records.jsonl": "same"}))
+    assert ab_bench.main(["HEAD", "--workload", "eval_loop", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:-2]
+    assert [line.split(":")[0].strip() for line in lines] == list(rev)
+    # worse than the bound: more than 25% slower, or under 75% of the rate; no bound, no mark
+    assert [line.endswith(" over bound") for line in lines] == [True, False, True, False, False]
+    assert lines[0].endswith("ratio 1.300 (0/2) over bound")
+
+
+def _stub_ab_bench(tmp_path, monkeypatch, end_to_end, bench, run):
+    """scripts/ab_bench.py with each side's bench run stood in for by run(root)."""
     spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "scripts" / "ab_bench.py")
     ab_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab_bench)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "evaluate_s", "better": "lower"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
     monkeypatch.setattr(ab_bench.subprocess, "run",
                         lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, b""))
 
@@ -110,16 +141,8 @@ def test_ab_bench_exit_code_follows_the_digests(tmp_path, monkeypatch, capsys,
         (dest.parent / "old" / "bench" / "run.py").write_text("same")
 
     monkeypatch.setattr(ab_bench, "copy_tree_files", copy_bench)
-    roots = []
-    monkeypatch.setattr(ab_bench, "bench_run", lambda root, args: roots.append(root) or (
-        {"evaluate_s": 1.0},
-        {"records.jsonl": digest if root.name == "new" else "same", "report.json": "r"},
-    ))
-    assert ab_bench.main(["HEAD", "--workload", "eval_loop", "--pairs", "2"]) == code
-    assert capsys.readouterr().out.splitlines()[-2:] == last_lines
-    # both sides run from sibling copies under .bench_work/, never from the tree itself
-    assert {root.name for root in roots} == {"old", "new"}
-    assert {root.parent.parent for root in roots} == {tmp_path / ".bench_work"}
+    monkeypatch.setattr(ab_bench, "bench_run", lambda root, args: run(root))
+    return ab_bench
 
 
 def test_bench_trace_points_resolve():
