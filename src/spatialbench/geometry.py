@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyRegion
 from .relations import _DIRECTIONAL_2D as _DIRECTIONS, DEFAULT_STRICTNESS, RelationKind, Strictness
+from .textutil import all_numbers
 
 __all__ = [
     "BoundingBox",
@@ -185,18 +186,20 @@ class DepthMap:
 
     Metric depth (larger = farther) must be inverted before construction.
 
-    values is a 2D grid: nested lists or tuple rows, as JSON decodes them.
-    An object with tolist() (a numpy array or scalar among them), as the grid,
-    a row or a value, is read through it. With shape=(height, width), values
-    is instead the flat row-major grid as an array.array of an integer type.
-    The map keeps its own copy.
+    values takes one of two forms, and the map keeps its own copy:
 
-    A grid of numbers is accepted: bools count as 0 and 1, unless the grid
-    holds bools alone, and an int must fit int64 or uint64. The grid is
-    stored flat in an array.array. An integer grid keeps integer storage
-    while max * size < 2**53, so every box sum is exact in float64; any other
-    grid, and one that holds a float, is stored as float64. Equality and
-    hashing go by value, across storage types.
+    - a non-empty list of equal-length, non-empty lists of numbers, as JSON
+      decodes a 2D array: each item passes textutil.is_number, so a bool is
+      refused, and an int must fit int64 or uint64;
+    - with shape=(height, width), the flat row-major grid as an array.array
+      of an integer type.
+
+    Anything else, a tuple or a numpy array among them, raises ValueError; a
+    numpy caller passes arr.tolist(). The grid is stored flat in an
+    array.array. An integer grid keeps integer storage while max * size <
+    2**53, so every box sum is exact in float64; any other grid, and one that
+    holds a float, is stored as float64. Equality and hashing go by value,
+    across storage types.
 
     A map made by _pending reads its storage when its values are first
     needed: by a box mean, values, flat, == or hash.
@@ -205,10 +208,8 @@ class DepthMap:
     def __init__(self, values, *, shape: tuple[int, int] | None = None):
         if shape is not None:
             data, shape = _flat_grid(values, shape)
-        elif (data := _int_rows(values)) is not None:
-            shape = (len(values), len(values[0]))
         else:
-            data, shape = _grid(values)
+            data, shape = _list_grid(values)
         if data.typecode == "d" and not all(map(math.isfinite, data)):
             raise ValueError("depth values must be finite")
         if not data.typecode.isupper() and min(data) < 0:
@@ -271,69 +272,39 @@ class DepthMap:
         return hash((self._shape, tuple(self._data)))
 
 
-def _int_rows(rows) -> array | None:
-    """A list of equal-length lists of ints as flat storage; None for any other grid.
+def _list_grid(rows) -> tuple[array, tuple[int, int]]:
+    """A list of equal-length lists of numbers as flat storage and its (height, width).
 
-    Unsigned storage holds non-negative values, and its range bounds the
-    maximum; a negative value or one past that range takes signed storage.
+    The checks go in order: the rows all lists of one length, or no row a
+    list (else ragged), numbers only, then two non-empty dimensions. Unsigned
+    storage holds non-negative ints, and its range bounds the maximum; a
+    negative int or one past that range takes signed storage, and a float or
+    an int past int64 takes float64. A list of numbers alone is refused by
+    its one-dimensional shape.
     """
-    if type(rows) is not list or not rows or type(rows[0]) is not list or not rows[0]:
-        return None
-    width = len(rows[0])
-    for typecode in ("I", "q"):
+    if type(rows) is not list:
+        raise ValueError(f"depth values must be a list of row lists, got {type(rows).__name__}")
+    lists = sum(type(row) is list for row in rows)
+    if 0 < lists < len(rows) or lists and len(set(map(len, rows))) > 1:
+        raise ValueError("depth values must form a non-empty 2D grid, got ragged rows")
+    grid = rows if lists else [rows]
+    if not all(map(all_numbers, grid)):
+        raise ValueError("depth values must be numbers")
+    for typecode in ("I", "q", "d"):
+        if typecode == "d" and not all(-2**63 <= v < 2**64 for row in grid for v in row
+                                       if isinstance(v, int)):
+            raise ValueError("depth values must be numbers")
         data = array(typecode)
         try:
-            for row in rows:
-                if type(row) is not list or len(row) != width:
-                    return None
+            for row in grid:
                 data.fromlist(row)
-        except OverflowError:
-            continue
-        except TypeError:  # not an int: a float, or no number at all
-            return None
-        break
-    else:
-        return None  # past int64
-    # a grid of bools alone is not a grid of numbers
-    if type(rows[0][0]) is bool and all(type(v) is bool for row in rows for v in row):
-        return None
-    return data
-
-
-_PLAIN = (float, int, list, tuple, bool)  # plain values: no tolist() to look up
-
-
-def _grid(values) -> tuple[array, tuple[int, int]]:
-    """Any grid _int_rows does not take, as flat storage and its (height, width).
-
-    A list or tuple nests, and an object with tolist() is read through it;
-    anything else is one value. The checks go in order: every level the same
-    length and all nested or all values (else ragged), numbers only, then two
-    non-empty dimensions. An integer grid takes _int_rows' storage.
-    """
-    def some(types, kinds) -> bool:
-        return any(issubclass(t, kinds) for t in types)
-
-    shape, level = [], [values]
-    while True:
-        level = [v if type(v) in _PLAIN or not hasattr(v, "tolist") else v.tolist()
-                 for v in level]
-        types = set(map(type, level))
-        if not some(types, (list, tuple)):
             break
-        if not all(issubclass(t, (list, tuple)) for t in types) or len(set(map(len, level))) > 1:
-            raise ValueError("depth values must form a non-empty 2D grid, got ragged rows")
-        shape.append(len(level[0]))
-        level = [x for v in level for x in v]
-    if (not all(issubclass(t, (int, float)) for t in types) or types == {bool}
-            or some(types, int) and not all(-2**63 <= v < 2**64 for v in level
-                                            if isinstance(v, int))):
-        raise ValueError("depth values must be numbers")
-    if len(shape) != 2 or not level:
-        raise ValueError(f"depth values must form a non-empty 2D grid, got shape {tuple(shape)}")
-    if some(types, float) or (data := _int_rows([level])) is None:
-        data = array("d", level)  # past int64: no sum of it is exact in float64 anyway
-    return data, (shape[0], shape[1])
+        except (OverflowError, TypeError):  # an int past this type's range, or a float
+            continue
+    if not lists or not rows[0]:
+        shape = (len(rows), 0) if lists else (len(rows),)
+        raise ValueError(f"depth values must form a non-empty 2D grid, got shape {shape}")
+    return data, (len(rows), len(rows[0]))
 
 
 def _flat_grid(values, shape: tuple[int, int]) -> tuple[array, tuple[int, int]]:

@@ -60,7 +60,8 @@ from .extraction import DetectedObject, RelationInstance, Scene
 from .geometry import BoundingBox, DepthMap, _range_sums_exact
 from .prompts import parse_prompt, render_prompt
 from .relations import _unchecked
-from .textutil import as_float, is_number, json_line, json_value, jsonl_lines, write_jsonl
+from .textutil import (all_numbers, as_float, is_number, json_line, json_value, jsonl_lines,
+                       write_jsonl)
 
 if TYPE_CHECKING:
     from .evaluation import EvalRecord
@@ -258,8 +259,9 @@ def scene_from_dict(
                 depth = read_depth(depth_path)
             except OSError as exc:
                 raise err(f"cannot read depth file: {exc}", "depth") from None
-            except FormatError as exc:
-                raise err(f"depth file {raw_depth}: {exc}", "depth") from None
+            except FormatError as exc:  # its line is the depth file's, not the scene's
+                where = raw_depth if exc.line is None else f"{raw_depth} line {exc.line}"
+                raise err(f"depth file {where}: {exc.reason}", "depth") from None
         elif isinstance(raw_depth, DepthMap):
             depth = raw_depth
         elif isinstance(raw_depth, list):
@@ -296,9 +298,6 @@ def _positive_number(record: Mapping, name: str, err) -> float:
     return value
 
 
-_PLAIN_NUMBERS = frozenset((int, float))
-
-
 def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     if not isinstance(raw, Mapping):
         raise err("object must be a JSON object")
@@ -308,8 +307,7 @@ def _object_from_dict(raw, width: float, height: float, err) -> DetectedObject:
     box = raw.get("box")
     # plain ints and floats pass on their type alone, and a box inside the
     # image needs no clipping: most boxes take neither slower path
-    if (not isinstance(box, list) or len(box) != 4
-            or not (_PLAIN_NUMBERS.issuperset(map(type, box)) or all(map(is_number, box)))):
+    if not isinstance(box, list) or len(box) != 4 or not all_numbers(box):
         raise err("box must be a list of four numbers")
     try:
         x_min, y_min, x_max, y_max = map(float, box)

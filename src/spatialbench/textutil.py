@@ -164,6 +164,14 @@ def is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def all_numbers(values: list) -> bool:
+    """Every item passes is_number; plain ints and floats pass on their type alone."""
+    return _PLAIN_NUMBERS.issuperset(map(type, values)) or all(map(is_number, values))
+
+
 def as_float(value: int | float) -> float:
     """value as a float; an int past the float range becomes the infinity of its sign."""
     try:

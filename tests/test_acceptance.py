@@ -180,7 +180,7 @@ def test_criterion_2_symmetry():
         assert check_directional(x, y, B, s) == check_directional(y, x, T, s)
         assert check_next(x, y, s) == check_next(y, x, s)
 
-    depth = DepthMap(rng.uniform(0.0, 10.0, size=(64, 64)))
+    depth = DepthMap(rng.uniform(0.0, 10.0, size=(64, 64)).tolist())
     da = random_box_array(rng, 100_000, span=60.0, max_extent=4.0)
     db = random_box_array(rng, 100_000, span=60.0, max_extent=4.0)
     flipped = {None: None, RelationKind.FRONT: RelationKind.BEHIND,

@@ -17,7 +17,7 @@ from spatialbench.evaluation import (
     score_record,
 )
 from spatialbench.extraction import DetectedObject, Scene
-from spatialbench.geometry import BoundingBox, DepthMap
+from spatialbench.geometry import BoundingBox, DepthMap, check_between
 from spatialbench.prompts import PromptSpec, RelationQuadruple
 from spatialbench.relations import RelationKind, Strictness
 
@@ -101,12 +101,22 @@ class TestScoreClause:
         assert verdict.satisfied
         assert verdict.witness == (1, 2, 0)
 
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 1, 3])
+    def test_between_needs_two_flanker_instances(self, tau):
+        # below tau 1 a car inside a slightly wider dog is between that dog and itself
+        dog, car = BoundingBox(0, 0, 12, 10), BoundingBox(1, 0, 11, 10)
+        s = Strictness(tau)
+        assert check_between(dog, car, dog, s) is (tau < 1)
+        scene = make_scene([("dog", dog.as_tuple()), ("car", car.as_tuple())], 20, 20)
+        verdict = score_clause(quad("car", "between", ("dog", "dog")), scene, s)
+        assert verdict == ClauseVerdict(False)
+
     def test_depth_clause_without_map_unsatisfied(self):
         scene = make_scene([("a", (50, 20, 90, 60)), ("b", (40, 25, 80, 65))], 100, 100)
         assert not score_clause(quad("a", "front", "b"), scene).satisfied
 
     def test_depth_clauses(self):
-        depth = DepthMap(np.tile(np.arange(100, dtype=np.float64), (100, 1)))
+        depth = DepthMap(np.tile(np.arange(100, dtype=np.float64), (100, 1)).tolist())
         scene = make_scene(
             [("a", (50, 20, 90, 60)), ("b", (40, 25, 80, 65))], 100, 100, depth=depth
         )

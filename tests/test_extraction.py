@@ -76,7 +76,7 @@ class TestSceneTypes:
             scene_of([(0, 0, 300, 40)], width=200, height=200)
 
     def test_depth_dims_must_match(self):
-        depth = DepthMap(np.zeros((50, 50)))
+        depth = DepthMap(np.zeros((50, 50)).tolist())
         with pytest.raises(DimensionMismatch):
             scene_of(EXAMPLE_A, width=200, height=200, depth=depth)
 
@@ -120,7 +120,7 @@ class TestExtractPairwise:
         assert extract_pairwise(scene_of([(0, 0, 40, 40)])) == []
 
     def test_depth_pair_emits_front_and_behind(self):
-        depth = DepthMap(np.tile(np.arange(100, dtype=np.float64), (100, 1)))
+        depth = DepthMap(np.tile(np.arange(100, dtype=np.float64), (100, 1)).tolist())
         scene = scene_of(
             [(50, 20, 90, 60), (40, 25, 80, 65)], width=100, height=100, depth=depth
         )
@@ -317,7 +317,7 @@ def random_scenes(draw, max_objects=5):
         seed = draw(st.integers(0, 2**16))
         levels = draw(st.sampled_from([2, 64]))  # two levels make tied means common
         rng = np.random.default_rng(seed)
-        depth = DepthMap(rng.integers(0, levels, size=(8, 8)).astype(np.float64))
+        depth = DepthMap(rng.integers(0, levels, size=(8, 8)).astype(np.float64).tolist())
     return scene_of(boxes, width=8, height=8, scores=scores, depth=depth)
 
 
@@ -357,7 +357,7 @@ def test_dense_scene_with_depth_matches_oracle():
         w, h = (int(v) for v in rng.integers(8, 25, size=2))
         x, y = int(rng.integers(0, 65 - w)), int(rng.integers(0, 65 - h))
         boxes.append((x, y, x + w, y + h))
-    depth = DepthMap(rng.integers(0, 4, size=(64, 64)).astype(np.float64))
+    depth = DepthMap(rng.integers(0, 4, size=(64, 64)).astype(np.float64).tolist())
     scene = scene_of(boxes, width=64, height=64, depth=depth)
     cfg = ExtractionConfig()
     assert {r.kind for r in extract_scene(scene, cfg)} == set(RelationKind)

@@ -49,7 +49,7 @@ def directional_distance(b1, b2, kind):
 
 def gradient_map(width=100, height=100):
     # value(x, y) = x
-    return DepthMap(np.tile(np.arange(width, dtype=np.float64), (height, 1)))
+    return DepthMap(np.tile(np.arange(width, dtype=np.float64), (height, 1)).tolist())
 
 
 class TestConstruction:
@@ -87,6 +87,20 @@ class TestConstruction:
         assert (d.width, d.height) == (2, 2)
         d.values[0][0] = 9.0  # values is a fresh copy each read
         assert d.values == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_depth_map_reads_lists_of_json_numbers_only(self):
+        class Grid:
+            def tolist(self):
+                return [[1, 2], [3, 4]]
+
+        for values, name in (((1, 2), "tuple"), (Grid(), "Grid"), (np.ones((2, 2)), "ndarray")):
+            with pytest.raises(ValueError, match=f"list of row lists, got {name}$"):
+                DepthMap(values)
+        for values in ([(1, 2), (3, 4)], [[True, 2], [3, 4]], [[1, 2], [3, False]], [[True]],
+                       [[np.int64(1)]]):
+            with pytest.raises(ValueError, match="must be numbers$"):
+                DepthMap(values)
+        assert DepthMap([[np.float64(1.5)]]) == DepthMap([[1.5]])  # a float subclass is a float
 
 
 class TestAxisDistances:
@@ -249,7 +263,7 @@ class TestCheckDepthOverlap:
 
 class TestAverageDepth:
     def test_constant_map(self):
-        d = DepthMap(np.full((50, 80), 7.25))
+        d = DepthMap(np.full((50, 80), 7.25).tolist())
         assert average_depth(d, BoundingBox(3, 9, 41, 20)) == 7.25
 
     def test_gradient_worked_example(self):
@@ -286,8 +300,8 @@ class TestAverageDepth:
         box = BoundingBox(
             b.x_min % 50, b.y_min % 50, b.x_min % 50 + min(b.width, 14), b.y_min % 50 + min(b.height, 14)
         )
-        d0 = average_depth(DepthMap(base), box)
-        d1 = average_depth(DepthMap(base + shift), box)
+        d0 = average_depth(DepthMap(base.tolist()), box)
+        d1 = average_depth(DepthMap((base + shift).tolist()), box)
         assert math.isclose(d1, d0 + shift, rel_tol=1e-12, abs_tol=1e-9)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
@@ -320,7 +334,7 @@ class TestIntegerDepthMaps:
     @settings(max_examples=60)
     def test_means_are_bit_identical_across_dtypes(self, height, width, top, seed, bs):
         grid = np.random.default_rng(seed).integers(0, top, size=(height, width), endpoint=True)
-        maps = [DepthMap(grid.astype(t)) for t in (np.uint16, np.int64, np.float64)]
+        maps = [DepthMap(grid.astype(t).tolist()) for t in (np.uint16, np.int64, np.float64)]
         assert [m.flat.format for m in maps] == ["I", "I", "d"]
         for b in bs:
             if b.x_min >= width or b.y_min >= height:
@@ -330,22 +344,22 @@ class TestIntegerDepthMaps:
 
     def test_equal_values_compare_and_hash_equal(self):
         grid = np.arange(12).reshape(3, 4)
-        maps = [DepthMap(grid.astype(t)) for t in (np.uint8, ">u2", np.int64, np.float64)]
-        assert maps[1].values == grid.tolist()  # read in native byte order
+        maps = [DepthMap(grid.astype(t).tolist()) for t in (np.uint8, ">u2", np.int64, np.float64)]
+        assert maps[1].values == grid.tolist()
         assert all(m == maps[0] for m in maps)
         assert len({hash(m) for m in maps}) == 1
-        assert DepthMap(grid) != DepthMap(grid + 1)
+        assert DepthMap(grid.tolist()) != DepthMap((grid + 1).tolist())
         assert hash(DepthMap([[-0.0, 1.0]])) == hash(DepthMap([[0, 1]]))
 
     def test_sums_past_2_to_53_take_the_float64_path(self):
         # max * size must stay below 2**53 for every box sum to be exact
-        assert DepthMap(np.full((2, 2), 2**51 - 1)).flat.format == "q"
-        assert DepthMap(np.full((2, 2), 2**51)).flat.format == "d"
+        assert DepthMap(np.full((2, 2), 2**51 - 1).tolist()).flat.format == "q"
+        assert DepthMap(np.full((2, 2), 2**51).tolist()).flat.format == "d"
         assert DepthMap([[2**60, 1]]).flat.format == "d"
 
     def test_negative_integers_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            DepthMap(np.array([[3, -1]], dtype=np.int16))
+            DepthMap(np.array([[3, -1]], dtype=np.int16).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +400,23 @@ def json_grids(draw):
 _DTYPES = ["u1", "u2", ">u2", "i2", ">i4", "i8", "u4", "u8", "f4", "f8", "?"]
 
 
+def _outside_json_numbers(values) -> bool:
+    """A grid that numpy reads and DepthMap refuses: tuple rows, a bool, or deeper nesting."""
+    rows = [row if isinstance(row, (list, tuple)) else [row] for row in values]
+    return any(type(row) is tuple or any(isinstance(v, (bool, list, tuple)) for v in row)
+               for row in rows)
+
+
 def _agreeing_map(make, values) -> tuple[DepthMap, np.ndarray] | None:
-    """The map make() builds, checked against the reference; None where both reject."""
+    """The map make() builds, checked against the reference; None where both reject.
+
+    A grid _outside_json_numbers names is refused without the reference, which
+    reads it, or names its nesting, where DepthMap refuses its items as numbers.
+    """
+    if isinstance(values, list) and _outside_json_numbers(values):
+        with pytest.raises(ValueError, match="must be numbers|ragged rows"):
+            make()
+        return None
     try:
         want = ref.numpy_depth_grid(values)
     except ValueError as exc:
@@ -445,12 +474,12 @@ class TestDepthMapAgainstNumpy:
            st.lists(integer_boxes(grid=6), max_size=6))
     @settings(max_examples=250, deadline=None)
     def test_numpy_arrays(self, arr, bs):
-        # tolist() drops the dimensions after an empty one: (0, 3) reads as (0,)
-        found = _agreeing_map(lambda: DepthMap(arr), arr.tolist() if arr.size == 0 else arr)
+        # a numpy caller passes arr.tolist(); the array itself is no grid
+        with pytest.raises(ValueError, match="list of row lists, got ndarray"):
+            DepthMap(arr)
+        found = _agreeing_map(lambda: DepthMap(arr.tolist()), arr.tolist())
         if found is not None:
             _same_means(*found, bs)
-        if arr.size:  # numpy rows, or a row of numpy scalars, read as the array does
-            _agreeing_map(lambda: DepthMap(list(arr)), arr)
 
     @given(st.sampled_from("bBhHiIlLqQ"), st.integers(1, 5), st.integers(1, 5), st.data())
     @settings(max_examples=150, deadline=None)
@@ -476,7 +505,8 @@ class TestDepthMapAgainstNumpy:
 
         def forms(flat, rows):
             return [DepthMap(rows), DepthMap([[float(v) for v in row] for row in rows]),
-                    *(DepthMap(np.array(rows, dtype=t)) for t in ("u1", ">u2", "i8", "f8")),
+                    *(DepthMap(np.array(rows, dtype=t).tolist())
+                      for t in ("u1", ">u2", "i8", "f8")),
                     *(DepthMap(array(t, flat), shape=(height, width)) for t in "BHq")]
 
         maps = forms(flat, rows)
@@ -523,7 +553,7 @@ class TestCheckDepthRelation:
     def test_constant_map_ties_to_none(self):
         b1 = BoundingBox(50, 20, 90, 60)
         b2 = BoundingBox(40, 25, 80, 65)
-        d = DepthMap(np.full((100, 100), 3.0))
+        d = DepthMap(np.full((100, 100), 3.0).tolist())
         assert check_depth_relation(b1, b2, d, TAU3) is None
 
     def test_disjoint_boxes_gate_to_none(self):
@@ -534,7 +564,7 @@ class TestCheckDepthRelation:
     @settings(max_examples=100)
     def test_antisymmetry_on_random_maps(self, a, b, s):
         rng = np.random.default_rng(13)
-        d = DepthMap(rng.integers(0, 500, size=(64, 64)).astype(np.float64))
+        d = DepthMap(rng.integers(0, 500, size=(64, 64)).astype(np.float64).tolist())
         fwd = check_depth_relation(a, b, d, s)
         rev = check_depth_relation(b, a, d, s)
         if fwd is RelationKind.FRONT:
@@ -549,7 +579,7 @@ class TestCheckDepthRelation:
     def test_float_maps_agree_with_numpy_means_apart(self, seed, a, b, s):
         # the verdict may differ only where numpy's own means are within 8 ulps
         grid = np.random.default_rng(seed).uniform(0, 1000, size=(24, 24))
-        d = DepthMap(grid)
+        d = DepthMap(grid.tolist())
         means = [ref.numpy_average_depth(grid, box.as_tuple()) for box in (a, b)]
         if not check_depth_overlap(a, b, s) or abs(means[0] - means[1]) <= 8 * math.ulp(max(means)):
             return

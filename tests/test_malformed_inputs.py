@@ -68,6 +68,8 @@ def _captions() -> list[dict]:
 
 
 SIDE_FILES = {"d.pgm": PGM, "d.json": json.dumps(PLANE).encode()}
+# a JSON true among a plane's numbers: a literal, not the number 1
+BOOL_PLANE = [[True] + [0] * 7] + [[0] * 8] * 5
 
 # a value of the wrong type or out of range, per field path
 SCENE_VALUES = [
@@ -78,6 +80,7 @@ SCENE_VALUES = [
     ("objects.0.score", 2), ("objects.1.score", "x"), ("objects.0.score", -0.5),
     ("depth", 5), ("depth", [[1, 2], [3]]), ("depth", [[1, 2]]), ("depth", [[-1] * 8] * 6),
     ("depth", [["1"] * 8] * 6), ("depth", []), ("depth", "missing.pgm"), ("context", 3),
+    ("depth", BOOL_PLANE),
 ]
 RECORD_VALUES = [("id", None), ("id", 1.5), ("prompt", "not a prompt"), ("prompt", 5),
                  ("scene", None), ("scene", [])]
@@ -157,7 +160,7 @@ def jsonl_case(kind: str, fault: str, index: int, pick: int, at: int) -> Case:
 PGM_FAULTS = [b"P5\n8 6\n0\n" + PGM[11:], b"P5\n0 6\n255\n" + PGM[11:], b"P5\nx 6\n255\n" + PGM[11:],
               b"P6\n8 6\n255\n" + PGM[11:], b"P5\n8 6\n70000\n"]
 DEPTH_JSON_FAULTS = ["[[1, 2], [3]]", "[[-1]]", "[[true, false]]", "[[]]", "[]", "{}", "3",
-                     "[[NaN, 1]]"]
+                     "[[NaN, 1]]", json.dumps(BOOL_PLANE)]
 # a well-formed map of the wrong size: the error names the file, the scene's line and field
 WRONG_SIZE = {"d.pgm": b"P5\n4 3\n255\n" + bytes(12), "d.json": b"[[1, 2]]"}
 
@@ -331,6 +334,10 @@ def _run(case: Case) -> tuple[int, str]:
 # a bad UTF-8 byte, and a PGM cut short in its raster
 @example(jsonl_case("records", "byte", 1, 0, 7))
 @example(depth_file_case("pgm-truncate", 0, 40))
+# a bool in a depth grid: inline in a scene, inline in a record, in a JSON depth file
+@example(jsonl_case("scenes", "value", 0, len(SCENE_VALUES) - 1, 0))
+@example(jsonl_case("records", "value", 0, len(RECORD_VALUES) + len(SCENE_VALUES) - 1, 0))
+@example(depth_file_case("json-value", len(DEPTH_JSON_FAULTS) - 1, 1))
 def test_malformed_input_is_one_error_line(case):
     code, err = _run(case)
     lines = err.splitlines()
@@ -488,3 +495,53 @@ def test_pgm_sample_above_maxval_is_refused_where_no_box_mean_reads_it(tmp_path,
     assert main(["extract", str(src)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {src}: depth file d.pgm: PGM value 200 above maxval 100 (line 1, field depth)"]
+
+
+# ---------------------------------------------------------------------------
+# where an error is: each line number once, next to its own file
+
+
+def _wrapped(command: str, scene: dict) -> tuple[dict, str]:
+    """The scene as extract reads it, or wrapped in a record for evaluate, and its depth field."""
+    if command == "extract":
+        return scene, "depth"
+    return {"id": "r", "prompt": "A bus in front of a car in a city", "scene": scene}, "scene.depth"
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+@pytest.mark.parametrize("name, data, reason", [
+    ("d.json", b"[[1, 2],\n [3 4]]", "d.json line 2: invalid JSON: Expecting ',' delimiter"),
+    ("d.pgm", b"P5\n0 6\n255\n", "d.pgm: bad PGM header: 0x6, maxval 255"),
+], ids=["json", "pgm"])
+def test_depth_file_fault_names_each_line_next_to_its_file(tmp_path, capsys, command, name,
+                                                            data, reason):
+    # the fault is on the depth file's line 2, and its scene on the scene file's line 3
+    (tmp_path / name).write_bytes(data)
+    record, field = _wrapped(command, {"image_id": "s", "width": 2, "height": 2, "depth": name})
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n\n" + json.dumps(record) + "\n")
+    assert main([command, str(src)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {src}: depth file {reason} (line 3, field {field})"
+    assert line.count("line 3") == 1
+    assert line.count("line 2") == (name == "d.json")
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+@pytest.mark.parametrize("depth", ["inline", "d.json"])
+def test_bool_in_a_depth_grid_is_one_error_line(tmp_path, monkeypatch, capsys, command, depth):
+    # JSON's true is a literal, not the number 1, wherever a depth grid is read
+    grid = "[[true, 2], [3, 4]]"
+    (tmp_path / "d.json").write_text(grid)
+    record, field = _wrapped(command, {"image_id": "s", "width": 2, "height": 2,
+                                       "depth": "GRID" if depth == "inline" else depth})
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n" + json.dumps(record).replace('"GRID"', grid) + "\n")
+    planes, plane = [], sceneio._plane
+    monkeypatch.setattr(sceneio, "_plane", lambda text: planes.append(text) or plane(text))
+    assert main([command, str(src)]) == 1
+    named = "" if depth == "inline" else "depth file d.json: "
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {src}: {named}depth values must be numbers (line 2, field {field})"]
+    # an inline plane in a record file is decoded through the plane memo first
+    assert planes == ([grid] if (command, depth) == ("evaluate", "inline") else [])

@@ -111,7 +111,7 @@ class TestDepthFiles:
         rng = np.random.default_rng(7)
         values = rng.integers(0, 65536, size=(5, 9)).astype(np.float64)
         p = tmp_path / "d.pgm"
-        write_depth_pgm(p, DepthMap(values))
+        write_depth_pgm(p, DepthMap(values.tolist()))
         got = read_depth(p)
         assert got.width == 9 and got.height == 5
         assert got.values == values.tolist()
@@ -407,11 +407,13 @@ class TestSceneParsing:
             scene_from_dict(minimal_record(depth=[[1, 2], [3]]))
         assert info.value.field == "depth"
 
-    def test_bool_among_ints_is_upcast(self):
+    def test_bool_among_ints_is_refused(self):
+        # a JSON true is a literal, not the number 1
         depth = [[0] * 100 for _ in range(80)]
         depth[0][0] = True
-        scene = scene_from_dict(minimal_record(depth=depth))
-        assert scene.depth.values[0][:2] == [1, 0]
+        with pytest.raises(FormatError, match="depth values must be numbers") as info:
+            scene_from_dict(minimal_record(depth=depth), line=3)
+        assert (info.value.line, info.value.field) == (3, "depth")
 
     def test_depth_wrong_type(self):
         with pytest.raises(FormatError):
@@ -422,7 +424,7 @@ class TestSceneParsing:
         assert scene.context == "street"
 
     def test_round_trip(self):
-        depth = DepthMap(np.arange(100 * 80).reshape(80, 100))
+        depth = DepthMap(np.arange(100 * 80).reshape(80, 100).tolist())
         scene = Scene(
             "rt", 100, 80,
             (DetectedObject("tree", BoundingBox(1, 2, 3.5, 4), 0.25),),
@@ -438,7 +440,7 @@ class TestSceneParsing:
         ([[0.5, 1.0], [2.0**70, 3.25]], "[[0.5, 1.0], [1.1805916207174113e+21, 3.25]]"),
         ([[-0.0, 1.0]], "[[0, 1]]"),
         ([[-0.0, 1.5]], "[[-0.0, 1.5]]"),
-        (np.array([[0, 65535], [7, 256]], dtype=np.uint16), "[[0, 65535], [7, 256]]"),
+        (np.array([[0, 65535], [7, 256]], dtype=np.uint16).tolist(), "[[0, 65535], [7, 256]]"),
     ])
     def test_depth_encoding_bytes(self, grid, text):
         depth = DepthMap(grid)
@@ -447,7 +449,7 @@ class TestSceneParsing:
 
     def test_integer_depth_encodes_as_python_ints(self):
         values = np.random.default_rng(3).integers(0, 65536, (128, 128))
-        depth = DepthMap(values)
+        depth = DepthMap(values.tolist())
         scene = Scene("d", 128, 128, depth=depth)
         encoded = scene_to_dict(scene)["depth"]
         assert all(type(v) is int for row in encoded for v in row)
@@ -459,7 +461,7 @@ class TestSceneParsing:
         assert len(list(load_scenes(p))) == 1
 
     def test_scenes_load_lazily(self, tmp_path, monkeypatch):
-        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100), dtype=np.uint16)))
+        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100), dtype=np.uint16).tolist()))
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.pgm")] * 3)
         calls = []
@@ -503,14 +505,14 @@ class TestSceneParsing:
         assert (info.value.line, info.value.field) == (2, "depth")
 
     def test_depth_path_resolved_relative(self, tmp_path):
-        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100))))
+        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((80, 100)).tolist()))
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.pgm")])
         scene = list(load_scenes(p))[0]
         assert scene.depth is not None and scene.depth.height == 80
 
     def test_wrong_size_pgm_is_dimension_mismatch(self, tmp_path):
-        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((8, 10))))
+        write_depth_pgm(tmp_path / "d.pgm", DepthMap(np.zeros((8, 10)).tolist()))
         p = tmp_path / "scenes.jsonl"
         write_jsonl(p, [minimal_record(depth="d.pgm")])
         with pytest.raises(DimensionMismatch) as info:

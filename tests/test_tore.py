@@ -263,7 +263,7 @@ def labeled_scenes(draw):
     )
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
-    depth = DepthMap(rng.integers(0, 64, size=(9, 9)).astype(np.float64))
+    depth = DepthMap(rng.integers(0, 64, size=(9, 9)).astype(np.float64).tolist())
     return Scene("img", 9, 9, objs, depth=depth)
 
 
